@@ -6,6 +6,18 @@ explicit part (pseudo-spectral quadratic terms, the curl couplings, and the
 background transport terms).  Pressure never appears: the velocity and
 magnetic tendencies are Leray-projected.
 
+The explicit part works on half-spectrum coefficients (see `spectral`) and
+takes the quadratic terms in divergence form, on real FFTs:
+
+    velocity        -P div(u (x) u - b (x) b)   6 symmetric components
+    micro-rotation  -div(u (x) omega)           9 components
+    magnetic         curl(u x b)                3 components
+
+For divergence-free fields these equal the advective forms -(u.grad)u +
+(b.grad)b, -(u.grad)omega and -(u.grad)b + (b.grad)u, and the 2/3 rule makes
+the dealiased products exact, so the rewrite changes results only at
+roundoff.  One evaluation makes 9 inverse and 18 forward real transforms.
+
 The stiff symbol of the micro-rotation field is diagonal only after
 splitting each mode into components parallel and perpendicular to k: the
 parallel part sees (eta + kappa)|k|^2 + 4 chi, the perpendicular part
@@ -14,75 +26,39 @@ eta|k|^2 + 4 chi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .fields import PhysParams, State, SystemVariant, structural_violations
 from .spectral import (
     GridSpec,
+    SpectralLayout,
     SpectralVectorField,
-    gradient,
-    grad_div,
+    alpha_dot_grad,
+    alpha_symbol,
     curl,
+    curl_coeffs,
     divergence,
+    full_spectrum,
+    gradient,
+    gradient_coeffs,
+    grad_div,
+    half_spectrum,
     inner_product,
-    inverse_transform,
+    k_dot,
     l2_norm,
+    parallel_part,
+    project_coeffs,
+    to_physical,
+    to_spectral,
 )
 
-TWO_PI_CUBED = (2.0 * np.pi) ** 3
-
-
-# ---------------------------------------------------------------------------
-# array-level kernels (coefficients in, coefficients out)
-# ---------------------------------------------------------------------------
-
-def _curl_arrays(c: np.ndarray, grid: GridSpec) -> np.ndarray:
-    k1, k2, k3 = grid.k_vectors
-    return np.stack([
-        1j * (k2 * c[2] - k3 * c[1]),
-        1j * (k3 * c[0] - k1 * c[2]),
-        1j * (k1 * c[1] - k2 * c[0]),
-    ])
-
-
-def project_arrays(c: np.ndarray, grid: GridSpec) -> np.ndarray:
-    k1, k2, k3 = grid.k_vectors
-    kdotv = (k1 * c[0] + k2 * c[1] + k3 * c[2]) / grid.k_squared_safe
-    out = np.stack([c[0] - k1 * kdotv, c[1] - k2 * kdotv, c[2] - k3 * kdotv])
-    out[:, 0, 0, 0] = 0.0
-    return out
-
-
-def _parallel_part(c: np.ndarray, grid: GridSpec) -> np.ndarray:
-    k1, k2, k3 = grid.k_vectors
-    kdotv = (k1 * c[0] + k2 * c[1] + k3 * c[2]) / grid.k_squared_safe
-    return np.stack([k1 * kdotv, k2 * kdotv, k3 * kdotv])
-
-
-def _to_physical(c: np.ndarray, grid: GridSpec) -> np.ndarray:
-    return np.real(np.fft.ifftn(c, axes=(-3, -2, -1))) * grid.npoints
-
-
-def _advect_arrays(v_phys: np.ndarray, f_hat: np.ndarray,
-                   grid: GridSpec) -> np.ndarray:
-    """(v.grad)f: physical-space product of v with the spectral gradient of
-    f, transformed back and dealiased."""
-    k1, k2, k3 = grid.k_vectors
-    out = np.empty_like(f_hat)
-    for i in range(3):
-        df = _to_physical(np.stack([1j * k1 * f_hat[i],
-                                    1j * k2 * f_hat[i],
-                                    1j * k3 * f_hat[i]]), grid)
-        prod = v_phys[0] * df[0] + v_phys[1] * df[1] + v_phys[2] * df[2]
-        out[i] = np.fft.fftn(prod) / grid.npoints
-    return out * grid.dealias_mask[None]
-
-
-def _alpha_symbol(grid: GridSpec, alpha: np.ndarray) -> np.ndarray:
-    k1, k2, k3 = grid.k_vectors
-    return 1j * (alpha[0] * k1 + alpha[1] * k2 + alpha[2] * k3)
+# The 6 stored components (i, j), i <= j, of a symmetric tensor, and for
+# each row i the stored index of component (i, j), j = 0, 1, 2.
+_SYM_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+_SYM_ROWS = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -91,13 +67,16 @@ def _alpha_symbol(grid: GridSpec, alpha: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class StiffSymbols:
-    """Non-negative per-mode damping rates of the diagonal linear part."""
+    """Non-negative per-mode damping rates of the diagonal linear part, on
+    one coefficient layout (`stiff_symbols` gives the full one)."""
 
     u: np.ndarray
     omega_perp: np.ndarray
     omega_par: np.ndarray
     magnetic: np.ndarray
-    grid: GridSpec
+    layout: SpectralLayout
+    _step_propagators: dict = field(default_factory=dict, init=False,
+                                    repr=False)
 
     def propagator(self, dt: float) -> "StiffPropagator":
         return StiffPropagator(
@@ -105,13 +84,32 @@ class StiffSymbols:
             np.exp(-dt * self.omega_perp),
             np.exp(-dt * self.omega_par),
             np.exp(-dt * self.magnetic),
-            self.grid,
+            self.layout,
         )
+
+    def step_propagators(self, dt: float
+                         ) -> tuple["StiffPropagator", "StiffPropagator"]:
+        """The propagators over dt/2 and dt of one IF-RK4 step.  The pair of
+        the last dt is kept: a run at constant dt builds it once."""
+        cache = self._step_propagators
+        if dt not in cache:
+            cache.clear()
+            cache[dt] = (self.propagator(0.5 * dt), self.propagator(dt))
+        return cache[dt]
+
+    @cached_property
+    def half(self) -> "StiffSymbols":
+        """The same symbols on the half-spectrum layout."""
+        return StiffSymbols(
+            *(np.ascontiguousarray(half_spectrum(a))
+              for a in (self.u, self.omega_perp, self.omega_par,
+                        self.magnetic)),
+            self.layout.grid.half)
 
     def apply_rhs(self, u: np.ndarray, w: np.ndarray,
                   m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Tendency contribution of the stiff part: -symbol * field."""
-        w_par = _parallel_part(w, self.grid)
+        w_par = parallel_part(w, self.layout)
         dw = -self.omega_perp[None] * w - (self.omega_par
                                            - self.omega_perp)[None] * w_par
         return (-self.u[None] * u, dw, -self.magnetic[None] * m)
@@ -126,11 +124,11 @@ class StiffPropagator:
     exp_omega_perp: np.ndarray
     exp_omega_par: np.ndarray
     exp_magnetic: np.ndarray
-    grid: GridSpec
+    layout: SpectralLayout
 
     def apply(self, u: np.ndarray, w: np.ndarray,
               m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        w_par = _parallel_part(w, self.grid)
+        w_par = parallel_part(w, self.layout)
         w_new = self.exp_omega_perp[None] * w + (
             self.exp_omega_par - self.exp_omega_perp)[None] * w_par
         return (self.exp_u[None] * u, w_new, self.exp_magnetic[None] * m)
@@ -145,7 +143,7 @@ def stiff_symbols(grid: GridSpec, p: PhysParams,
         omega_perp=p.eta * ksq + 4.0 * chi,
         omega_par=(p.eta + p.kappa) * ksq + 4.0 * chi,
         magnetic=p.magnetic_diffusion(variant) * ksq,
-        grid=grid,
+        layout=grid.full,
     )
 
 
@@ -171,11 +169,20 @@ class RhsDecomposition:
 
 
 def advect(v: SpectralVectorField, f: SpectralVectorField) -> SpectralVectorField:
-    """(v.grad)f, pseudo-spectral with 2/3 dealiasing of the product."""
+    """(v.grad)f of two real fields, pseudo-spectral in advective form with
+    2/3 dealiasing of the product.  The time step takes this term in
+    divergence form; this form is kept as its independent oracle."""
     if v.grid.n != f.grid.n:
         raise ValueError("advect requires fields on a shared grid")
-    v_phys = inverse_transform(v)
-    return SpectralVectorField(_advect_arrays(v_phys, f.coeffs, f.grid), f.grid)
+    half = f.grid.half
+    v_phys = to_physical(half_spectrum(v.coeffs))
+    f_half = half_spectrum(f.coeffs)
+    out = np.empty_like(f_half)
+    for i in range(3):
+        df = to_physical(gradient_coeffs(f_half[i], half))
+        out[i] = to_spectral(v_phys[0] * df[0] + v_phys[1] * df[1]
+                             + v_phys[2] * df[2])
+    return SpectralVectorField(full_spectrum(out * half.dealias_mask), f.grid)
 
 
 def _check_variant_consistency(p: PhysParams, variant: SystemVariant) -> None:
@@ -184,35 +191,53 @@ def _check_variant_consistency(p: PhysParams, variant: SystemVariant) -> None:
         raise ValueError("; ".join(structural))
 
 
+def _quadratic_terms(u_hat: np.ndarray, w_hat: np.ndarray, m_hat: np.ndarray,
+                     half: SpectralLayout
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """-div(u(x)u - b(x)b), -div(u(x)omega) and curl(u x b), dealiased, on
+    half-spectrum coefficients."""
+    u, w, b = (to_physical(c) for c in (u_hat, w_hat, m_hat))
+    stress = to_spectral(np.stack([u[i] * u[j] - b[i] * b[j]
+                                   for i, j in _SYM_PAIRS]))
+    div_stress = np.stack([k_dot(stress[list(row)], half) for row in _SYM_ROWS])
+    # flux[j, i] = u_j omega_i, so k . flux sums over j
+    flux = to_spectral(u[:, None] * w[None, :])
+    emf = to_spectral(np.stack([u[1] * b[2] - u[2] * b[1],
+                                u[2] * b[0] - u[0] * b[2],
+                                u[0] * b[1] - u[1] * b[0]]))
+    mask = half.dealias_mask
+    return (-1j * mask * div_stress, -1j * mask * k_dot(flux, half),
+            mask * curl_coeffs(emf, half))
+
+
 def explicit_rhs_arrays(u_hat: np.ndarray, w_hat: np.ndarray, m_hat: np.ndarray,
                         grid: GridSpec, p: PhysParams, variant: SystemVariant,
                         linearized: bool = False
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Explicit (non-stiff) tendency of the selected variant on raw
-    coefficient arrays.  ``linearized=True`` drops the quadratic terms."""
+    """Explicit (non-stiff) tendency of the selected variant on half-spectrum
+    coefficient arrays (3, n, n, n//2+1).  ``linearized=True`` drops the
+    quadratic terms."""
+    half = grid.half
     chi = p.coupling_chi(variant)
     two_chi = 2.0 * chi
 
-    du = two_chi * _curl_arrays(w_hat, grid)
-    dw = two_chi * _curl_arrays(u_hat, grid)
+    du = two_chi * curl_coeffs(w_hat, half)
+    dw = two_chi * curl_coeffs(u_hat, half)
     dm = np.zeros_like(m_hat)
 
     if variant.uses_background:
-        sym = _alpha_symbol(grid, p.alpha_vector)
+        sym = alpha_symbol(p.alpha_vector, half)
         du = du + sym[None] * m_hat
         dm = dm + sym[None] * u_hat
 
     if not linearized:
-        u_phys = _to_physical(u_hat, grid)
-        m_phys = _to_physical(m_hat, grid)
-        du = du - _advect_arrays(u_phys, u_hat, grid) \
-            + _advect_arrays(m_phys, m_hat, grid)
-        dw = dw - _advect_arrays(u_phys, w_hat, grid)
-        dm = dm - _advect_arrays(u_phys, m_hat, grid) \
-            + _advect_arrays(m_phys, u_hat, grid)
+        nu, nw, nm = _quadratic_terms(u_hat, w_hat, m_hat, half)
+        du = du + nu
+        dw = dw + nw
+        dm = dm + nm
 
-    du = project_arrays(du, grid)
-    dm = project_arrays(dm, grid)
+    du = project_coeffs(du, half)
+    dm = project_coeffs(dm, half)
     dw[:, 0, 0, 0] = 0.0
     return du, dw, dm
 
@@ -229,10 +254,12 @@ def rhs(state: State, p: PhysParams, variant: SystemVariant,
         raise ValueError(f"state is tagged {state.variant.value!r}, "
                          f"rhs was asked for {variant.value!r}")
     _check_variant_consistency(p, variant)
-    du, dw, dm = explicit_rhs_arrays(state.u.coeffs, state.omega.coeffs,
-                                     state.magnetic.coeffs, state.grid,
-                                     p, variant, linearized=linearized)
-    return RhsDecomposition(du, dw, dm, stiff_symbols(state.grid, p, variant))
+    explicit = explicit_rhs_arrays(
+        *(half_spectrum(f.coeffs) for f in (state.u, state.omega,
+                                            state.magnetic)),
+        state.grid, p, variant, linearized=linearized)
+    return RhsDecomposition(*(full_spectrum(a) for a in explicit),
+                            stiff_symbols(state.grid, p, variant))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +313,6 @@ def energy_flux_audit(state: State, p: PhysParams,
     alpha_pair = None
     if variant.uses_background:
         alpha = p.alpha_vector
-        from .spectral import alpha_dot_grad
         alpha_pair = (inner_product(alpha_dot_grad(m, alpha), u)
                       + inner_product(alpha_dot_grad(u, alpha), m))
 

@@ -12,6 +12,11 @@ exp(-Lambda * delta) between the four classical stages:
 
 The velocity and magnetic fields are re-projected and the k=0 modes
 re-zeroed once per full step.
+
+The step works on half-spectrum coefficients (see `spectral`): it cuts the
+state's full-spectrum arrays on entry and expands the result on exit, so
+the state and checkpoints stay full-spectrum.  Each explicit evaluation
+makes 27 real FFTs, 108 per step.
 """
 
 from __future__ import annotations
@@ -23,8 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import (StiffSymbols, explicit_rhs_arrays, project_arrays,
-                       stiff_symbols)
+from .dynamics import StiffSymbols, explicit_rhs_arrays, stiff_symbols
 from .fields import PhysParams, State, SystemVariant
 from .norms import DiagnosticsRecord, DiagnosticsSettings, compute_record
 from .spectral import (
@@ -32,7 +36,10 @@ from .spectral import (
     IntegrityError,
     SpectralVectorField,
     dealias,
-    inverse_transform,
+    full_spectrum,
+    half_spectrum,
+    project_coeffs,
+    to_physical,
     zero_mean,
 )
 
@@ -69,7 +76,7 @@ def stable_dt(state: State, p: PhysParams, grid: GridSpec,
     """Largest step honouring the base step, the advective CFL bound, the
     micro-rotation coupling bound cfl/(6 chi + 1), and the background
     transport bound.  Floors at cfg.dt * 1e-6 with a warning."""
-    u_phys = inverse_transform(state.u)
+    u_phys = to_physical(half_spectrum(state.u.coeffs))
     umax = float(np.sqrt((u_phys ** 2).sum(axis=0)).max())
     if not math.isfinite(umax):
         raise IntegrityError("non-finite velocity in stable_dt")
@@ -100,32 +107,33 @@ def _axpy(y, x, c):
 def _step_arrays(arrays, symbols: StiffSymbols, grid: GridSpec,
                  p: PhysParams, variant: SystemVariant, dt: float,
                  linearized: bool):
+    """One step on half-spectrum arrays, with half-spectrum symbols;
+    e_half and e_full are the Eh and Ef above."""
     def explicit(u, w, m):
         return explicit_rhs_arrays(u, w, m, grid, p, variant,
                                    linearized=linearized)
 
-    half = symbols.propagator(0.5 * dt)
-    full = symbols.propagator(dt)
+    e_half, e_full = symbols.step_propagators(dt)
 
     n1 = explicit(*arrays)
-    s2 = half.apply(*_axpy(arrays, n1, 0.5 * dt))
+    s2 = e_half.apply(*_axpy(arrays, n1, 0.5 * dt))
     n2 = explicit(*s2)
-    half_y0 = half.apply(*arrays)
+    half_y0 = e_half.apply(*arrays)
     s3 = _axpy(half_y0, n2, 0.5 * dt)
     n3 = explicit(*s3)
-    full_y0 = full.apply(*arrays)
-    s4 = _axpy(full_y0, half.apply(*n3), dt)
+    full_y0 = e_full.apply(*arrays)
+    s4 = _axpy(full_y0, e_half.apply(*n3), dt)
     n4 = explicit(*s4)
 
-    accum = full.apply(*n1)
+    accum = e_full.apply(*n1)
     n23 = tuple(a + b for a, b in zip(n2, n3))
-    accum = _axpy(accum, half.apply(*n23), 2.0)
+    accum = _axpy(accum, e_half.apply(*n23), 2.0)
     accum = _axpy(accum, n4, 1.0)
     out = _axpy(full_y0, accum, dt / 6.0)
 
-    u_new = project_arrays(out[0], grid)
-    m_new = project_arrays(out[2], grid)
-    w_new = out[1].copy()
+    u_new = project_coeffs(out[0], grid.half)
+    m_new = project_coeffs(out[2], grid.half)
+    w_new = out[1]
     w_new[:, 0, 0, 0] = 0.0
     return u_new, w_new, m_new
 
@@ -139,15 +147,18 @@ def step(state: State, p: PhysParams, variant: SystemVariant, dt: float,
                          f"step was asked for {variant.value!r}")
     if symbols is None:
         symbols = stiff_symbols(state.grid, p, variant)
-    arrays = (state.u.coeffs, state.omega.coeffs, state.magnetic.coeffs)
-    u, w, m = _step_arrays(arrays, symbols, state.grid, p, variant, dt,
+    grid = state.grid
+    arrays = tuple(half_spectrum(f.coeffs)
+                   for f in (state.u, state.omega, state.magnetic))
+    u, w, m = _step_arrays(arrays, symbols.half, grid, p, variant, dt,
                            linearized)
     for name, arr in (("u", u), ("omega", w), ("magnetic", m)):
         if not np.all(np.isfinite(arr)):
             raise IntegrityError(f"non-finite {name} after step", step=None)
-    grid = state.grid
-    return State(SpectralVectorField(u, grid), SpectralVectorField(w, grid),
-                 SpectralVectorField(m, grid), variant, t=state.t + dt)
+    return State(SpectralVectorField(full_spectrum(u), grid),
+                 SpectralVectorField(full_spectrum(w), grid),
+                 SpectralVectorField(full_spectrum(m), grid),
+                 variant, t=state.t + dt)
 
 
 class RunStatus(Enum):

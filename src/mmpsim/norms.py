@@ -22,7 +22,8 @@ from .fields import PhysParams, State, SystemVariant
 from .spectral import (
     Field,
     IntegrityError,
-    SpectralVectorField,
+    alpha_dot_grad,
+    curl,
     divergence_residual,
 )
 
@@ -72,16 +73,6 @@ def l2_energy(state: State) -> float:
 # auxiliary energy functionals
 # ---------------------------------------------------------------------------
 
-def _curl_coeffs(v: SpectralVectorField) -> np.ndarray:
-    k1, k2, k3 = v.grid.k_vectors
-    c = v.coeffs
-    return np.stack([
-        1j * (k2 * c[2] - k3 * c[1]),
-        1j * (k3 * c[0] - k1 * c[2]),
-        1j * (k1 * c[1] - k2 * c[0]),
-    ])
-
-
 def _weighted_cross(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> float:
     """(2pi)^3 sum_k w(k) Re(conj(a).b), summed over components."""
     return float(TWO_PI_CUBED
@@ -97,9 +88,9 @@ def curl_energy_functional(state: State, weight_a: float = 10.0) -> float:
         raise ValueError("the functional weight must satisfy A >= 1")
     grid = state.grid
     w4 = grid.k_squared ** 2
-    curl_u = _curl_coeffs(state.u)
-    curl_w = _curl_coeffs(state.omega)
-    curl_m = _curl_coeffs(state.magnetic)
+    curl_u = curl(state.u).coeffs
+    curl_w = curl(state.omega).coeffs
+    curl_m = curl(state.magnetic).coeffs
     energy = sum(float(TWO_PI_CUBED * np.sum(w4 * np.abs(c) ** 2))
                  for c in (curl_u, curl_w, curl_m))
     cross = _weighted_cross(state.omega.coeffs, curl_u, w4)
@@ -152,11 +143,9 @@ def perturbation_energy_functionals(state: State, p: PhysParams,
     hr5_sq = triple_sobolev_norm(state, r + 5.0) ** 2
 
     w1 = _power_sum_weights(ksq, math.floor(r) + 4)
-    cross_omega = _weighted_cross(state.omega.coeffs, _curl_coeffs(state.u), w1)
+    cross_omega = _weighted_cross(state.omega.coeffs, curl(state.u).coeffs, w1)
 
-    k1, k2, k3 = grid.k_vectors
-    a = p.alpha_vector
-    transport = 1j * (a[0] * k1 + a[1] * k2 + a[2] * k3) * state.magnetic.coeffs
+    transport = alpha_dot_grad(state.magnetic, p.alpha_vector).coeffs
     w2 = _power_sum_weights(ksq, math.floor(r) + 3)
     cross_alpha = _weighted_cross(state.u.coeffs, transport, w2)
 

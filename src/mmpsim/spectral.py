@@ -12,6 +12,19 @@ Conventions used throughout the package:
   order 0, 1, ..., n/2-1, -n/2, ..., -1 along each axis.  Python's negative
   indexing makes ``coeffs[k1, k2, k3]`` a signed-wavevector lookup.
 
+Two coefficient layouts share one array-level kernel layer (the ``*_coeffs``
+functions, which take the layout's wavevectors as a `SpectralLayout`):
+
+* ``grid.full``: the full spectrum, shape (..., n, n, n), used by the field
+  classes, the state and checkpoints;
+* ``grid.half``: the rfftn half spectrum, shape (..., n, n, n//2+1), the
+  first n//2+1 entries of the full layout's last axis.  A real field is
+  determined by it; the time step runs in it on real FFTs.
+
+`half_spectrum` (a slice) and `full_spectrum` (the Hermitian expansion)
+convert between the two.  The field-level operators are thin wrappers over
+the kernels on ``grid.full``.
+
 All operations are pure: they return new field objects and never mutate
 their inputs.
 """
@@ -88,10 +101,42 @@ class GridSpec:
         return (keep1d[:, None, None] & keep1d[None, :, None]
                 & keep1d[None, None, :])
 
+    @cached_property
+    def full(self) -> "SpectralLayout":
+        """Wavevectors of the full-spectrum layout (n, n, n)."""
+        return SpectralLayout(self, self.k_vectors, self.k_squared_safe,
+                              self.dealias_mask)
+
+    @cached_property
+    def half(self) -> "SpectralLayout":
+        """Wavevectors of the rfftn half-spectrum layout (n, n, n//2+1).
+
+        Every array is the cut of its full-layout counterpart, so the last
+        index keeps k3 = -n/2 and a symbol evaluated on this layout equals
+        the cut of the full-layout symbol bit for bit.
+        """
+        k1, k2, k3 = self.k_vectors
+        return SpectralLayout(self, (k1, k2, k3[..., :self.n // 2 + 1].copy()),
+                              *(np.ascontiguousarray(half_spectrum(a))
+                                for a in (self.k_squared_safe,
+                                          self.dealias_mask)))
+
     def physical_coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Broadcastable coordinate arrays x1, x2, x3 on the uniform grid."""
         x = np.arange(self.n) * self.spacing
         return (x[:, None, None], x[None, :, None], x[None, None, :])
+
+
+@dataclass(frozen=True, eq=False)
+class SpectralLayout:
+    """The wavevector arrays of one coefficient layout of ``grid``
+    (``grid.full`` or ``grid.half``), broadcastable against coefficient
+    arrays of shape (..., n, n, last-axis length)."""
+
+    grid: GridSpec
+    k_vectors: tuple[np.ndarray, np.ndarray, np.ndarray]
+    k_squared_safe: np.ndarray
+    dealias_mask: np.ndarray
 
 
 def _check_signed_index(grid: GridSpec, k: tuple[int, int, int]) -> None:
@@ -149,6 +194,87 @@ Field = SpectralScalarField | SpectralVectorField
 
 
 # ---------------------------------------------------------------------------
+# array-level kernels (coefficients in, coefficients out, on either layout)
+# ---------------------------------------------------------------------------
+
+def half_spectrum(c: np.ndarray) -> np.ndarray:
+    """The rfftn half-spectrum part of coefficients of shape (..., n, n, *):
+    a view of the first n//2+1 entries of the last axis (the whole array if
+    it is half-spectrum already)."""
+    return c[..., :c.shape[-2] // 2 + 1]
+
+
+def full_spectrum(c: np.ndarray) -> np.ndarray:
+    """Hermitian expansion of half-spectrum coefficients to the full layout:
+    the k3 < 0 entries are filled by coeff(-k) = conj(coeff(k)).  Exact, so
+    full -> half -> full reproduces a Hermitian array bit for bit."""
+    n = c.shape[-2]
+    out = np.empty(c.shape[:-1] + (n,), dtype=np.complex128)
+    out[..., :n // 2 + 1] = c
+    # entry k3 = -j (index n - j) mirrors k3 = j for j = n/2-1 .. 1, and
+    # k1, k2 -> -k1, -k2 is index i -> (n - i) mod n: a flip, then a roll
+    mirror = np.conj(c[..., n // 2 - 1:0:-1])
+    out[..., n // 2 + 1:] = np.roll(np.flip(mirror, axis=(-3, -2)), 1,
+                                    axis=(-3, -2))
+    return out
+
+
+def to_physical(c: np.ndarray) -> np.ndarray:
+    """Real physical values of half-spectrum coefficients over the last
+    three axes (irfftn); the input must come from a real field."""
+    n = c.shape[-2]
+    return np.fft.irfftn(c, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
+
+
+def to_spectral(phys: np.ndarray) -> np.ndarray:
+    """Half-spectrum coefficients of real values over the last three axes
+    (rfftn), under the convention f(x) = sum_k fhat(k) exp(i k.x)."""
+    return np.fft.rfftn(phys, axes=(-3, -2, -1), norm="forward")
+
+
+def k_dot(c: np.ndarray, layout: SpectralLayout) -> np.ndarray:
+    """k . c over the leading component axis of c."""
+    k1, k2, k3 = layout.k_vectors
+    return k1 * c[0] + k2 * c[1] + k3 * c[2]
+
+
+def gradient_coeffs(c: np.ndarray, layout: SpectralLayout) -> np.ndarray:
+    """i k c, the new component axis first."""
+    k1, k2, k3 = layout.k_vectors
+    return np.stack([1j * k1 * c, 1j * k2 * c, 1j * k3 * c])
+
+
+def curl_coeffs(c: np.ndarray, layout: SpectralLayout) -> np.ndarray:
+    """i k x c."""
+    k1, k2, k3 = layout.k_vectors
+    return np.stack([
+        1j * (k2 * c[2] - k3 * c[1]),
+        1j * (k3 * c[0] - k1 * c[2]),
+        1j * (k1 * c[1] - k2 * c[0]),
+    ])
+
+
+def parallel_part(c: np.ndarray, layout: SpectralLayout) -> np.ndarray:
+    """k (k.c)/|k|^2, the part of each mode parallel to k (zero at k=0)."""
+    k1, k2, k3 = layout.k_vectors
+    kdotv = k_dot(c, layout) / layout.k_squared_safe
+    return np.stack([k1 * kdotv, k2 * kdotv, k3 * kdotv])
+
+
+def project_coeffs(c: np.ndarray, layout: SpectralLayout) -> np.ndarray:
+    """Leray projection c - k (k.c)/|k|^2 with the k=0 mode zeroed."""
+    out = c - parallel_part(c, layout)
+    out[:, 0, 0, 0] = 0.0
+    return out
+
+
+def alpha_symbol(alpha: np.ndarray, layout: SpectralLayout) -> np.ndarray:
+    """i (alpha.k), the symbol of the transport alpha . grad."""
+    k1, k2, k3 = layout.k_vectors
+    return 1j * (alpha[0] * k1 + alpha[1] * k2 + alpha[2] * k3)
+
+
+# ---------------------------------------------------------------------------
 # transforms
 # ---------------------------------------------------------------------------
 
@@ -175,7 +301,8 @@ def forward_transform(physical, grid: GridSpec) -> SpectralVectorField:
 
 def inverse_transform(f: Field) -> np.ndarray:
     """Back to physical space; returns the real part (imaginary content of a
-    Hermitian-symmetric field is pure roundoff)."""
+    Hermitian-symmetric field is pure roundoff).  Accepts any coefficients;
+    `to_physical` is the real-FFT path for coefficients of real fields."""
     if isinstance(f, SpectralScalarField):
         return np.real(np.fft.ifftn(f.coeffs)) * f.grid.npoints
     return np.real(np.fft.ifftn(f.coeffs, axes=(1, 2, 3))) * f.grid.npoints
@@ -196,29 +323,17 @@ def hermitian_symmetrize(coeffs: np.ndarray) -> np.ndarray:
 
 def gradient(f: SpectralScalarField) -> SpectralVectorField:
     """grad f -> i k fhat."""
-    k1, k2, k3 = f.grid.k_vectors
-    c = f.coeffs
-    out = np.stack([1j * k1 * c, 1j * k2 * c, 1j * k3 * c])
-    return SpectralVectorField(out, f.grid)
+    return SpectralVectorField(gradient_coeffs(f.coeffs, f.grid.full), f.grid)
 
 
 def divergence(v: SpectralVectorField) -> SpectralScalarField:
     """div v -> i k.vhat."""
-    k1, k2, k3 = v.grid.k_vectors
-    c = v.coeffs
-    return SpectralScalarField(1j * (k1 * c[0] + k2 * c[1] + k3 * c[2]), v.grid)
+    return SpectralScalarField(1j * k_dot(v.coeffs, v.grid.full), v.grid)
 
 
 def curl(v: SpectralVectorField) -> SpectralVectorField:
     """curl v -> i k x vhat."""
-    k1, k2, k3 = v.grid.k_vectors
-    c = v.coeffs
-    out = np.stack([
-        1j * (k2 * c[2] - k3 * c[1]),
-        1j * (k3 * c[0] - k1 * c[2]),
-        1j * (k1 * c[1] - k2 * c[0]),
-    ])
-    return SpectralVectorField(out, v.grid)
+    return SpectralVectorField(curl_coeffs(v.coeffs, v.grid.full), v.grid)
 
 
 def laplacian(f: Field) -> Field:
@@ -232,8 +347,7 @@ def laplacian(f: Field) -> Field:
 def grad_div(v: SpectralVectorField) -> SpectralVectorField:
     """grad(div v) -> -k (k.vhat)."""
     k1, k2, k3 = v.grid.k_vectors
-    c = v.coeffs
-    kdotv = k1 * c[0] + k2 * c[1] + k3 * c[2]
+    kdotv = k_dot(v.coeffs, v.grid.full)
     out = np.stack([-k1 * kdotv, -k2 * kdotv, -k3 * kdotv])
     return SpectralVectorField(out, v.grid)
 
@@ -243,8 +357,7 @@ def alpha_dot_grad(f: Field, alpha) -> Field:
     a = np.asarray(alpha, dtype=np.float64)
     if a.shape != (3,):
         raise ValueError("alpha must be a 3-vector")
-    k1, k2, k3 = f.grid.k_vectors
-    symbol = 1j * (a[0] * k1 + a[1] * k2 + a[2] * k3)
+    symbol = alpha_symbol(a, f.grid.full)
     if isinstance(f, SpectralScalarField):
         return SpectralScalarField(symbol * f.coeffs, f.grid)
     return SpectralVectorField(symbol[None] * f.coeffs, f.grid)
@@ -285,12 +398,7 @@ def apply_diff_op(f: Field, op: str, alpha=None) -> Field:
 def leray_project(v: SpectralVectorField) -> SpectralVectorField:
     """Divergence-free projection vhat <- vhat - k (k.vhat)/|k|^2 per mode,
     with the k=0 mode zeroed (mean-zero enforcement).  Idempotent."""
-    k1, k2, k3 = v.grid.k_vectors
-    c = v.coeffs
-    kdotv = (k1 * c[0] + k2 * c[1] + k3 * c[2]) / v.grid.k_squared_safe
-    out = np.stack([c[0] - k1 * kdotv, c[1] - k2 * kdotv, c[2] - k3 * kdotv])
-    out[:, 0, 0, 0] = 0.0
-    return SpectralVectorField(out, v.grid)
+    return SpectralVectorField(project_coeffs(v.coeffs, v.grid.full), v.grid)
 
 
 def dealias(f: Field) -> Field:
@@ -313,9 +421,8 @@ def zero_mean(f: Field) -> Field:
 
 def divergence_residual(v: SpectralVectorField) -> float:
     """max_k |k.vhat| / max_k |vhat|; 0 for the zero field."""
-    k1, k2, k3 = v.grid.k_vectors
     c = v.coeffs
-    num = np.abs(k1 * c[0] + k2 * c[1] + k3 * c[2]).max()
+    num = np.abs(k_dot(c, v.grid.full)).max()
     den = np.sqrt(np.abs(c[0]) ** 2 + np.abs(c[1]) ** 2 + np.abs(c[2]) ** 2).max()
     if den == 0.0:
         return 0.0

@@ -1,5 +1,6 @@
 """RHS assembly: advection kernel vs direct convolution, stiff/explicit
-recombination vs a monolithic evaluation, and the energy-flux audit."""
+recombination vs a monolithic evaluation, the half-spectrum step's layout
+conversions and FFT budget, and the energy-flux audit."""
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from mmpsim.dynamics import (
     stiff_symbols,
 )
 from mmpsim.fields import InitSpec, PhysParams, State, SystemVariant, make_random_state
+from mmpsim.integrator import step
 from mmpsim.spectral import (
     GridSpec,
     SpectralVectorField,
@@ -18,6 +20,9 @@ from mmpsim.spectral import (
     curl,
     dealias,
     forward_transform,
+    full_spectrum,
+    half_spectrum,
+    hermitian_symmetrize,
     laplacian,
     grad_div,
     leray_project,
@@ -115,9 +120,10 @@ def monolithic_rhs(state, p, variant):
 
 
 class TestRhs:
-    def make_state(self, variant, seed=0, n=8):
+    def make_state(self, variant, seed=0, n=8, epsilon=0.01):
         grid = GridSpec(n)
-        return make_random_state(grid, InitSpec(epsilon=0.01, seed=seed), variant)
+        return make_random_state(grid, InitSpec(epsilon=epsilon, seed=seed),
+                                 variant)
 
     def test_zero_state_gives_zero_rhs(self):
         g = GridSpec(8)
@@ -155,13 +161,17 @@ class TestRhs:
         (SystemVariant.IDEAL_MHD, PhysParams()),
     ])
     def test_recombination_matches_monolithic(self, variant, params):
-        state = self.make_state(variant, seed=7)
-        decomp = rhs(state, params, variant)
-        total = decomp.total(state)
-        oracle = monolithic_rhs(state, params, variant)
-        for got, want in zip(total, oracle):
-            scale = max(np.abs(want).max(), 1e-30)
-            assert np.abs(got - want).max() <= 1e-13 * scale
+        # at epsilon = 0.01 the tendency is almost linear; at 1000 the
+        # quadratic terms are >= 98% of its largest entry in every variant,
+        # so the divergence-form terms are checked against advect
+        for epsilon in (0.01, 1000.0):
+            state = self.make_state(variant, seed=7, epsilon=epsilon)
+            decomp = rhs(state, params, variant)
+            total = decomp.total(state)
+            oracle = monolithic_rhs(state, params, variant)
+            for got, want in zip(total, oracle):
+                scale = max(np.abs(want).max(), 1e-30)
+                assert np.abs(got - want).max() <= 1e-13 * scale, epsilon
 
     def test_magnetic_equation_linear_in_magnetic(self):
         # with the magnetic unknown identically zero its tendency vanishes
@@ -218,6 +228,50 @@ class TestStiffSymbols:
         for new, old, dy in zip(moved, arrays, tendency):
             fd = (new - old) / dt
             assert np.abs(fd - dy).max() <= 1e-5 * max(np.abs(dy).max(), 1e-30)
+
+
+class TestHalfSpectrumStep:
+    @pytest.mark.parametrize("dealiased", [True, False])
+    def test_round_trip_bit_exact(self, dealiased):
+        g = GridSpec(8)
+        if dealiased:
+            coeffs = make_random_state(g, InitSpec(epsilon=1.0, seed=5),
+                                       SystemVariant.FULL).u.coeffs
+        else:
+            rng = np.random.default_rng(5)
+            shape = (3, g.n, g.n, g.n)
+            coeffs = hermitian_symmetrize(rng.standard_normal(shape)
+                                          + 1j * rng.standard_normal(shape))
+        half = half_spectrum(coeffs)
+        assert half.shape == (3, g.n, g.n, g.n // 2 + 1)
+        assert np.array_equal(full_spectrum(half), coeffs)
+
+    def test_fft_budget_of_one_step(self, monkeypatch):
+        # 4 explicit evaluations of 9 inverse + 18 forward real transforms
+        # of scalar fields; the library transforms the last three axes
+        counts = []
+        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+            def counted(a, *args, _original=getattr(np.fft, name), **kwargs):
+                counts.append(int(np.prod(np.shape(a)[:-3])))
+                return _original(a, *args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        g = GridSpec(8)
+        state = make_random_state(g, InitSpec(epsilon=1.0, seed=1),
+                                  SystemVariant.FULL)
+        p = PhysParams(mu=0.2, chi=1.0, kappa=0.4, eta=1.0, nu=0.5)
+        step(state, p, SystemVariant.FULL, 0.01)
+        assert sum(counts) == 108
+
+    def test_propagators_cached_per_dt(self):
+        g = GridSpec(8)
+        sym = stiff_symbols(g, PhysParams(chi=1.0, eta=1.0, nu=1.0),
+                            SystemVariant.ZERO_KINEMATIC).half
+        pair = sym.step_propagators(0.05)
+        assert sym.step_propagators(0.05) is pair
+        other = sym.step_propagators(0.025)
+        assert other is not pair
+        assert np.array_equal(other[1].exp_u, pair[0].exp_u)
+        assert sym.step_propagators(0.05) is not pair
 
 
 class TestEnergyFluxAudit:
