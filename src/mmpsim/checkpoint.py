@@ -5,10 +5,16 @@ variant id u32, the five coefficients f64, alpha f64x3, Diophantine
 exponent f64, time f64, step count u64, seed u64, then nine coefficient
 arrays (u1,u2,u3,w1,w2,w3,m1,m2,m3) as f64 (re, im) pairs, full-spectrum
 row-major over (k1,k2,k3) with each axis ordered 0,1,...,n/2-1,-n/2,...,-1.
+
+A checkpoint is written to ``<path>.tmp`` and renamed onto ``<path>``, so a
+process that dies mid-write leaves the previous file (or none) under the
+final name, never a truncated one.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass
 
@@ -42,11 +48,18 @@ def save_checkpoint(path, state: State, params: PhysParams, step: int,
         params.mu, params.chi, params.kappa, params.eta, params.nu,
         params.alpha[0], params.alpha[1], params.alpha[2],
         params.r, state.t, step, seed)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for f in (state.u, state.omega, state.magnetic):
-            fh.write(np.ascontiguousarray(
-                f.coeffs.astype("<c16", copy=False)).tobytes())
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            for f in (state.u, state.omega, state.magnetic):
+                fh.write(np.ascontiguousarray(
+                    f.coeffs.astype("<c16", copy=False)).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> CheckpointData:

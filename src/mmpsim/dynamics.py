@@ -6,8 +6,9 @@ explicit part (pseudo-spectral quadratic terms, the curl couplings, and the
 background transport terms).  Pressure never appears: the velocity and
 magnetic tendencies are Leray-projected.
 
-The explicit part works on half-spectrum coefficients (see `spectral`) and
-takes the quadratic terms in divergence form, on real FFTs:
+The explicit part works on retained-band coefficients (see `spectral`), so
+the 2/3 rule is structural: no mode outside the box is stored or computed.
+It takes the quadratic terms in divergence form, on pruned real FFTs:
 
     velocity        -P div(u (x) u - b (x) b)   6 symmetric components
     micro-rotation  -div(u (x) omega)           9 components
@@ -16,7 +17,9 @@ takes the quadratic terms in divergence form, on real FFTs:
 For divergence-free fields these equal the advective forms -(u.grad)u +
 (b.grad)b, -(u.grad)omega and -(u.grad)b + (b.grad)u, and the 2/3 rule makes
 the dealiased products exact, so the rewrite changes results only at
-roundoff.  One evaluation makes 9 inverse and 18 forward real transforms.
+roundoff.  One evaluation makes 9 inverse and 18 forward real transforms of
+scalar fields, each three 1D passes over n^2 + n(kc+1) + (2kc+1)(kc+1)
+lines (kc = n//3).
 
 The stiff symbol of the micro-rotation field is diagonal only after
 splitting each mode into components parallel and perpendicular to k: the
@@ -38,14 +41,14 @@ from .spectral import (
     SpectralVectorField,
     alpha_dot_grad,
     alpha_symbol,
+    band_part,
     curl,
     curl_coeffs,
     divergence,
-    full_spectrum,
+    expand_band,
     gradient,
     gradient_coeffs,
     grad_div,
-    half_spectrum,
     inner_product,
     k_dot,
     l2_norm,
@@ -98,13 +101,13 @@ class StiffSymbols:
         return cache[dt]
 
     @cached_property
-    def half(self) -> "StiffSymbols":
-        """The same symbols on the half-spectrum layout."""
+    def band(self) -> "StiffSymbols":
+        """The same symbols on the retained-band layout."""
+        grid = self.layout.grid
         return StiffSymbols(
-            *(np.ascontiguousarray(half_spectrum(a))
-              for a in (self.u, self.omega_perp, self.omega_par,
-                        self.magnetic)),
-            self.layout.grid.half)
+            *(band_part(a, grid) for a in (self.u, self.omega_perp,
+                                           self.omega_par, self.magnetic)),
+            grid.band)
 
     def apply_rhs(self, u: np.ndarray, w: np.ndarray,
                   m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -168,21 +171,31 @@ class RhsDecomposition:
                 self.explicit_magnetic + sm)
 
 
+def _advect_band(velocities, f_band: np.ndarray, grid: GridSpec
+                 ) -> list[np.ndarray]:
+    """(v.grad)f on the retained band, in advective form, for each physical
+    velocity v of ``velocities``.  The gradient of each component of f is
+    transformed once and shared by all of them."""
+    outs = [np.empty_like(f_band) for _ in velocities]
+    for i in range(3):
+        df = to_physical(gradient_coeffs(f_band[i], grid.band), grid)
+        for v, out in zip(velocities, outs):
+            out[i] = to_spectral(v[0] * df[0] + v[1] * df[1] + v[2] * df[2],
+                                 grid)
+    return outs
+
+
 def advect(v: SpectralVectorField, f: SpectralVectorField) -> SpectralVectorField:
     """(v.grad)f of two real fields, pseudo-spectral in advective form with
-    2/3 dealiasing of the product.  The time step takes this term in
+    2/3 dealiasing of the product.  Reads only the retained box of v and f:
+    content outside it is dropped.  The time step takes this term in
     divergence form; this form is kept as its independent oracle."""
     if v.grid.n != f.grid.n:
         raise ValueError("advect requires fields on a shared grid")
-    half = f.grid.half
-    v_phys = to_physical(half_spectrum(v.coeffs))
-    f_half = half_spectrum(f.coeffs)
-    out = np.empty_like(f_half)
-    for i in range(3):
-        df = to_physical(gradient_coeffs(f_half[i], half))
-        out[i] = to_spectral(v_phys[0] * df[0] + v_phys[1] * df[1]
-                             + v_phys[2] * df[2])
-    return SpectralVectorField(full_spectrum(out * half.dealias_mask), f.grid)
+    grid = f.grid
+    (out,) = _advect_band([to_physical(band_part(v.coeffs, grid), grid)],
+                          band_part(f.coeffs, grid), grid)
+    return SpectralVectorField(expand_band(out, grid), grid)
 
 
 def _check_variant_consistency(p: PhysParams, variant: SystemVariant) -> None:
@@ -192,52 +205,51 @@ def _check_variant_consistency(p: PhysParams, variant: SystemVariant) -> None:
 
 
 def _quadratic_terms(u_hat: np.ndarray, w_hat: np.ndarray, m_hat: np.ndarray,
-                     half: SpectralLayout
+                     grid: GridSpec
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """-div(u(x)u - b(x)b), -div(u(x)omega) and curl(u x b), dealiased, on
-    half-spectrum coefficients."""
-    u, w, b = (to_physical(c) for c in (u_hat, w_hat, m_hat))
+    """-div(u(x)u - b(x)b), -div(u(x)omega) and curl(u x b) on retained-band
+    coefficients; the band transforms make them dealiased."""
+    band = grid.band
+    u, w, b = (to_physical(c, grid) for c in (u_hat, w_hat, m_hat))
     stress = to_spectral(np.stack([u[i] * u[j] - b[i] * b[j]
-                                   for i, j in _SYM_PAIRS]))
-    div_stress = np.stack([k_dot(stress[list(row)], half) for row in _SYM_ROWS])
+                                   for i, j in _SYM_PAIRS]), grid)
+    div_stress = np.stack([k_dot(stress[list(row)], band) for row in _SYM_ROWS])
     # flux[j, i] = u_j omega_i, so k . flux sums over j
-    flux = to_spectral(u[:, None] * w[None, :])
+    flux = to_spectral(u[:, None] * w[None, :], grid)
     emf = to_spectral(np.stack([u[1] * b[2] - u[2] * b[1],
                                 u[2] * b[0] - u[0] * b[2],
-                                u[0] * b[1] - u[1] * b[0]]))
-    mask = half.dealias_mask
-    return (-1j * mask * div_stress, -1j * mask * k_dot(flux, half),
-            mask * curl_coeffs(emf, half))
+                                u[0] * b[1] - u[1] * b[0]]), grid)
+    return (-1j * div_stress, -1j * k_dot(flux, band), curl_coeffs(emf, band))
 
 
 def explicit_rhs_arrays(u_hat: np.ndarray, w_hat: np.ndarray, m_hat: np.ndarray,
                         grid: GridSpec, p: PhysParams, variant: SystemVariant,
                         linearized: bool = False
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Explicit (non-stiff) tendency of the selected variant on half-spectrum
-    coefficient arrays (3, n, n, n//2+1).  ``linearized=True`` drops the
-    quadratic terms."""
-    half = grid.half
+    """Explicit (non-stiff) tendency of the selected variant on retained-band
+    coefficient arrays (3, 2kc+1, 2kc+1, kc+1).  ``linearized=True`` drops
+    the quadratic terms."""
+    band = grid.band
     chi = p.coupling_chi(variant)
     two_chi = 2.0 * chi
 
-    du = two_chi * curl_coeffs(w_hat, half)
-    dw = two_chi * curl_coeffs(u_hat, half)
+    du = two_chi * curl_coeffs(w_hat, band)
+    dw = two_chi * curl_coeffs(u_hat, band)
     dm = np.zeros_like(m_hat)
 
     if variant.uses_background:
-        sym = alpha_symbol(p.alpha_vector, half)
+        sym = alpha_symbol(p.alpha_vector, band)
         du = du + sym[None] * m_hat
         dm = dm + sym[None] * u_hat
 
     if not linearized:
-        nu, nw, nm = _quadratic_terms(u_hat, w_hat, m_hat, half)
+        nu, nw, nm = _quadratic_terms(u_hat, w_hat, m_hat, grid)
         du = du + nu
         dw = dw + nw
         dm = dm + nm
 
-    du = project_coeffs(du, half)
-    dm = project_coeffs(dm, half)
+    du = project_coeffs(du, band)
+    dm = project_coeffs(dm, band)
     dw[:, 0, 0, 0] = 0.0
     return du, dw, dm
 
@@ -246,20 +258,23 @@ def rhs(state: State, p: PhysParams, variant: SystemVariant,
         linearized: bool = False) -> RhsDecomposition:
     """Assemble the tendency of the selected variant at the given state.
 
-    Rejects coefficient sets that contradict the variant structure (e.g. a
-    nonzero magnetic diffusivity supplied to the ideal variant) and a state
-    tagged with a different variant.
+    The explicit part reads only the retained 2/3-rule box of the state:
+    content outside it is dropped, as `run` does on entry.  Rejects
+    coefficient sets that contradict the variant structure (e.g. a nonzero
+    magnetic diffusivity supplied to the ideal variant) and a state tagged
+    with a different variant.
     """
     if state.variant is not variant:
         raise ValueError(f"state is tagged {state.variant.value!r}, "
                          f"rhs was asked for {variant.value!r}")
     _check_variant_consistency(p, variant)
+    grid = state.grid
     explicit = explicit_rhs_arrays(
-        *(half_spectrum(f.coeffs) for f in (state.u, state.omega,
-                                            state.magnetic)),
-        state.grid, p, variant, linearized=linearized)
-    return RhsDecomposition(*(full_spectrum(a) for a in explicit),
-                            stiff_symbols(state.grid, p, variant))
+        *(band_part(f.coeffs, grid) for f in (state.u, state.omega,
+                                              state.magnetic)),
+        grid, p, variant, linearized=linearized)
+    return RhsDecomposition(*(expand_band(a, grid) for a in explicit),
+                            stiff_symbols(grid, p, variant))
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +317,28 @@ class EnergyFluxAudit:
 
 def energy_flux_audit(state: State, p: PhysParams,
                       variant: SystemVariant) -> EnergyFluxAudit:
+    """Evaluate the energy-identity inner products at `state`.  The
+    advection terms are `advect`'s products on the retained box, with u and
+    b transformed once and each component's gradient shared by the
+    products that use it: 33 inverse and 15 forward scalar transforms."""
     u, w, m = state.u, state.omega, state.magnetic
+    grid = state.grid
     chi = p.coupling_chi(variant)
 
-    adv_u = inner_product(advect(u, u), u)
-    adv_w = inner_product(advect(u, w), w)
-    adv_m = inner_product(advect(u, m), m)
-    lorentz = inner_product(advect(m, m), u) + inner_product(advect(m, u), m)
+    u_band, w_band, m_band = (band_part(f.coeffs, grid) for f in (u, w, m))
+    u_phys, m_phys = (to_physical(c, grid) for c in (u_band, m_band))
+    u_grad_u, m_grad_u = _advect_band([u_phys, m_phys], u_band, grid)
+    (u_grad_w,) = _advect_band([u_phys], w_band, grid)
+    u_grad_m, m_grad_m = _advect_band([u_phys, m_phys], m_band, grid)
+
+    def full(c):
+        return SpectralVectorField(expand_band(c, grid), grid)
+
+    adv_u = inner_product(full(u_grad_u), u)
+    adv_w = inner_product(full(u_grad_w), w)
+    adv_m = inner_product(full(u_grad_m), m)
+    lorentz = (inner_product(full(m_grad_m), u)
+               + inner_product(full(m_grad_u), m))
 
     alpha_pair = None
     if variant.uses_background:

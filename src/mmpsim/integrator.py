@@ -13,10 +13,12 @@ exp(-Lambda * delta) between the four classical stages:
 The velocity and magnetic fields are re-projected and the k=0 modes
 re-zeroed once per full step.
 
-The step works on half-spectrum coefficients (see `spectral`): it cuts the
-state's full-spectrum arrays on entry and expands the result on exit, so
-the state and checkpoints stay full-spectrum.  Each explicit evaluation
-makes 27 real FFTs, 108 per step.
+The step works on retained-band coefficients (see `spectral`): it gathers
+the 2/3-rule box of the state's full-spectrum arrays on entry and expands
+the result on exit, so the state and checkpoints stay full-spectrum.  Each
+explicit evaluation makes 27 pruned real transforms of scalar fields, 108
+per step; each is three 1D passes (324 per step) over
+n^2 + n(kc+1) + (2kc+1)(kc+1) lines, kc = n//3.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ from .spectral import (
     GridSpec,
     IntegrityError,
     SpectralVectorField,
+    band_part,
     dealias,
-    full_spectrum,
-    half_spectrum,
+    expand_band,
     project_coeffs,
     to_physical,
     zero_mean,
@@ -75,8 +77,10 @@ def stable_dt(state: State, p: PhysParams, grid: GridSpec,
               cfg: StepperConfig) -> float:
     """Largest step honouring the base step, the advective CFL bound, the
     micro-rotation coupling bound cfl/(6 chi + 1), and the background
-    transport bound.  Floors at cfg.dt * 1e-6 with a warning."""
-    u_phys = to_physical(half_spectrum(state.u.coeffs))
+    transport bound.  Floors at cfg.dt * 1e-6 with a warning.  Reads only
+    the retained 2/3-rule box of the velocity: content outside it is
+    dropped, as `run` does on entry."""
+    u_phys = to_physical(band_part(state.u.coeffs, grid), grid)
     umax = float(np.sqrt((u_phys ** 2).sum(axis=0)).max())
     if not math.isfinite(umax):
         raise IntegrityError("non-finite velocity in stable_dt")
@@ -107,7 +111,7 @@ def _axpy(y, x, c):
 def _step_arrays(arrays, symbols: StiffSymbols, grid: GridSpec,
                  p: PhysParams, variant: SystemVariant, dt: float,
                  linearized: bool):
-    """One step on half-spectrum arrays, with half-spectrum symbols;
+    """One step on retained-band arrays, with retained-band symbols;
     e_half and e_full are the Eh and Ef above."""
     def explicit(u, w, m):
         return explicit_rhs_arrays(u, w, m, grid, p, variant,
@@ -131,8 +135,8 @@ def _step_arrays(arrays, symbols: StiffSymbols, grid: GridSpec,
     accum = _axpy(accum, n4, 1.0)
     out = _axpy(full_y0, accum, dt / 6.0)
 
-    u_new = project_coeffs(out[0], grid.half)
-    m_new = project_coeffs(out[2], grid.half)
+    u_new = project_coeffs(out[0], grid.band)
+    m_new = project_coeffs(out[2], grid.band)
     w_new = out[1]
     w_new[:, 0, 0, 0] = 0.0
     return u_new, w_new, m_new
@@ -141,23 +145,25 @@ def _step_arrays(arrays, symbols: StiffSymbols, grid: GridSpec,
 def step(state: State, p: PhysParams, variant: SystemVariant, dt: float,
          linearized: bool = False,
          symbols: StiffSymbols | None = None) -> State:
-    """Advance one integrating-factor RK4 step of size dt."""
+    """Advance one integrating-factor RK4 step of size dt.  Reads only the
+    retained 2/3-rule box of the state: content outside it is dropped, as
+    `run` does on entry, and the new state is zero outside it."""
     if state.variant is not variant:
         raise ValueError(f"state is tagged {state.variant.value!r}, "
                          f"step was asked for {variant.value!r}")
     if symbols is None:
         symbols = stiff_symbols(state.grid, p, variant)
     grid = state.grid
-    arrays = tuple(half_spectrum(f.coeffs)
+    arrays = tuple(band_part(f.coeffs, grid)
                    for f in (state.u, state.omega, state.magnetic))
-    u, w, m = _step_arrays(arrays, symbols.half, grid, p, variant, dt,
+    u, w, m = _step_arrays(arrays, symbols.band, grid, p, variant, dt,
                            linearized)
     for name, arr in (("u", u), ("omega", w), ("magnetic", m)):
         if not np.all(np.isfinite(arr)):
             raise IntegrityError(f"non-finite {name} after step", step=None)
-    return State(SpectralVectorField(full_spectrum(u), grid),
-                 SpectralVectorField(full_spectrum(w), grid),
-                 SpectralVectorField(full_spectrum(m), grid),
+    return State(SpectralVectorField(expand_band(u, grid), grid),
+                 SpectralVectorField(expand_band(w, grid), grid),
+                 SpectralVectorField(expand_band(m, grid), grid),
                  variant, t=state.t + dt)
 
 

@@ -17,13 +17,22 @@ functions, which take the layout's wavevectors as a `SpectralLayout`):
 
 * ``grid.full``: the full spectrum, shape (..., n, n, n), used by the field
   classes, the state and checkpoints;
-* ``grid.half``: the rfftn half spectrum, shape (..., n, n, n//2+1), the
-  first n//2+1 entries of the full layout's last axis.  A real field is
-  determined by it; the time step runs in it on real FFTs.
+* ``grid.band``: the retained band, shape (..., 2kc+1, 2kc+1, kc+1) with
+  kc = n//3, i.e. exactly the 2/3-rule box |k_i| <= kc with k3 >= 0, in FFT
+  order along the first two axes (k = 0..kc, then -kc..-1) and k3 = 0..kc
+  along the last.  A real dealiased field is determined by it; the time
+  step runs in it.
 
-`half_spectrum` (a slice) and `full_spectrum` (the Hermitian expansion)
-convert between the two.  The field-level operators are thin wrappers over
-the kernels on ``grid.full``.
+`band_part` gathers the band out of full-spectrum coefficients (dropping
+everything outside the box) and `expand_band` scatters it back, filling
+k3 < 0 by Hermitian symmetry.  `to_physical` and `to_spectral` are the real
+transforms between the band and the n^3 grid, pruned to the lines that
+carry retained modes.  Each is three 1D passes, one per axis; per scalar
+field they transform n^2 + n(kc+1) + (2kc+1)(kc+1) lines, against
+n^2 + 2n(n//2+1) for the unpruned rfftn/irfftn.  numpy's n-d real
+transforms are the same 1D passes, so on dealiased data the pruned ones
+return their retained coefficients and physical values bit for bit.  The
+field-level operators are thin wrappers over the kernels on ``grid.full``.
 
 All operations are pure: they return new field objects and never mutate
 their inputs.
@@ -102,24 +111,30 @@ class GridSpec:
                 & keep1d[None, None, :])
 
     @cached_property
-    def full(self) -> "SpectralLayout":
-        """Wavevectors of the full-spectrum layout (n, n, n)."""
-        return SpectralLayout(self, self.k_vectors, self.k_squared_safe,
-                              self.dealias_mask)
+    def band_index(self) -> np.ndarray:
+        """Full-layout indices of the retained wavenumbers along one axis:
+        k = 0..kc, then -kc..-1."""
+        n, kc = self.n, self.kmax_dealias
+        return np.r_[0:kc + 1, n - kc:n]
 
     @cached_property
-    def half(self) -> "SpectralLayout":
-        """Wavevectors of the rfftn half-spectrum layout (n, n, n//2+1).
+    def full(self) -> "SpectralLayout":
+        """Wavevectors of the full-spectrum layout (n, n, n)."""
+        return SpectralLayout(self, self.k_vectors, self.k_squared_safe)
 
-        Every array is the cut of its full-layout counterpart, so the last
-        index keeps k3 = -n/2 and a symbol evaluated on this layout equals
-        the cut of the full-layout symbol bit for bit.
+    @cached_property
+    def band(self) -> "SpectralLayout":
+        """Wavevectors of the retained-band layout (2kc+1, 2kc+1, kc+1).
+
+        Every array is the band part of its full-layout counterpart, so a
+        symbol evaluated on this layout equals the band part of the
+        full-layout symbol bit for bit.
         """
-        k1, k2, k3 = self.k_vectors
-        return SpectralLayout(self, (k1, k2, k3[..., :self.n // 2 + 1].copy()),
-                              *(np.ascontiguousarray(half_spectrum(a))
-                                for a in (self.k_squared_safe,
-                                          self.dealias_mask)))
+        k = self.k_axis[self.band_index]
+        k3 = k[:self.kmax_dealias + 1]
+        return SpectralLayout(self, (k[:, None, None], k[None, :, None],
+                                     k3[None, None, :]),
+                              band_part(self.k_squared_safe, self))
 
     def physical_coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Broadcastable coordinate arrays x1, x2, x3 on the uniform grid."""
@@ -130,13 +145,12 @@ class GridSpec:
 @dataclass(frozen=True, eq=False)
 class SpectralLayout:
     """The wavevector arrays of one coefficient layout of ``grid``
-    (``grid.full`` or ``grid.half``), broadcastable against coefficient
-    arrays of shape (..., n, n, last-axis length)."""
+    (``grid.full`` or ``grid.band``), broadcastable against coefficient
+    arrays of that layout's shape."""
 
     grid: GridSpec
     k_vectors: tuple[np.ndarray, np.ndarray, np.ndarray]
     k_squared_safe: np.ndarray
-    dealias_mask: np.ndarray
 
 
 def _check_signed_index(grid: GridSpec, k: tuple[int, int, int]) -> None:
@@ -197,39 +211,67 @@ Field = SpectralScalarField | SpectralVectorField
 # array-level kernels (coefficients in, coefficients out, on either layout)
 # ---------------------------------------------------------------------------
 
-def half_spectrum(c: np.ndarray) -> np.ndarray:
-    """The rfftn half-spectrum part of coefficients of shape (..., n, n, *):
-    a view of the first n//2+1 entries of the last axis (the whole array if
-    it is half-spectrum already)."""
-    return c[..., :c.shape[-2] // 2 + 1]
+def band_part(c: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The retained-band part of coefficients of shape (..., n, n, m) in FFT
+    order, m > kc (full or half spectrum): a copy of the modes |k_i| <= kc
+    with k3 >= 0.  Everything outside the box is dropped."""
+    idx = grid.band_index
+    return c[(...,) + np.ix_(idx, idx, idx[:grid.kmax_dealias + 1])]
 
 
-def full_spectrum(c: np.ndarray) -> np.ndarray:
-    """Hermitian expansion of half-spectrum coefficients to the full layout:
-    the k3 < 0 entries are filled by coeff(-k) = conj(coeff(k)).  Exact, so
-    full -> half -> full reproduces a Hermitian array bit for bit."""
-    n = c.shape[-2]
-    out = np.empty(c.shape[:-1] + (n,), dtype=np.complex128)
-    out[..., :n // 2 + 1] = c
-    # entry k3 = -j (index n - j) mirrors k3 = j for j = n/2-1 .. 1, and
-    # k1, k2 -> -k1, -k2 is index i -> (n - i) mod n: a flip, then a roll
-    mirror = np.conj(c[..., n // 2 - 1:0:-1])
-    out[..., n // 2 + 1:] = np.roll(np.flip(mirror, axis=(-3, -2)), 1,
-                                    axis=(-3, -2))
+def expand_band(c: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Full-spectrum coefficients of retained-band ones: zero outside the
+    box, and the k3 < 0 entries filled by coeff(-k) = conj(coeff(k)).
+    Exact, so band -> full -> band reproduces the band bit for bit."""
+    n, kc = grid.n, grid.kmax_dealias
+    idx = grid.band_index
+    out = np.zeros(c.shape[:-3] + (n, n, n), dtype=np.complex128)
+    out[(...,) + np.ix_(idx, idx, idx[:kc + 1])] = c
+    # entry k3 = -j mirrors k3 = j for j = kc .. 1, and k1, k2 -> -k1, -k2
+    # is band index i -> (2kc+1 - i) mod (2kc+1): a flip, then a roll
+    mirror = np.conj(c[..., kc:0:-1])
+    out[(...,) + np.ix_(idx, idx, idx[kc + 1:])] = np.roll(
+        np.flip(mirror, axis=(-3, -2)), 1, axis=(-3, -2))
     return out
 
 
-def to_physical(c: np.ndarray) -> np.ndarray:
-    """Real physical values of half-spectrum coefficients over the last
-    three axes (irfftn); the input must come from a real field."""
-    n = c.shape[-2]
-    return np.fft.irfftn(c, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
+def _unfold(c: np.ndarray, axis: int, n: int, kc: int) -> np.ndarray:
+    """Zero-pad the retained band along ``axis`` to the n FFT-ordered
+    wavenumbers of the full axis."""
+    shape = list(c.shape)
+    shape[axis] = n
+    out = np.zeros(shape, dtype=np.complex128)
+    lo = (slice(None),) * (axis % c.ndim)
+    out[lo + (slice(0, kc + 1),)] = c[lo + (slice(0, kc + 1),)]
+    out[lo + (slice(n - kc, n),)] = c[lo + (slice(kc + 1, None),)]
+    return out
 
 
-def to_spectral(phys: np.ndarray) -> np.ndarray:
-    """Half-spectrum coefficients of real values over the last three axes
-    (rfftn), under the convention f(x) = sum_k fhat(k) exp(i k.x)."""
-    return np.fft.rfftn(phys, axes=(-3, -2, -1), norm="forward")
+def to_physical(c: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Real physical values of retained-band coefficients over the last
+    three axes; the input must come from a real field.
+
+    Equals irfftn of the band's expansion bit for bit: the same 1D passes,
+    skipping lines that carry only zeros.  Axis -3 is transformed on the
+    (2kc+1)(kc+1) retained (k2, k3) lines, axis -2 on the n(kc+1) lines with
+    k3 <= kc, and axis -1 by a full irfft on n^2 lines."""
+    n, kc = grid.n, grid.kmax_dealias
+    a = np.fft.ifft(_unfold(c, -3, n, kc), axis=-3, norm="forward")
+    a = np.fft.ifft(_unfold(a, -2, n, kc), axis=-2, norm="forward")
+    return np.fft.irfft(a, n=n, axis=-1, norm="forward")
+
+
+def to_spectral(phys: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Retained-band coefficients of real values over the last three axes,
+    under the convention f(x) = sum_k fhat(k) exp(i k.x).
+
+    Equals the band part of rfftn bit for bit: the same 1D passes (axis -1,
+    then -2, then -3), each keeping only the retained outputs, so the next
+    pass transforms only the lines that reach the band."""
+    idx = grid.band_index
+    a = np.fft.rfft(phys, axis=-1, norm="forward")[..., :grid.kmax_dealias + 1]
+    a = np.fft.fft(a, axis=-2, norm="forward")[..., idx, :]
+    return np.fft.fft(a, axis=-3, norm="forward")[..., idx, :, :]
 
 
 def k_dot(c: np.ndarray, layout: SpectralLayout) -> np.ndarray:
@@ -302,7 +344,7 @@ def forward_transform(physical, grid: GridSpec) -> SpectralVectorField:
 def inverse_transform(f: Field) -> np.ndarray:
     """Back to physical space; returns the real part (imaginary content of a
     Hermitian-symmetric field is pure roundoff).  Accepts any coefficients;
-    `to_physical` is the real-FFT path for coefficients of real fields."""
+    `to_physical` is the pruned real path for retained-band coefficients."""
     if isinstance(f, SpectralScalarField):
         return np.real(np.fft.ifftn(f.coeffs)) * f.grid.npoints
     return np.real(np.fft.ifftn(f.coeffs, axes=(1, 2, 3))) * f.grid.npoints

@@ -1,5 +1,5 @@
 """RHS assembly: advection kernel vs direct convolution, stiff/explicit
-recombination vs a monolithic evaluation, the half-spectrum step's layout
+recombination vs a monolithic evaluation, the retained-band step's layout
 conversions and FFT budget, and the energy-flux audit."""
 
 import numpy as np
@@ -19,9 +19,9 @@ from mmpsim.spectral import (
     alpha_dot_grad,
     curl,
     dealias,
+    band_part,
+    expand_band,
     forward_transform,
-    full_spectrum,
-    half_spectrum,
     hermitian_symmetrize,
     laplacian,
     grad_div,
@@ -230,7 +230,7 @@ class TestStiffSymbols:
             assert np.abs(fd - dy).max() <= 1e-5 * max(np.abs(dy).max(), 1e-30)
 
 
-class TestHalfSpectrumStep:
+class TestBandStep:
     @pytest.mark.parametrize("dealiased", [True, False])
     def test_round_trip_bit_exact(self, dealiased):
         g = GridSpec(8)
@@ -242,30 +242,73 @@ class TestHalfSpectrumStep:
             shape = (3, g.n, g.n, g.n)
             coeffs = hermitian_symmetrize(rng.standard_normal(shape)
                                           + 1j * rng.standard_normal(shape))
-        half = half_spectrum(coeffs)
-        assert half.shape == (3, g.n, g.n, g.n // 2 + 1)
-        assert np.array_equal(full_spectrum(half), coeffs)
+        kc = g.kmax_dealias
+        band = band_part(coeffs, g)
+        assert band.shape == (3, 2 * kc + 1, 2 * kc + 1, kc + 1)
+        full = expand_band(band, g)
+        assert np.array_equal(band_part(full, g), band)
+        # the scatter keeps exactly the retained box: the input itself when
+        # it is dealiased, its dealiased part otherwise
+        assert np.array_equal(full, dealias(SpectralVectorField(coeffs, g)).coeffs)
+        if dealiased:
+            assert np.array_equal(full, coeffs)
 
     def test_fft_budget_of_one_step(self, monkeypatch):
         # 4 explicit evaluations of 9 inverse + 18 forward real transforms
-        # of scalar fields; the library transforms the last three axes
-        counts = []
-        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+        # of scalar fields, each three 1D passes: 324 passes per step.  The
+        # library transforms the last three axes; per scalar field a pass
+        # set covers n^2 + n(kc+1) + (2kc+1)(kc+1) lines, not the
+        # n^2 + 2n(n//2+1) of unpruned rfftn/irfftn
+        passes, lines, nd_calls = [], [], []
+        for name in ("fft", "ifft", "rfft", "irfft"):
             def counted(a, *args, _original=getattr(np.fft, name), **kwargs):
-                counts.append(int(np.prod(np.shape(a)[:-3])))
+                axis = kwargs.get("axis", -1)
+                passes.append(int(np.prod(np.shape(a)[:-3])))
+                lines.append(np.size(a) // np.shape(a)[axis])
                 return _original(a, *args, **kwargs)
             monkeypatch.setattr(np.fft, name, counted)
+        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+            def counted_nd(a, *args, _original=getattr(np.fft, name), **kwargs):
+                nd_calls.append(a)
+                return _original(a, *args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted_nd)
         g = GridSpec(8)
         state = make_random_state(g, InitSpec(epsilon=1.0, seed=1),
                                   SystemVariant.FULL)
         p = PhysParams(mu=0.2, chi=1.0, kappa=0.4, eta=1.0, nu=0.5)
         step(state, p, SystemVariant.FULL, 0.01)
-        assert sum(counts) == 108
+        assert sum(passes) == 324
+        n, kc = g.n, g.kmax_dealias
+        assert sum(lines) == 108 * (n * n + n * (kc + 1)
+                                    + (2 * kc + 1) * (kc + 1)) == 11124
+        assert not nd_calls
+
+    def test_step_reads_only_retained_box(self):
+        g = GridSpec(8)
+        state = make_random_state(g, InitSpec(epsilon=1.0, seed=6),
+                                  SystemVariant.FULL)
+        rng = np.random.default_rng(6)
+        shape = (3, g.n, g.n, g.n)
+        noisy = State(*(SpectralVectorField(
+            f.coeffs + hermitian_symmetrize(rng.standard_normal(shape)
+                                            + 1j * rng.standard_normal(shape)),
+            g) for f in (state.u, state.omega, state.magnetic)),
+            SystemVariant.FULL)
+        p = PhysParams(mu=0.2, chi=1.0, kappa=0.4, eta=1.0, nu=0.5)
+        clean = State(*(dealias(f) for f in (noisy.u, noisy.omega,
+                                             noisy.magnetic)),
+                      SystemVariant.FULL)
+        assert not np.array_equal(noisy.u.coeffs, clean.u.coeffs)
+        got = step(noisy, p, SystemVariant.FULL, 0.01)
+        want = step(clean, p, SystemVariant.FULL, 0.01)
+        for a, b in ((got.u, want.u), (got.omega, want.omega),
+                     (got.magnetic, want.magnetic)):
+            assert np.array_equal(a.coeffs, b.coeffs)
 
     def test_propagators_cached_per_dt(self):
         g = GridSpec(8)
         sym = stiff_symbols(g, PhysParams(chi=1.0, eta=1.0, nu=1.0),
-                            SystemVariant.ZERO_KINEMATIC).half
+                            SystemVariant.ZERO_KINEMATIC).band
         pair = sym.step_propagators(0.05)
         assert sym.step_propagators(0.05) is pair
         other = sym.step_propagators(0.025)

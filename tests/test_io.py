@@ -1,10 +1,12 @@
 """Checkpoint binary format, diagnostics CSV, and the CLI contracts."""
 
+import builtins
 import struct
 
 import numpy as np
 import pytest
 
+from mmpsim import checkpoint
 from mmpsim.checkpoint import (
     CheckpointFormatError,
     load_checkpoint,
@@ -60,6 +62,38 @@ class TestCheckpoint:
         first, second = np.frombuffer(blob, dtype="<c16", count=2, offset=112)
         assert first == state.u.coeffs[0, 0, 0, 0]
         assert second == state.u.coeffs[0, 0, 0, 1]
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "state.mmp"
+        save_checkpoint(path, sample_state(seed=1), ZK_PARAMS, step=1, seed=1)
+        before = path.read_bytes()
+
+        class FailingFile:
+            """Writes the header and the first field, then fails."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                if self.writes == 2:
+                    raise OSError("no space left on device")
+                self.writes += 1
+                return self.fh.write(data)
+
+        monkeypatch.setattr(checkpoint, "open", raising=False,
+                            value=lambda *a, **k: FailingFile(
+                                builtins.open(*a, **k)))
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(path, sample_state(seed=2), ZK_PARAMS, step=2,
+                            seed=2)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.mmp"

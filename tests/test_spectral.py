@@ -1,4 +1,5 @@
-"""Spectral core: transforms, exact operators, projection, dealiasing.
+"""Spectral core: transforms, the retained-band layout, exact operators,
+projection, dealiasing.
 
 The pseudo-spectral product check uses a direct convolution sum over the
 integer lattice as an independent oracle.
@@ -13,6 +14,7 @@ from mmpsim.spectral import (
     SpectralVectorField,
     alpha_dot_grad,
     apply_diff_op,
+    band_part,
     curl,
     dealias,
     divergence,
@@ -26,6 +28,8 @@ from mmpsim.spectral import (
     inverse_transform,
     laplacian,
     leray_project,
+    to_physical,
+    to_spectral,
     zero_mean,
 )
 
@@ -123,6 +127,24 @@ class TestTransforms:
         assert np.abs(phys.imag).max() < 1e-12 * np.abs(phys.real).max()
         # projection is idempotent
         assert np.allclose(hermitian_symmetrize(sym), sym, atol=1e-15)
+
+
+class TestBandTransforms:
+    # n = 8, 10, 12 cover every residue of n mod 3 (the cutoff n//3)
+    @pytest.mark.parametrize("n", [8, 10, 12, 16, 32])
+    def test_match_numpy_real_transforms_bit_for_bit(self, n):
+        g = GridSpec(n)
+        axes = (-3, -2, -1)
+        full = hermitian_symmetrize(random_bandlimited(g, n).coeffs)
+        band = band_part(full, g)
+        kc = g.kmax_dealias
+        assert band.shape == (3, 2 * kc + 1, 2 * kc + 1, kc + 1)
+        phys = to_physical(band, g)
+        assert np.array_equal(phys, np.fft.irfftn(
+            full[..., :n // 2 + 1], s=(n, n, n), axes=axes, norm="forward"))
+        for values in (phys, random_physical(g, n + 1)):
+            assert np.array_equal(to_spectral(values, g), band_part(
+                np.fft.rfftn(values, axes=axes, norm="forward"), g))
 
 
 class TestDiffOps:
