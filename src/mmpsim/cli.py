@@ -16,7 +16,7 @@ import sys
 
 from .checkpoint import CheckpointFormatError, load_checkpoint, save_checkpoint
 from .config import ConfigError, parse_config
-from .diagio import read_diagnostics, write_diagnostics
+from .diagio import read_diagnostics, truncate_diagnostics, write_diagnostics
 from .diophantine import check_diophantine, lifting_ratio
 from .fields import make_random_state
 from .integrator import RunStatus, SinkWriteError, run
@@ -130,7 +130,17 @@ def _cmd_run(args) -> int:
         return EXIT_IO
 
     csv_path = os.path.join(config.output_dir, "diagnostics.csv")
-    append = args.resume is not None and os.path.exists(csv_path)
+    try:
+        if args.resume is not None:
+            truncate_diagnostics(csv_path, state.t)
+        else:
+            write_diagnostics([], csv_path)
+    except OSError as exc:
+        print(f"error: cannot write diagnostics: {exc}", file=sys.stderr)
+        return EXIT_IO
+
+    def record_sink(record):
+        write_diagnostics([record], csv_path, append=True)
 
     def checkpoint_sink(snapshot, steps):
         name = f"checkpoint_{step_offset + steps:08d}.mmp"
@@ -140,20 +150,16 @@ def _cmd_run(args) -> int:
     try:
         result = run(state, config.params, config.variant, config.stepper,
                      settings=config.diagnostics_settings(),
+                     record_sink=record_sink,
                      state_sink=checkpoint_sink if
                      config.checkpoint_interval is not None else None,
                      state_sink_interval=config.checkpoint_interval,
                      initial_record=initial_record)
     except SinkWriteError as exc:
-        try:
-            write_diagnostics(exc.result.records, csv_path, append=append)
-        except OSError:
-            pass
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 
     try:
-        write_diagnostics(result.records, csv_path, append=append)
         save_checkpoint(os.path.join(config.output_dir, "final.mmp"),
                         result.state, config.params,
                         step_offset + result.steps, config.init.seed)

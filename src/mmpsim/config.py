@@ -28,7 +28,7 @@ class ConfigError(ValueError):
 
 _REQUIRED = object()
 
-# key -> (type tag, default); type tags: int, float, str, bool, vec3, floats
+# key -> (type tag, default); type tags: int, float, str, vec3, floats
 _SCHEMA: dict[str, tuple[str, object]] = {
     "grid.n": ("int", _REQUIRED),
     "system": ("str", _REQUIRED),
@@ -53,7 +53,6 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "output.norms": ("floats", None),
     "output.checkpoint_interval": ("float", None),
     "validate": ("str", "strict"),
-    "deterministic": ("bool", True),
 }
 
 _VARIANT_NAMES = {v.value: v for v in SystemVariant}
@@ -72,7 +71,6 @@ class RunConfig:
     norms: tuple[float, ...] | None
     checkpoint_interval: float | None
     strict: bool
-    deterministic: bool
     warnings: tuple[str, ...] = ()
 
     def grid(self) -> GridSpec:
@@ -105,13 +103,6 @@ def _parse_value(tag: str, raw: str):
         return float(raw)
     if tag == "str":
         return raw
-    if tag == "bool":
-        lowered = raw.lower()
-        if lowered in ("true", "1", "yes"):
-            return True
-        if lowered in ("false", "0", "no"):
-            return False
-        raise ValueError(f"expected a boolean, got {raw!r}")
     if tag == "vec3":
         parts = [p.strip() for p in raw.split(",")]
         if len(parts) != 3:
@@ -271,5 +262,4 @@ def parse_config(text: str) -> RunConfig:
                      init=init, stepper=stepper,
                      output_dir=values["output.dir"], norms=norms,
                      checkpoint_interval=ckpt, strict=strict,
-                     deterministic=values["deterministic"],
                      warnings=tuple(warnings))

@@ -2,10 +2,14 @@
 
 The header is fixed; absent quantities are written as empty fields; values
 carry 17 significant digits so a round-trip reproduces every float64
-bit-exactly.
+bit-exactly.  `mmpsim run` appends each row as it is recorded; on resume,
+`truncate_diagnostics` first drops the rows past the checkpoint.
 """
 
 from __future__ import annotations
+
+import contextlib
+import os
 
 from .norms import RECORD_COLUMNS, DiagnosticsRecord
 
@@ -27,6 +31,33 @@ def write_diagnostics(records, path, append: bool = False) -> None:
             fh.write(CSV_HEADER + "\n")
         for record in records:
             fh.write(format_record(record) + "\n")
+
+
+def truncate_diagnostics(path, t_max: float) -> None:
+    """Drop the rows with t > t_max from the diagnostics CSV at ``path``,
+    and an unterminated last row left by a killed writer; a missing or
+    empty file becomes a header-only one.  The file is rewritten through
+    ``<path>.tmp`` and os.replace, so a failure leaves the old one."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = fh.readlines()
+    except FileNotFoundError:
+        lines = []
+    lines = lines or [CSV_HEADER + "\n"]
+    if lines[0] != CSV_HEADER + "\n":
+        raise ValueError(f"{path}: not a diagnostics CSV "
+                         f"(expected header {CSV_HEADER!r})")
+    kept = [line for line in lines[1:] if line.endswith("\n")
+            and float(line.split(",", 1)[0]) <= t_max]
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines([lines[0]] + kept)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def read_diagnostics(path) -> list[DiagnosticsRecord]:

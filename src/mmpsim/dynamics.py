@@ -44,15 +44,14 @@ from .spectral import (
     band_part,
     curl,
     curl_coeffs,
-    divergence,
     expand_band,
-    gradient,
     gradient_coeffs,
     grad_div,
     inner_product,
     k_dot,
-    l2_norm,
     parallel_part,
+    parseval_sum,
+    power_spectrum,
     project_coeffs,
     to_physical,
     to_spectral,
@@ -317,25 +316,44 @@ class EnergyFluxAudit:
 
 def energy_flux_audit(state: State, p: PhysParams,
                       variant: SystemVariant) -> EnergyFluxAudit:
-    """Evaluate the energy-identity inner products at `state`.  The
-    advection terms are `advect`'s products on the retained box, with u and
-    b transformed once and each component's gradient shared by the
-    products that use it: 33 inverse and 15 forward scalar transforms."""
-    u, w, m = state.u, state.omega, state.magnetic
+    """Evaluate the energy-identity inner products at `state`.
+
+    Reads only the retained 2/3-rule box of the state, as `step` does:
+    content outside it is dropped.  The advection terms are `advect`'s
+    products on the box, with u and b transformed once and each
+    component's gradient shared by the products that use it: 33 inverse
+    and 15 forward scalar transforms.  The six cancellation pairings are
+    full-spectrum inner products with the box's content, so on a dealiased
+    state they take the values of the full fields bit for bit.
+    ``coupling_transfer``, ``dissipation`` and ``l2_energy_sq`` are band
+    sums weighted by the band's multiplicity (`parseval_sum`), equal to
+    their full-spectrum values on a dealiased real state up to the
+    summation order."""
     grid = state.grid
+    band = grid.band
     chi = p.coupling_chi(variant)
 
-    u_band, w_band, m_band = (band_part(f.coeffs, grid) for f in (u, w, m))
+    u_band, w_band, m_band = (band_part(f.coeffs, grid)
+                              for f in (state.u, state.omega, state.magnetic))
     u_phys, m_phys = (to_physical(c, grid) for c in (u_band, m_band))
     u_grad_u, m_grad_u = _advect_band([u_phys, m_phys], u_band, grid)
     (u_grad_w,) = _advect_band([u_phys], w_band, grid)
     u_grad_m, m_grad_m = _advect_band([u_phys, m_phys], m_band, grid)
+    # the pairings below allocate full-spectrum arrays: drop the grid
+    # values first and expand omega apart from u and b, so that at most two
+    # expanded fields are alive at once
+    del u_phys, m_phys
 
     def full(c):
         return SpectralVectorField(expand_band(c, grid), grid)
 
-    adv_u = inner_product(full(u_grad_u), u)
+    w = full(w_band)
     adv_w = inner_product(full(u_grad_w), w)
+    curl_gd = inner_product(curl(grad_div(w)), curl(w))
+    del w
+
+    u, m = full(u_band), full(m_band)
+    adv_u = inner_product(full(u_grad_u), u)
     adv_m = inner_product(full(u_grad_m), m)
     lorentz = (inner_product(full(m_grad_m), u)
                + inner_product(full(m_grad_u), m))
@@ -346,19 +364,21 @@ def energy_flux_audit(state: State, p: PhysParams,
         alpha_pair = (inner_product(alpha_dot_grad(m, alpha), u)
                       + inner_product(alpha_dot_grad(u, alpha), m))
 
-    curl_gd = inner_product(curl(grad_div(w)), curl(w))
-    transfer = 4.0 * chi * inner_product(curl(u), w)
+    power_u, power_w, power_m = (power_spectrum(c)
+                                 for c in (u_band, w_band, m_band))
+    transfer = 4.0 * chi * parseval_sum(
+        np.real(np.conj(curl_coeffs(u_band, band)) * w_band).sum(axis=0), band)
+    ksq = band.k_squared
+    dissipation = (p.u_diffusion(variant) * parseval_sum(ksq * power_u, band)
+                   + p.eta * parseval_sum(ksq * power_w, band)
+                   + p.kappa * parseval_sum(np.abs(k_dot(w_band, band)) ** 2,
+                                            band)
+                   + p.magnetic_diffusion(variant)
+                   * parseval_sum(ksq * power_m, band)
+                   + 4.0 * chi * parseval_sum(power_w, band))
 
-    def grad_sq(f):
-        return sum(l2_norm(gradient(f.component(i))) ** 2 for i in range(3))
-
-    dissipation = (p.u_diffusion(variant) * grad_sq(u)
-                   + p.eta * grad_sq(w)
-                   + p.kappa * l2_norm(divergence(w)) ** 2
-                   + p.magnetic_diffusion(variant) * grad_sq(m)
-                   + 4.0 * chi * l2_norm(w) ** 2)
-
-    energy_sq = l2_norm(u) ** 2 + l2_norm(w) ** 2 + l2_norm(m) ** 2
+    energy_sq = sum(parseval_sum(power, band)
+                    for power in (power_u, power_w, power_m))
     return EnergyFluxAudit(
         advection_u=adv_u,
         advection_omega=adv_w,

@@ -8,6 +8,17 @@ convention f = sum_k fhat(k) exp(i k.x),
     ||f||_{Hdot^s}^2 = (2pi)^3 sum_{k != 0} |k|^{2s} |fhat(k)|^2.
 
 Non-integer indices are supported directly through real-exponent weights.
+
+The norms and functionals are array-level kernels over a `SpectralLayout`,
+each a `parseval_sum` of per-mode values.  On the retained band
+(``grid.band``, see `spectral`) a weight w(k) even in k gives Parseval as
+
+    (2pi)^3 sum_{k in band} m(k) w(k) |fhat(k)|^2,
+
+m(k) = 1 on the k3 = 0 plane and 2 for k3 > 0, which stands for its
+unstored mirror -k; that is the full-spectrum sum of the box's content.
+The public field-level functions are thin wrappers over the kernels on
+``grid.full`` (m = 1); `compute_record` calls the same kernels on the band.
 """
 
 from __future__ import annotations
@@ -22,12 +33,16 @@ from .fields import PhysParams, State, SystemVariant
 from .spectral import (
     Field,
     IntegrityError,
-    alpha_dot_grad,
-    curl,
-    divergence_residual,
+    SpectralLayout,
+    alpha_symbol,
+    band_part,
+    curl_coeffs,
+    divergence_residual_coeffs,
+    parseval_sum,
+    power_spectrum,
+    require_finite,
 )
 
-TWO_PI_CUBED = (2.0 * np.pi) ** 3
 INDEX_WINDOW = (-10.0, 40.0)
 
 
@@ -36,64 +51,51 @@ def _check_index(s: float) -> None:
         raise ValueError(f"Sobolev index {s} outside sanity window {INDEX_WINDOW}")
 
 
-def _weighted_sum_sq(f: Field, weights: np.ndarray) -> float:
-    power = np.abs(f.coeffs) ** 2
-    if power.ndim == 4:
-        power = power.sum(axis=0)
-    return float(TWO_PI_CUBED * np.sum(weights * power))
+# ---------------------------------------------------------------------------
+# array-level kernels (power spectra and coefficients on one layout)
+# ---------------------------------------------------------------------------
 
-
-def sobolev_norm(f: Field, s: float, homogeneous: bool = False) -> float:
-    """H^s norm of a scalar or vector field; the homogeneous variant uses
-    |k|^(2s) weights and skips the k=0 mode."""
+def _sobolev_weights(layout: SpectralLayout, s: float,
+                     homogeneous: bool = False) -> np.ndarray:
+    """(1 + |k|^2)^s, or |k|^(2s) with the k=0 mode zeroed."""
     _check_index(s)
-    if not np.all(np.isfinite(f.coeffs)):
-        raise IntegrityError("non-finite coefficients in sobolev_norm")
-    ksq = f.grid.k_squared
+    ksq = layout.k_squared
     if homogeneous:
         weights = np.where(ksq > 0.0, ksq, 1.0) ** s
         weights[0, 0, 0] = 0.0
     else:
         weights = (1.0 + ksq) ** s
-    return math.sqrt(max(_weighted_sum_sq(f, weights), 0.0))
+    return weights
 
 
-def triple_sobolev_norm(state: State, s: float, homogeneous: bool = False) -> float:
-    """Norm of the (u, omega, magnetic) triple: sqrt of the sum of squares."""
-    return math.sqrt(sum(sobolev_norm(f, s, homogeneous) ** 2
-                         for f in (state.u, state.omega, state.magnetic)))
+def _norm(power: np.ndarray, weights: np.ndarray,
+          layout: SpectralLayout) -> float:
+    return math.sqrt(max(parseval_sum(weights * power, layout), 0.0))
 
 
-def l2_energy(state: State) -> float:
-    """Half the squared L2 norm of the solution triple."""
-    return 0.5 * triple_sobolev_norm(state, 0.0) ** 2
+def _triple_norm(powers, weights: np.ndarray, layout: SpectralLayout) -> float:
+    """sqrt of the sum of the squared norms of the (u, omega, magnetic)
+    power spectra."""
+    return math.sqrt(sum(_norm(power, weights, layout) ** 2
+                         for power in powers))
 
 
-# ---------------------------------------------------------------------------
-# auxiliary energy functionals
-# ---------------------------------------------------------------------------
-
-def _weighted_cross(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> float:
-    """(2pi)^3 sum_k w(k) Re(conj(a).b), summed over components."""
-    return float(TWO_PI_CUBED
-                 * np.sum(weights * np.real(np.conj(a) * b).sum(axis=0)))
+def _weighted_cross(a: np.ndarray, b: np.ndarray, weights: np.ndarray,
+                    layout: SpectralLayout) -> float:
+    """(2pi)^3 sum_k m(k) w(k) Re(conj(a).b), summed over components."""
+    return parseval_sum(weights * np.real(np.conj(a) * b).sum(axis=0), layout)
 
 
-def curl_energy_functional(state: State, weight_a: float = 10.0) -> float:
-    """Damped curl-energy functional: A times the squared Hdot^2 norm of
-    (curl u, curl omega, curl magnetic) minus the second-derivative pairing
-    of omega with curl u.  Coercive above the curl energy once A is large
-    enough."""
+def _curl_energy(u: np.ndarray, w: np.ndarray, m: np.ndarray,
+                 layout: SpectralLayout, weight_a: float) -> float:
     if weight_a < 1.0:
         raise ValueError("the functional weight must satisfy A >= 1")
-    grid = state.grid
-    w4 = grid.k_squared ** 2
-    curl_u = curl(state.u).coeffs
-    curl_w = curl(state.omega).coeffs
-    curl_m = curl(state.magnetic).coeffs
-    energy = sum(float(TWO_PI_CUBED * np.sum(w4 * np.abs(c) ** 2))
-                 for c in (curl_u, curl_w, curl_m))
-    cross = _weighted_cross(state.omega.coeffs, curl_u, w4)
+    w4 = layout.k_squared ** 2
+    curl_u = curl_coeffs(u, layout)
+    energy = sum(parseval_sum(w4 * np.abs(c) ** 2, layout)
+                 for c in (curl_u, curl_coeffs(w, layout),
+                           curl_coeffs(m, layout)))
+    cross = _weighted_cross(w, curl_u, w4, layout)
     return weight_a * energy - cross
 
 
@@ -107,15 +109,83 @@ def _power_sum_weights(ksq: np.ndarray, top: int) -> np.ndarray:
     return total
 
 
-def alpha_transport_norm(state: State, p: PhysParams, s: float) -> float:
-    """H^s norm of (alpha . grad) applied to the magnetic unknown."""
+def _alpha_transport_norm(power_m: np.ndarray, layout: SpectralLayout,
+                          p: PhysParams, s: float) -> float:
     _check_index(s)
-    grid = state.grid
-    k1, k2, k3 = grid.k_vectors
+    k1, k2, k3 = layout.k_vectors
     a = p.alpha_vector
     sym_sq = (a[0] * k1 + a[1] * k2 + a[2] * k3) ** 2
-    weights = (1.0 + grid.k_squared) ** s * sym_sq
-    return math.sqrt(max(_weighted_sum_sq(state.magnetic, weights), 0.0))
+    weights = (1.0 + layout.k_squared) ** s * sym_sq
+    return _norm(power_m, weights, layout)
+
+
+def _perturbation_functionals(arrays, powers, layout: SpectralLayout,
+                              p: PhysParams, gamma: float, c0_weight: float
+                              ) -> tuple[float, float]:
+    if gamma <= 1.0:
+        raise ValueError("gamma must exceed 1")
+    u, w, m = arrays
+    power_u, power_w, power_m = powers
+    ksq = layout.k_squared
+    r = p.r
+    weights_r5 = _sobolev_weights(layout, r + 5.0)
+
+    hr5_sq = _triple_norm(powers, weights_r5, layout) ** 2
+
+    w1 = _power_sum_weights(ksq, math.floor(r) + 4)
+    cross_omega = _weighted_cross(w, curl_coeffs(u, layout), w1, layout)
+
+    transport = alpha_symbol(p.alpha_vector, layout)[None] * m
+    w2 = _power_sum_weights(ksq, math.floor(r) + 3)
+    cross_alpha = _weighted_cross(u, transport, w2, layout)
+
+    energy = gamma * hr5_sq - cross_omega - cross_alpha
+
+    grad_omega_sq = parseval_sum(weights_r5 * ksq * power_w, layout)
+    u_sq = _norm(power_u, weights_r5, layout) ** 2
+    transport_sq = _alpha_transport_norm(power_m, layout, p, r + 3.0) ** 2
+    dissipation = ((gamma - 1.0) * p.eta * grad_omega_sq
+                   + 0.5 * c0_weight * (u_sq + transport_sq))
+    return energy, dissipation
+
+
+# ---------------------------------------------------------------------------
+# field-level wrappers (full spectrum)
+# ---------------------------------------------------------------------------
+
+def sobolev_norm(f: Field, s: float, homogeneous: bool = False) -> float:
+    """H^s norm of a scalar or vector field; the homogeneous variant uses
+    |k|^(2s) weights and skips the k=0 mode."""
+    layout = f.grid.full
+    weights = _sobolev_weights(layout, s, homogeneous)
+    require_finite(f, "sobolev_norm")
+    return _norm(power_spectrum(f.coeffs), weights, layout)
+
+
+def triple_sobolev_norm(state: State, s: float, homogeneous: bool = False) -> float:
+    """Norm of the (u, omega, magnetic) triple: sqrt of the sum of squares."""
+    return math.sqrt(sum(sobolev_norm(f, s, homogeneous) ** 2
+                         for f in (state.u, state.omega, state.magnetic)))
+
+
+def l2_energy(state: State) -> float:
+    """Half the squared L2 norm of the solution triple."""
+    return 0.5 * triple_sobolev_norm(state, 0.0) ** 2
+
+
+def curl_energy_functional(state: State, weight_a: float = 10.0) -> float:
+    """Damped curl-energy functional: A times the squared Hdot^2 norm of
+    (curl u, curl omega, curl magnetic) minus the second-derivative pairing
+    of omega with curl u.  Coercive above the curl energy once A is large
+    enough."""
+    return _curl_energy(state.u.coeffs, state.omega.coeffs,
+                        state.magnetic.coeffs, state.grid.full, weight_a)
+
+
+def alpha_transport_norm(state: State, p: PhysParams, s: float) -> float:
+    """H^s norm of (alpha . grad) applied to the magnetic unknown."""
+    return _alpha_transport_norm(power_spectrum(state.magnetic.coeffs),
+                                 state.grid.full, p, s)
 
 
 def perturbation_energy_functionals(state: State, p: PhysParams,
@@ -134,31 +204,13 @@ def perturbation_energy_functionals(state: State, p: PhysParams,
     if state.variant is not SystemVariant.PERTURBATION:
         raise ValueError("E/D functionals are defined for the perturbation "
                          f"variant, state is {state.variant.value!r}")
-    if gamma <= 1.0:
-        raise ValueError("gamma must exceed 1")
-    grid = state.grid
-    ksq = grid.k_squared
-    r = p.r
-
-    hr5_sq = triple_sobolev_norm(state, r + 5.0) ** 2
-
-    w1 = _power_sum_weights(ksq, math.floor(r) + 4)
-    cross_omega = _weighted_cross(state.omega.coeffs, curl(state.u).coeffs, w1)
-
-    transport = alpha_dot_grad(state.magnetic, p.alpha_vector).coeffs
-    w2 = _power_sum_weights(ksq, math.floor(r) + 3)
-    cross_alpha = _weighted_cross(state.u.coeffs, transport, w2)
-
-    energy = gamma * hr5_sq - cross_omega - cross_alpha
-
-    grad_omega_sq = float(TWO_PI_CUBED * np.sum(
-        (1.0 + ksq) ** (r + 5.0) * ksq
-        * (np.abs(state.omega.coeffs) ** 2).sum(axis=0)))
-    u_sq = sobolev_norm(state.u, r + 5.0) ** 2
-    transport_sq = alpha_transport_norm(state, p, r + 3.0) ** 2
-    dissipation = ((gamma - 1.0) * p.eta * grad_omega_sq
-                   + 0.5 * c0_weight * (u_sq + transport_sq))
-    return energy, dissipation
+    fields = (state.u, state.omega, state.magnetic)
+    for f in fields:
+        require_finite(f, "perturbation_energy_functionals")
+    arrays = tuple(f.coeffs for f in fields)
+    return _perturbation_functionals(
+        arrays, tuple(power_spectrum(c) for c in arrays), state.grid.full,
+        p, gamma, c0_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -209,28 +261,48 @@ class DiagnosticsSettings:
 def compute_record(state: State, p: PhysParams,
                    settings: DiagnosticsSettings | None = None
                    ) -> DiagnosticsRecord:
+    """One diagnostics sample of ``state``.
+
+    Reads only the retained 2/3-rule box of the state, as `step` does:
+    the band of u, omega and the magnetic unknown is gathered once, each
+    field's power spectrum formed once, and every norm, functional and
+    divergence residual is a band sum with the layout's multiplicity.  On
+    a dealiased state (every state a run records) the entries equal the
+    full-spectrum field-level functions up to the summation order, and the
+    divergence residuals bit for bit.  The energy-flux audit reads the box
+    the same way (see `energy_flux_audit`).
+    """
     s = settings or DiagnosticsSettings()
     perturbation = state.variant is SystemVariant.PERTURBATION
     include_hr5 = perturbation if s.include_hr5 is None else s.include_hr5
-
-    h3 = triple_sobolev_norm(state, 3.0) if s.include_h3 else None
-    hn = triple_sobolev_norm(state, s.hn_index) if s.hn_index is not None else None
-    hr5 = triple_sobolev_norm(state, p.r + 5.0) if include_hr5 else None
-    f_func = curl_energy_functional(state, s.weight_a)
-
-    e_func = d_func = transport = None
-    if perturbation:
-        e_func, d_func = perturbation_energy_functionals(state, p, s.gamma,
-                                                         s.c0_weight)
-        transport = alpha_transport_norm(state, p, p.r + 3.0)
-
+    # the audit first: its full-spectrum arrays then set the record's peak
     cancel = None
     if s.audit:
         cancel = energy_flux_audit(state, p, state.variant).max_relative_cancellation
 
+    grid = state.grid
+    band = grid.band
+    arrays = tuple(band_part(f.coeffs, grid)
+                   for f in (state.u, state.omega, state.magnetic))
+    powers = tuple(power_spectrum(c) for c in arrays)
+
+    def triple(index: float) -> float:
+        return _triple_norm(powers, _sobolev_weights(band, index), band)
+
+    h3 = triple(3.0) if s.include_h3 else None
+    hn = triple(s.hn_index) if s.hn_index is not None else None
+    hr5 = triple(p.r + 5.0) if include_hr5 else None
+    f_func = _curl_energy(*arrays, band, s.weight_a)
+
+    e_func = d_func = transport = None
+    if perturbation:
+        e_func, d_func = _perturbation_functionals(arrays, powers, band, p,
+                                                   s.gamma, s.c0_weight)
+        transport = _alpha_transport_norm(powers[2], band, p, p.r + 3.0)
+
     record = DiagnosticsRecord(
         t=state.t,
-        l2_energy=l2_energy(state),
+        l2_energy=0.5 * triple(0.0) ** 2,
         h3=h3,
         hN=hn,
         hr5=hr5,
@@ -238,8 +310,8 @@ def compute_record(state: State, p: PhysParams,
         E_func=e_func,
         D_func=d_func,
         alpha_grad_B_hr3=transport,
-        div_u_max=divergence_residual(state.u),
-        div_b_max=divergence_residual(state.magnetic),
+        div_u_max=divergence_residual_coeffs(arrays[0], band),
+        div_b_max=divergence_residual_coeffs(arrays[2], band),
         cancel_max=cancel,
     )
     for name in RECORD_COLUMNS:

@@ -7,7 +7,10 @@ Conventions used throughout the package:
 * fields are expanded as f(x) = sum_k fhat(k) exp(i k.x) over integer
   wavevectors k in {-n/2, ..., n/2 - 1}^3;
 * Parseval then reads ||f||_{L2}^2 = (2pi)^3 sum_k |fhat(k)|^2, so the
-  integer wavevectors are directly the Sobolev weights used elsewhere;
+  integer wavevectors are directly the Sobolev weights used elsewhere.
+  `parseval_sum` evaluates such sums on either layout below: the band
+  stores one of each pair k, -k off the k3 = 0 plane, so each of its modes
+  carries the layout's multiplicity m(k) (1 on k3 = 0, 2 for k3 > 0);
 * coefficients are stored full-spectrum in numpy FFT layout, i.e. index
   order 0, 1, ..., n/2-1, -n/2, ..., -1 along each axis.  Python's negative
   indexing makes ``coeffs[k1, k2, k3]`` a signed-wavevector lookup.
@@ -44,6 +47,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+TWO_PI_CUBED = (2.0 * np.pi) ** 3
 
 
 class IntegrityError(RuntimeError):
@@ -120,7 +125,8 @@ class GridSpec:
     @cached_property
     def full(self) -> "SpectralLayout":
         """Wavevectors of the full-spectrum layout (n, n, n)."""
-        return SpectralLayout(self, self.k_vectors, self.k_squared_safe)
+        return SpectralLayout(self, self.k_vectors, self.k_squared,
+                              self.k_squared_safe, np.ones((1, 1, 1)))
 
     @cached_property
     def band(self) -> "SpectralLayout":
@@ -131,10 +137,11 @@ class GridSpec:
         full-layout symbol bit for bit.
         """
         k = self.k_axis[self.band_index]
-        k3 = k[:self.kmax_dealias + 1]
-        return SpectralLayout(self, (k[:, None, None], k[None, :, None],
-                                     k3[None, None, :]),
-                              band_part(self.k_squared_safe, self))
+        k3 = k[None, None, :self.kmax_dealias + 1]
+        return SpectralLayout(self, (k[:, None, None], k[None, :, None], k3),
+                              band_part(self.k_squared, self),
+                              band_part(self.k_squared_safe, self),
+                              np.where(k3 > 0.0, 2.0, 1.0))
 
     def physical_coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Broadcastable coordinate arrays x1, x2, x3 on the uniform grid."""
@@ -146,11 +153,16 @@ class GridSpec:
 class SpectralLayout:
     """The wavevector arrays of one coefficient layout of ``grid``
     (``grid.full`` or ``grid.band``), broadcastable against coefficient
-    arrays of that layout's shape."""
+    arrays of that layout's shape.  ``multiplicity`` counts the full-spectrum
+    modes each stored mode stands for in a sum over a real field's spectrum:
+    1 everywhere on the full layout; on the band 1 on the k3 = 0 plane and 2
+    for k3 > 0, whose mirror -k is not stored."""
 
     grid: GridSpec
     k_vectors: tuple[np.ndarray, np.ndarray, np.ndarray]
+    k_squared: np.ndarray
     k_squared_safe: np.ndarray
+    multiplicity: np.ndarray
 
 
 def _check_signed_index(grid: GridSpec, k: tuple[int, int, int]) -> None:
@@ -272,6 +284,21 @@ def to_spectral(phys: np.ndarray, grid: GridSpec) -> np.ndarray:
     a = np.fft.rfft(phys, axis=-1, norm="forward")[..., :grid.kmax_dealias + 1]
     a = np.fft.fft(a, axis=-2, norm="forward")[..., idx, :]
     return np.fft.fft(a, axis=-3, norm="forward")[..., idx, :, :]
+
+
+def power_spectrum(c: np.ndarray) -> np.ndarray:
+    """|c(k)|^2 per mode of scalar coefficients (n1, n2, n3), or summed over
+    the component axis of vector ones (3, n1, n2, n3)."""
+    power = np.abs(c) ** 2
+    return power.sum(axis=0) if power.ndim == 4 else power
+
+
+def parseval_sum(values: np.ndarray, layout: SpectralLayout) -> float:
+    """(2pi)^3 sum_k m(k) values(k) over the modes of one layout, m its
+    multiplicity.  For values even in k (such as w(|k|) |c(k)|^2 or
+    Re(conj(a(k)).b(k)) of real fields) the band sum equals the
+    full-spectrum sum of the box's content; on the full layout m = 1."""
+    return float(TWO_PI_CUBED * np.sum(layout.multiplicity * values))
 
 
 def k_dot(c: np.ndarray, layout: SpectralLayout) -> np.ndarray:
@@ -461,14 +488,20 @@ def zero_mean(f: Field) -> Field:
     return SpectralVectorField(out, f.grid)
 
 
-def divergence_residual(v: SpectralVectorField) -> float:
-    """max_k |k.vhat| / max_k |vhat|; 0 for the zero field."""
-    c = v.coeffs
-    num = np.abs(k_dot(c, v.grid.full)).max()
+def divergence_residual_coeffs(c: np.ndarray, layout: SpectralLayout) -> float:
+    """max_k |k.c| / max_k |c| over one layout; 0 for zero coefficients.
+    |c(-k)| = |c(k)| for a real field, so on the band it is the full
+    spectrum's value of the box's content bit for bit."""
+    num = np.abs(k_dot(c, layout)).max()
     den = np.sqrt(np.abs(c[0]) ** 2 + np.abs(c[1]) ** 2 + np.abs(c[2]) ** 2).max()
     if den == 0.0:
         return 0.0
     return float(num / den)
+
+
+def divergence_residual(v: SpectralVectorField) -> float:
+    """max_k |k.vhat| / max_k |vhat|; 0 for the zero field."""
+    return divergence_residual_coeffs(v.coeffs, v.grid.full)
 
 
 def inner_product(f: Field, g: Field) -> float:

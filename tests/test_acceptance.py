@@ -141,6 +141,7 @@ def test_criterion_2_cancellation_identities():
     assert worst <= 1e-10
 
 
+@pytest.mark.slow
 def test_criterion_3_energy_monotonicity(zk_run, pert_run):
     """Recorded L2 energy is non-increasing for both decay variants, with
     per-sample violations <= 1e-9 relative."""
@@ -154,6 +155,7 @@ def test_criterion_3_energy_monotonicity(zk_run, pert_run):
     assert worst <= 1e-9
 
 
+@pytest.mark.slow
 def test_criterion_4_zero_kinematic_decay(zk_run):
     """Zero-kinematic-viscosity run: H3 strictly decreasing after t=1,
     exponential fit on [2,20] with positive rate and R^2 >= 0.99, the
@@ -181,6 +183,7 @@ def test_criterion_4_zero_kinematic_decay(zk_run):
     assert wall <= 900.0
 
 
+@pytest.mark.slow
 def test_criterion_5_perturbation_boundedness(pert_run):
     """Perturbation run: H^(r+5) of (u, omega, B) never exceeds its initial
     value, within 30 min."""
@@ -194,6 +197,7 @@ def test_criterion_5_perturbation_boundedness(pert_run):
     assert wall <= 1800.0
 
 
+@pytest.mark.slow
 def test_criterion_5_perturbation_envelope(pert_run):
     """Window peaks of H^(r+5) are non-increasing (ten equal windows)."""
     result, _ = pert_run
@@ -209,6 +213,7 @@ def test_criterion_5_perturbation_envelope(pert_run):
     assert worst <= 1e-6
 
 
+@pytest.mark.slow
 def test_criterion_5_perturbation_decay_fit(pert_run):
     """Fitted algebraic exponent <= -1.0 on t in [2,50], or a genuine
     exponential fit (positive rate, R^2 >= 0.99 as in the exponential-decay
@@ -238,6 +243,7 @@ def test_criterion_5_perturbation_decay_fit(pert_run):
         f"t^(-1/4) for generic data")
 
 
+@pytest.mark.slow
 def test_criterion_6_magnetic_linearity():
     """Zero-kinematic variant with zero initial magnetic field keeps
     ||b||_L2 <= 1e-13 over 1000 steps."""

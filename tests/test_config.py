@@ -30,7 +30,7 @@ class TestParseConfig:
         assert config.stepper.t_end == 20.0
         assert config.stepper.record_interval == 0.25
         assert config.output_dir == "out"
-        assert config.strict and config.deterministic
+        assert config.strict
         assert config.checkpoint_interval is None
 
     def test_comments_and_blanks_ignored(self):

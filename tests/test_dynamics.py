@@ -19,6 +19,10 @@ from mmpsim.spectral import (
     alpha_dot_grad,
     curl,
     dealias,
+    divergence,
+    gradient,
+    inner_product,
+    l2_norm,
     band_part,
     expand_band,
     forward_transform,
@@ -348,6 +352,54 @@ class TestEnergyFluxAudit:
         audit = energy_flux_audit(state, p, SystemVariant.PERTURBATION)
         energy = audit.l2_energy_sq
         assert abs(audit.alpha_cancellation) <= 1e-12 * energy
+
+    @pytest.mark.parametrize("n", [8, 10, 12, 16])
+    def test_band_terms_match_full_spectrum(self, n):
+        # coupling_transfer, dissipation and l2_energy_sq are band sums;
+        # their full-spectrum formulas are the oracle
+        g = GridSpec(n)
+        p = PhysParams(mu=0.2, chi=1.0, kappa=0.4, eta=1.0, nu=0.5)
+        state = step(make_random_state(g, InitSpec(epsilon=0.5, seed=n),
+                                       SystemVariant.FULL),
+                     p, SystemVariant.FULL, 0.01)
+        audit = energy_flux_audit(state, p, SystemVariant.FULL)
+        u, w, m = state.u, state.omega, state.magnetic
+        chi = p.coupling_chi(SystemVariant.FULL)
+
+        def grad_sq(f):
+            return sum(l2_norm(gradient(f.component(i))) ** 2
+                       for i in range(3))
+
+        transfer = 4.0 * chi * inner_product(curl(u), w)
+        dissipation = (p.u_diffusion(SystemVariant.FULL) * grad_sq(u)
+                       + p.eta * grad_sq(w)
+                       + p.kappa * l2_norm(divergence(w)) ** 2
+                       + p.magnetic_diffusion(SystemVariant.FULL) * grad_sq(m)
+                       + 4.0 * chi * l2_norm(w) ** 2)
+        energy_sq = l2_norm(u) ** 2 + l2_norm(w) ** 2 + l2_norm(m) ** 2
+        assert audit.coupling_transfer == pytest.approx(transfer, rel=1e-13)
+        assert audit.dissipation == pytest.approx(dissipation, rel=1e-13)
+        assert audit.l2_energy_sq == pytest.approx(energy_sq, rel=1e-13)
+
+    def test_reads_only_retained_box(self):
+        # n=16: at n=8 every wavenumber is 0, 1, 2, 3 or 4, so the symbol
+        # products of curl(grad div) cancel exactly whatever the input
+        g = GridSpec(16)
+        state = make_random_state(g, InitSpec(epsilon=0.5, seed=3),
+                                  SystemVariant.PERTURBATION)
+        p = PhysParams(chi=1.0, eta=1.0, alpha=ALPHA, r=2.5)
+        rng = np.random.default_rng(3)
+        shape = (3, g.n, g.n, g.n)
+        noisy = State(*(SpectralVectorField(
+            f.coeffs + hermitian_symmetrize(rng.standard_normal(shape)
+                                            + 1j * rng.standard_normal(shape)),
+            g) for f in (state.u, state.omega, state.magnetic)),
+            SystemVariant.PERTURBATION)
+        clean = State(*(dealias(f) for f in (noisy.u, noisy.omega,
+                                             noisy.magnetic)),
+                      SystemVariant.PERTURBATION)
+        assert energy_flux_audit(noisy, p, SystemVariant.PERTURBATION) == \
+            energy_flux_audit(clean, p, SystemVariant.PERTURBATION)
 
     def test_curl_graddiv_orthogonality(self):
         g = GridSpec(16)

@@ -1,11 +1,17 @@
 """Checkpoint binary format, diagnostics CSV, and the CLI contracts."""
 
 import builtins
+import os
+import signal
 import struct
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+import mmpsim
 from mmpsim import checkpoint
 from mmpsim.checkpoint import (
     CheckpointFormatError,
@@ -13,7 +19,12 @@ from mmpsim.checkpoint import (
     save_checkpoint,
 )
 from mmpsim.cli import cli_main
-from mmpsim.diagio import CSV_HEADER, read_diagnostics, write_diagnostics
+from mmpsim.diagio import (
+    CSV_HEADER,
+    read_diagnostics,
+    truncate_diagnostics,
+    write_diagnostics,
+)
 from mmpsim.fields import InitSpec, PhysParams, SystemVariant, make_random_state
 from mmpsim.norms import DiagnosticsRecord
 from mmpsim.spectral import GridSpec
@@ -131,6 +142,25 @@ class TestDiagnosticsCsv:
         path = tmp_path / "diag.csv"
         write_diagnostics([rec], path)
         assert read_diagnostics(path) == [rec]
+
+    def test_truncate_keeps_rows_up_to_time(self, tmp_path):
+        path = tmp_path / "diag.csv"
+        records = [DiagnosticsRecord(t=0.1 * i, l2_energy=1.0 + i)
+                   for i in range(5)]
+        write_diagnostics(records, path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("0.5,2.5,")  # a row cut short by a killed writer
+        truncate_diagnostics(path, records[2].t)
+        assert read_diagnostics(path) == records[:3]
+        assert not (tmp_path / "diag.csv.tmp").exists()
+        missing = tmp_path / "new.csv"
+        truncate_diagnostics(missing, 1.0)
+        assert missing.read_text() == CSV_HEADER + "\n"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t,x\n0,1\n")
+        with pytest.raises(ValueError):
+            truncate_diagnostics(bad, 1.0)
+        assert bad.read_text() == "t,x\n0,1\n"
 
     def test_absent_fields_written_empty(self, tmp_path):
         rec = DiagnosticsRecord(t=0.0, l2_energy=1.0)
@@ -291,6 +321,54 @@ class TestCli:
                               resumed.state.omega.coeffs)
         assert np.array_equal(full.state.magnetic.coeffs,
                               resumed.state.magnetic.coeffs)
+
+    def test_killed_run_resumes_to_identical_outputs(self, tmp_path, capsys):
+        # a child `mmpsim run` is SIGKILLed once its first checkpoint exists
+        # and resumed in place from its last one; every output file must
+        # match an uninterrupted run byte for byte
+        extra = "output.checkpoint_interval = 0.1"
+        full_dir = tmp_path / "full"
+        cfg_full = tmp_path / "full.cfg"
+        cfg_full.write_text(CONFIG_TEMPLATE.format(
+            t_end=3.0, outdir=full_dir, extra=extra))
+        assert cli_main(["run", "--config", str(cfg_full)]) == 0
+        capsys.readouterr()
+
+        kill_dir = tmp_path / "killed"
+        cfg_kill = tmp_path / "killed.cfg"
+        cfg_kill.write_text(CONFIG_TEMPLATE.format(
+            t_end=3.0, outdir=kill_dir, extra=extra))
+        src = os.path.dirname(os.path.dirname(mmpsim.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.Popen(
+            [sys.executable, "-m", "mmpsim.cli", "run", "--config",
+             str(cfg_kill)], env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 60.0
+            while not list(kill_dir.glob("checkpoint_*.mmp")):
+                assert child.poll() is None, "run ended before a checkpoint"
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            child.send_signal(signal.SIGKILL)
+        finally:
+            child.kill()
+            child.wait(timeout=30)
+        assert child.returncode == -signal.SIGKILL
+        assert not (kill_dir / "final.mmp").exists()
+
+        checkpoints = sorted(kill_dir.glob("checkpoint_*.mmp"))
+        assert cli_main(["run", "--config", str(cfg_kill),
+                         "--resume", str(checkpoints[-1])]) == 0
+        capsys.readouterr()
+
+        expected = sorted(p.name for p in full_dir.iterdir())
+        assert "diagnostics.csv" in expected and "final.mmp" in expected
+        assert sorted(p.name for p in kill_dir.iterdir()) == expected
+        for name in expected:
+            assert (kill_dir / name).read_bytes() == \
+                (full_dir / name).read_bytes(), name
 
     def test_blow_up_exits_with_integrity_code(self, tmp_path, capsys):
         # a checkpoint poisoned with NaN coefficients trips the integrity

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from mmpsim.fields import InitSpec, PhysParams, State, SystemVariant, make_random_state
+from mmpsim.integrator import step
 from mmpsim.norms import (
     DiagnosticsSettings,
+    alpha_transport_norm,
     compute_record,
     curl_energy_functional,
     fit_decay,
@@ -18,7 +20,13 @@ from mmpsim.spectral import (
     GridSpec,
     IntegrityError,
     SpectralVectorField,
+    band_part,
+    dealias,
+    divergence_residual,
     forward_transform,
+    hermitian_symmetrize,
+    parseval_sum,
+    power_spectrum,
     zero_vector_field,
 )
 
@@ -165,6 +173,20 @@ class TestPerturbationFunctionals:
         assert e == pytest.approx(4.0 * u_sq, rel=1e-12)
         assert d == pytest.approx(0.5 * u_sq, rel=1e-12)
 
+    def test_omega_only_state(self):
+        # (1+|k|^2)^(r+6) - (1+|k|^2)^(r+5) = (1+|k|^2)^(r+5) |k|^2
+        g = GridSpec(16)
+        full = random_state(g, SystemVariant.PERTURBATION, seed=10)
+        zero = zero_vector_field(g)
+        state = State(zero, full.omega, zero, SystemVariant.PERTURBATION)
+        p = self.params()
+        e, d = perturbation_energy_functionals(state, p, gamma=4.0,
+                                               c0_weight=1.0)
+        w5 = sobolev_norm(state.omega, p.r + 5.0) ** 2
+        w6 = sobolev_norm(state.omega, p.r + 6.0) ** 2
+        assert e == pytest.approx(4.0 * w5, rel=1e-12)
+        assert d == pytest.approx(3.0 * p.eta * (w6 - w5), rel=1e-12)
+
     def test_coercive(self):
         g = GridSpec(16)
         p = self.params()
@@ -201,6 +223,80 @@ class TestDiagnosticsRecord:
         assert rec.hN is not None and rec.hr5 is not None
         assert rec.E_func is not None and rec.D_func is not None
         assert rec.alpha_grad_B_hr3 is not None
+
+
+class TestBandRecord:
+    """compute_record runs on the retained band with Hermitian
+    multiplicity weights; the field-level functions are its full-spectrum
+    oracle."""
+
+    PARAMS = {
+        SystemVariant.ZERO_KINEMATIC: PhysParams(chi=1.0, eta=1.0, nu=1.0),
+        SystemVariant.PERTURBATION: PhysParams(chi=1.0, eta=1.0, alpha=ALPHA,
+                                               r=2.5),
+    }
+
+    def stepped_state(self, n, variant):
+        p = self.PARAMS[variant]
+        state = random_state(GridSpec(n), variant, seed=n, epsilon=0.5)
+        return step(state, p, variant, 0.01), p
+
+    @pytest.mark.parametrize("variant", [SystemVariant.ZERO_KINEMATIC,
+                                         SystemVariant.PERTURBATION])
+    @pytest.mark.parametrize("n", [8, 10, 12, 16])
+    def test_matches_full_spectrum_functions(self, n, variant):
+        state, p = self.stepped_state(n, variant)
+        settings = DiagnosticsSettings(hn_index=5.0, include_hr5=True)
+        rec = compute_record(state, p, settings)
+        want = {
+            "l2_energy": l2_energy(state),
+            "h3": triple_sobolev_norm(state, 3.0),
+            "hN": triple_sobolev_norm(state, 5.0),
+            "hr5": triple_sobolev_norm(state, p.r + 5.0),
+            "F_func": curl_energy_functional(state, settings.weight_a),
+        }
+        if variant is SystemVariant.PERTURBATION:
+            want["E_func"], want["D_func"] = perturbation_energy_functionals(
+                state, p, settings.gamma, settings.c0_weight)
+            want["alpha_grad_B_hr3"] = alpha_transport_norm(state, p,
+                                                            p.r + 3.0)
+        else:
+            assert rec.E_func is None and rec.alpha_grad_B_hr3 is None
+        for name, value in want.items():
+            assert getattr(rec, name) == pytest.approx(value, rel=1e-13), name
+        # a max over mirrored modes is exact
+        assert rec.div_u_max == divergence_residual(state.u) > 0.0
+        assert rec.div_b_max == divergence_residual(state.magnetic) > 0.0
+
+    def test_band_parseval(self):
+        g = GridSpec(16)
+        rng = np.random.default_rng(3)
+        shape = (3, g.n, g.n, g.n)
+        f = dealias(SpectralVectorField(hermitian_symmetrize(
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)), g))
+        full_sum = parseval_sum(power_spectrum(f.coeffs), g.full)
+        band_sum = parseval_sum(power_spectrum(band_part(f.coeffs, g)),
+                                g.band)
+        assert band_sum == pytest.approx(full_sum, rel=1e-14)
+        assert full_sum == pytest.approx(sobolev_norm(f, 0.0) ** 2, rel=1e-14)
+
+    def test_reads_only_retained_box(self):
+        state, p = self.stepped_state(12, SystemVariant.PERTURBATION)
+        g = state.grid
+        rng = np.random.default_rng(7)
+        shape = (3, g.n, g.n, g.n)
+        noisy = State(*(SpectralVectorField(
+            f.coeffs + hermitian_symmetrize(rng.standard_normal(shape)
+                                            + 1j * rng.standard_normal(shape)),
+            g) for f in (state.u, state.omega, state.magnetic)),
+            state.variant, t=state.t)
+        clean = State(*(dealias(f) for f in (noisy.u, noisy.omega,
+                                             noisy.magnetic)),
+                      state.variant, t=state.t)
+        assert not np.array_equal(noisy.u.coeffs, clean.u.coeffs)
+        settings = DiagnosticsSettings(hn_index=5.0)
+        assert compute_record(noisy, p, settings) == compute_record(
+            clean, p, settings)
 
 
 class TestFitDecay:
