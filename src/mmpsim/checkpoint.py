@@ -54,7 +54,7 @@ def save_checkpoint(path, state: State, params: PhysParams, step: int,
             fh.write(header)
             for f in (state.u, state.omega, state.magnetic):
                 fh.write(np.ascontiguousarray(
-                    f.coeffs.astype("<c16", copy=False)).tobytes())
+                    f.coeffs.astype("<c16", copy=False)))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -63,27 +63,31 @@ def save_checkpoint(path, state: State, params: PhysParams, step: int,
 
 
 def load_checkpoint(path) -> CheckpointData:
+    """Read a checkpoint.  The payload is read straight into one array, and
+    its length is checked against the file's size before it is read."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise CheckpointFormatError("file shorter than the header")
-    (magic, version, n, variant_id, mu, chi, kappa, eta, nu,
-     a1, a2, a3, r, t, step, seed) = _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise CheckpointFormatError(f"bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise CheckpointFormatError(f"unsupported format version {version}")
-    if variant_id not in WIRE_VARIANTS:
-        raise CheckpointFormatError(f"unknown variant id {variant_id}")
-    expected = _HEADER.size + 9 * n ** 3 * 16
-    if len(blob) != expected:
-        raise CheckpointFormatError(
-            f"array payload length mismatch: expected {expected} bytes, "
-            f"file has {len(blob)}")
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise CheckpointFormatError("file shorter than the header")
+        (magic, version, n, variant_id, mu, chi, kappa, eta, nu,
+         a1, a2, a3, r, t, step, seed) = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise CheckpointFormatError(f"bad magic {magic!r}")
+        if version != FORMAT_VERSION:
+            raise CheckpointFormatError(
+                f"unsupported format version {version}")
+        if variant_id not in WIRE_VARIANTS:
+            raise CheckpointFormatError(f"unknown variant id {variant_id}")
+        expected = _HEADER.size + 9 * n ** 3 * 16
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise CheckpointFormatError(
+                f"array payload length mismatch: expected {expected} bytes, "
+                f"file has {size}")
+        payload = np.fromfile(fh, dtype="<c16", count=9 * n ** 3)
 
     grid = GridSpec(n)
-    payload = np.frombuffer(blob, dtype="<c16", offset=_HEADER.size)
-    arrays = payload.reshape(3, 3, n, n, n).astype(np.complex128)
+    arrays = payload.reshape(3, 3, n, n, n).astype(np.complex128, copy=False)
     variant = WIRE_VARIANTS[variant_id]
     state = State(SpectralVectorField(arrays[0], grid),
                   SpectralVectorField(arrays[1], grid),

@@ -19,7 +19,8 @@ For divergence-free fields these equal the advective forms -(u.grad)u +
 the dealiased products exact, so the rewrite changes results only at
 roundoff.  One evaluation makes 9 inverse and 18 forward real transforms of
 scalar fields, each three 1D passes over n^2 + n(kc+1) + (2kc+1)(kc+1)
-lines (kc = n//3).
+lines (kc = n//3).  The 18 forward transforms are made three fields at a
+time out of one reused grid buffer (see `_quadratic_terms`).
 
 The stiff symbol of the micro-rotation field is diagonal only after
 splitting each mode into components parallel and perpendicular to k: the
@@ -207,18 +208,37 @@ def _quadratic_terms(u_hat: np.ndarray, w_hat: np.ndarray, m_hat: np.ndarray,
                      grid: GridSpec
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """-div(u(x)u - b(x)b), -div(u(x)omega) and curl(u x b) on retained-band
-    coefficients; the band transforms make them dealiased."""
+    coefficients; the band transforms make them dealiased.
+
+    Working set: the grid values of u, omega and b, one reused (3, n, n, n)
+    buffer for the 18 products and their band coefficients.  The products
+    pass through the buffer three at a time (stress components 0-2, then
+    3-5, the flux rows u_j omega for j = 0, 1, 2, then the emf), and each
+    group is transformed into its slice of the band array, so at most one
+    group's rfft output is alive.  Each 1D line and each product is the
+    one a whole-stack evaluation would compute."""
     band = grid.band
     u, w, b = (to_physical(c, grid) for c in (u_hat, w_hat, m_hat))
-    stress = to_spectral(np.stack([u[i] * u[j] - b[i] * b[j]
-                                   for i, j in _SYM_PAIRS]), grid)
+    buf = np.empty_like(u)
+    products = np.empty((18,) + u_hat.shape[1:], dtype=np.complex128)
+    stress, flux, emf = products[:6], products[6:15], products[15:]
+    for group in (0, 3):
+        for slot, (i, j) in enumerate(_SYM_PAIRS[group:group + 3]):
+            np.multiply(u[i], u[j], out=buf[slot])
+            buf[slot] -= b[i] * b[j]
+        stress[group:group + 3] = to_spectral(buf, grid)
+    # flux[3 j + i] = u_j omega_i, so k . flux sums over j
+    for j in range(3):
+        np.multiply(u[j], w, out=buf)
+        flux[3 * j:3 * j + 3] = to_spectral(buf, grid)
+    for slot, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.multiply(u[i], b[j], out=buf[slot])
+        buf[slot] -= u[j] * b[i]
+    emf[:] = to_spectral(buf, grid)
     div_stress = np.stack([k_dot(stress[list(row)], band) for row in _SYM_ROWS])
-    # flux[j, i] = u_j omega_i, so k . flux sums over j
-    flux = to_spectral(u[:, None] * w[None, :], grid)
-    emf = to_spectral(np.stack([u[1] * b[2] - u[2] * b[1],
-                                u[2] * b[0] - u[0] * b[2],
-                                u[0] * b[1] - u[1] * b[0]]), grid)
-    return (-1j * div_stress, -1j * k_dot(flux, band), curl_coeffs(emf, band))
+    return (-1j * div_stress, -1j * k_dot(flux.reshape((3,) + w_hat.shape),
+                                          band),
+            curl_coeffs(emf, band))
 
 
 def explicit_rhs_arrays(u_hat: np.ndarray, w_hat: np.ndarray, m_hat: np.ndarray,

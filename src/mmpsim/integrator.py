@@ -18,7 +18,8 @@ the 2/3-rule box of the state's full-spectrum arrays on entry and expands
 the result on exit, so the state and checkpoints stay full-spectrum.  Each
 explicit evaluation makes 27 pruned real transforms of scalar fields, 108
 per step; each is three 1D passes (324 per step) over
-n^2 + n(kc+1) + (2kc+1)(kc+1) lines, kc = n//3.
+n^2 + n(kc+1) + (2kc+1)(kc+1) lines, kc = n//3.  Each stage is freed after
+its last use (see `_step_arrays`).
 """
 
 from __future__ import annotations
@@ -112,7 +113,13 @@ def _step_arrays(arrays, symbols: StiffSymbols, grid: GridSpec,
                  p: PhysParams, variant: SystemVariant, dt: float,
                  linearized: bool):
     """One step on retained-band arrays, with retained-band symbols;
-    e_half and e_full are the Eh and Ef above."""
+    e_half and e_full are the Eh and Ef above.
+
+    Each stage triple is released after its last use, and the Ef N1 +
+    2 Eh (N2 + N3) part of the sum is formed before the fourth evaluation,
+    so that evaluation runs with y0, Ef y0, that partial sum and y4 alive:
+    four band triples besides its own temporaries.  The arithmetic and its
+    order are those of the formulas above."""
     def explicit(u, w, m):
         return explicit_rhs_arrays(u, w, m, grid, p, variant,
                                    linearized=linearized)
@@ -122,16 +129,18 @@ def _step_arrays(arrays, symbols: StiffSymbols, grid: GridSpec,
     n1 = explicit(*arrays)
     s2 = e_half.apply(*_axpy(arrays, n1, 0.5 * dt))
     n2 = explicit(*s2)
-    half_y0 = e_half.apply(*arrays)
-    s3 = _axpy(half_y0, n2, 0.5 * dt)
+    del s2
+    s3 = _axpy(e_half.apply(*arrays), n2, 0.5 * dt)
     n3 = explicit(*s3)
+    del s3
+    n23 = tuple(a + b for a, b in zip(n2, n3))
+    del n2
     full_y0 = e_full.apply(*arrays)
     s4 = _axpy(full_y0, e_half.apply(*n3), dt)
+    del n3
+    accum = _axpy(e_full.apply(*n1), e_half.apply(*n23), 2.0)
+    del n1, n23
     n4 = explicit(*s4)
-
-    accum = e_full.apply(*n1)
-    n23 = tuple(a + b for a, b in zip(n2, n3))
-    accum = _axpy(accum, e_half.apply(*n23), 2.0)
     accum = _axpy(accum, n4, 1.0)
     out = _axpy(full_y0, accum, dt / 6.0)
 

@@ -1,11 +1,16 @@
 """RHS assembly: advection kernel vs direct convolution, stiff/explicit
 recombination vs a monolithic evaluation, the retained-band step's layout
-conversions and FFT budget, and the energy-flux audit."""
+conversions, FFT budget and working set, and the energy-flux audit."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mmpsim.dynamics import (
+    _SYM_PAIRS,
+    _SYM_ROWS,
+    _quadratic_terms,
     advect,
     energy_flux_audit,
     rhs,
@@ -24,12 +29,16 @@ from mmpsim.spectral import (
     inner_product,
     l2_norm,
     band_part,
+    curl_coeffs,
     expand_band,
     forward_transform,
     hermitian_symmetrize,
     laplacian,
     grad_div,
+    k_dot,
     leray_project,
+    to_physical,
+    to_spectral,
     zero_mean,
     zero_vector_field,
 )
@@ -121,6 +130,22 @@ def monolithic_rhs(state, p, variant):
           + p.eta * laplacian(w).coeffs)
     dw[:, 0, 0, 0] = 0.0
     return du, dw, dm
+
+
+def stacked_quadratic_terms(u_hat, w_hat, m_hat, grid):
+    """The quadratic terms with the 6 stress, 9 flux and 3 emf products each
+    formed and transformed as one stack: the same products and 1D lines as
+    `_quadratic_terms`, which streams them three at a time."""
+    band = grid.band
+    u, w, b = (to_physical(c, grid) for c in (u_hat, w_hat, m_hat))
+    stress = to_spectral(np.stack([u[i] * u[j] - b[i] * b[j]
+                                   for i, j in _SYM_PAIRS]), grid)
+    div_stress = np.stack([k_dot(stress[list(row)], band) for row in _SYM_ROWS])
+    flux = to_spectral(u[:, None] * w[None, :], grid)
+    emf = to_spectral(np.stack([u[1] * b[2] - u[2] * b[1],
+                                u[2] * b[0] - u[0] * b[2],
+                                u[0] * b[1] - u[1] * b[0]]), grid)
+    return (-1j * div_stress, -1j * k_dot(flux, band), curl_coeffs(emf, band))
 
 
 class TestRhs:
@@ -286,6 +311,38 @@ class TestBandStep:
         assert sum(lines) == 108 * (n * n + n * (kc + 1)
                                     + (2 * kc + 1) * (kc + 1)) == 11124
         assert not nd_calls
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_streamed_products_match_stacked(self, n):
+        # epsilon = 1000 makes the products dominate every tendency
+        g = GridSpec(n)
+        state = make_random_state(g, InitSpec(epsilon=1000.0, seed=n),
+                                  SystemVariant.FULL)
+        arrays = [band_part(f.coeffs, g)
+                  for f in (state.u, state.omega, state.magnetic)]
+        for got, want in zip(_quadratic_terms(*arrays, g),
+                             stacked_quadratic_terms(*arrays, g)):
+            assert np.array_equal(got, want)
+
+    def test_working_set_of_one_step(self):
+        # tracemalloc peak of one 32^3 step above its entry: 17.6 MB with
+        # the products built as whole stacks and every RK stage alive to
+        # the end of the step, 9.8 MB with the products streamed three at
+        # a time and each stage freed after its last use
+        g = GridSpec(32)
+        state = make_random_state(g, InitSpec(epsilon=1.0, seed=1),
+                                  SystemVariant.FULL)
+        p = PhysParams(mu=0.2, chi=1.0, kappa=0.4, eta=1.0, nu=0.5)
+        symbols = stiff_symbols(g, p, SystemVariant.FULL)
+        # the first step builds the cached band symbols and propagators
+        step(state, p, SystemVariant.FULL, 0.01, symbols=symbols)
+        tracemalloc.start()
+        try:
+            step(state, p, SystemVariant.FULL, 0.01, symbols=symbols)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6
 
     def test_step_reads_only_retained_box(self):
         g = GridSpec(8)

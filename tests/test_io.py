@@ -121,6 +121,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
 
+    def test_overlong_payload_rejected(self, tmp_path):
+        state = sample_state(n=8)
+        path = tmp_path / "state.mmp"
+        save_checkpoint(path, state, ZK_PARAMS, step=0, seed=0)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(CheckpointFormatError, match="length mismatch"):
+            load_checkpoint(path)
+
 
 class TestDiagnosticsCsv:
     def test_header_exact(self):
