@@ -55,7 +55,6 @@ from .spectral import (
     IntegrityError,
     SpectralScalarField,
     SpectralVectorField,
-    apply_diff_op,
     curl,
     dealias,
     divergence,

@@ -35,7 +35,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import PhysParams, State, SystemVariant, structural_violations
+from .fields import (
+    BandState,
+    PhysParams,
+    State,
+    SystemVariant,
+    as_band,
+    structural_violations,
+)
 from .spectral import (
     GridSpec,
     SpectralLayout,
@@ -100,9 +107,16 @@ class StiffSymbols:
             cache[dt] = (self.propagator(0.5 * dt), self.propagator(dt))
         return cache[dt]
 
-    @cached_property
+    @property
     def band(self) -> "StiffSymbols":
-        """The same symbols on the retained-band layout."""
+        """The same symbols on the retained-band layout: these symbols if
+        they are on it, else their band part, gathered once."""
+        if self.layout is self.layout.grid.band:
+            return self
+        return self._band_part
+
+    @cached_property
+    def _band_part(self) -> "StiffSymbols":
         grid = self.layout.grid
         return StiffSymbols(
             *(band_part(a, grid) for a in (self.u, self.omega_perp,
@@ -334,9 +348,10 @@ class EnergyFluxAudit:
         return self.max_relative_cancellation <= self.tolerance
 
 
-def energy_flux_audit(state: State, p: PhysParams,
+def energy_flux_audit(state: State | BandState, p: PhysParams,
                       variant: SystemVariant) -> EnergyFluxAudit:
-    """Evaluate the energy-identity inner products at `state`.
+    """Evaluate the energy-identity inner products at `state`, a `State` or
+    the `BandState` that `run` carries.
 
     Reads only the retained 2/3-rule box of the state, as `step` does:
     content outside it is dropped.  The advection terms are `advect`'s
@@ -353,8 +368,7 @@ def energy_flux_audit(state: State, p: PhysParams,
     band = grid.band
     chi = p.coupling_chi(variant)
 
-    u_band, w_band, m_band = (band_part(f.coeffs, grid)
-                              for f in (state.u, state.omega, state.magnetic))
+    u_band, w_band, m_band = as_band(state).arrays
     u_phys, m_phys = (to_physical(c, grid) for c in (u_band, m_band))
     u_grad_u, m_grad_u = _advect_band([u_phys, m_phys], u_band, grid)
     (u_grad_w,) = _advect_band([u_phys], w_band, grid)

@@ -18,10 +18,10 @@ import numpy as np
 from .spectral import (
     GridSpec,
     SpectralVectorField,
-    dealias,
+    band_part,
     divergence_residual,
-    hermitian_symmetrize,
-    leray_project,
+    expand_band,
+    project_coeffs,
     zero_vector_field,
 )
 
@@ -217,6 +217,45 @@ class State:
         return replace(self, t=t)
 
 
+@dataclass(frozen=True, eq=False)
+class BandState:
+    """A state held as its retained-band coefficients (see `spectral`): the
+    (3, 2kc+1, 2kc+1, kc+1) arrays of u, omega and the magnetic unknown,
+    with grid, variant and time.  `run` carries this between steps;
+    `step`, `stable_dt`, `compute_record` and `energy_flux_audit` accept it
+    next to a `State`.  Not part of the package's public API."""
+
+    u: np.ndarray
+    omega: np.ndarray
+    magnetic: np.ndarray
+    grid: GridSpec
+    variant: SystemVariant
+    t: float = 0.0
+
+    @property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.u, self.omega, self.magnetic
+
+    def to_state(self) -> State:
+        """The full-spectrum state: zero outside the box, k3 < 0 filled by
+        Hermitian symmetry (`expand_band`)."""
+        return State(*(SpectralVectorField(expand_band(c, self.grid),
+                                           self.grid)
+                       for c in self.arrays), self.variant, t=self.t)
+
+
+def as_band(state: State | BandState) -> BandState:
+    """``state`` itself if it is a `BandState`; otherwise the band part of
+    each field of a `State`, copied (`band_part`), so only the retained box
+    is read and everything outside it is dropped."""
+    if isinstance(state, BandState):
+        return state
+    grid = state.grid
+    return BandState(*(band_part(f.coeffs, grid)
+                       for f in (state.u, state.omega, state.magnetic)),
+                     grid, state.variant, t=state.t)
+
+
 def check_state(state: State, div_tol: float = 1e-12) -> None:
     """Assert the state invariants: mean-zero fields, divergence-free u and
     magnetic component.  Raises ValueError on violation."""
@@ -255,20 +294,26 @@ class InitSpec:
             raise ValueError("k_peak must be positive")
 
 
+def _rescale_factor(f: SpectralVectorField, s: float, target: float) -> float:
+    """The real factor that gives ``f`` the H^s norm ``target > 0``."""
+    from .norms import sobolev_norm
+
+    current = sobolev_norm(f, s)
+    if current == 0.0:
+        raise ValueError("cannot rescale the zero field to a positive norm")
+    return target / current
+
+
 def rescale_to_norm(f: SpectralVectorField, s: float,
                     target: float) -> SpectralVectorField:
     """Scale every coefficient by one real factor so the H^s norm equals
     ``target``; directions are unchanged."""
-    from .norms import sobolev_norm
-
     if target < 0.0:
         raise ValueError("target norm must be >= 0")
     if target == 0.0:
         return zero_vector_field(f.grid)
-    current = sobolev_norm(f, s)
-    if current == 0.0:
-        raise ValueError("cannot rescale the zero field to a positive norm")
-    return SpectralVectorField(f.coeffs * (target / current), f.grid)
+    return SpectralVectorField(f.coeffs * _rescale_factor(f, s, target),
+                               f.grid)
 
 
 def _spectral_envelope(grid: GridSpec, slope: float, k_peak: float) -> np.ndarray:
@@ -289,9 +334,13 @@ def make_random_state(grid: GridSpec, init: InitSpec, variant: SystemVariant,
     (order u, omega, magnetic) one uniform(0, 2pi) phase array of shape
     (3, n, n, n) is drawn.  Identical seeds give bit-identical states.
     ``seed=None`` uses ``init.seed``.
-    """
-    from .norms import sobolev_norm  # noqa: F401  (rescale path)
 
+    Each field is built in one coefficient array, updated in place, with
+    one more array of its size for the Hermitian reflection: the operations
+    of envelope * exp(i phases), `hermitian_symmetrize`, `leray_project`,
+    `dealias` and `rescale_to_norm`, in their order, without a full-size
+    copy per operation.
+    """
     if seed is None:
         seed = init.seed
     k_peak = init.k_peak if init.k_peak is not None else grid.n / 6.0
@@ -305,16 +354,29 @@ def make_random_state(grid: GridSpec, init: InitSpec, variant: SystemVariant,
 
     rng = np.random.Generator(np.random.Philox(seed))
     envelope = _spectral_envelope(grid, init.spectrum_slope, k_peak)
+    mirror = (-np.arange(grid.n)) % grid.n
+    reflect = (slice(None),) + np.ix_(mirror, mirror, mirror)
 
     fields = []
     for name in ("u", "omega", "magnetic"):
         phases = rng.uniform(0.0, 2.0 * np.pi, size=(3,) + envelope.shape)
-        coeffs = envelope[None] * np.exp(1j * phases)
-        coeffs = hermitian_symmetrize(coeffs)
+        coeffs = np.empty(phases.shape, dtype=np.complex128)
+        coeffs.real = 0.0
+        coeffs.imag = phases  # 1j * phases
+        del phases
+        np.exp(coeffs, out=coeffs)
+        coeffs *= envelope
+        # hermitian_symmetrize: 0.5 (c(k) + conj(c(-k)))
+        reflected = coeffs[reflect]
+        np.conj(reflected, out=reflected)
+        coeffs += reflected
+        del reflected
+        coeffs *= 0.5
         coeffs[:, 0, 0, 0] = 0.0
-        f = SpectralVectorField(coeffs, grid)
         if name != "omega":
-            f = leray_project(f)
-        f = dealias(f)
-        fields.append(rescale_to_norm(f, init.sobolev_index, init.epsilon))
+            project_coeffs(coeffs, grid.full, out=coeffs)
+        np.multiply(coeffs, grid.dealias_mask, out=coeffs)
+        coeffs *= _rescale_factor(SpectralVectorField(coeffs, grid),
+                                  init.sobolev_index, init.epsilon)
+        fields.append(SpectralVectorField(coeffs, grid))
     return State(fields[0], fields[1], fields[2], variant, t=0.0)

@@ -13,13 +13,15 @@ exp(-Lambda * delta) between the four classical stages:
 The velocity and magnetic fields are re-projected and the k=0 modes
 re-zeroed once per full step.
 
-The step works on retained-band coefficients (see `spectral`): it gathers
-the 2/3-rule box of the state's full-spectrum arrays on entry and expands
-the result on exit, so the state and checkpoints stay full-spectrum.  Each
-explicit evaluation makes 27 pruned real transforms of scalar fields, 108
-per step; each is three 1D passes (324 per step) over
-n^2 + n(kc+1) + (2kc+1)(kc+1) lines, kc = n//3.  Each stage is freed after
-its last use (see `_step_arrays`).
+The step works on retained-band coefficients (see `spectral`).  At the
+public API the state stays full-spectrum: `step` on a `State` gathers the
+2/3-rule box on entry and expands the result on exit.  `run` is
+band-resident: it takes the band of its input once and carries the
+`BandState` from step to step, building a full-spectrum `State` only for
+the state sink and its result.  Each explicit evaluation makes 27 pruned
+real transforms of scalar fields, 108 per step; each is three 1D passes
+(324 per step) over n^2 + n(kc+1) + (2kc+1)(kc+1) lines, kc = n//3.  Each
+stage is freed after its last use (see `_step_arrays`).
 """
 
 from __future__ import annotations
@@ -32,18 +34,13 @@ from enum import Enum
 import numpy as np
 
 from .dynamics import StiffSymbols, explicit_rhs_arrays, stiff_symbols
-from .fields import PhysParams, State, SystemVariant
+from .fields import BandState, PhysParams, State, SystemVariant, as_band
 from .norms import DiagnosticsRecord, DiagnosticsSettings, compute_record
 from .spectral import (
     GridSpec,
     IntegrityError,
-    SpectralVectorField,
-    band_part,
-    dealias,
-    expand_band,
     project_coeffs,
     to_physical,
-    zero_mean,
 )
 
 
@@ -74,14 +71,14 @@ class StepperConfig:
             raise ValueError("record_interval must be positive")
 
 
-def stable_dt(state: State, p: PhysParams, grid: GridSpec,
+def stable_dt(state: State | BandState, p: PhysParams, grid: GridSpec,
               cfg: StepperConfig) -> float:
     """Largest step honouring the base step, the advective CFL bound, the
     micro-rotation coupling bound cfl/(6 chi + 1), and the background
     transport bound.  Floors at cfg.dt * 1e-6 with a warning.  Reads only
     the retained 2/3-rule box of the velocity: content outside it is
     dropped, as `run` does on entry."""
-    u_phys = to_physical(band_part(state.u.coeffs, grid), grid)
+    u_phys = to_physical(as_band(state).u, grid)
     umax = float(np.sqrt((u_phys ** 2).sum(axis=0)).max())
     if not math.isfinite(umax):
         raise IntegrityError("non-finite velocity in stable_dt")
@@ -151,29 +148,29 @@ def _step_arrays(arrays, symbols: StiffSymbols, grid: GridSpec,
     return u_new, w_new, m_new
 
 
-def step(state: State, p: PhysParams, variant: SystemVariant, dt: float,
-         linearized: bool = False,
-         symbols: StiffSymbols | None = None) -> State:
-    """Advance one integrating-factor RK4 step of size dt.  Reads only the
+def step(state: State | BandState, p: PhysParams, variant: SystemVariant,
+         dt: float, linearized: bool = False,
+         symbols: StiffSymbols | None = None) -> State | BandState:
+    """Advance one integrating-factor RK4 step of size dt and return the
+    new state of the same kind: a full-spectrum `State` for a `State`, a
+    `BandState` for the `BandState` that `run` carries.  Reads only the
     retained 2/3-rule box of the state: content outside it is dropped, as
-    `run` does on entry, and the new state is zero outside it."""
+    `run` does on entry, and the new state is zero outside it.
+    ``symbols`` may be full-layout (`stiff_symbols`) or band-layout."""
     if state.variant is not variant:
         raise ValueError(f"state is tagged {state.variant.value!r}, "
                          f"step was asked for {variant.value!r}")
-    if symbols is None:
-        symbols = stiff_symbols(state.grid, p, variant)
     grid = state.grid
-    arrays = tuple(band_part(f.coeffs, grid)
-                   for f in (state.u, state.omega, state.magnetic))
-    u, w, m = _step_arrays(arrays, symbols.band, grid, p, variant, dt,
+    if symbols is None:
+        symbols = stiff_symbols(grid, p, variant)
+    band = as_band(state)
+    u, w, m = _step_arrays(band.arrays, symbols.band, grid, p, variant, dt,
                            linearized)
     for name, arr in (("u", u), ("omega", w), ("magnetic", m)):
         if not np.all(np.isfinite(arr)):
             raise IntegrityError(f"non-finite {name} after step", step=None)
-    return State(SpectralVectorField(expand_band(u, grid), grid),
-                 SpectralVectorField(expand_band(w, grid), grid),
-                 SpectralVectorField(expand_band(m, grid), grid),
-                 variant, t=state.t + dt)
+    new = BandState(u, w, m, grid, variant, t=state.t + dt)
+    return new if band is state else new.to_state()
 
 
 class RunStatus(Enum):
@@ -215,23 +212,33 @@ def run(state: State, p: PhysParams, variant: SystemVariant,
     current state every ``state_sink_interval`` of simulation time.
     Sink failures abort the run and raise SinkWriteError carrying the
     partial result.
+
+    Band-resident: the retained box of the input is copied once, with its
+    k=0 modes zeroed, and the reference to the input is dropped, so a
+    caller that holds none frees the full-spectrum arrays.  Between steps
+    only the `BandState` is kept; a full-spectrum `State` is built for each
+    ``state_sink`` call and for the result's state (final, blow-up or
+    sink-failure partial).  Each step is one call of the module-level
+    `step` with its ``dt``.
     """
-    state = State(zero_mean(dealias(state.u)), zero_mean(dealias(state.omega)),
-                  zero_mean(dealias(state.magnetic)), state.variant,
-                  t=state.t)
     if state.variant is not variant:
         raise ValueError("state variant does not match run variant")
+    current = as_band(state)
+    del state
+    for c in current.arrays:
+        c[:, 0, 0, 0] = 0.0
+    grid = current.grid
 
-    grid = state.grid
-    symbols = stiff_symbols(grid, p, variant)
+    symbols = stiff_symbols(grid, p, variant).band
     records: list[DiagnosticsRecord] = []
     steps = 0
 
     def result(status: RunStatus, failure_step=None) -> RunResult:
-        return RunResult(state, records, status, steps, failure_step)
+        return RunResult(current.to_state(), records, status, steps,
+                         failure_step)
 
     def emit_record() -> None:
-        rec = compute_record(state, p, settings)
+        rec = compute_record(current, p, settings)
         records.append(rec)
         if record_sink is not None:
             try:
@@ -243,7 +250,7 @@ def run(state: State, p: PhysParams, variant: SystemVariant,
     def emit_state() -> None:
         if state_sink is not None:
             try:
-                state_sink(state, steps)
+                state_sink(current.to_state(), steps)
             except OSError as exc:
                 raise SinkWriteError(f"state sink failed: {exc}",
                                      result(RunStatus.STEP_CAP)) from exc
@@ -251,26 +258,26 @@ def run(state: State, p: PhysParams, variant: SystemVariant,
     if initial_record:
         emit_record()
 
-    next_record = _next_boundary(state.t, cfg.record_interval)
+    next_record = _next_boundary(current.t, cfg.record_interval)
     next_state_dump = (None if state_sink_interval is None
-                       else _next_boundary(state.t, state_sink_interval))
+                       else _next_boundary(current.t, state_sink_interval))
     t_tol = 1e-12 * max(1.0, cfg.t_end)
 
-    while state.t < cfg.t_end - t_tol:
+    while current.t < cfg.t_end - t_tol:
         if steps >= cfg.max_steps:
             return result(RunStatus.STEP_CAP)
         try:
-            dt = min(stable_dt(state, p, grid, cfg), cfg.t_end - state.t)
-            state = step(state, p, variant, dt, symbols=symbols)
+            dt = min(stable_dt(current, p, grid, cfg), cfg.t_end - current.t)
+            current = step(current, p, variant, dt, symbols=symbols)
         except IntegrityError:
             return result(RunStatus.BLOW_UP, failure_step=steps)
         steps += 1
-        if state.t >= next_record - 1e-9 * cfg.record_interval:
+        if current.t >= next_record - 1e-9 * cfg.record_interval:
             emit_record()
-            next_record = _next_boundary(state.t, cfg.record_interval)
+            next_record = _next_boundary(current.t, cfg.record_interval)
         if next_state_dump is not None and \
-                state.t >= next_state_dump - 1e-9 * state_sink_interval:
+                current.t >= next_state_dump - 1e-9 * state_sink_interval:
             emit_state()
-            next_state_dump = _next_boundary(state.t, state_sink_interval)
+            next_state_dump = _next_boundary(current.t, state_sink_interval)
 
     return result(RunStatus.COMPLETED)

@@ -29,13 +29,12 @@ from dataclasses import dataclass, fields as dataclass_fields
 import numpy as np
 
 from .dynamics import energy_flux_audit
-from .fields import PhysParams, State, SystemVariant
+from .fields import BandState, PhysParams, State, SystemVariant, as_band
 from .spectral import (
     Field,
     IntegrityError,
     SpectralLayout,
     alpha_symbol,
-    band_part,
     curl_coeffs,
     divergence_residual_coeffs,
     parseval_sum,
@@ -258,32 +257,32 @@ class DiagnosticsSettings:
     audit: bool = True
 
 
-def compute_record(state: State, p: PhysParams,
+def compute_record(state: State | BandState, p: PhysParams,
                    settings: DiagnosticsSettings | None = None
                    ) -> DiagnosticsRecord:
-    """One diagnostics sample of ``state``.
+    """One diagnostics sample of ``state``, a `State` or the `BandState`
+    that `run` carries.
 
     Reads only the retained 2/3-rule box of the state, as `step` does:
-    the band of u, omega and the magnetic unknown is gathered once, each
-    field's power spectrum formed once, and every norm, functional and
-    divergence residual is a band sum with the layout's multiplicity.  On
-    a dealiased state (every state a run records) the entries equal the
-    full-spectrum field-level functions up to the summation order, and the
-    divergence residuals bit for bit.  The energy-flux audit reads the box
-    the same way (see `energy_flux_audit`).
+    the band of u, omega and the magnetic unknown is taken once (gathered
+    from a `State`, as is from a `BandState`), each field's power spectrum
+    formed once, and every norm, functional and divergence residual is a
+    band sum with the layout's multiplicity.  On a dealiased state (every
+    state a run records) the entries equal the full-spectrum field-level
+    functions up to the summation order, and the divergence residuals bit
+    for bit.  The energy-flux audit reads the same band arrays (see
+    `energy_flux_audit`).
     """
     s = settings or DiagnosticsSettings()
     perturbation = state.variant is SystemVariant.PERTURBATION
     include_hr5 = perturbation if s.include_hr5 is None else s.include_hr5
-    # the audit first: its full-spectrum arrays then set the record's peak
+    state = as_band(state)
     cancel = None
     if s.audit:
         cancel = energy_flux_audit(state, p, state.variant).max_relative_cancellation
 
-    grid = state.grid
-    band = grid.band
-    arrays = tuple(band_part(f.coeffs, grid)
-                   for f in (state.u, state.omega, state.magnetic))
+    band = state.grid.band
+    arrays = state.arrays
     powers = tuple(power_spectrum(c) for c in arrays)
 
     def triple(index: float) -> float:

@@ -330,9 +330,17 @@ def parallel_part(c: np.ndarray, layout: SpectralLayout) -> np.ndarray:
     return np.stack([k1 * kdotv, k2 * kdotv, k3 * kdotv])
 
 
-def project_coeffs(c: np.ndarray, layout: SpectralLayout) -> np.ndarray:
-    """Leray projection c - k (k.c)/|k|^2 with the k=0 mode zeroed."""
-    out = c - parallel_part(c, layout)
+def project_coeffs(c: np.ndarray, layout: SpectralLayout,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Leray projection c - k (k.c)/|k|^2 with the k=0 mode zeroed, written
+    into ``out`` (which may be c itself) if given.  One component of the
+    parallel part is alive at a time; the values are those of
+    c - `parallel_part`."""
+    kdotv = k_dot(c, layout) / layout.k_squared_safe
+    if out is None:
+        out = np.empty_like(c)
+    for i, k in enumerate(layout.k_vectors):
+        np.subtract(c[i], k * kdotv, out=out[i])
     out[:, 0, 0, 0] = 0.0
     return out
 
@@ -430,34 +438,6 @@ def alpha_dot_grad(f: Field, alpha) -> Field:
     if isinstance(f, SpectralScalarField):
         return SpectralScalarField(symbol * f.coeffs, f.grid)
     return SpectralVectorField(symbol[None] * f.coeffs, f.grid)
-
-
-_VECTOR_ONLY_OPS = {"div", "curl", "grad_div"}
-
-
-def apply_diff_op(f: Field, op: str, alpha=None) -> Field:
-    """Dispatch on operator name: grad, div, curl, laplacian, grad_div,
-    alpha_dot_grad.  Raises ValueError on a rank-incompatible request."""
-    is_vector = isinstance(f, SpectralVectorField)
-    if op in _VECTOR_ONLY_OPS and not is_vector:
-        raise ValueError(f"operator {op!r} requires a vector field")
-    if op == "grad":
-        if is_vector:
-            raise ValueError("operator 'grad' requires a scalar field")
-        return gradient(f)
-    if op == "div":
-        return divergence(f)
-    if op == "curl":
-        return curl(f)
-    if op == "laplacian":
-        return laplacian(f)
-    if op == "grad_div":
-        return grad_div(f)
-    if op == "alpha_dot_grad":
-        if alpha is None:
-            raise ValueError("alpha_dot_grad requires the alpha vector")
-        return alpha_dot_grad(f, alpha)
-    raise ValueError(f"unknown differential operator {op!r}")
 
 
 # ---------------------------------------------------------------------------

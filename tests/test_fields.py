@@ -1,5 +1,8 @@
 """Parameter validation, state construction, and random initial data."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -152,6 +155,37 @@ class TestMakeRandomState:
         init = InitSpec(epsilon=0.01, k_peak=7.0)
         with pytest.raises(ValueError):
             make_random_state(g, init, SystemVariant.ZERO_KINEMATIC)
+
+    # SHA-256 of the u, omega, magnetic coefficient bytes: the construction
+    # may be reorganised only if every IEEE operation and its order stay
+    @pytest.mark.parametrize("variant, init, expected", [
+        (SystemVariant.ZERO_KINEMATIC, InitSpec(epsilon=0.01, seed=2024),
+         "8e88b128e92d441f4d92f2e4fa743a4f80ce7d0780cd460ffea681ad40a850a4"),
+        (SystemVariant.PERTURBATION,
+         InitSpec(epsilon=0.01, sobolev_index=21.0, spectrum_slope=1.5,
+                  k_peak=4.0, seed=7),
+         "22bd19a2de8a44aec255c4d65cedeb9a0a72e80c6ebc7188caecb59f559b304c"),
+    ], ids=["zero-kinematic", "perturbation"])
+    def test_coefficients_pinned(self, variant, init, expected):
+        state = make_random_state(GridSpec(16), init, variant)
+        digest = hashlib.sha256()
+        for f in (state.u, state.omega, state.magnetic):
+            digest.update(f.coeffs.tobytes())
+        assert digest.hexdigest() == expected
+
+    def test_working_set(self):
+        # a 4.72 MB state at 32^3: measured peak 6.76 MB, 10.62 MB when each
+        # operation made a full-size copy
+        g = GridSpec(32)
+        init = InitSpec(epsilon=0.01, seed=2024)
+        make_random_state(g, init, SystemVariant.PERTURBATION)  # grid caches
+        tracemalloc.start()
+        try:
+            make_random_state(g, init, SystemVariant.PERTURBATION)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.0e6
 
     def test_grid_mismatch_in_state_rejected(self):
         a = zero_vector_field(GridSpec(8))

@@ -1,25 +1,34 @@
 """Time stepping: exact stiff propagation, step-size control, fourth-order
 accuracy against the per-mode matrix-exponential oracle, and the driver."""
 
+import inspect
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from linear_oracle import exact_linear_solution, stacked_error
 
+from mmpsim import integrator
+from mmpsim.dynamics import stiff_symbols
 from mmpsim.fields import InitSpec, PhysParams, State, SystemVariant, make_random_state
 from mmpsim.integrator import (
     RunStatus,
     StepperConfig,
+    _next_boundary,
     run,
     stable_dt,
     step,
 )
+from mmpsim.norms import DiagnosticsSettings, compute_record
 from mmpsim.spectral import (
     GridSpec,
     IntegrityError,
     SpectralVectorField,
+    dealias,
     divergence_residual,
     forward_transform,
+    zero_mean,
     zero_vector_field,
 )
 
@@ -249,3 +258,154 @@ class TestRun:
         seen = []
         result = run(state, ZK_PARAMS, ZK, cfg, record_sink=seen.append)
         assert len(seen) == len(result.records)
+
+
+PERT = SystemVariant.PERTURBATION
+PERT_PARAMS = PhysParams(chi=1.0, eta=1.0, alpha=ALPHA, r=2.5)
+
+
+def public_loop(state, p, variant, cfg, settings, sink_interval):
+    """`run`'s driver loop written with the public full-spectrum calls:
+    truncate to the dealiased box, then stable_dt + step + compute_record
+    on `State`s.  Returns (state, records, sink calls, status, steps); on a
+    blow-up the state is the last one before the failing step."""
+    state = State(*(zero_mean(dealias(f))
+                    for f in (state.u, state.omega, state.magnetic)),
+                  state.variant, t=state.t)
+    grid = state.grid
+    symbols = stiff_symbols(grid, p, variant)
+    records = [compute_record(state, p, settings)]
+    sunk = []
+    steps = 0
+    next_record = _next_boundary(state.t, cfg.record_interval)
+    next_dump = _next_boundary(state.t, sink_interval)
+    while state.t < cfg.t_end - 1e-12 * max(1.0, cfg.t_end):
+        try:
+            dt = min(stable_dt(state, p, grid, cfg), cfg.t_end - state.t)
+            state = step(state, p, variant, dt, symbols=symbols)
+        except IntegrityError:
+            return state, records, sunk, RunStatus.BLOW_UP, steps
+        steps += 1
+        if state.t >= next_record - 1e-9 * cfg.record_interval:
+            records.append(compute_record(state, p, settings))
+            next_record = _next_boundary(state.t, cfg.record_interval)
+        if state.t >= next_dump - 1e-9 * sink_interval:
+            sunk.append((state, steps))
+            next_dump = _next_boundary(state.t, sink_interval)
+    return state, records, sunk, RunStatus.COMPLETED, steps
+
+
+def state_bytes(state):
+    return [f.coeffs.tobytes() for f in (state.u, state.omega,
+                                          state.magnetic)] + [state.t]
+
+
+class TestBandResidentRun:
+    """`run` carries retained-band arrays between steps; the full-spectrum
+    states it hands out must be those of the public calls, bit for bit."""
+
+    CASES = {
+        # nonlinear, with the advective CFL bound setting dt on every step
+        "zero-kinematic": (ZK, ZK_PARAMS, InitSpec(epsilon=300.0, seed=21)),
+        "perturbation": (PERT, PERT_PARAMS,
+                         InitSpec(epsilon=1.0, seed=22)),
+    }
+
+    @staticmethod
+    def blow_up_state(variant):
+        # a strong magnetic field and a weak velocity: stable_dt bounds dt
+        # by |u| only, so the Alfven waves go unresolved and grow
+        g = GridSpec(16)
+        s = make_random_state(g, InitSpec(epsilon=1.0, seed=11), variant)
+        return State(SpectralVectorField(1e-6 * s.u.coeffs, g), s.omega,
+                     SpectralVectorField(1e4 * s.magnetic.coeffs, g),
+                     variant)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_public_calls(self, case):
+        variant, p, init = self.CASES[case]
+        state = make_random_state(GridSpec(16), init, variant)
+        cfg = StepperConfig(dt=0.05, t_end=0.4, record_interval=0.1)
+        settings = DiagnosticsSettings(hn_index=4.0)
+        sunk = []
+        result = run(state, p, variant, cfg, settings=settings,
+                     state_sink=lambda s, n: sunk.append((s, n)),
+                     state_sink_interval=0.15)
+        ref_state, ref_records, ref_sunk, status, steps = public_loop(
+            state, p, variant, cfg, settings, 0.15)
+        assert result.status is status is RunStatus.COMPLETED
+        assert result.steps == steps
+        assert result.records == ref_records
+        assert len(sunk) == len(ref_sunk) >= 2
+        for (got, n), (want, m) in zip(sunk, ref_sunk):
+            assert n == m
+            assert state_bytes(got) == state_bytes(want)
+        assert state_bytes(result.state) == state_bytes(ref_state)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("variant, p", [(ZK, ZK_PARAMS),
+                                            (PERT, PERT_PARAMS)],
+                             ids=["zero-kinematic", "perturbation"])
+    def test_blow_up_partial_state_matches_public_calls(self, variant, p):
+        state = self.blow_up_state(variant)
+        cfg = StepperConfig(dt=0.05, t_end=5.0, record_interval=0.05)
+        settings = DiagnosticsSettings()
+        result = run(state, p, variant, cfg, settings=settings)
+        ref_state, ref_records, _, status, steps = public_loop(
+            state, p, variant, cfg, settings, 1.0)
+        assert result.status is status is RunStatus.BLOW_UP
+        assert result.failure_step == result.steps == steps >= 2
+        assert result.records == ref_records
+        assert state_bytes(result.state) == state_bytes(ref_state)
+
+    def test_calls_module_step_once_per_step_with_its_dt(self, monkeypatch):
+        # the benchmark harness times run() by wrapping the module-level
+        # integrator.step and reading its dt argument
+        original = integrator.step
+        signature = inspect.signature(original)
+        calls = []
+
+        def counting(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs).arguments
+            out = original(*args, **kwargs)
+            calls.append((bound["state"].t, bound["dt"], out.t))
+            return out
+
+        monkeypatch.setattr(integrator, "step", counting)
+        variant, p, init = self.CASES["zero-kinematic"]
+        state = make_random_state(GridSpec(16), init, variant)
+        cfg = StepperConfig(dt=0.05, t_end=0.4, record_interval=0.1)
+        result = run(state, p, variant, cfg)
+        assert result.status is RunStatus.COMPLETED
+        assert len(calls) == result.steps >= 2
+        assert len({dt for _, dt, _ in calls}) > 1
+        for t0, dt, t1 in calls:
+            assert t1 == t0 + dt
+        for (_, _, t1), (t0, _, _) in zip(calls, calls[1:]):
+            assert t0 == t1
+        assert calls[0][0] == 0.0 and calls[-1][2] == result.state.t
+
+    def test_holds_no_full_spectrum_state_between_steps(self):
+        # at 32^3 a full-spectrum state is 4.72 MB and its band 0.73 MB;
+        # measured between steps: 1.41 MB traced, 6.24 MB when run carried
+        # a full State (and the caller's copy is not held here)
+        g = GridSpec(32)
+        init = InitSpec(epsilon=0.01, seed=6)
+        cfg = StepperConfig(dt=0.05, t_end=0.15, record_interval=0.05)
+        # fill the grid's caches and the transforms' plans first
+        run(make_random_state(g, init, ZK), ZK_PARAMS, ZK,
+            StepperConfig(dt=0.05, t_end=0.05))
+        held = []
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = run(make_random_state(g, init, ZK), ZK_PARAMS, ZK, cfg,
+                         record_sink=lambda rec: held.append(
+                             tracemalloc.get_traced_memory()[0] - base),
+                         initial_record=False)
+        finally:
+            tracemalloc.stop()
+        assert result.steps == len(held) == 3
+        full_state = 3 * 3 * g.n ** 3 * 16
+        assert max(held) <= full_state / 2

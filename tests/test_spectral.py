@@ -10,10 +10,8 @@ import pytest
 
 from mmpsim.spectral import (
     GridSpec,
-    SpectralScalarField,
     SpectralVectorField,
     alpha_dot_grad,
-    apply_diff_op,
     band_part,
     curl,
     dealias,
@@ -22,7 +20,6 @@ from mmpsim.spectral import (
     forward_transform,
     forward_transform_scalar,
     gradient,
-    grad_div,
     hermitian_symmetrize,
     inner_product,
     inverse_transform,
@@ -193,28 +190,6 @@ class TestDiffOps:
         gr = gradient(scalar)
         contracted = sum(a * gr.coeffs[i] for i, a in enumerate(alpha))
         assert np.allclose(direct.coeffs, contracted, atol=1e-15)
-
-    def test_rank_mismatch_raises(self):
-        g = GridSpec(8)
-        scalar = SpectralScalarField(np.zeros((8, 8, 8), dtype=complex), g)
-        vector = SpectralVectorField(np.zeros((3, 8, 8, 8), dtype=complex), g)
-        for op in ("div", "curl", "grad_div"):
-            with pytest.raises(ValueError):
-                apply_diff_op(scalar, op)
-        with pytest.raises(ValueError):
-            apply_diff_op(vector, "grad")
-        with pytest.raises(ValueError):
-            apply_diff_op(vector, "alpha_dot_grad")
-        with pytest.raises(ValueError):
-            apply_diff_op(vector, "shear")
-
-    def test_dispatcher_routes(self):
-        g = GridSpec(8)
-        v = random_bandlimited(g, 4)
-        assert np.allclose(apply_diff_op(v, "grad_div").coeffs,
-                           grad_div(v).coeffs)
-        assert np.allclose(apply_diff_op(v, "laplacian").coeffs,
-                           laplacian(v).coeffs)
 
 
 class TestLerayProjection:
