@@ -265,7 +265,7 @@ PERT_PARAMS = PhysParams(chi=1.0, eta=1.0, alpha=ALPHA, r=2.5)
 
 
 def public_loop(state, p, variant, cfg, settings, sink_interval):
-    """`run`'s driver loop written with the public full-spectrum calls:
+    """`run`'s loop written with the public full-spectrum calls:
     truncate to the dealiased box, then stable_dt + step + compute_record
     on `State`s.  Returns (state, records, sink calls, status, steps); on a
     blow-up the state is the last one before the failing step."""
