@@ -14,6 +14,7 @@ final name, never a truncated one.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -63,8 +64,10 @@ def save_checkpoint(path, state: State, params: PhysParams, step: int,
 
 
 def load_checkpoint(path) -> CheckpointData:
-    """Read a checkpoint.  The payload is read straight into one array, and
-    its length is checked against the file's size before it is read."""
+    """Read a checkpoint.  The header is validated first: a non-finite time,
+    a grid size `GridSpec` rejects or parameters `PhysParams` rejects raise
+    `CheckpointFormatError`.  The payload is read straight into one array,
+    and its length is checked against the file's size before it is read."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size:
@@ -78,6 +81,14 @@ def load_checkpoint(path) -> CheckpointData:
                 f"unsupported format version {version}")
         if variant_id not in WIRE_VARIANTS:
             raise CheckpointFormatError(f"unknown variant id {variant_id}")
+        if not math.isfinite(t):
+            raise CheckpointFormatError(f"non-finite time {t}")
+        try:
+            grid = GridSpec(n)
+            params = PhysParams(mu=mu, chi=chi, kappa=kappa, eta=eta, nu=nu,
+                                alpha=(a1, a2, a3), r=r)
+        except ValueError as exc:
+            raise CheckpointFormatError(f"bad header: {exc}") from exc
         expected = _HEADER.size + 9 * n ** 3 * 16
         size = os.fstat(fh.fileno()).st_size
         if size != expected:
@@ -86,13 +97,10 @@ def load_checkpoint(path) -> CheckpointData:
                 f"file has {size}")
         payload = np.fromfile(fh, dtype="<c16", count=9 * n ** 3)
 
-    grid = GridSpec(n)
     arrays = payload.reshape(3, 3, n, n, n).astype(np.complex128, copy=False)
     variant = WIRE_VARIANTS[variant_id]
     state = State(SpectralVectorField(arrays[0], grid),
                   SpectralVectorField(arrays[1], grid),
                   SpectralVectorField(arrays[2], grid),
                   variant, t=t)
-    params = PhysParams(mu=mu, chi=chi, kappa=kappa, eta=eta, nu=nu,
-                        alpha=(a1, a2, a3), r=r)
     return CheckpointData(state=state, params=params, step=step, seed=seed)

@@ -15,7 +15,7 @@ import os
 import sys
 
 from .checkpoint import CheckpointFormatError, load_checkpoint, save_checkpoint
-from .config import ConfigError, parse_config
+from .config import ConfigError, parse_config, parse_vec3
 from .diagio import read_diagnostics, truncate_diagnostics, write_diagnostics
 from .diophantine import check_diophantine, lifting_ratio
 from .fields import make_random_state
@@ -28,14 +28,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INTEGRITY = 2
 EXIT_IO = 3
-
-
-def _parse_alpha(raw: str) -> tuple[float, float, float]:
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != 3:
-        raise ValueError(f"--alpha expects three comma-separated reals, "
-                         f"got {raw!r}")
-    return tuple(float(p) for p in parts)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -189,7 +181,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check_diophantine(args) -> int:
-    report = check_diophantine(_parse_alpha(args.alpha), args.r, args.kmax)
+    report = check_diophantine(parse_vec3(args.alpha), args.r, args.kmax)
     print(f"alpha = {report.alpha[0]:.17g},{report.alpha[1]:.17g},"
           f"{report.alpha[2]:.17g}")
     print(f"r = {report.r:.17g}")
@@ -203,7 +195,7 @@ def _cmd_check_diophantine(args) -> int:
 
 def _cmd_verify_lemma(args) -> int:
     grid = GridSpec(args.n)
-    report = lifting_ratio(_parse_alpha(args.alpha), args.s, args.r, grid,
+    report = lifting_ratio(parse_vec3(args.alpha), args.s, args.r, grid,
                            args.trials, args.seed)
     print(f"alpha = {report.alpha[0]:.17g},{report.alpha[1]:.17g},"
           f"{report.alpha[2]:.17g}")

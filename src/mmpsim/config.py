@@ -12,7 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .fields import InitSpec, PhysParams, SystemVariant, validate_params
+from .fields import (
+    InitSpec,
+    PhysParams,
+    SystemVariant,
+    nonzero_forced,
+    validate_params,
+)
 from .integrator import StepperConfig
 from .norms import DiagnosticsSettings
 from .spectral import GridSpec
@@ -82,18 +88,30 @@ class RunConfig:
             hn = self.init.sobolev_index if (
                 perturbation and self.init.sobolev_index != 3.0) else None
             return DiagnosticsSettings(hn_index=hn)
-        include_h3 = False
-        hn = None
-        include_hr5 = False
-        for s in self.norms:
-            if math.isclose(s, 3.0, abs_tol=1e-9):
-                include_h3 = True
-            elif math.isclose(s, self.init.sobolev_index, abs_tol=1e-9):
-                hn = self.init.sobolev_index
-            elif math.isclose(s, self.params.r + 5.0, abs_tol=1e-9):
-                include_hr5 = True
-        return DiagnosticsSettings(include_h3=include_h3, hn_index=hn,
-                                   include_hr5=include_hr5)
+        columns = {_norm_column(s, self.init, self.params) for s in self.norms}
+        return DiagnosticsSettings(
+            include_h3="h3" in columns,
+            hn_index=self.init.sobolev_index if "hN" in columns else None,
+            include_hr5="hr5" in columns)
+
+
+def _norm_column(s: float, init: InitSpec, params: PhysParams) -> str | None:
+    """The diagnostics column that reports the H^s norm named in
+    ``output.norms``: h3 for 3, hN for the initial data's index N, hr5 for
+    r+5, tried in that order; None if no column does."""
+    for column, index in (("h3", 3.0), ("hN", init.sobolev_index),
+                          ("hr5", params.r + 5.0)):
+        if math.isclose(s, index, abs_tol=1e-9):
+            return column
+    return None
+
+
+def parse_vec3(raw: str) -> tuple[float, float, float]:
+    """Three comma-separated reals, such as the value of ``alpha``."""
+    parts = [p.strip() for p in raw.split(",")]
+    if len(parts) != 3:
+        raise ValueError(f"expected three comma-separated reals, got {raw!r}")
+    return tuple(float(p) for p in parts)
 
 
 def _parse_value(tag: str, raw: str):
@@ -104,10 +122,7 @@ def _parse_value(tag: str, raw: str):
     if tag == "str":
         return raw
     if tag == "vec3":
-        parts = [p.strip() for p in raw.split(",")]
-        if len(parts) != 3:
-            raise ValueError(f"expected three comma-separated reals, got {raw!r}")
-        return tuple(float(p) for p in parts)
+        return parse_vec3(raw)
     if tag == "floats":
         parts = [p.strip() for p in raw.split(",") if p.strip()]
         if not parts:
@@ -225,25 +240,16 @@ def parse_config(text: str) -> RunConfig:
         elif not strict:
             # normalize structurally forced coefficients so the assembled
             # tendency matches the declared variant
-            forced = {}
-            if variant.forces_zero_mu and params.mu != 0.0:
-                forced["mu"] = 0.0
-            if variant.forces_zero_nu and params.nu != 0.0:
-                forced["nu"] = 0.0
-            if variant.forces_zero_chi and params.chi != 0.0:
-                forced["chi"] = 0.0
+            forced = nonzero_forced(params, variant)
             if forced:
-                params = replace(params, **forced)
+                params = replace(params, **dict.fromkeys(forced, 0.0))
                 warnings.append(
                     "permissive mode zeroed " + ", ".join(sorted(forced)))
 
     norms = values["output.norms"]
     if norms is not None and params is not None and init is not None:
         for s in norms:
-            matches = (math.isclose(s, 3.0, abs_tol=1e-9)
-                       or math.isclose(s, init.sobolev_index, abs_tol=1e-9)
-                       or math.isclose(s, params.r + 5.0, abs_tol=1e-9))
-            if not matches:
+            if _norm_column(s, init, params) is None:
                 errors.append(at_line(
                     "output.norms",
                     f"no diagnostics column for norm index {s}; available: "

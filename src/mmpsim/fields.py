@@ -129,22 +129,20 @@ class ValidationReport:
 _OPEN_PROBLEM_WARNING = "open problem regime, no stability guarantee"
 
 
+def nonzero_forced(p: PhysParams, variant: SystemVariant) -> dict[str, float]:
+    """The coefficients among mu, nu and chi (in that order) that the
+    variant structurally forces to zero but ``p`` sets nonzero, by name."""
+    forced = (("mu", variant.forces_zero_mu), ("nu", variant.forces_zero_nu),
+              ("chi", variant.forces_zero_chi))
+    return {name: getattr(p, name) for name, on in forced
+            if on and getattr(p, name) != 0.0}
+
+
 def structural_violations(p: PhysParams, variant: SystemVariant) -> list[str]:
     """Coefficients the variant structurally forces to zero but that were
     supplied nonzero; such sets are rejected even by tendency assembly."""
-    violations = []
-    forced = []
-    if variant.forces_zero_mu:
-        forced.append(("mu", p.mu))
-    if variant.forces_zero_nu:
-        forced.append(("nu", p.nu))
-    if variant.forces_zero_chi:
-        forced.append(("chi", p.chi))
-    for name, value in forced:
-        if value != 0.0:
-            violations.append(
-                f"variant {variant.value!r} forces {name}=0, got {name}={value}")
-    return violations
+    return [f"variant {variant.value!r} forces {name}=0, got {name}={value}"
+            for name, value in nonzero_forced(p, variant).items()]
 
 
 def validate_params(p: PhysParams, variant: SystemVariant,

@@ -168,7 +168,7 @@ def step(state: State | BandState, p: PhysParams, variant: SystemVariant,
                            linearized)
     for name, arr in (("u", u), ("omega", w), ("magnetic", m)):
         if not np.all(np.isfinite(arr)):
-            raise IntegrityError(f"non-finite {name} after step", step=None)
+            raise IntegrityError(f"non-finite {name} after step")
     new = BandState(u, w, m, grid, variant, t=state.t + dt)
     return new if band is state else new.to_state()
 

@@ -44,6 +44,13 @@ from .spectral import (
 
 INDEX_WINDOW = (-10.0, 40.0)
 
+# Weights of the monitored Lyapunov functionals: A of the curl-energy
+# functional F, gamma and c0 of the perturbation functionals E and D.
+# Every record uses them; the public functional functions default to them.
+WEIGHT_A = 10.0
+GAMMA = 4.0
+C0_WEIGHT = 1.0
+
 
 def _check_index(s: float) -> None:
     if not (INDEX_WINDOW[0] <= s <= INDEX_WINDOW[1]):
@@ -172,7 +179,7 @@ def l2_energy(state: State) -> float:
     return 0.5 * triple_sobolev_norm(state, 0.0) ** 2
 
 
-def curl_energy_functional(state: State, weight_a: float = 10.0) -> float:
+def curl_energy_functional(state: State, weight_a: float = WEIGHT_A) -> float:
     """Damped curl-energy functional: A times the squared Hdot^2 norm of
     (curl u, curl omega, curl magnetic) minus the second-derivative pairing
     of omega with curl u.  Coercive above the curl energy once A is large
@@ -188,8 +195,8 @@ def alpha_transport_norm(state: State, p: PhysParams, s: float) -> float:
 
 
 def perturbation_energy_functionals(state: State, p: PhysParams,
-                                    gamma: float = 4.0,
-                                    c0_weight: float = 1.0
+                                    gamma: float = GAMMA,
+                                    c0_weight: float = C0_WEIGHT
                                     ) -> tuple[float, float]:
     """The modified energy E and dissipation functional D monitored on
     perturbation runs.
@@ -240,21 +247,18 @@ RECORD_COLUMNS = tuple(f.name for f in dataclass_fields(DiagnosticsRecord))
 
 @dataclass(frozen=True)
 class DiagnosticsSettings:
-    """What to monitor per sample and with which functional weights.
+    """Which optional norm columns to monitor per sample.
 
-    ``hn_index`` enables the hN column (the high-regularity norm of
-    perturbation runs).  ``include_hr5=None`` resolves to "perturbation runs
-    only".  The audit recomputes the energy-flux cancellations each sample
-    and is the dominant per-record cost.
+    ``include_h3`` enables the h3 column and ``hn_index`` the hN column (the
+    high-regularity norm of perturbation runs).  ``include_hr5=None``
+    resolves to "perturbation runs only".  Every record also evaluates the
+    functionals with the fixed weights `WEIGHT_A`, `GAMMA` and `C0_WEIGHT`
+    and runs the energy-flux audit, the dominant per-record cost.
     """
 
-    weight_a: float = 10.0
-    gamma: float = 4.0
-    c0_weight: float = 1.0
     include_h3: bool = True
     hn_index: float | None = None
     include_hr5: bool | None = None
-    audit: bool = True
 
 
 def compute_record(state: State | BandState, p: PhysParams,
@@ -277,9 +281,7 @@ def compute_record(state: State | BandState, p: PhysParams,
     perturbation = state.variant is SystemVariant.PERTURBATION
     include_hr5 = perturbation if s.include_hr5 is None else s.include_hr5
     state = as_band(state)
-    cancel = None
-    if s.audit:
-        cancel = energy_flux_audit(state, p, state.variant).max_relative_cancellation
+    audit = energy_flux_audit(state, p, state.variant)
 
     band = state.grid.band
     arrays = state.arrays
@@ -291,12 +293,12 @@ def compute_record(state: State | BandState, p: PhysParams,
     h3 = triple(3.0) if s.include_h3 else None
     hn = triple(s.hn_index) if s.hn_index is not None else None
     hr5 = triple(p.r + 5.0) if include_hr5 else None
-    f_func = _curl_energy(*arrays, band, s.weight_a)
+    f_func = _curl_energy(*arrays, band, WEIGHT_A)
 
     e_func = d_func = transport = None
     if perturbation:
         e_func, d_func = _perturbation_functionals(arrays, powers, band, p,
-                                                   s.gamma, s.c0_weight)
+                                                   GAMMA, C0_WEIGHT)
         transport = _alpha_transport_norm(powers[2], band, p, p.r + 3.0)
 
     record = DiagnosticsRecord(
@@ -311,7 +313,7 @@ def compute_record(state: State | BandState, p: PhysParams,
         alpha_grad_B_hr3=transport,
         div_u_max=divergence_residual_coeffs(arrays[0], band),
         div_b_max=divergence_residual_coeffs(arrays[2], band),
-        cancel_max=cancel,
+        cancel_max=audit.max_relative_cancellation,
     )
     for name in RECORD_COLUMNS:
         value = getattr(record, name)

@@ -54,10 +54,6 @@ TWO_PI_CUBED = (2.0 * np.pi) ** 3
 class IntegrityError(RuntimeError):
     """Non-finite data detected (NaN/Inf), usually a blown-up trajectory."""
 
-    def __init__(self, message: str, step: int | None = None):
-        super().__init__(message)
-        self.step = step
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -204,16 +200,9 @@ class SpectralVectorField:
             raise ValueError(f"coefficient array shape {self.coeffs.shape} "
                              f"does not match grid n={n}")
 
-    def component(self, i: int) -> SpectralScalarField:
-        return SpectralScalarField(self.coeffs[i], self.grid)
-
     def coeff(self, i: int, k1: int, k2: int, k3: int) -> complex:
         _check_signed_index(self.grid, (k1, k2, k3))
         return complex(self.coeffs[i, k1, k2, k3])
-
-    def is_divergence_free(self, tol: float = 1e-12) -> bool:
-        """Certify max_k |k.vhat| / max_k |vhat| <= tol."""
-        return divergence_residual(self) <= tol
 
 
 Field = SpectralScalarField | SpectralVectorField
@@ -380,9 +369,7 @@ def inverse_transform(f: Field) -> np.ndarray:
     """Back to physical space; returns the real part (imaginary content of a
     Hermitian-symmetric field is pure roundoff).  Accepts any coefficients;
     `to_physical` is the pruned real path for retained-band coefficients."""
-    if isinstance(f, SpectralScalarField):
-        return np.real(np.fft.ifftn(f.coeffs)) * f.grid.npoints
-    return np.real(np.fft.ifftn(f.coeffs, axes=(1, 2, 3))) * f.grid.npoints
+    return np.real(np.fft.ifftn(f.coeffs, axes=(-3, -2, -1))) * f.grid.npoints
 
 
 def hermitian_symmetrize(coeffs: np.ndarray) -> np.ndarray:
@@ -415,10 +402,7 @@ def curl(v: SpectralVectorField) -> SpectralVectorField:
 
 def laplacian(f: Field) -> Field:
     """Laplacian -> -|k|^2 fhat (either rank)."""
-    ksq = f.grid.k_squared
-    if isinstance(f, SpectralScalarField):
-        return SpectralScalarField(-ksq * f.coeffs, f.grid)
-    return SpectralVectorField(-ksq[None] * f.coeffs, f.grid)
+    return type(f)(-f.grid.k_squared * f.coeffs, f.grid)
 
 
 def grad_div(v: SpectralVectorField) -> SpectralVectorField:
@@ -434,10 +418,7 @@ def alpha_dot_grad(f: Field, alpha) -> Field:
     a = np.asarray(alpha, dtype=np.float64)
     if a.shape != (3,):
         raise ValueError("alpha must be a 3-vector")
-    symbol = alpha_symbol(a, f.grid.full)
-    if isinstance(f, SpectralScalarField):
-        return SpectralScalarField(symbol * f.coeffs, f.grid)
-    return SpectralVectorField(symbol[None] * f.coeffs, f.grid)
+    return type(f)(alpha_symbol(a, f.grid.full) * f.coeffs, f.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -452,20 +433,14 @@ def leray_project(v: SpectralVectorField) -> SpectralVectorField:
 
 def dealias(f: Field) -> Field:
     """Zero every mode with any |k_i| > floor(n/3).  Idempotent."""
-    mask = f.grid.dealias_mask
-    if isinstance(f, SpectralScalarField):
-        return SpectralScalarField(f.coeffs * mask, f.grid)
-    return SpectralVectorField(f.coeffs * mask[None], f.grid)
+    return type(f)(f.coeffs * f.grid.dealias_mask, f.grid)
 
 
 def zero_mean(f: Field) -> Field:
-    if isinstance(f, SpectralScalarField):
-        out = f.coeffs.copy()
-        out[0, 0, 0] = 0.0
-        return SpectralScalarField(out, f.grid)
+    """Zero the k=0 mode (either rank)."""
     out = f.coeffs.copy()
-    out[:, 0, 0, 0] = 0.0
-    return SpectralVectorField(out, f.grid)
+    out[..., 0, 0, 0] = 0.0
+    return type(f)(out, f.grid)
 
 
 def divergence_residual_coeffs(c: np.ndarray, layout: SpectralLayout) -> float:

@@ -130,6 +130,33 @@ time.t_end = 1
             parse_config(MINIMAL + "output.norms = 4.25\n")
         assert any("no diagnostics column" in e for e in exc.value.errors)
 
+    # r = 2.5 by default, so the hr5 column reports the index r+5 = 7.5
+    @pytest.mark.parametrize("norms, index, columns", [
+        ("3", 21, (True, None, False)),
+        ("21", 21, (False, 21.0, False)),
+        ("7.5", 21, (False, None, True)),
+        ("3, 7.5", 21, (True, None, True)),
+        ("7.5, 21, 3", 21, (True, 21.0, True)),
+        ("3", 3, (True, None, False)),       # N = 3: h3 takes it
+        ("7.5", 7.5, (False, 7.5, False)),   # N = r+5: hN takes it
+        ("4.25", 21, None),
+        ("3, 4.25", 21, None),
+        ("21", 5, None),                     # N is 5, not 21
+    ])
+    def test_norms_mapping(self, norms, index, columns):
+        # every accepted index enables a column of diagnostics_settings();
+        # an index that would enable none is rejected
+        text = MINIMAL + f"init.sobolev_index = {index}\n" \
+            f"output.norms = {norms}\n"
+        if columns is None:
+            with pytest.raises(ConfigError) as exc:
+                parse_config(text)
+            assert any("no diagnostics column" in e for e in exc.value.errors)
+            return
+        settings = parse_config(text).diagnostics_settings()
+        assert (settings.include_h3, settings.hn_index,
+                settings.include_hr5) == columns
+
     def test_k_peak_beyond_cutoff_rejected(self):
         with pytest.raises(ConfigError) as exc:
             parse_config(MINIMAL + "init.k_peak = 11\n")

@@ -20,6 +20,7 @@ from mmpsim.fields import InitSpec, PhysParams, State, SystemVariant, make_rando
 from mmpsim.integrator import step
 from mmpsim.spectral import (
     GridSpec,
+    SpectralScalarField,
     SpectralVectorField,
     alpha_dot_grad,
     curl,
@@ -424,8 +425,8 @@ class TestEnergyFluxAudit:
         chi = p.coupling_chi(SystemVariant.FULL)
 
         def grad_sq(f):
-            return sum(l2_norm(gradient(f.component(i))) ** 2
-                       for i in range(3))
+            return sum(l2_norm(gradient(SpectralScalarField(c, f.grid))) ** 2
+                       for c in f.coeffs)
 
         transfer = 4.0 * chi * inner_product(curl(u), w)
         dissipation = (p.u_diffusion(SystemVariant.FULL) * grad_sq(u)

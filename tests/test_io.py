@@ -129,6 +129,25 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError, match="length mismatch"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("offset, fmt, value", [
+        (88, "<d", float("nan")),   # time
+        (88, "<d", float("inf")),
+        (8, "<I", 0),               # grid n
+        (8, "<I", 9),
+        (16, "<d", -1.0),           # mu
+    ])
+    def test_bad_header_field_rejected(self, tmp_path, offset, fmt, value):
+        # the payload length always matches the header's n, so only the
+        # header field itself is wrong
+        path = tmp_path / "state.mmp"
+        save_checkpoint(path, sample_state(n=8), ZK_PARAMS, step=0, seed=0)
+        header = bytearray(path.read_bytes()[:112])
+        struct.pack_into(fmt, header, offset, value)
+        (n,) = struct.unpack_from("<I", header, 8)
+        path.write_bytes(bytes(header) + bytes(9 * n ** 3 * 16))
+        with pytest.raises(CheckpointFormatError):
+            load_checkpoint(path)
+
 
 class TestDiagnosticsCsv:
     def test_header_exact(self):
@@ -399,6 +418,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert "blow-up" in err
+
+    def test_resume_from_bad_header_keeps_diagnostics(self, tmp_path,
+                                                      capsys):
+        outdir = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(
+            t_end=0.2, outdir=outdir, extra="output.checkpoint_interval = 0.1"))
+        assert cli_main(["run", "--config", str(cfg)]) == 0
+        csv = outdir / "diagnostics.csv"
+        before = csv.read_bytes()
+        assert len(read_diagnostics(csv)) > 1
+        ckpt = sorted(outdir.glob("checkpoint_*.mmp"))[-1]
+        blob = bytearray(ckpt.read_bytes())
+        struct.pack_into("<d", blob, 88, float("nan"))  # the header time
+        ckpt.write_bytes(bytes(blob))
+        capsys.readouterr()
+        code = cli_main(["run", "--config", str(cfg), "--resume", str(ckpt)])
+        assert code == 1
+        assert "bad checkpoint" in capsys.readouterr().err
+        assert csv.read_bytes() == before
 
     def test_resume_mismatched_grid_rejected(self, tmp_path, capsys):
         outdir = tmp_path / "out"

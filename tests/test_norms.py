@@ -6,6 +6,9 @@ import pytest
 from mmpsim.fields import InitSpec, PhysParams, State, SystemVariant, make_random_state
 from mmpsim.integrator import step
 from mmpsim.norms import (
+    C0_WEIGHT,
+    GAMMA,
+    WEIGHT_A,
     DiagnosticsSettings,
     alpha_transport_norm,
     compute_record,
@@ -253,11 +256,11 @@ class TestBandRecord:
             "h3": triple_sobolev_norm(state, 3.0),
             "hN": triple_sobolev_norm(state, 5.0),
             "hr5": triple_sobolev_norm(state, p.r + 5.0),
-            "F_func": curl_energy_functional(state, settings.weight_a),
+            "F_func": curl_energy_functional(state, WEIGHT_A),
         }
         if variant is SystemVariant.PERTURBATION:
             want["E_func"], want["D_func"] = perturbation_energy_functionals(
-                state, p, settings.gamma, settings.c0_weight)
+                state, p, GAMMA, C0_WEIGHT)
             want["alpha_grad_B_hr3"] = alpha_transport_norm(state, p,
                                                             p.r + 3.0)
         else:

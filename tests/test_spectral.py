@@ -10,6 +10,7 @@ import pytest
 
 from mmpsim.spectral import (
     GridSpec,
+    SpectralScalarField,
     SpectralVectorField,
     alpha_dot_grad,
     band_part,
@@ -190,6 +191,29 @@ class TestDiffOps:
         gr = gradient(scalar)
         contracted = sum(a * gr.coeffs[i] for i, a in enumerate(alpha))
         assert np.allclose(direct.coeffs, contracted, atol=1e-15)
+
+
+class TestRankGenericWrappers:
+    """A wrapper that takes either rank acts on the trailing three axes, so
+    on a vector field it is the stack of its scalar results per component."""
+
+    @pytest.mark.parametrize("op", [
+        laplacian, dealias, zero_mean, inverse_transform,
+        lambda f: alpha_dot_grad(f, (0.3, -1.2, 0.7)),
+    ], ids=["laplacian", "dealias", "zero_mean", "inverse_transform",
+            "alpha_dot_grad"])
+    def test_vector_is_stack_of_components(self, op):
+        g = GridSpec(16)
+        v = forward_transform(random_physical(g, 21), g)
+        parts = [op(SpectralScalarField(c, g)) for c in v.coeffs]
+        got = op(v)
+        if op is inverse_transform:
+            assert np.array_equal(got, np.stack(parts))
+            return
+        assert type(got) is SpectralVectorField and got.grid is g
+        assert all(type(part) is SpectralScalarField for part in parts)
+        assert np.array_equal(got.coeffs,
+                              np.stack([part.coeffs for part in parts]))
 
 
 class TestLerayProjection:
