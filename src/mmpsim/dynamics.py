@@ -19,8 +19,13 @@ For divergence-free fields these equal the advective forms -(u.grad)u +
 the dealiased products exact, so the rewrite changes results only at
 roundoff.  One evaluation makes 9 inverse and 18 forward real transforms of
 scalar fields, each three 1D passes over n^2 + n(kc+1) + (2kc+1)(kc+1)
-lines (kc = n//3).  The 18 forward transforms are made three fields at a
-time out of one reused grid buffer (see `_quadratic_terms`).
+lines (kc = n//3).  Each transform, with the product it transforms, is
+one task of `spectral.run_tasks`, which spreads them over two threads on
+grids from n = `spectral.SPLIT_MIN_N` up; every thread forms its products
+in two grid buffers of its own (see `_quadratic_terms`).  The energy-flux
+audit splits its 33 inverse and 15 forward transforms the same way, up to
+its full-spectrum pairings, which stay on the calling thread.  Threaded
+and single-thread results are equal bit for bit.
 
 The stiff symbol of the micro-rotation field is diagonal only after
 splitting each mode into components parallel and perpendicular to k: the
@@ -53,7 +58,6 @@ from .spectral import (
     curl,
     curl_coeffs,
     expand_band,
-    gradient_coeffs,
     grad_div,
     inner_product,
     k_dot,
@@ -61,8 +65,7 @@ from .spectral import (
     parseval_sum,
     power_spectrum,
     project_coeffs,
-    to_physical,
-    to_spectral,
+    run_tasks,
 )
 
 # The 6 stored components (i, j), i <= j, of a symmetric tensor, and for
@@ -185,17 +188,50 @@ class RhsDecomposition:
                 self.explicit_magnetic + sm)
 
 
-def _advect_band(velocities, f_band: np.ndarray, grid: GridSpec
-                 ) -> list[np.ndarray]:
-    """(v.grad)f on the retained band, in advective form, for each physical
-    velocity v of ``velocities``.  The gradient of each component of f is
-    transformed once and shared by all of them."""
-    outs = [np.empty_like(f_band) for _ in velocities]
-    for i in range(3):
-        df = to_physical(gradient_coeffs(f_band[i], grid.band), grid)
-        for v, out in zip(velocities, outs):
-            out[i] = to_spectral(v[0] * df[0] + v[1] * df[1] + v[2] * df[2],
-                                 grid)
+def _grid_tasks(arrays, outs) -> list:
+    """`run_tasks` tasks that write `to_physical` of each band vector field
+    of ``arrays`` into the matching grid array of ``outs``, one task per
+    component."""
+    def component(c, out):
+        return lambda ws: ws.to_physical(c, out)
+    return [component(c[i], out[i]) for c, out in zip(arrays, outs)
+            for i in range(3)]
+
+
+def _advect_band(velocities, terms, grid: GridSpec) -> list[list[np.ndarray]]:
+    """(v.grad)f on the retained band, in advective form, for each
+    (f_band, indices) of ``terms`` and each band velocity
+    ``velocities[i]``, i in indices: one list per term, one band array per
+    index.  The velocities are transformed to the grid once, then one task
+    per component of each f transforms that component's gradient once and
+    shares it among the velocities."""
+    symbols = [1j * k for k in grid.band.k_vectors]
+    # the results first, then the grid values and workspaces, which are
+    # freed in the reverse order
+    outs = [[np.empty_like(f_band) for _ in indices]
+            for f_band, indices in terms]
+    phys = [np.empty((3,) + (grid.n,) * 3) for _ in velocities]
+
+    def component(f, term_velocities, term_outs):
+        def task(ws):
+            grad, df, (p, q) = ws.band_fields, ws.fields[:3], ws.fields[3:]
+            for j in range(3):
+                np.multiply(symbols[j], f, out=grad[j])
+                ws.to_physical(grad[j], df[j])
+            for v, out in zip(term_velocities, term_outs):
+                np.multiply(v[0], df[0], out=p)
+                np.multiply(v[1], df[1], out=q)
+                np.add(p, q, out=p)
+                np.multiply(v[2], df[2], out=q)
+                np.add(p, q, out=p)
+                ws.to_spectral(p, out)
+        return task
+    run_tasks([_grid_tasks(velocities, phys),
+               [component(f_band[i], [phys[k] for k in indices],
+                          [out[i] for out in term_outs])
+                for (f_band, indices), term_outs in zip(terms, outs)
+                for i in range(3)]],
+              grid, fields=5, band_fields=3)
     return outs
 
 
@@ -207,8 +243,8 @@ def advect(v: SpectralVectorField, f: SpectralVectorField) -> SpectralVectorFiel
     if v.grid.n != f.grid.n:
         raise ValueError("advect requires fields on a shared grid")
     grid = f.grid
-    (out,) = _advect_band([to_physical(band_part(v.coeffs, grid), grid)],
-                          band_part(f.coeffs, grid), grid)
+    ((out,),) = _advect_band([band_part(v.coeffs, grid)],
+                             [(band_part(f.coeffs, grid), (0,))], grid)
     return SpectralVectorField(expand_band(out, grid), grid)
 
 
@@ -218,37 +254,48 @@ def _check_variant_consistency(p: PhysParams, variant: SystemVariant) -> None:
         raise ValueError("; ".join(structural))
 
 
+def _product_task(out: np.ndarray, a, b, c=None, d=None):
+    """A `run_tasks` task that forms the grid product a b, or a b - c d, in
+    its workspace's two grid buffers and transforms it into ``out``."""
+    def task(ws):
+        p, q = ws.fields
+        np.multiply(a, b, out=p)
+        if c is not None:
+            np.multiply(c, d, out=q)
+            np.subtract(p, q, out=p)
+        ws.to_spectral(p, out)
+    return task
+
+
 def _quadratic_terms(u_hat: np.ndarray, w_hat: np.ndarray, m_hat: np.ndarray,
                      grid: GridSpec
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """-div(u(x)u - b(x)b), -div(u(x)omega) and curl(u x b) on retained-band
     coefficients; the band transforms make them dealiased.
 
-    Working set: the grid values of u, omega and b, one reused (3, n, n, n)
-    buffer for the 18 products and their band coefficients.  The products
-    pass through the buffer three at a time (stress components 0-2, then
-    3-5, the flux rows u_j omega for j = 0, 1, 2, then the emf), and each
-    group is transformed into its slice of the band array, so at most one
-    group's rfft output is alive.  Each 1D line and each product is the
-    one a whole-stack evaluation would compute."""
+    One `run_tasks` call in two phases: 9 tasks each transform one
+    component of u, omega or b to the grid; then 18 tasks each form one
+    product (the 6 stress components u_i u_j - b_i b_j, the 9 flux rows
+    u_j omega_i, the 3 emf components) in their thread's two grid buffers
+    and transform it into its slice of one band array.  The working set is
+    the grid values of u, omega and b, the 18 band products, and per
+    thread two grid buffers and one transform workspace.  Each 1D line and
+    each product is the one a whole-stack evaluation would compute."""
     band = grid.band
-    u, w, b = (to_physical(c, grid) for c in (u_hat, w_hat, m_hat))
-    buf = np.empty_like(u)
+    # the products first, then the grid values and workspaces, which are
+    # freed in the reverse order
     products = np.empty((18,) + u_hat.shape[1:], dtype=np.complex128)
     stress, flux, emf = products[:6], products[6:15], products[15:]
-    for group in (0, 3):
-        for slot, (i, j) in enumerate(_SYM_PAIRS[group:group + 3]):
-            np.multiply(u[i], u[j], out=buf[slot])
-            buf[slot] -= b[i] * b[j]
-        stress[group:group + 3] = to_spectral(buf, grid)
+    u, w, b = phys = [np.empty((3,) + (grid.n,) * 3) for _ in range(3)]
     # flux[3 j + i] = u_j omega_i, so k . flux sums over j
-    for j in range(3):
-        np.multiply(u[j], w, out=buf)
-        flux[3 * j:3 * j + 3] = to_spectral(buf, grid)
-    for slot, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
-        np.multiply(u[i], b[j], out=buf[slot])
-        buf[slot] -= u[j] * b[i]
-    emf[:] = to_spectral(buf, grid)
+    factors = ([(u[i], u[j], b[i], b[j]) for i, j in _SYM_PAIRS]
+               + [(u[j], w[i]) for j in range(3) for i in range(3)]
+               + [(u[i], b[j], u[j], b[i])
+                  for i, j in ((1, 2), (2, 0), (0, 1))])
+    run_tasks([_grid_tasks((u_hat, w_hat, m_hat), phys),
+               [_product_task(out, *f) for out, f in zip(products, factors)]],
+              grid, fields=2)
+    del u, w, b, phys, factors
     div_stress = np.stack([k_dot(stress[list(row)], band) for row in _SYM_ROWS])
     return (-1j * div_stress, -1j * k_dot(flux.reshape((3,) + w_hat.shape),
                                           band),
@@ -357,9 +404,11 @@ def energy_flux_audit(state: State | BandState, p: PhysParams,
     content outside it is dropped.  The advection terms are `advect`'s
     products on the box, with u and b transformed once and each
     component's gradient shared by the products that use it: 33 inverse
-    and 15 forward scalar transforms.  The six cancellation pairings are
-    full-spectrum inner products with the box's content, so on a dealiased
-    state they take the values of the full fields bit for bit.
+    and 15 forward scalar transforms, split over threads by `run_tasks`.
+    Their grid values and scratch are freed before the six cancellation
+    pairings, which run on the calling thread as full-spectrum inner
+    products with the box's content, so on a dealiased state they take
+    the values of the full fields bit for bit.
     ``coupling_transfer``, ``dissipation`` and ``l2_energy_sq`` are band
     sums weighted by the band's multiplicity (`parseval_sum`), equal to
     their full-spectrum values on a dealiased real state up to the
@@ -369,14 +418,11 @@ def energy_flux_audit(state: State | BandState, p: PhysParams,
     chi = p.coupling_chi(variant)
 
     u_band, w_band, m_band = as_band(state).arrays
-    u_phys, m_phys = (to_physical(c, grid) for c in (u_band, m_band))
-    u_grad_u, m_grad_u = _advect_band([u_phys, m_phys], u_band, grid)
-    (u_grad_w,) = _advect_band([u_phys], w_band, grid)
-    u_grad_m, m_grad_m = _advect_band([u_phys, m_phys], m_band, grid)
-    # the pairings below allocate full-spectrum arrays: drop the grid
-    # values first and expand omega apart from u and b, so that at most two
-    # expanded fields are alive at once
-    del u_phys, m_phys
+    (u_grad_u, m_grad_u), (u_grad_w,), (u_grad_m, m_grad_m) = _advect_band(
+        [u_band, m_band], [(u_band, (0, 1)), (w_band, (0,)),
+                           (m_band, (0, 1))], grid)
+    # the pairings below allocate full-spectrum arrays: expand omega apart
+    # from u and b, so that at most two expanded fields are alive at once
 
     def full(c):
         return SpectralVectorField(expand_band(c, grid), grid)

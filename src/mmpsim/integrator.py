@@ -21,7 +21,10 @@ band-resident: it takes the band of its input once and carries the
 the state sink and its result.  Each explicit evaluation makes 27 pruned
 real transforms of scalar fields, 108 per step; each is three 1D passes
 (324 per step) over n^2 + n(kc+1) + (2kc+1)(kc+1) lines, kc = n//3.  Each
-stage is freed after its last use (see `_step_arrays`).
+stage is freed after its last use (see `_step_arrays`).  Within an
+evaluation the transforms run on two threads from n =
+`spectral.SPLIT_MIN_N` up (`spectral.run_tasks`); the four stages stay
+sequential, and a step's result is the single-thread one bit for bit.
 """
 
 from __future__ import annotations

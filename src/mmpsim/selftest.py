@@ -9,6 +9,7 @@ import tempfile
 
 import numpy as np
 
+from . import spectral
 from .checkpoint import load_checkpoint, save_checkpoint
 from .diagio import read_diagnostics, write_diagnostics
 from .diophantine import check_diophantine
@@ -73,6 +74,33 @@ def check_band_fft_exact():
         np.fft.rfftn(phys, axes=axes, norm="forward"), grid)).max()
     return (inverse == 0.0 and forward == 0.0,
             f"max difference inverse {inverse:.1e}, forward {forward:.1e}")
+
+
+def check_threaded_bit_exact():
+    # The step and the audit split their band transforms over threads from
+    # a grid size up; that equals the single-thread result bit for bit only
+    # if numpy computes every 1D line alike in any thread, a property of the
+    # numpy build checked here with the split engaged at 32^3.
+    grid = GridSpec(32)
+    full = SystemVariant.FULL
+    p = PhysParams(mu=0.2, chi=1.0, kappa=0.4, eta=1.0, nu=0.5)
+    state = make_random_state(grid, InitSpec(epsilon=1000.0, seed=17), full)
+    saved = spectral.WORKERS, spectral.SPLIT_MIN_N
+    results = []
+    try:
+        for workers in (1, 2):
+            spectral.WORKERS, spectral.SPLIT_MIN_N = workers, grid.n
+            results.append((step(state, p, full, 1e-4),
+                            energy_flux_audit(state, p, full)))
+    finally:
+        spectral.WORKERS, spectral.SPLIT_MIN_N = saved
+    (serial, serial_audit), (threaded, threaded_audit) = results
+    diff = max(np.abs(getattr(serial, name).coeffs
+                      - getattr(threaded, name).coeffs).max()
+               for name in ("u", "omega", "magnetic"))
+    ok = diff == 0.0 and serial_audit == threaded_audit
+    return ok, (f"step max difference {diff:.1e}, audit "
+                f"{'equal' if serial_audit == threaded_audit else 'differs'}")
 
 
 def check_parseval():
@@ -259,6 +287,7 @@ def check_diagnostics_roundtrip():
 CHECKS = (
     ("transform-round-trip", check_round_trip),
     ("band-fft-exact", check_band_fft_exact),
+    ("threaded-bit-exact", check_threaded_bit_exact),
     ("parseval", check_parseval),
     ("div-of-curl", check_div_curl),
     ("curl-of-grad", check_curl_grad),

@@ -37,12 +37,25 @@ transforms are the same 1D passes, so on dealiased data the pruned ones
 return their retained coefficients and physical values bit for bit.  The
 field-level operators are thin wrappers over the kernels on ``grid.full``.
 
-All operations are pure: they return new field objects and never mutate
-their inputs.
+`run_tasks` spreads independent scalar transforms (and the products that
+feed them) over min(2, available cores) threads from n = `SPLIT_MIN_N`
+up; numpy's FFTs and elementwise kernels release the interpreter lock.
+Each task writes through a `BandWorkspace`'s methods into arrays the
+calling thread allocated, so each 1D line is transformed as on one thread
+and the results are bit-identical; only which thread runs a line changes,
+never the pass and line counts above.  The threads run these array kernels
+only, never a public mmpsim function: a span recorder wrapping those (such
+as the benchmark's tracer, whose span stack is not thread-safe) sees every
+call on the calling thread.
+
+All field-level operations are pure: they return new field objects and
+never mutate their inputs.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -236,16 +249,58 @@ def expand_band(c: np.ndarray, grid: GridSpec) -> np.ndarray:
     return out
 
 
-def _unfold(c: np.ndarray, axis: int, n: int, kc: int) -> np.ndarray:
-    """Zero-pad the retained band along ``axis`` to the n FFT-ordered
-    wavenumbers of the full axis."""
-    shape = list(c.shape)
-    shape[axis] = n
-    out = np.zeros(shape, dtype=np.complex128)
-    lo = (slice(None),) * (axis % c.ndim)
-    out[lo + (slice(0, kc + 1),)] = c[lo + (slice(0, kc + 1),)]
-    out[lo + (slice(n - kc, n),)] = c[lo + (slice(kc + 1, None),)]
-    return out
+class BandWorkspace:
+    """The scratch arrays of one thread for scalar band transforms, each
+    allocated when the workspace is made: ``wide`` (n, n, n//2+1) and
+    ``narrow`` (n, 2kc+1, kc+1) complex for the transforms' intermediate
+    passes, plus ``fields`` real (n, n, n) grid buffers and ``band_fields``
+    complex retained-band buffers for the caller's own products.
+
+    `to_physical` and `to_spectral` write into a given output and allocate
+    no array: each 1D pass runs in place on the scratch.  numpy transforms
+    line by line, so a pass written over its input returns the values of
+    the out-of-place pass bit for bit."""
+
+    def __init__(self, grid: GridSpec, fields: int = 0, band_fields: int = 0):
+        n, kc = grid.n, grid.kmax_dealias
+        self.grid = grid
+        self.wide = np.empty((n, n, n // 2 + 1), dtype=np.complex128)
+        self.narrow = np.empty((n, 2 * kc + 1, kc + 1), dtype=np.complex128)
+        self.fields = [np.empty((n, n, n)) for _ in range(fields)]
+        self.band_fields = [np.empty((2 * kc + 1, 2 * kc + 1, kc + 1),
+                                     dtype=np.complex128)
+                            for _ in range(band_fields)]
+
+    def to_physical(self, c: np.ndarray, out: np.ndarray) -> None:
+        """`to_physical` of scalar band coefficients c, written into the
+        (n, n, n) array ``out``.  Each pass zero-pads the retained band
+        along its axis to the full n wavenumbers in FFT order."""
+        n, kc = self.grid.n, self.grid.kmax_dealias
+        a = self.narrow
+        a[:kc + 1] = c[:kc + 1]
+        a[kc + 1:n - kc] = 0.0
+        a[n - kc:] = c[kc + 1:]
+        np.fft.ifft(a, axis=-3, norm="forward", out=a)
+        b = self.wide[..., :kc + 1]
+        b[:, :kc + 1] = a[:, :kc + 1]
+        b[:, kc + 1:n - kc] = 0.0
+        b[:, n - kc:] = a[:, kc + 1:]
+        np.fft.ifft(b, axis=-2, norm="forward", out=b)
+        np.fft.irfft(b, n=n, axis=-1, norm="forward", out=out)
+
+    def to_spectral(self, phys: np.ndarray, out: np.ndarray) -> None:
+        """`to_spectral` of scalar grid values, written into the band array
+        ``out``.  The gathers use mode "clip" (the indices are in range)
+        because numpy buffers ``out`` under the default "raise"."""
+        idx = self.grid.band_index
+        a = self.wide
+        np.fft.rfft(phys, axis=-1, norm="forward", out=a)
+        a = a[..., :self.grid.kmax_dealias + 1]
+        np.fft.fft(a, axis=-2, norm="forward", out=a)
+        b = self.narrow
+        np.take(a, idx, axis=-2, out=b, mode="clip")
+        np.fft.fft(b, axis=-3, norm="forward", out=b)
+        np.take(b, idx, axis=-3, out=out, mode="clip")
 
 
 def to_physical(c: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -256,10 +311,11 @@ def to_physical(c: np.ndarray, grid: GridSpec) -> np.ndarray:
     skipping lines that carry only zeros.  Axis -3 is transformed on the
     (2kc+1)(kc+1) retained (k2, k3) lines, axis -2 on the n(kc+1) lines with
     k3 <= kc, and axis -1 by a full irfft on n^2 lines."""
-    n, kc = grid.n, grid.kmax_dealias
-    a = np.fft.ifft(_unfold(c, -3, n, kc), axis=-3, norm="forward")
-    a = np.fft.ifft(_unfold(a, -2, n, kc), axis=-2, norm="forward")
-    return np.fft.irfft(a, n=n, axis=-1, norm="forward")
+    out = np.empty(c.shape[:-3] + (grid.n,) * 3)
+    ws = BandWorkspace(grid)
+    for index in np.ndindex(c.shape[:-3]):
+        ws.to_physical(c[index], out[index])
+    return out
 
 
 def to_spectral(phys: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -269,10 +325,76 @@ def to_spectral(phys: np.ndarray, grid: GridSpec) -> np.ndarray:
     Equals the band part of rfftn bit for bit: the same 1D passes (axis -1,
     then -2, then -3), each keeping only the retained outputs, so the next
     pass transforms only the lines that reach the band."""
-    idx = grid.band_index
-    a = np.fft.rfft(phys, axis=-1, norm="forward")[..., :grid.kmax_dealias + 1]
-    a = np.fft.fft(a, axis=-2, norm="forward")[..., idx, :]
-    return np.fft.fft(a, axis=-3, norm="forward")[..., idx, :, :]
+    kc = grid.kmax_dealias
+    out = np.empty(phys.shape[:-3] + (2 * kc + 1, 2 * kc + 1, kc + 1),
+                   dtype=np.complex128)
+    ws = BandWorkspace(grid)
+    for index in np.ndindex(phys.shape[:-3]):
+        ws.to_spectral(phys[index], out[index])
+    return out
+
+
+def _available_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# `run_tasks` spreads its tasks over WORKERS threads on grids of at least
+# SPLIT_MIN_N points per axis.  Measured on 2 cores, 30 alternating pairs
+# of a perturbation step and audit: two threads lost at n = 16 and 20, were
+# even at 24 and won 23-28 of 30 from 26 up.
+WORKERS = min(2, _available_cores())
+SPLIT_MIN_N = 26
+
+
+def run_tasks(phases, grid: GridSpec, fields: int = 0,
+              band_fields: int = 0) -> None:
+    """Run each task of each phase once as ``task(ws)``, ws a
+    `BandWorkspace` of ``grid`` with ``fields`` and ``band_fields``
+    buffers.  A phase starts once every task of the one before has
+    returned.
+
+    From n = SPLIT_MIN_N up the calling thread and WORKERS - 1 helper
+    threads draw the tasks in list order, each with its own workspace;
+    below it the calling thread runs them all.  The calling thread
+    allocates every workspace, so a task should write only into arrays the
+    caller allocated and its workspace: a thread then computes each 1D
+    line and product exactly as the single-thread run does.  The first
+    exception raised by a task stops the drawing and is re-raised here
+    once every helper has been joined; no thread outlives its phase, and
+    nothing keeps a workspace alive after the call."""
+    count = WORKERS if grid.n >= SPLIT_MIN_N else 1
+    workspaces = [BandWorkspace(grid, fields, band_fields)
+                  for _ in range(count)]
+    lock = threading.Lock()
+    failures: list[BaseException] = []
+
+    def drain(pending, ws: BandWorkspace) -> None:
+        try:
+            while not failures:
+                with lock:
+                    task = next(pending, None)
+                if task is None:
+                    return
+                task(ws)
+        except BaseException as exc:  # re-raised by the calling thread
+            failures.append(exc)
+
+    for tasks in phases:
+        pending = iter(tasks)
+        helpers = [threading.Thread(target=drain, args=(pending, ws))
+                   for ws in workspaces[1:]]
+        try:
+            for helper in helpers:
+                helper.start()
+            drain(pending, workspaces[0])
+        finally:
+            for helper in helpers:
+                if helper.is_alive():
+                    helper.join()
+        if failures:
+            raise failures[0]
 
 
 def power_spectrum(c: np.ndarray) -> np.ndarray:

@@ -1,12 +1,18 @@
 """RHS assembly: advection kernel vs direct convolution, stiff/explicit
 recombination vs a monolithic evaluation, the retained-band step's layout
-conversions, FFT budget and working set, and the energy-flux audit."""
+conversions, FFT budget and working set, the split of the band transforms
+over threads, and the energy-flux audit."""
 
+import sys
+import threading
+import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from mmpsim import dynamics, spectral
 from mmpsim.dynamics import (
     _SYM_PAIRS,
     _SYM_ROWS,
@@ -16,7 +22,14 @@ from mmpsim.dynamics import (
     rhs,
     stiff_symbols,
 )
-from mmpsim.fields import InitSpec, PhysParams, State, SystemVariant, make_random_state
+from mmpsim.fields import (
+    InitSpec,
+    PhysParams,
+    State,
+    SystemVariant,
+    as_band,
+    make_random_state,
+)
 from mmpsim.integrator import step
 from mmpsim.spectral import (
     GridSpec,
@@ -45,6 +58,12 @@ from mmpsim.spectral import (
 )
 
 ALPHA = tuple(0.9 * np.array([1.0, np.sqrt(2), np.sqrt(3)]) / np.sqrt(6.0))
+
+
+def force_threads(monkeypatch, workers):
+    """Make `run_tasks` use ``workers`` threads on every grid size."""
+    monkeypatch.setattr(spectral, "WORKERS", workers)
+    monkeypatch.setattr(spectral, "SPLIT_MIN_N", 8)
 
 
 def random_bandlimited(grid, seed):
@@ -136,7 +155,7 @@ def monolithic_rhs(state, p, variant):
 def stacked_quadratic_terms(u_hat, w_hat, m_hat, grid):
     """The quadratic terms with the 6 stress, 9 flux and 3 emf products each
     formed and transformed as one stack: the same products and 1D lines as
-    `_quadratic_terms`, which streams them three at a time."""
+    `_quadratic_terms`, which forms and transforms them one at a time."""
     band = grid.band
     u, w, b = (to_physical(c, grid) for c in (u_hat, w_hat, m_hat))
     stress = to_spectral(np.stack([u[i] * u[j] - b[i] * b[j]
@@ -288,7 +307,8 @@ class TestBandStep:
         # of scalar fields, each three 1D passes: 324 passes per step.  The
         # library transforms the last three axes; per scalar field a pass
         # set covers n^2 + n(kc+1) + (2kc+1)(kc+1) lines, not the
-        # n^2 + 2n(n//2+1) of unpruned rfftn/irfftn
+        # n^2 + 2n(n//2+1) of unpruned rfftn/irfftn.  The same count holds
+        # with the transforms split over two threads (n = 32)
         passes, lines, nd_calls = [], [], []
         for name in ("fft", "ifft", "rfft", "irfft"):
             def counted(a, *args, _original=getattr(np.fft, name), **kwargs):
@@ -302,15 +322,31 @@ class TestBandStep:
                 nd_calls.append(a)
                 return _original(a, *args, **kwargs)
             monkeypatch.setattr(np.fft, name, counted_nd)
-        g = GridSpec(8)
-        state = make_random_state(g, InitSpec(epsilon=1.0, seed=1),
-                                  SystemVariant.FULL)
         p = PhysParams(mu=0.2, chi=1.0, kappa=0.4, eta=1.0, nu=0.5)
-        step(state, p, SystemVariant.FULL, 0.01)
+
+        def one_step(n):
+            passes.clear()
+            lines.clear()
+            g = GridSpec(n)
+            state = make_random_state(g, InitSpec(epsilon=1.0, seed=1),
+                                      SystemVariant.FULL)
+            step(state, p, SystemVariant.FULL, 0.01)
+            return g
+
+        g = one_step(8)
         assert sum(passes) == 324
         n, kc = g.n, g.kmax_dealias
         assert sum(lines) == 108 * (n * n + n * (kc + 1)
                                     + (2 * kc + 1) * (kc + 1)) == 11124
+        assert not nd_calls
+
+        monkeypatch.setattr(spectral, "WORKERS", 2)
+        g = one_step(32)
+        assert g.n >= spectral.SPLIT_MIN_N
+        assert sum(passes) == 324
+        n, kc = g.n, g.kmax_dealias
+        assert sum(lines) == 108 * (n * n + n * (kc + 1)
+                                    + (2 * kc + 1) * (kc + 1))
         assert not nd_calls
 
     @pytest.mark.parametrize("n", [8, 12, 16])
@@ -377,6 +413,145 @@ class TestBandStep:
         assert other is not pair
         assert np.array_equal(other[1].exp_u, pair[0].exp_u)
         assert sym.step_propagators(0.05) is not pair
+
+
+THREAD_CASES = [
+    (SystemVariant.FULL,
+     PhysParams(mu=0.2, chi=1.0, kappa=0.4, eta=1.0, nu=0.5)),
+    (SystemVariant.ZERO_KINEMATIC,
+     PhysParams(chi=1.0, kappa=0.4, eta=1.0, nu=1.0)),
+    (SystemVariant.PERTURBATION,
+     PhysParams(chi=1.0, kappa=0.3, eta=1.0, alpha=ALPHA, r=2.5)),
+]
+
+
+class TestThreadedTransforms:
+    @pytest.mark.parametrize(
+        "n", [16, 32, pytest.param(64, marks=pytest.mark.slow)])
+    @pytest.mark.parametrize("variant,params", THREAD_CASES,
+                             ids=[v.value for v, _ in THREAD_CASES])
+    def test_threaded_equals_single_thread(self, monkeypatch, n, variant,
+                                           params):
+        # epsilon = 1000 makes the quadratic terms dominate every tendency
+        state = as_band(make_random_state(
+            GridSpec(n), InitSpec(epsilon=1000.0, seed=n), variant))
+        threads = set()
+        original = spectral.BandWorkspace.to_physical
+
+        def tracked(ws, c, out):
+            threads.add(threading.get_ident())
+            original(ws, c, out)
+        monkeypatch.setattr(spectral.BandWorkspace, "to_physical", tracked)
+        results = []
+        for workers in (1, 2):
+            force_threads(monkeypatch, workers)
+            threads.clear()
+            results.append((step(state, params, variant, 1e-4),
+                            energy_flux_audit(state, params, variant)))
+            helpers = threads - {threading.get_ident()}
+            assert bool(helpers) == (workers > 1)
+        (serial, serial_audit), (threaded, threaded_audit) = results
+        for a, b in zip(serial.arrays, threaded.arrays):
+            assert np.array_equal(a, b)
+        assert threaded_audit == serial_audit
+
+    def test_helper_exception_reraised_in_caller(self, monkeypatch):
+        force_threads(monkeypatch, 2)
+        caller = threading.get_ident()
+        helper_failed = threading.Event()
+        original = spectral.BandWorkspace.to_spectral
+
+        def failing_in_helper(ws, phys, out):
+            if threading.get_ident() != caller:
+                helper_failed.set()
+                raise ValueError("helper share")
+            assert helper_failed.wait(timeout=30)
+            original(ws, phys, out)
+        monkeypatch.setattr(spectral.BandWorkspace, "to_spectral",
+                            failing_in_helper)
+        g = GridSpec(16)
+        state = make_random_state(g, InitSpec(epsilon=1.0, seed=2),
+                                  SystemVariant.FULL)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="helper share"):
+            step(state, PhysParams(mu=0.2, chi=1.0, kappa=0.4, eta=1.0,
+                                   nu=0.5), SystemVariant.FULL, 0.01)
+        assert threading.active_count() == before
+
+    def test_caller_exception_joins_helpers(self, monkeypatch):
+        force_threads(monkeypatch, 2)
+        caller = threading.get_ident()
+        helper_done = []
+
+        def task(ws):
+            if threading.get_ident() == caller:
+                raise ValueError("caller share")
+            time.sleep(0.01)  # lets the caller draw a task
+            helper_done.append(ws)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="caller share"):
+            spectral.run_tasks([[task] * 8], GridSpec(8))
+        assert threading.active_count() == before
+        assert len(helper_done) < 8
+
+    def test_every_task_runs_once(self, monkeypatch):
+        # more threads than cores and a short switch interval: a task that
+        # two threads drew, or that none did, shows in the counts
+        force_threads(monkeypatch, 4)
+        counts = [0] * 500
+
+        def task(i):
+            def run(ws):
+                counts[i] += 1
+            return run
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            spectral.run_tasks([[task(i) for i in range(500)]] * 2,
+                               GridSpec(8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts == [2] * 500
+
+    def test_nothing_held_after_the_call(self, monkeypatch):
+        # the prototype of the split kept the audit's grid values alive
+        # into the full-spectrum pairings through a leftover loop variable
+        force_threads(monkeypatch, 2)
+        g = GridSpec(32)
+        p = PhysParams(mu=0.2, chi=1.0, kappa=0.4, eta=1.0, nu=0.5)
+        state = as_band(make_random_state(g, InitSpec(epsilon=1.0, seed=3),
+                                          SystemVariant.FULL))
+        workspaces = []
+        original_init = spectral.BandWorkspace.__init__
+
+        def tracked_init(ws, *args, **kwargs):
+            original_init(ws, *args, **kwargs)
+            workspaces.append(weakref.ref(ws))
+        monkeypatch.setattr(spectral.BandWorkspace, "__init__", tracked_init)
+        at_pairings = []
+        original_expand = dynamics.expand_band
+
+        def expand(c, grid):
+            if not at_pairings:
+                at_pairings.append((tracemalloc.get_traced_memory()[0],
+                                    [ref() is None for ref in workspaces]))
+            return original_expand(c, grid)
+        monkeypatch.setattr(dynamics, "expand_band", expand)
+        before = threading.active_count()
+
+        step(state, p, SystemVariant.FULL, 0.01)
+        assert workspaces and all(ref() is None for ref in workspaces)
+        workspaces.clear()
+        tracemalloc.start()
+        try:
+            energy_flux_audit(state, p, SystemVariant.FULL)
+        finally:
+            tracemalloc.stop()
+        held, dead = at_pairings[0]
+        assert all(dead) and all(ref() is None for ref in workspaces)
+        # the five advected band fields, and not the 1.57 MB grid values
+        assert held <= 5 * state.u.nbytes + 100_000
+        assert threading.active_count() == before
 
 
 class TestEnergyFluxAudit:
@@ -458,6 +633,23 @@ class TestEnergyFluxAudit:
                       SystemVariant.PERTURBATION)
         assert energy_flux_audit(noisy, p, SystemVariant.PERTURBATION) == \
             energy_flux_audit(clean, p, SystemVariant.PERTURBATION)
+
+    def test_working_set_of_one_audit(self):
+        # tracemalloc peak of one 32^3 audit above its entry: 8.16 MB with
+        # every transform on one thread, set by the full-spectrum pairings;
+        # the transforms split over threads stay below it
+        g = GridSpec(32)
+        state = make_random_state(g, InitSpec(epsilon=1.0, seed=1),
+                                  SystemVariant.FULL)
+        p = PhysParams(mu=0.2, chi=1.0, kappa=0.4, eta=1.0, nu=0.5)
+        energy_flux_audit(state, p, SystemVariant.FULL)
+        tracemalloc.start()
+        try:
+            energy_flux_audit(state, p, SystemVariant.FULL)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.5e6
 
     def test_curl_graddiv_orthogonality(self):
         g = GridSpec(16)
