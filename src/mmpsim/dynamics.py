@@ -23,9 +23,9 @@ lines (kc = n//3).  Each transform, with the product it transforms, is
 one task of `spectral.run_tasks`, which spreads them over two threads on
 grids from n = `spectral.SPLIT_MIN_N` up; every thread forms its products
 in two grid buffers of its own (see `_quadratic_terms`).  The energy-flux
-audit splits its 33 inverse and 15 forward transforms the same way, up to
-its full-spectrum pairings, which stay on the calling thread.  Threaded
-and single-thread results are equal bit for bit.
+audit splits its 33 inverse and 15 forward transforms the same way; its
+cancellation pairings then run on the calling thread.  Threaded and
+single-thread results are equal bit for bit.
 
 The stiff symbol of the micro-rotation field is diagonal only after
 splitting each mode into components parallel and perpendicular to k: the
@@ -49,17 +49,14 @@ from .fields import (
     structural_violations,
 )
 from .spectral import (
+    TWO_PI_CUBED,
     GridSpec,
     SpectralLayout,
     SpectralVectorField,
-    alpha_dot_grad,
     alpha_symbol,
     band_part,
-    curl,
     curl_coeffs,
     expand_band,
-    grad_div,
-    inner_product,
     k_dot,
     parallel_part,
     parseval_sum,
@@ -406,8 +403,11 @@ def energy_flux_audit(state: State | BandState, p: PhysParams,
     component's gradient shared by the products that use it: 33 inverse
     and 15 forward scalar transforms, split over threads by `run_tasks`.
     Their grid values and scratch are freed before the six cancellation
-    pairings, which run on the calling thread as full-spectrum inner
-    products with the box's content, so on a dealiased state they take
+    pairings, which run on the calling thread.  Each forms conj(a) b on
+    the band, expands it once and sums it over n^3: entry for entry the
+    product that the full-spectrum inner product of the expanded fields
+    sums (the mirror entries k3 < 0 are conjugates, with the same real
+    parts), in the same order, so on a dealiased state the pairings take
     the values of the full fields bit for bit.
     ``coupling_transfer``, ``dissipation`` and ``l2_energy_sq`` are band
     sums weighted by the band's multiplicity (`parseval_sum`), equal to
@@ -421,28 +421,30 @@ def energy_flux_audit(state: State | BandState, p: PhysParams,
     (u_grad_u, m_grad_u), (u_grad_w,), (u_grad_m, m_grad_m) = _advect_band(
         [u_band, m_band], [(u_band, (0, 1)), (w_band, (0,)),
                            (m_band, (0, 1))], grid)
-    # the pairings below allocate full-spectrum arrays: expand omega apart
-    # from u and b, so that at most two expanded fields are alive at once
 
-    def full(c):
-        return SpectralVectorField(expand_band(c, grid), grid)
+    def pairing(a, b):
+        # inner_product of the expansions of a and b: conj(a) b formed in
+        # place in a, which no later line reads, then summed over n^3
+        np.conjugate(a, out=a)
+        np.multiply(a, b, out=a)
+        return float(TWO_PI_CUBED * np.sum(expand_band(a, grid)).real)
 
-    w = full(w_band)
-    adv_w = inner_product(full(u_grad_w), w)
-    curl_gd = inner_product(curl(grad_div(w)), curl(w))
-    del w
-
-    u, m = full(u_band), full(m_band)
-    adv_u = inner_product(full(u_grad_u), u)
-    adv_m = inner_product(full(u_grad_m), m)
-    lorentz = (inner_product(full(m_grad_m), u)
-               + inner_product(full(m_grad_u), m))
+    adv_w = pairing(u_grad_w, w_band)
+    # curl(grad div omega) against curl omega, grad div -> -k (k.omega)
+    k1, k2, k3 = band.k_vectors
+    kdotw = k_dot(w_band, band)
+    curl_gd = pairing(curl_coeffs(np.stack([-k1 * kdotw, -k2 * kdotw,
+                                            -k3 * kdotw]), band),
+                      curl_coeffs(w_band, band))
+    adv_u = pairing(u_grad_u, u_band)
+    adv_m = pairing(u_grad_m, m_band)
+    lorentz = pairing(m_grad_m, u_band) + pairing(m_grad_u, m_band)
 
     alpha_pair = None
     if variant.uses_background:
-        alpha = p.alpha_vector
-        alpha_pair = (inner_product(alpha_dot_grad(m, alpha), u)
-                      + inner_product(alpha_dot_grad(u, alpha), m))
+        sym = alpha_symbol(p.alpha_vector, band)
+        alpha_pair = (pairing(sym * m_band, u_band)
+                      + pairing(sym * u_band, m_band))
 
     power_u, power_w, power_m = (power_spectrum(c)
                                  for c in (u_band, w_band, m_band))

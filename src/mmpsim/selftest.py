@@ -20,6 +20,7 @@ from .norms import DiagnosticsRecord, fit_decay, sobolev_norm
 from .spectral import (
     GridSpec,
     SpectralVectorField,
+    alpha_dot_grad,
     band_part,
     curl,
     dealias,
@@ -27,6 +28,7 @@ from .spectral import (
     divergence_residual,
     forward_transform,
     forward_transform_scalar,
+    grad_div,
     gradient,
     hermitian_symmetrize,
     inner_product,
@@ -101,6 +103,35 @@ def check_threaded_bit_exact():
     ok = diff == 0.0 and serial_audit == threaded_audit
     return ok, (f"step max difference {diff:.1e}, audit "
                 f"{'equal' if serial_audit == threaded_audit else 'differs'}")
+
+
+def check_audit_pairings_exact():
+    # The audit forms each cancellation pairing conj(a) b on the band and
+    # sums its expansion over n^3, which equals the full-spectrum inner
+    # product of the expanded fields bit for bit only if numpy computes
+    # conj(a) b at a mirror mode -k as the exact conjugate of the product
+    # at k, a property of the numpy build checked here at 32^3.
+    grid = GridSpec(32)
+    pert = SystemVariant.PERTURBATION
+    p = PhysParams(chi=1.0, eta=1.0, alpha=(0.3, 0.4, 0.5), r=2.5)
+    state = step(make_random_state(grid, InitSpec(epsilon=1000.0, seed=18),
+                                   pert), p, pert, 1e-3)
+    audit = energy_flux_audit(state, p, pert)
+    u, w, m = state.u, state.omega, state.magnetic
+    expected = {
+        "advection_u": inner_product(advect(u, u), u),
+        "advection_omega": inner_product(advect(u, w), w),
+        "advection_magnetic": inner_product(advect(u, m), m),
+        "lorentz_cancellation": (inner_product(advect(m, m), u)
+                                 + inner_product(advect(m, u), m)),
+        "alpha_cancellation": (inner_product(alpha_dot_grad(m, p.alpha), u)
+                               + inner_product(alpha_dot_grad(u, p.alpha), m)),
+        "curl_graddiv_omega": inner_product(curl(grad_div(w)), curl(w)),
+    }
+    differ = [name for name, value in expected.items()
+              if getattr(audit, name) != value]
+    return not differ, ("all six equal" if not differ
+                        else "differ: " + ", ".join(differ))
 
 
 def check_parseval():
@@ -288,6 +319,7 @@ CHECKS = (
     ("transform-round-trip", check_round_trip),
     ("band-fft-exact", check_band_fft_exact),
     ("threaded-bit-exact", check_threaded_bit_exact),
+    ("audit-pairings-exact", check_audit_pairings_exact),
     ("parseval", check_parseval),
     ("div-of-curl", check_div_curl),
     ("curl-of-grad", check_curl_grad),

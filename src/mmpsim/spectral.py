@@ -132,6 +132,18 @@ class GridSpec:
         return np.r_[0:kc + 1, n - kc:n]
 
     @cached_property
+    def band_blocks(self) -> tuple:
+        """The retained box over the first two wavevector axes as four
+        (full, band) pairs of slice pairs.  Each axis holds k = 0..kc, then
+        -kc..-1, a contiguous slice in either layout, so the box is four
+        blocks that basic slicing copies without an index array."""
+        n, kc = self.n, self.kmax_dealias
+        axis = ((slice(0, kc + 1), slice(0, kc + 1)),
+                (slice(n - kc, n), slice(kc + 1, 2 * kc + 1)))
+        return tuple(((f1, f2), (b1, b2))
+                     for f1, b1 in axis for f2, b2 in axis)
+
+    @cached_property
     def full(self) -> "SpectralLayout":
         """Wavevectors of the full-spectrum layout (n, n, n)."""
         return SpectralLayout(self, self.k_vectors, self.k_squared,
@@ -229,8 +241,12 @@ def band_part(c: np.ndarray, grid: GridSpec) -> np.ndarray:
     """The retained-band part of coefficients of shape (..., n, n, m) in FFT
     order, m > kc (full or half spectrum): a copy of the modes |k_i| <= kc
     with k3 >= 0.  Everything outside the box is dropped."""
-    idx = grid.band_index
-    return c[(...,) + np.ix_(idx, idx, idx[:grid.kmax_dealias + 1])]
+    kc = grid.kmax_dealias
+    out = np.empty(c.shape[:-3] + (2 * kc + 1, 2 * kc + 1, kc + 1),
+                   dtype=c.dtype)
+    for (f1, f2), (b1, b2) in grid.band_blocks:
+        out[..., b1, b2, :] = c[..., f1, f2, :kc + 1]
+    return out
 
 
 def expand_band(c: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -238,14 +254,14 @@ def expand_band(c: np.ndarray, grid: GridSpec) -> np.ndarray:
     box, and the k3 < 0 entries filled by coeff(-k) = conj(coeff(k)).
     Exact, so band -> full -> band reproduces the band bit for bit."""
     n, kc = grid.n, grid.kmax_dealias
-    idx = grid.band_index
     out = np.zeros(c.shape[:-3] + (n, n, n), dtype=np.complex128)
-    out[(...,) + np.ix_(idx, idx, idx[:kc + 1])] = c
     # entry k3 = -j mirrors k3 = j for j = kc .. 1, and k1, k2 -> -k1, -k2
     # is band index i -> (2kc+1 - i) mod (2kc+1): a flip, then a roll
-    mirror = np.conj(c[..., kc:0:-1])
-    out[(...,) + np.ix_(idx, idx, idx[kc + 1:])] = np.roll(
-        np.flip(mirror, axis=(-3, -2)), 1, axis=(-3, -2))
+    mirror = np.roll(np.flip(np.conj(c[..., kc:0:-1]), axis=(-3, -2)), 1,
+                     axis=(-3, -2))
+    for (f1, f2), (b1, b2) in grid.band_blocks:
+        out[..., f1, f2, :kc + 1] = c[..., b1, b2, :]
+        out[..., f1, f2, n - kc:] = mirror[..., b1, b2, :]
     return out
 
 

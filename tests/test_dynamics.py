@@ -614,6 +614,41 @@ class TestEnergyFluxAudit:
         assert audit.dissipation == pytest.approx(dissipation, rel=1e-13)
         assert audit.l2_energy_sq == pytest.approx(energy_sq, rel=1e-13)
 
+    @pytest.mark.parametrize("n", [8, 12, 16, 32])
+    @pytest.mark.parametrize("variant,params", THREAD_CASES,
+                             ids=[v.value for v, _ in THREAD_CASES])
+    def test_pairings_equal_full_spectrum_inner_products(self, n, variant,
+                                                         params):
+        # the pairings sum the expansion of a band product over n^3; the
+        # full-spectrum inner products of the expanded fields they replaced
+        # are the oracle, to the bit
+        g = GridSpec(n)
+        dealiased = make_random_state(
+            g, InitSpec(epsilon=1000.0, seed=n), variant)
+        rng = np.random.default_rng(n)
+        shape = (3, n, n, n)
+        noisy = State(*(SpectralVectorField(
+            f.coeffs + hermitian_symmetrize(rng.standard_normal(shape)
+                                            + 1j * rng.standard_normal(shape)),
+            g) for f in (dealiased.u, dealiased.omega, dealiased.magnetic)),
+            variant)
+        for state in (dealiased, noisy):
+            u, w, m = (SpectralVectorField(expand_band(c, g), g)
+                       for c in as_band(state).arrays)
+            alpha = None
+            if variant.uses_background:
+                alpha = (inner_product(alpha_dot_grad(m, params.alpha), u)
+                         + inner_product(alpha_dot_grad(u, params.alpha), m))
+            audit = energy_flux_audit(state, params, variant)
+            assert audit.advection_u == inner_product(advect(u, u), u)
+            assert audit.advection_omega == inner_product(advect(u, w), w)
+            assert audit.advection_magnetic == inner_product(advect(u, m), m)
+            assert audit.lorentz_cancellation == (
+                inner_product(advect(m, m), u) + inner_product(advect(m, u), m))
+            assert audit.alpha_cancellation == alpha
+            assert audit.curl_graddiv_omega == inner_product(
+                curl(grad_div(w)), curl(w))
+
     def test_reads_only_retained_box(self):
         # n=16: at n=8 every wavenumber is 0, 1, 2, 3 or 4, so the symbol
         # products of curl(grad div) cancel exactly whatever the input
@@ -635,9 +670,9 @@ class TestEnergyFluxAudit:
             energy_flux_audit(clean, p, SystemVariant.PERTURBATION)
 
     def test_working_set_of_one_audit(self):
-        # tracemalloc peak of one 32^3 audit above its entry: 8.16 MB with
-        # every transform on one thread, set by the full-spectrum pairings;
-        # the transforms split over threads stay below it
+        # tracemalloc peak of one 32^3 audit above its entry: 7.5-7.7 MB
+        # with the transforms split over two threads, set by their grid
+        # buffers, and 5.57 MB with every transform on one thread
         g = GridSpec(32)
         state = make_random_state(g, InitSpec(epsilon=1.0, seed=1),
                                   SystemVariant.FULL)

@@ -18,6 +18,7 @@ from mmpsim.spectral import (
     dealias,
     divergence,
     divergence_residual,
+    expand_band,
     forward_transform,
     forward_transform_scalar,
     gradient,
@@ -143,6 +144,58 @@ class TestBandTransforms:
         for values in (phys, random_physical(g, n + 1)):
             assert np.array_equal(to_spectral(values, g), band_part(
                 np.fft.rfftn(values, axes=axes, norm="forward"), g))
+
+
+def ix_band_part(c, grid):
+    """`band_part` as one fancy-indexed gather, the oracle of its blocks."""
+    idx = grid.band_index
+    return c[(...,) + np.ix_(idx, idx, idx[:grid.kmax_dealias + 1])]
+
+
+def ix_expand_band(c, grid):
+    """`expand_band` as two fancy-indexed scatters, the oracle of its
+    blocks."""
+    n, kc = grid.n, grid.kmax_dealias
+    idx = grid.band_index
+    out = np.zeros(c.shape[:-3] + (n, n, n), dtype=np.complex128)
+    out[(...,) + np.ix_(idx, idx, idx[:kc + 1])] = c
+    mirror = np.conj(c[..., kc:0:-1])
+    out[(...,) + np.ix_(idx, idx, idx[kc + 1:])] = np.roll(
+        np.flip(mirror, axis=(-3, -2)), 1, axis=(-3, -2))
+    return out
+
+
+class TestBandLayout:
+    # the block copies must write the bytes of the fancy-indexed ones,
+    # signed zeros included: the audit's pairings and every checkpoint
+    # depend on it
+    @pytest.mark.parametrize("n", [8, 10, 12, 16, 32, 64])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["scalar", "vector"])
+    def test_band_part_bytes_match_fancy_indexing(self, n, lead):
+        g = GridSpec(n)
+        rng = np.random.default_rng(n)
+        shape = lead + (n, n, n)
+        full = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for c in (full, full[..., :n // 2 + 1], full.real):
+            band = band_part(c, g)
+            oracle = ix_band_part(c, g)
+            assert band.dtype == oracle.dtype and band.shape == oracle.shape
+            assert band.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("n", [8, 10, 12, 16, 32, 64])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["scalar", "vector"])
+    def test_expand_band_bytes_match_fancy_indexing(self, n, lead):
+        g = GridSpec(n)
+        kc = g.kmax_dealias
+        rng = np.random.default_rng(n + 1)
+        shape = lead + (2 * kc + 1, 2 * kc + 1, kc + 1)
+        band = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        band[rng.random(shape) < 0.2] = complex(-0.0, -0.0)
+        band.real[rng.random(shape) < 0.2] = -0.0
+        band.imag[rng.random(shape) < 0.2] = -0.0
+        full = expand_band(band, g)
+        assert full.tobytes() == ix_expand_band(band, g).tobytes()
+        assert band_part(full, g).tobytes() == band.tobytes()
 
 
 class TestDiffOps:
