@@ -12,7 +12,6 @@ from .diophantine import (
 )
 from .dynamics import (
     EnergyFluxAudit,
-    RhsDecomposition,
     StiffSymbols,
     advect,
     energy_flux_audit,

@@ -8,7 +8,8 @@ row-major over (k1,k2,k3) with each axis ordered 0,1,...,n/2-1,-n/2,...,-1.
 
 A checkpoint is written to ``<path>.tmp`` and renamed onto ``<path>``, so a
 process that dies mid-write leaves the previous file (or none) under the
-final name, never a truncated one.
+final name, never a truncated one.  `write_then_rename` makes that write,
+here and in `diagio.truncate_diagnostics`.
 """
 
 from __future__ import annotations
@@ -41,6 +42,24 @@ class CheckpointData:
     seed: int
 
 
+@contextlib.contextmanager
+def write_then_rename(path, mode: str, **open_args):
+    """Open ``<path>.tmp`` (``mode``, ``open_args``) for the ``with`` body,
+    then os.replace it onto ``path``; on any failure remove it and re-raise,
+    so ``path`` keeps its previous content or stays absent.  No fsync: the
+    rename guards against a process killed mid-write, the failure a killed
+    run meets, not against a power loss or a kernel crash."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, mode, **open_args) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def save_checkpoint(path, state: State, params: PhysParams, step: int,
                     seed: int) -> None:
     n = state.grid.n
@@ -49,18 +68,10 @@ def save_checkpoint(path, state: State, params: PhysParams, step: int,
         params.mu, params.chi, params.kappa, params.eta, params.nu,
         params.alpha[0], params.alpha[1], params.alpha[2],
         params.r, state.t, step, seed)
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(header)
-            for f in (state.u, state.omega, state.magnetic):
-                fh.write(np.ascontiguousarray(
-                    f.coeffs.astype("<c16", copy=False)))
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+    with write_then_rename(path, "wb") as fh:
+        fh.write(header)
+        for f in (state.u, state.omega, state.magnetic):
+            fh.write(np.ascontiguousarray(f.coeffs.astype("<c16", copy=False)))
 
 
 def load_checkpoint(path) -> CheckpointData:

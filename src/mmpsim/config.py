@@ -10,6 +10,7 @@ list.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 
 from .fields import (
@@ -63,6 +64,23 @@ _SCHEMA: dict[str, tuple[str, object]] = {
 
 _VARIANT_NAMES = {v.value: v for v in SystemVariant}
 
+# The key that sets each field of the dataclasses built from a config.  A
+# dataclass's ValueError names the field it rejects; the error is reported
+# on the line of that field's key.
+_FIELD_KEYS: dict[type, dict[str, str]] = {
+    PhysParams: {"mu": "params.mu", "chi": "params.chi",
+                 "kappa": "params.kappa", "eta": "params.eta",
+                 "nu": "params.nu", "alpha": "alpha", "r": "diophantine.r"},
+    InitSpec: {"epsilon": "init.epsilon",
+               "sobolev_index": "init.sobolev_index",
+               "spectrum_slope": "init.spectrum_slope",
+               "k_peak": "init.k_peak", "seed": "init.seed"},
+    StepperConfig: {"dt": "time.dt", "t_end": "time.t_end",
+                    "cfl_advective": "time.cfl",
+                    "max_steps": "time.max_steps",
+                    "record_interval": "time.record_interval"},
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -76,7 +94,6 @@ class RunConfig:
     output_dir: str
     norms: tuple[float, ...] | None
     checkpoint_interval: float | None
-    strict: bool
     warnings: tuple[str, ...] = ()
 
     def grid(self) -> GridSpec:
@@ -176,6 +193,21 @@ def parse_config(text: str) -> RunConfig:
             return f"line {lines_of[key]}: {message}"
         return message
 
+    def bad_value(key: str, message) -> str:
+        return at_line(key, f"bad value for {key!r}: {message}")
+
+    def build(cls):
+        """``cls`` from its keys' values, or None with the error recorded
+        against the key of the field it names."""
+        keys = _FIELD_KEYS[cls]
+        try:
+            return cls(**{name: values[key] for name, key in keys.items()})
+        except ValueError as exc:
+            key = next((keys[word] for word in re.findall(r"\w+", str(exc))
+                        if word in keys), None)
+            errors.append(str(exc) if key is None else bad_value(key, exc))
+            return None
+
     warnings: list[str] = []
 
     variant = _VARIANT_NAMES.get(values["system"])
@@ -189,42 +221,18 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         errors.append(at_line("grid.n", str(exc)))
 
-    params = None
-    try:
-        params = PhysParams(mu=values["params.mu"], chi=values["params.chi"],
-                            kappa=values["params.kappa"],
-                            eta=values["params.eta"], nu=values["params.nu"],
-                            alpha=values["alpha"], r=values["diophantine.r"])
-    except ValueError as exc:
-        errors.append(str(exc))
-
-    init = None
-    try:
-        init = InitSpec(epsilon=values["init.epsilon"],
-                        sobolev_index=values["init.sobolev_index"],
-                        spectrum_slope=values["init.spectrum_slope"],
-                        k_peak=values["init.k_peak"],
-                        seed=values["init.seed"])
-        if values["init.seed"] < 0:
-            errors.append(at_line("init.seed", "seed must be >= 0"))
-    except ValueError as exc:
-        errors.append(at_line("init.epsilon", str(exc)))
+    params = build(PhysParams)
+    init = build(InitSpec)
+    if values["init.seed"] < 0:
+        errors.append(bad_value("init.seed", "seed must be >= 0"))
 
     if grid is not None and init is not None and init.k_peak is not None \
             and init.k_peak > grid.kmax_dealias:
-        errors.append(at_line(
+        errors.append(bad_value(
             "init.k_peak", f"k_peak={init.k_peak} exceeds the dealias "
             f"cutoff {grid.kmax_dealias}"))
 
-    stepper = None
-    try:
-        stepper = StepperConfig(dt=values["time.dt"],
-                                t_end=values["time.t_end"],
-                                cfl_advective=values["time.cfl"],
-                                max_steps=values["time.max_steps"],
-                                record_interval=values["time.record_interval"])
-    except ValueError as exc:
-        errors.append(at_line("time.dt", str(exc)))
+    stepper = build(StepperConfig)
 
     mode = values["validate"]
     if mode not in ("strict", "permissive"):
@@ -267,5 +275,5 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(n=values["grid.n"], variant=variant, params=params,
                      init=init, stepper=stepper,
                      output_dir=values["output.dir"], norms=norms,
-                     checkpoint_interval=ckpt, strict=strict,
+                     checkpoint_interval=ckpt,
                      warnings=tuple(warnings))

@@ -8,9 +8,7 @@ bit-exactly.  `mmpsim run` appends each row as it is recorded; on resume,
 
 from __future__ import annotations
 
-import contextlib
-import os
-
+from .checkpoint import write_then_rename
 from .norms import RECORD_COLUMNS, DiagnosticsRecord
 
 CSV_HEADER = ",".join(RECORD_COLUMNS)
@@ -37,7 +35,7 @@ def truncate_diagnostics(path, t_max: float) -> None:
     """Drop the rows with t > t_max from the diagnostics CSV at ``path``,
     and an unterminated last row left by a killed writer; a missing or
     empty file becomes a header-only one.  The file is rewritten through
-    ``<path>.tmp`` and os.replace, so a failure leaves the old one."""
+    `checkpoint.write_then_rename`, so a failure leaves the old one."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             lines = fh.readlines()
@@ -49,15 +47,8 @@ def truncate_diagnostics(path, t_max: float) -> None:
                          f"(expected header {CSV_HEADER!r})")
     kept = [line for line in lines[1:] if line.endswith("\n")
             and float(line.split(",", 1)[0]) <= t_max]
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines([lines[0]] + kept)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+    with write_then_rename(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines([lines[0]] + kept)
 
 
 def read_diagnostics(path) -> list[DiagnosticsRecord]:

@@ -21,6 +21,7 @@ from .spectral import (
     band_part,
     divergence_residual,
     expand_band,
+    hermitian_symmetrize,
     project_coeffs,
     zero_vector_field,
 )
@@ -254,17 +255,17 @@ def as_band(state: State | BandState) -> BandState:
                      grid, state.variant, t=state.t)
 
 
-def check_state(state: State, div_tol: float = 1e-12) -> None:
+def check_state(state: State) -> None:
     """Assert the state invariants: mean-zero fields, divergence-free u and
-    magnetic component.  Raises ValueError on violation."""
+    magnetic component (residual <= 1e-12).  Raises ValueError if not."""
     for name, f in (("u", state.u), ("omega", state.omega),
                     ("magnetic", state.magnetic)):
         if np.abs(f.coeffs[:, 0, 0, 0]).max() != 0.0:
             raise ValueError(f"{name} is not mean-zero")
     for name, f in (("u", state.u), ("magnetic", state.magnetic)):
         res = divergence_residual(f)
-        if res > div_tol:
-            raise ValueError(f"{name} divergence residual {res:.3e} > {div_tol}")
+        if res > 1e-12:
+            raise ValueError(f"{name} divergence residual {res:.3e} > 1e-12")
 
 
 @dataclass(frozen=True)
@@ -323,24 +324,21 @@ def _spectral_envelope(grid: GridSpec, slope: float, k_peak: float) -> np.ndarra
     return env
 
 
-def make_random_state(grid: GridSpec, init: InitSpec, variant: SystemVariant,
-                      seed: int | None = None) -> State:
+def make_random_state(grid: GridSpec, init: InitSpec,
+                      variant: SystemVariant) -> State:
     """Reproducible random state satisfying the smallness and mean-zero
     hypotheses.
 
-    The stream is a single Philox generator keyed by the seed; per field
-    (order u, omega, magnetic) one uniform(0, 2pi) phase array of shape
-    (3, n, n, n) is drawn.  Identical seeds give bit-identical states.
-    ``seed=None`` uses ``init.seed``.
+    The stream is a single Philox generator keyed by ``init.seed``; per
+    field (order u, omega, magnetic) one uniform(0, 2pi) phase array of
+    shape (3, n, n, n) is drawn.  Identical seeds give bit-identical states.
 
-    Each field is built in one coefficient array, updated in place, with
-    one more array of its size for the Hermitian reflection: the operations
-    of envelope * exp(i phases), `hermitian_symmetrize`, `leray_project`,
-    `dealias` and `rescale_to_norm`, in their order, without a full-size
-    copy per operation.
+    Each field is built in one coefficient array, updated in place except
+    for `hermitian_symmetrize`, which returns a new one: the operations of
+    envelope * exp(i phases), `hermitian_symmetrize`, `leray_project`,
+    `dealias` and `rescale_to_norm`, in their order, with at most two
+    arrays of a field's size alive.
     """
-    if seed is None:
-        seed = init.seed
     k_peak = init.k_peak if init.k_peak is not None else grid.n / 6.0
     if k_peak > grid.kmax_dealias:
         raise ValueError(
@@ -350,10 +348,8 @@ def make_random_state(grid: GridSpec, init: InitSpec, variant: SystemVariant,
         zero = zero_vector_field(grid)
         return State(zero, zero, zero, variant, t=0.0)
 
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.Philox(init.seed))
     envelope = _spectral_envelope(grid, init.spectrum_slope, k_peak)
-    mirror = (-np.arange(grid.n)) % grid.n
-    reflect = (slice(None),) + np.ix_(mirror, mirror, mirror)
 
     fields = []
     for name in ("u", "omega", "magnetic"):
@@ -364,12 +360,7 @@ def make_random_state(grid: GridSpec, init: InitSpec, variant: SystemVariant,
         del phases
         np.exp(coeffs, out=coeffs)
         coeffs *= envelope
-        # hermitian_symmetrize: 0.5 (c(k) + conj(c(-k)))
-        reflected = coeffs[reflect]
-        np.conj(reflected, out=reflected)
-        coeffs += reflected
-        del reflected
-        coeffs *= 0.5
+        coeffs = hermitian_symmetrize(coeffs)
         coeffs[:, 0, 0, 0] = 0.0
         if name != "omega":
             project_coeffs(coeffs, grid.full, out=coeffs)

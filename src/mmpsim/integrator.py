@@ -211,7 +211,9 @@ def run(state: State, p: PhysParams, variant: SystemVariant,
     """Advance to t_end recording diagnostics every record_interval.
 
     Stops at t_end, at max_steps, or on a detected blow-up (the terminal
-    status distinguishes the three).  ``state_sink`` is invoked with the
+    status distinguishes the three): non-finite data in `stable_dt`, a
+    step or a diagnostics record, with ``failure_step`` the number of
+    steps taken before it.  ``state_sink`` is invoked with the
     current state every ``state_sink_interval`` of simulation time.
     Sink failures abort the run and raise SinkWriteError carrying the
     partial result.
@@ -258,29 +260,29 @@ def run(state: State, p: PhysParams, variant: SystemVariant,
                 raise SinkWriteError(f"state sink failed: {exc}",
                                      result(RunStatus.STEP_CAP)) from exc
 
-    if initial_record:
-        emit_record()
-
     next_record = _next_boundary(current.t, cfg.record_interval)
     next_state_dump = (None if state_sink_interval is None
                        else _next_boundary(current.t, state_sink_interval))
     t_tol = 1e-12 * max(1.0, cfg.t_end)
 
-    while current.t < cfg.t_end - t_tol:
-        if steps >= cfg.max_steps:
-            return result(RunStatus.STEP_CAP)
-        try:
+    try:
+        if initial_record:
+            emit_record()
+        while current.t < cfg.t_end - t_tol:
+            if steps >= cfg.max_steps:
+                return result(RunStatus.STEP_CAP)
             dt = min(stable_dt(current, p, grid, cfg), cfg.t_end - current.t)
             current = step(current, p, variant, dt, symbols=symbols)
-        except IntegrityError:
-            return result(RunStatus.BLOW_UP, failure_step=steps)
-        steps += 1
-        if current.t >= next_record - 1e-9 * cfg.record_interval:
-            emit_record()
-            next_record = _next_boundary(current.t, cfg.record_interval)
-        if next_state_dump is not None and \
-                current.t >= next_state_dump - 1e-9 * state_sink_interval:
-            emit_state()
-            next_state_dump = _next_boundary(current.t, state_sink_interval)
+            steps += 1
+            if current.t >= next_record - 1e-9 * cfg.record_interval:
+                emit_record()
+                next_record = _next_boundary(current.t, cfg.record_interval)
+            if next_state_dump is not None and \
+                    current.t >= next_state_dump - 1e-9 * state_sink_interval:
+                emit_state()
+                next_state_dump = _next_boundary(current.t,
+                                                 state_sink_interval)
+    except IntegrityError:
+        return result(RunStatus.BLOW_UP, failure_step=steps)
 
     return result(RunStatus.COMPLETED)

@@ -36,6 +36,8 @@ n^2 + 2n(n//2+1) for the unpruned rfftn/irfftn.  numpy's n-d real
 transforms are the same 1D passes, so on dealiased data the pruned ones
 return their retained coefficients and physical values bit for bit.  The
 field-level operators are thin wrappers over the kernels on ``grid.full``.
+`hermitian_symmetrize` is the one full-spectrum reflection c(k) -> c(-k);
+the random initial data is symmetrized through it.
 
 `run_tasks` spreads independent scalar transforms (and the products that
 feed them) over min(2, available cores) threads from n = `SPLIT_MIN_N`
@@ -54,6 +56,7 @@ never mutate their inputs.
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 from dataclasses import dataclass
@@ -450,6 +453,13 @@ def curl_coeffs(c: np.ndarray, layout: SpectralLayout) -> np.ndarray:
     ])
 
 
+def grad_div_coeffs(c: np.ndarray, layout: SpectralLayout) -> np.ndarray:
+    """-k (k.c), the symbol of grad div."""
+    k1, k2, k3 = layout.k_vectors
+    kdotv = k_dot(c, layout)
+    return np.stack([-k1 * kdotv, -k2 * kdotv, -k3 * kdotv])
+
+
 def parallel_part(c: np.ndarray, layout: SpectralLayout) -> np.ndarray:
     """k (k.c)/|k|^2, the part of each mode parallel to k (zero at k=0)."""
     k1, k2, k3 = layout.k_vectors
@@ -511,12 +521,18 @@ def inverse_transform(f: Field) -> np.ndarray:
 
 
 def hermitian_symmetrize(coeffs: np.ndarray) -> np.ndarray:
-    """Project coefficients onto the Hermitian-symmetric subspace
-    (coeff(-k) = conj(coeff(k))), i.e. onto real physical fields."""
-    reflected = coeffs
-    for ax in (-3, -2, -1):
-        reflected = np.roll(np.flip(reflected, axis=ax), 1, axis=ax)
-    return 0.5 * (coeffs + np.conj(reflected))
+    """Project full-spectrum coefficients onto the Hermitian-symmetric
+    subspace (coeff(-k) = conj(coeff(k))), i.e. onto real physical fields:
+    0.5 (c(k) + conj(c(-k))), formed in one new array that first holds
+    c(-k), copied by blocks: along each axis c[0], then c[n-1], ..., c[1]."""
+    halves = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
+    out = np.empty_like(coeffs)
+    for (o1, c1), (o2, c2), (o3, c3) in itertools.product(halves, repeat=3):
+        out[..., o1, o2, o3] = coeffs[..., c1, c2, c3]
+    np.conjugate(out, out=out)
+    out += coeffs
+    out *= 0.5
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -545,10 +561,7 @@ def laplacian(f: Field) -> Field:
 
 def grad_div(v: SpectralVectorField) -> SpectralVectorField:
     """grad(div v) -> -k (k.vhat)."""
-    k1, k2, k3 = v.grid.k_vectors
-    kdotv = k_dot(v.coeffs, v.grid.full)
-    out = np.stack([-k1 * kdotv, -k2 * kdotv, -k3 * kdotv])
-    return SpectralVectorField(out, v.grid)
+    return SpectralVectorField(grad_div_coeffs(v.coeffs, v.grid.full), v.grid)
 
 
 def alpha_dot_grad(f: Field, alpha) -> Field:

@@ -30,7 +30,6 @@ class TestParseConfig:
         assert config.stepper.t_end == 20.0
         assert config.stepper.record_interval == 0.25
         assert config.output_dir == "out"
-        assert config.strict
         assert config.checkpoint_interval is None
 
     def test_comments_and_blanks_ignored(self):
@@ -161,6 +160,26 @@ time.t_end = 1
         with pytest.raises(ConfigError) as exc:
             parse_config(MINIMAL + "init.k_peak = 11\n")
         assert any("dealias" in e for e in exc.value.errors)
+
+    @pytest.mark.parametrize("key, value", [
+        ("params.mu", "-1"), ("params.chi", "-1"), ("params.kappa", "-1"),
+        ("params.eta", "-1"), ("params.nu", "-1"), ("alpha", "nan, 0, 0"),
+        ("diophantine.r", "2"),
+        ("init.epsilon", "-1"), ("init.sobolev_index", "three"),
+        ("init.spectrum_slope", "-1"), ("init.k_peak", "0"),
+        ("init.k_peak", "11"), ("init.seed", "-1"),
+        ("time.dt", "0"), ("time.cfl", "2"), ("time.t_end", "-1"),
+        ("time.max_steps", "0"), ("time.record_interval", "0"),
+    ])
+    def test_bad_value_reported_on_its_key_line(self, key, value):
+        # the bad value is set last, so its line is no other key's
+        lines = [line for line in MINIMAL.strip().splitlines()
+                 if not line.startswith(key + " ")]
+        lines.append(f"{key} = {value}")
+        with pytest.raises(ConfigError) as exc:
+            parse_config("\n".join(lines) + "\n")
+        (error,) = exc.value.errors
+        assert error.startswith(f"line {len(lines)}: bad value for {key!r}: ")
 
     def test_totality_on_garbage(self):
         # arbitrary text must produce a structured error list, never a crash

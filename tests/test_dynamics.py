@@ -32,6 +32,7 @@ from mmpsim.fields import (
 )
 from mmpsim.integrator import step
 from mmpsim.spectral import (
+    TWO_PI_CUBED,
     GridSpec,
     SpectralScalarField,
     SpectralVectorField,
@@ -51,6 +52,7 @@ from mmpsim.spectral import (
     grad_div,
     k_dot,
     leray_project,
+    parallel_part,
     to_physical,
     to_spectral,
     zero_mean,
@@ -179,8 +181,7 @@ class TestRhs:
         zero = zero_vector_field(g)
         state = State(zero, zero, zero, SystemVariant.ZERO_KINEMATIC)
         p = PhysParams(chi=1.0, eta=1.0, nu=1.0)
-        decomp = rhs(state, p, SystemVariant.ZERO_KINEMATIC)
-        total = decomp.total(state)
+        total = rhs(state, p, SystemVariant.ZERO_KINEMATIC)
         for part in total:
             assert np.abs(part).max() == 0.0
 
@@ -192,8 +193,7 @@ class TestRhs:
         zero = zero_vector_field(g)
         state = State(u, zero, zero, SystemVariant.ZERO_KINEMATIC)
         p = PhysParams(chi=1.0, eta=1.0, nu=1.0)
-        decomp = rhs(state, p, SystemVariant.ZERO_KINEMATIC)
-        _, dw, _ = decomp.total(state)
+        _, dw, _ = rhs(state, p, SystemVariant.ZERO_KINEMATIC)
         expected = 2.0 * p.chi * curl(u).coeffs
         assert np.abs(dw - expected).max() <= 1e-14 * np.abs(expected).max()
 
@@ -215,8 +215,7 @@ class TestRhs:
         # so the divergence-form terms are checked against advect
         for epsilon in (0.01, 1000.0):
             state = self.make_state(variant, seed=7, epsilon=epsilon)
-            decomp = rhs(state, params, variant)
-            total = decomp.total(state)
+            total = rhs(state, params, variant)
             oracle = monolithic_rhs(state, params, variant)
             for got, want in zip(total, oracle):
                 scale = max(np.abs(want).max(), 1e-30)
@@ -228,7 +227,7 @@ class TestRhs:
         state = State(state.u, state.omega, zero_vector_field(state.grid),
                       SystemVariant.ZERO_KINEMATIC)
         p = PhysParams(chi=1.0, eta=1.0, nu=1.0)
-        _, _, dm = rhs(state, p, SystemVariant.ZERO_KINEMATIC).total(state)
+        _, _, dm = rhs(state, p, SystemVariant.ZERO_KINEMATIC)
         assert np.abs(dm).max() == 0.0
 
     def test_inputs_not_mutated(self):
@@ -277,6 +276,37 @@ class TestStiffSymbols:
         for new, old, dy in zip(moved, arrays, tendency):
             fd = (new - old) / dt
             assert np.abs(fd - dy).max() <= 1e-5 * max(np.abs(dy).max(), 1e-30)
+
+    @pytest.mark.parametrize("layout", ["full", "band"])
+    def test_omega_split_matches_written_out_form(self, layout):
+        # oracle: perp w + (par - perp) w_par written out, for the
+        # propagator (the step's path) and for the stiff tendency
+        g = GridSpec(16)
+        p = PhysParams(mu=0.2, chi=0.8, kappa=0.6, eta=0.4, nu=0.2)
+        sym = stiff_symbols(g, p, SystemVariant.FULL)
+        state = make_random_state(g, InitSpec(epsilon=1.0, seed=8),
+                                  SystemVariant.FULL)
+        arrays = (state.u.coeffs, state.omega.coeffs, state.magnetic.coeffs)
+        if layout == "band":
+            sym = sym.band
+            arrays = as_band(state).arrays
+        u, w, m = arrays
+        w_par = parallel_part(w, sym.layout)
+
+        prop = sym.propagator(0.05)
+        want = (prop.exp_u[None] * u,
+                prop.exp_omega_perp[None] * w
+                + (prop.exp_omega_par - prop.exp_omega_perp)[None] * w_par,
+                prop.exp_magnetic[None] * m)
+        for got, expected in zip(prop.apply(*arrays), want):
+            assert np.array_equal(got, expected)
+
+        want = (-sym.u[None] * u,
+                -sym.omega_perp[None] * w
+                - (sym.omega_par - sym.omega_perp)[None] * w_par,
+                -sym.magnetic[None] * m)
+        for got, expected in zip(sym.apply_rhs(*arrays), want):
+            assert np.array_equal(got, expected)
 
 
 class TestBandStep:
@@ -555,6 +585,24 @@ class TestThreadedTransforms:
 
 
 class TestEnergyFluxAudit:
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_curl_graddiv_matches_inline_symbol(self, n):
+        # oracle: curl of -k (k.omega) written out on the band, paired with
+        # curl omega as the audit pairs band arrays
+        g = GridSpec(n)
+        state = make_random_state(g, InitSpec(epsilon=1000.0, seed=n),
+                                  SystemVariant.FULL)
+        p = PhysParams(mu=0.2, chi=1.0, kappa=0.4, eta=1.0, nu=0.5)
+        band, w = g.band, as_band(state).omega
+        k1, k2, k3 = band.k_vectors
+        kdotw = k_dot(w, band)
+        gd = np.stack([-k1 * kdotw, -k2 * kdotw, -k3 * kdotw])
+        product = np.conj(curl_coeffs(gd, band)) * curl_coeffs(w, band)
+        want = float(TWO_PI_CUBED * np.sum(expand_band(product, g)).real)
+        assert want != 0.0
+        audit = energy_flux_audit(state, p, SystemVariant.FULL)
+        assert audit.curl_graddiv_omega == want
+
     def test_zero_state_all_zero(self):
         g = GridSpec(8)
         zero = zero_vector_field(g)

@@ -239,6 +239,27 @@ class TestRun:
         assert result.status is RunStatus.BLOW_UP
         assert result.failure_step == 0
 
+    def test_non_finite_record_is_blow_up(self, monkeypatch):
+        # the second record (after the first step) raises as compute_record
+        # does on a non-finite entry: the run stops with the steps taken
+        calls = []
+
+        def failing_record(state, p, settings=None):
+            calls.append(state.t)
+            if len(calls) == 2:
+                raise IntegrityError("non-finite diagnostics entry l2_energy")
+            return compute_record(state, p, settings)
+        monkeypatch.setattr(integrator, "compute_record", failing_record)
+        g = GridSpec(16)
+        state = make_random_state(g, InitSpec(epsilon=0.01, seed=5), ZK)
+        cfg = StepperConfig(dt=0.05, t_end=1.0, record_interval=0.05)
+        seen = []
+        result = run(state, ZK_PARAMS, ZK, cfg, record_sink=seen.append)
+        assert result.status is RunStatus.BLOW_UP
+        assert result.steps == result.failure_step == 1
+        assert len(result.records) == len(seen) == 1
+        assert result.state.t == pytest.approx(0.05)
+
     def test_deterministic_trajectories(self):
         g = GridSpec(16)
         cfg = StepperConfig(dt=0.05, t_end=1.0)

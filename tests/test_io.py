@@ -189,6 +189,37 @@ class TestDiagnosticsCsv:
             truncate_diagnostics(bad, 1.0)
         assert bad.read_text() == "t,x\n0,1\n"
 
+    def test_failed_truncate_keeps_previous_file(self, tmp_path,
+                                                 monkeypatch):
+        path = tmp_path / "diag.csv"
+        write_diagnostics([DiagnosticsRecord(t=0.1 * i, l2_energy=1.0 + i)
+                           for i in range(5)], path)
+        before = path.read_bytes()
+
+        class FailingFile:
+            """Writes the header line, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def writelines(self, lines):
+                self.fh.write(lines[0])
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(checkpoint, "open", raising=False,
+                            value=lambda *a, **k: FailingFile(
+                                builtins.open(*a, **k)))
+        with pytest.raises(OSError, match="no space"):
+            truncate_diagnostics(path, 0.25)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_absent_fields_written_empty(self, tmp_path):
         rec = DiagnosticsRecord(t=0.0, l2_energy=1.0)
         path = tmp_path / "diag.csv"
@@ -418,6 +449,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert "blow-up" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_record_exits_with_integrity_code(self, tmp_path,
+                                                         capsys):
+        # epsilon = 1e160 is finite, but the squared norms of the initial
+        # record overflow: a blow-up at step 0, not a traceback
+        outdir = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(
+            t_end=0.5, outdir=outdir, extra="").replace(
+            "grid.n = 16", "grid.n = 8").replace(
+            "init.epsilon = 0.01", "init.epsilon = 1e160"))
+        code = cli_main(["run", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "blow-up detected at step 0" in captured.err
+        assert "status = blow_up" in captured.out
+        assert read_diagnostics(outdir / "diagnostics.csv") == []
 
     def test_resume_from_bad_header_keeps_diagnostics(self, tmp_path,
                                                       capsys):

@@ -21,6 +21,7 @@ from mmpsim.spectral import (
     expand_band,
     forward_transform,
     forward_transform_scalar,
+    grad_div,
     gradient,
     hermitian_symmetrize,
     inner_product,
@@ -126,6 +127,30 @@ class TestTransforms:
         assert np.abs(phys.imag).max() < 1e-12 * np.abs(phys.real).max()
         # projection is idempotent
         assert np.allclose(hermitian_symmetrize(sym), sym, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [8, 10, 16])
+    @pytest.mark.parametrize("rank", ["scalar", "vector"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_hermitian_symmetrize_matches_roll_flip_form(self, n, rank,
+                                                         dtype):
+        # oracle: the reflection c(-k) as a flip and a roll per axis, then
+        # 0.5 (c + conj(c(-k))); entries of -0.0 check the signs of zeros
+        rng = np.random.default_rng(n)
+        shape = (n, n, n) if rank == "scalar" else (3, n, n, n)
+        c = rng.standard_normal(shape).astype(dtype)
+        if dtype is np.complex128:
+            c.imag = rng.standard_normal(shape)
+            c.imag[rng.random(shape) < 0.2] = -0.0
+        c.real[rng.random(shape) < 0.2] = -0.0
+        reflected = c
+        for ax in (-3, -2, -1):
+            reflected = np.roll(np.flip(reflected, axis=ax), 1, axis=ax)
+        want = 0.5 * (c + np.conj(reflected))
+        before = c.copy()
+        got = hermitian_symmetrize(c)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+        assert c.tobytes() == before.tobytes()
 
 
 class TestBandTransforms:
@@ -235,6 +260,15 @@ class TestDiffOps:
         scalar = random_bandlimited_scalar(g, seed + 100)
         cgf = curl(gradient(scalar))
         assert np.abs(cgf.coeffs).max() <= 1e-14 * np.abs(scalar.coeffs).max()
+
+    def test_grad_div_matches_inline_symbol(self):
+        # oracle: -k (k.v) written out on the full layout
+        g = GridSpec(16)
+        v = forward_transform(random_physical(g, 4), g)
+        k1, k2, k3 = g.k_vectors
+        kdotv = k1 * v.coeffs[0] + k2 * v.coeffs[1] + k3 * v.coeffs[2]
+        want = np.stack([-k1 * kdotv, -k2 * kdotv, -k3 * kdotv])
+        assert np.array_equal(grad_div(v).coeffs, want)
 
     def test_alpha_dot_grad_matches_gradient_contraction(self):
         g = GridSpec(8)
