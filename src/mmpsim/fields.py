@@ -9,6 +9,7 @@ only and validation flags them accordingly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -17,11 +18,15 @@ import numpy as np
 
 from .spectral import (
     GridSpec,
+    IntegrityError,
+    SpectralLayout,
     SpectralVectorField,
     band_part,
     divergence_residual,
     expand_band,
     hermitian_symmetrize,
+    parseval_sum,
+    power_spectrum,
     project_coeffs,
     zero_vector_field,
 )
@@ -287,17 +292,21 @@ class InitSpec:
     def __post_init__(self):
         if not math.isfinite(self.epsilon) or self.epsilon < 0.0:
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
-        if self.spectrum_slope < 0.0:
-            raise ValueError("spectrum_slope must be >= 0")
-        if self.k_peak is not None and self.k_peak <= 0.0:
-            raise ValueError("k_peak must be positive")
+        if not math.isfinite(self.sobolev_index):
+            raise ValueError(
+                f"sobolev_index must be finite, got {self.sobolev_index}")
+        if not math.isfinite(self.spectrum_slope) or self.spectrum_slope < 0.0:
+            raise ValueError(f"spectrum_slope must be finite and >= 0, "
+                             f"got {self.spectrum_slope}")
+        if self.k_peak is not None and not (math.isfinite(self.k_peak)
+                                            and self.k_peak > 0.0):
+            raise ValueError(
+                f"k_peak must be finite and positive, got {self.k_peak}")
 
 
-def _rescale_factor(f: SpectralVectorField, s: float, target: float) -> float:
-    """The real factor that gives ``f`` the H^s norm ``target > 0``."""
-    from .norms import sobolev_norm
-
-    current = sobolev_norm(f, s)
+def _rescale_factor(current: float, target: float) -> float:
+    """The real factor that takes a field of norm ``current`` to the norm
+    ``target > 0``."""
     if current == 0.0:
         raise ValueError("cannot rescale the zero field to a positive norm")
     return target / current
@@ -307,19 +316,82 @@ def rescale_to_norm(f: SpectralVectorField, s: float,
                     target: float) -> SpectralVectorField:
     """Scale every coefficient by one real factor so the H^s norm equals
     ``target``; directions are unchanged."""
+    from .norms import sobolev_norm
+
     if target < 0.0:
         raise ValueError("target norm must be >= 0")
     if target == 0.0:
         return zero_vector_field(f.grid)
-    return SpectralVectorField(f.coeffs * _rescale_factor(f, s, target),
-                               f.grid)
+    return SpectralVectorField(
+        f.coeffs * _rescale_factor(sobolev_norm(f, s), target), f.grid)
 
 
-def _spectral_envelope(grid: GridSpec, slope: float, k_peak: float) -> np.ndarray:
-    kmag = np.sqrt(grid.k_squared)
+# ---------------------------------------------------------------------------
+# the retained box |k_i| <= kc, (2kc+1)^3 modes in FFT order along each axis
+# ---------------------------------------------------------------------------
+
+def _box_blocks(grid: GridSpec) -> list:
+    """The box as eight (full, box) pairs of slice triples: along each axis
+    k = 0..kc, then -kc..-1, is a contiguous slice in either layout, so
+    basic slicing copies the box without an index array."""
+    n, kc = grid.n, grid.kmax_dealias
+    axis = ((slice(0, kc + 1), slice(0, kc + 1)),
+            (slice(n - kc, n), slice(kc + 1, 2 * kc + 1)))
+    return [tuple(zip(*pairs)) for pairs in itertools.product(axis, repeat=3)]
+
+
+def _box_part(a: np.ndarray, grid: GridSpec,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """The box of full-layout values over the last three axes, copied into
+    ``out`` if given."""
+    m = 2 * grid.kmax_dealias + 1
+    if out is None:
+        out = np.empty(a.shape[:-3] + (m, m, m), dtype=a.dtype)
+    for full, box in _box_blocks(grid):
+        out[(..., *box)] = a[(..., *full)]
+    return out
+
+
+def _expand_box(box: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Full-layout values of box ones: the box scattered into +0.0."""
+    out = np.zeros(box.shape[:-3] + (grid.n,) * 3, dtype=box.dtype)
+    for full, b in _box_blocks(grid):
+        out[(..., *full)] = box[(..., *b)]
+    return out
+
+
+def _box_layout(grid: GridSpec) -> SpectralLayout:
+    """Wavevectors of the box, gathered from the full layout's, so a symbol
+    evaluated on it equals the box of the full-layout symbol bit for bit."""
+    k = grid.k_axis[grid.band_index]
+    return SpectralLayout(grid, (k[:, None, None], k[None, :, None],
+                                 k[None, None, :]),
+                          _box_part(grid.k_squared, grid),
+                          _box_part(grid.k_squared_safe, grid),
+                          np.ones((1, 1, 1)))
+
+
+def _box_sobolev_norm(box: np.ndarray, weights: np.ndarray,
+                      grid: GridSpec) -> float:
+    """`sobolev_norm` of the field that is ``box`` on the box and zero
+    elsewhere, given its Sobolev weights on the box (`norms`), bit for bit:
+    the same check and n^3 sum, taken over the box's values scattered into
+    +0.0."""
+    if not np.all(np.isfinite(box)):
+        raise IntegrityError("non-finite coefficients in sobolev_norm")
+    values = _expand_box(weights * power_spectrum(box), grid)
+    return math.sqrt(max(parseval_sum(values, grid.full), 0.0))
+
+
+def _spectral_envelope(layout: SpectralLayout, slope: float,
+                       k_peak: float) -> np.ndarray:
+    """|k|^(-slope) exp(-|k|^2/k_peak^2) on the box, zero at k = 0.  The
+    dealias mask is all true here, and a real multiply by 1 changes no
+    non-NaN value, so the mask is not applied."""
+    ksq = layout.k_squared
+    kmag = np.sqrt(ksq)
     kmag_safe = np.where(kmag == 0.0, 1.0, kmag)
-    env = kmag_safe ** (-slope) * np.exp(-grid.k_squared / k_peak ** 2)
-    env = env * grid.dealias_mask
+    env = kmag_safe ** (-slope) * np.exp(-ksq / k_peak ** 2)
     env[0, 0, 0] = 0.0
     return env
 
@@ -329,15 +401,21 @@ def make_random_state(grid: GridSpec, init: InitSpec,
     """Reproducible random state satisfying the smallness and mean-zero
     hypotheses.
 
-    The stream is a single Philox generator keyed by ``init.seed``; per
-    field (order u, omega, magnetic) one uniform(0, 2pi) phase array of
-    shape (3, n, n, n) is drawn.  Identical seeds give bit-identical states.
+    The stream is a single Philox generator keyed by ``init.seed``, read
+    as one uniform(0, 2pi) draw of shape (3, n, n, n) per field (order u,
+    omega, magnetic): the phases of every mode in FFT order.  Only the
+    phases of the retained box |k_i| <= kc are kept; the blocks of the
+    out-of-box k1 planes are skipped, not drawn.  Identical seeds give
+    bit-identical states.
 
-    Each field is built in one coefficient array, updated in place except
-    for `hermitian_symmetrize`, which returns a new one: the operations of
-    envelope * exp(i phases), `hermitian_symmetrize`, `leray_project`,
-    `dealias` and `rescale_to_norm`, in their order, with at most two
-    arrays of a field's size alive.
+    Each field
+    is built on the box: envelope * exp(i phases), `hermitian_symmetrize`
+    (the box is closed under k -> -k), the Leray projection (u and the
+    magnetic unknown), the box's part of the dealias mask and the rescale to
+    H^s norm epsilon, in this order.  These are the elementwise operations
+    of the same construction on the full spectrum, so every retained
+    coefficient has the value and bytes it would have there.  The box is
+    then scattered into zeros: outside it every coefficient is +0.0.
     """
     k_peak = init.k_peak if init.k_peak is not None else grid.n / 6.0
     if k_peak > grid.kmax_dealias:
@@ -348,24 +426,43 @@ def make_random_state(grid: GridSpec, init: InitSpec,
         zero = zero_vector_field(grid)
         return State(zero, zero, zero, variant, t=0.0)
 
+    from .norms import _sobolev_weights
+
+    n, kc = grid.n, grid.kmax_dealias
     rng = np.random.Generator(np.random.Philox(init.seed))
-    envelope = _spectral_envelope(grid, init.spectrum_slope, k_peak)
+    layout = _box_layout(grid)
+    envelope = _spectral_envelope(layout, init.spectrum_slope, k_peak)
+    mask = _box_part(grid.dealias_mask, grid)
+    weights = _sobolev_weights(layout, init.sobolev_index)
+    # Philox yields its draws in blocks of four, and advance(b) skips b
+    # blocks; the planes kc < i1 < n - kc of a component lie outside the
+    # box and start after (kc + 1) n^2 draws, a multiple of four
+    draw = np.empty((n,) * 3)
+    skipped_blocks = (n - 2 * kc - 1) * n * n // 4
 
     fields = []
     for name in ("u", "omega", "magnetic"):
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=(3,) + envelope.shape)
+        phases = np.empty((3,) + envelope.shape)
+        for component in phases:
+            rng.random(out=draw[:kc + 1])
+            rng.bit_generator.advance(skipped_blocks)
+            rng.random(out=draw[n - kc:])
+            _box_part(draw, grid, out=component)
         coeffs = np.empty(phases.shape, dtype=np.complex128)
         coeffs.real = 0.0
-        coeffs.imag = phases  # 1j * phases
+        # 1j * phases, where uniform(0, 2pi) is 0 + 2pi * random()
+        np.multiply(phases, 2.0 * np.pi, out=coeffs.imag)
         del phases
         np.exp(coeffs, out=coeffs)
         coeffs *= envelope
         coeffs = hermitian_symmetrize(coeffs)
         coeffs[:, 0, 0, 0] = 0.0
         if name != "omega":
-            project_coeffs(coeffs, grid.full, out=coeffs)
-        np.multiply(coeffs, grid.dealias_mask, out=coeffs)
-        coeffs *= _rescale_factor(SpectralVectorField(coeffs, grid),
-                                  init.sobolev_index, init.epsilon)
-        fields.append(SpectralVectorField(coeffs, grid))
+            project_coeffs(coeffs, layout, out=coeffs)
+        # all true on the box, but a complex multiply by 1 may flip the sign
+        # of a zero part, as it did on the full spectrum
+        np.multiply(coeffs, mask, out=coeffs)
+        coeffs *= _rescale_factor(_box_sobolev_norm(coeffs, weights, grid),
+                                  init.epsilon)
+        fields.append(SpectralVectorField(_expand_box(coeffs, grid), grid))
     return State(fields[0], fields[1], fields[2], variant, t=0.0)

@@ -36,8 +36,10 @@ n^2 + 2n(n//2+1) for the unpruned rfftn/irfftn.  numpy's n-d real
 transforms are the same 1D passes, so on dealiased data the pruned ones
 return their retained coefficients and physical values bit for bit.  The
 field-level operators are thin wrappers over the kernels on ``grid.full``.
-`hermitian_symmetrize` is the one full-spectrum reflection c(k) -> c(-k);
-the random initial data is symmetrized through it.
+`hermitian_symmetrize` is the one reflection c(k) -> c(-k), on any array
+stored in FFT order along its last three axes: the full spectrum, or the
+retained box |k_i| <= kc of all three axes ((2kc+1)^3 modes, the band
+with its k3 < 0 half), on which the random initial data is built.
 
 `run_tasks` spreads independent scalar transforms (and the products that
 feed them) over min(2, available cores) threads from n = `SPLIT_MIN_N`
@@ -521,10 +523,14 @@ def inverse_transform(f: Field) -> np.ndarray:
 
 
 def hermitian_symmetrize(coeffs: np.ndarray) -> np.ndarray:
-    """Project full-spectrum coefficients onto the Hermitian-symmetric
-    subspace (coeff(-k) = conj(coeff(k))), i.e. onto real physical fields:
+    """Project coefficients onto the Hermitian-symmetric subspace
+    (coeff(-k) = conj(coeff(k))), i.e. onto real physical fields:
     0.5 (c(k) + conj(c(-k))), formed in one new array that first holds
-    c(-k), copied by blocks: along each axis c[0], then c[n-1], ..., c[1]."""
+    c(-k), copied by blocks: along each axis of length m, c[0], then
+    c[m-1], ..., c[1], i.e. index i from (-i) mod m.  On the full spectrum
+    that is k -> -k modulo n; on the retained box, whose axes hold
+    k = 0..kc, then -kc..-1, it is k -> -k exactly, so the result on the
+    box is the box of the full-spectrum result, bit for bit."""
     halves = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
     out = np.empty_like(coeffs)
     for (o1, c1), (o2, c2), (o3, c3) in itertools.product(halves, repeat=3):

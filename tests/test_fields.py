@@ -17,7 +17,45 @@ from mmpsim.fields import (
     validate_params,
 )
 from mmpsim.norms import sobolev_norm
-from mmpsim.spectral import GridSpec, divergence_residual, zero_vector_field
+from mmpsim.spectral import (
+    GridSpec,
+    SpectralVectorField,
+    divergence_residual,
+    hermitian_symmetrize,
+    project_coeffs,
+    zero_vector_field,
+)
+
+
+def full_spectrum_random_state(grid, init, variant):
+    """The construction of `make_random_state` carried out on the full
+    spectrum, every operation over all n^3 modes: the oracle of the box
+    construction."""
+    k_peak = init.k_peak if init.k_peak is not None else grid.n / 6.0
+    kmag = np.sqrt(grid.k_squared)
+    kmag_safe = np.where(kmag == 0.0, 1.0, kmag)
+    envelope = (kmag_safe ** (-init.spectrum_slope)
+                * np.exp(-grid.k_squared / k_peak ** 2))
+    envelope = envelope * grid.dealias_mask
+    envelope[0, 0, 0] = 0.0
+    rng = np.random.Generator(np.random.Philox(init.seed))
+    fields = []
+    for name in ("u", "omega", "magnetic"):
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=(3,) + envelope.shape)
+        coeffs = np.empty(phases.shape, dtype=np.complex128)
+        coeffs.real = 0.0
+        coeffs.imag = phases
+        np.exp(coeffs, out=coeffs)
+        coeffs *= envelope
+        coeffs = hermitian_symmetrize(coeffs)
+        coeffs[:, 0, 0, 0] = 0.0
+        if name != "omega":
+            project_coeffs(coeffs, grid.full, out=coeffs)
+        np.multiply(coeffs, grid.dealias_mask, out=coeffs)
+        f = SpectralVectorField(coeffs, grid)
+        coeffs *= init.epsilon / sobolev_norm(f, init.sobolev_index)
+        fields.append(f)
+    return State(*fields, variant)
 
 
 class TestPhysParams:
@@ -78,6 +116,15 @@ class TestValidateParams:
         permissive = validate_params(p, SystemVariant.ZERO_KINEMATIC,
                                      strict=False)
         assert permissive.ok and permissive.warnings
+
+
+class TestInitSpec:
+    @pytest.mark.parametrize("field", ["sobolev_index", "spectrum_slope",
+                                       "k_peak"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_settings(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            InitSpec(epsilon=0.01, **{field: value})
 
 
 class TestRescale:
@@ -156,15 +203,39 @@ class TestMakeRandomState:
         with pytest.raises(ValueError):
             make_random_state(g, init, SystemVariant.ZERO_KINEMATIC)
 
+    @pytest.mark.parametrize("n", [8, 10, 12, 16, 32])
+    @pytest.mark.parametrize("variant", [SystemVariant.ZERO_KINEMATIC,
+                                         SystemVariant.PERTURBATION,
+                                         SystemVariant.FULL])
+    @pytest.mark.parametrize("settings", [{}, {"k_peak": 2.0},
+                                          {"spectrum_slope": 0.0}],
+                             ids=["default", "k_peak", "flat"])
+    def test_box_construction_matches_full_spectrum(self, n, variant,
+                                                    settings):
+        g = GridSpec(n)
+        init = InitSpec(epsilon=0.01, seed=n, **settings)
+        got = make_random_state(g, init, variant)
+        want = full_spectrum_random_state(g, init, variant)
+        box = g.dealias_mask
+        for name in ("u", "omega", "magnetic"):
+            a = getattr(got, name).coeffs
+            b = getattr(want, name).coeffs
+            assert np.array_equal(a, b)
+            assert a[:, box].tobytes() == b[:, box].tobytes()
+            outside = a[:, ~box]
+            assert not np.signbit(outside.real).any()
+            assert not np.signbit(outside.imag).any()
+
     # SHA-256 of the u, omega, magnetic coefficient bytes: the construction
-    # may be reorganised only if every IEEE operation and its order stay
+    # may be reorganised only if every IEEE operation and its order stay.
+    # Outside the retained box it writes +0.0
     @pytest.mark.parametrize("variant, init, expected", [
         (SystemVariant.ZERO_KINEMATIC, InitSpec(epsilon=0.01, seed=2024),
-         "8e88b128e92d441f4d92f2e4fa743a4f80ce7d0780cd460ffea681ad40a850a4"),
+         "ff52e6ee511ede8d8ff07e5d50d22fff2679dd8dda7dfa64638a272f175a253a"),
         (SystemVariant.PERTURBATION,
          InitSpec(epsilon=0.01, sobolev_index=21.0, spectrum_slope=1.5,
                   k_peak=4.0, seed=7),
-         "22bd19a2de8a44aec255c4d65cedeb9a0a72e80c6ebc7188caecb59f559b304c"),
+         "fea1e38abeec8bfca7bc16294e6a1a1fd0eb6fe409f55b421a59fd31bf4f2bf7"),
     ], ids=["zero-kinematic", "perturbation"])
     def test_coefficients_pinned(self, variant, init, expected):
         state = make_random_state(GridSpec(16), init, variant)

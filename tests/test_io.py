@@ -468,6 +468,26 @@ class TestCli:
         assert "status = blow_up" in captured.out
         assert read_diagnostics(outdir / "diagnostics.csv") == []
 
+    @pytest.mark.parametrize("key, value", [
+        ("init.spectrum_slope", "nan"), ("init.spectrum_slope", "inf"),
+        ("init.k_peak", "nan"), ("init.k_peak", "inf"),
+        ("init.sobolev_index", "nan"), ("init.sobolev_index", "inf"),
+    ])
+    def test_non_finite_init_setting_is_a_config_error(self, tmp_path,
+                                                       capsys, key, value):
+        outdir = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        text = CONFIG_TEMPLATE.format(
+            t_end=0.5, outdir=outdir, extra=f"{key} = {value}").replace(
+            "grid.n = 16", "grid.n = 8")
+        cfg.write_text(text)
+        lineno = text.splitlines().index(f"{key} = {value}") + 1
+        code = cli_main(["run", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"config error: line {lineno}: bad value for {key!r}: " in err
+        assert not outdir.exists()
+
     def test_resume_from_bad_header_keeps_diagnostics(self, tmp_path,
                                                       capsys):
         outdir = tmp_path / "out"

@@ -152,6 +152,18 @@ class TestTransforms:
         assert got.tobytes() == want.tobytes()
         assert c.tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("n", [8, 10, 12, 16])
+    def test_hermitian_symmetrize_on_the_retained_box(self, n):
+        # the box |k_i| <= kc in FFT order is closed under k -> -k, so its
+        # reflection is the block copy's i -> (-i) mod (2kc+1)
+        g = GridSpec(n)
+        rng = np.random.default_rng(n)
+        shape = (3, n, n, n)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        box = np.ix_(range(3), g.band_index, g.band_index, g.band_index)
+        got = hermitian_symmetrize(c[box])
+        assert got.tobytes() == hermitian_symmetrize(c)[box].tobytes()
+
 
 class TestBandTransforms:
     # n = 8, 10, 12 cover every residue of n mod 3 (the cutoff n//3)
