@@ -13,6 +13,7 @@ import math
 import re
 from dataclasses import dataclass, replace
 
+from .diophantine import MAX_SEARCH_RADIUS, check_diophantine
 from .fields import (
     InitSpec,
     PhysParams,
@@ -121,6 +122,20 @@ def _norm_column(s: float, init: InitSpec, params: PhysParams) -> str | None:
         if math.isclose(s, index, abs_tol=1e-9):
             return column
     return None
+
+
+def _resonance_warnings(params: PhysParams, grid: GridSpec) -> list[str]:
+    """A warning if alpha.k vanishes for some k of the retained box: the
+    background transport then damps no magnetic mode on the plane
+    alpha.k = 0, and the perturbation decay the variant is run for does
+    not apply (see `check_diophantine`)."""
+    k_max = min(grid.kmax_dealias, MAX_SEARCH_RADIUS)
+    report = check_diophantine(params.alpha, params.r, k_max)
+    if not report.degenerate:
+        return []
+    return [f"alpha={params.alpha} is resonant on the retained box "
+            f"|k_i| <= {k_max}: alpha.k = 0 at k={report.argmin_k}, so the "
+            f"magnetic modes with alpha.k = 0 are not damped"]
 
 
 def parse_vec3(raw: str) -> tuple[float, float, float]:
@@ -265,9 +280,14 @@ def parse_config(text: str) -> RunConfig:
                     f"{params.r + 5.0} (hr5)"))
 
     ckpt = values["output.checkpoint_interval"]
-    if ckpt is not None and ckpt <= 0.0:
-        errors.append(at_line("output.checkpoint_interval",
-                              "checkpoint_interval must be positive"))
+    if ckpt is not None and not (ckpt > 0.0 and math.isfinite(ckpt)):
+        errors.append(bad_value("output.checkpoint_interval",
+                                f"checkpoint_interval must be positive and "
+                                f"finite, got {ckpt}"))
+
+    if params is not None and variant is not None and grid is not None \
+            and variant.uses_background:
+        warnings.extend(_resonance_warnings(params, grid))
 
     if errors:
         raise ConfigError(errors)

@@ -20,12 +20,17 @@ the dealiased products exact, so the rewrite changes results only at
 roundoff.  One evaluation makes 9 inverse and 18 forward real transforms of
 scalar fields, each three 1D passes over n^2 + n(kc+1) + (2kc+1)(kc+1)
 lines (kc = n//3).  Each transform, with the product it transforms, is
-one task of `spectral.run_tasks`, which spreads them over two threads on
-grids from n = `spectral.SPLIT_MIN_N` up; every thread forms its products
-in two grid buffers of its own (see `_quadratic_terms`).  The energy-flux
-audit splits its 33 inverse and 15 forward transforms the same way; its
-cancellation pairings then run on the calling thread.  Threaded and
-single-thread results are equal bit for bit.
+one task of `spectral.StepEngine.run`, which spreads them over two threads
+on grids from n = `spectral.SPLIT_MIN_N` up; every thread forms its
+products in a grid buffer and its workspace's spare (see
+`_quadratic_terms`).  The grid values, the products, the tendency's
+partial sums and scratch all live in buffers of the engine's pool, which
+a run keeps from evaluation to evaluation (`explicit_rhs_arrays` writes
+its result into a given triple).  The energy-flux audit splits its 33
+inverse and 15 forward transforms the same way, on the same pool; it drops
+the pool's grid buffers before its cancellation pairings, which run on the
+calling thread.  Threaded and single-thread results are equal bit for
+bit.
 
 The stiff symbol of the micro-rotation field is diagonal only after
 splitting each mode into components parallel and perpendicular to k: the
@@ -54,6 +59,7 @@ from .spectral import (
     GridSpec,
     SpectralLayout,
     SpectralVectorField,
+    StepEngine,
     alpha_symbol,
     band_part,
     curl_coeffs,
@@ -64,7 +70,7 @@ from .spectral import (
     parseval_sum,
     power_spectrum,
     project_coeffs,
-    run_tasks,
+    using_engine,
 )
 
 # The 6 stored components (i, j), i <= j, of a symmetric tensor, and for
@@ -145,20 +151,31 @@ class StiffPropagator:
     exp_magnetic: np.ndarray
     layout: SpectralLayout
 
-    def apply(self, u: np.ndarray, w: np.ndarray,
-              m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (self.exp_u[None] * u,
+    def apply(self, u: np.ndarray, w: np.ndarray, m: np.ndarray,
+              out=None, scratch: np.ndarray | None = None
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The propagated (u, w, m), written into the triple ``out`` if
+        given (which may be the input itself), with the parallel part of w
+        formed in ``scratch`` if given."""
+        if out is None:
+            out = (None, None, None)
+        return (np.multiply(self.exp_u[None], u, out=out[0]),
                 _omega_split(self.exp_omega_perp, self.exp_omega_par, w,
-                             self.layout),
-                self.exp_magnetic[None] * m)
+                             self.layout, out=out[1], scratch=scratch),
+                np.multiply(self.exp_magnetic[None], m, out=out[2]))
 
 
 def _omega_split(perp: np.ndarray, par: np.ndarray, w: np.ndarray,
-                 layout: SpectralLayout) -> np.ndarray:
+                 layout: SpectralLayout, out: np.ndarray | None = None,
+                 scratch: np.ndarray | None = None) -> np.ndarray:
     """perp w + (par - perp) w_par: the per-mode factor perp on the part of
-    w perpendicular to k, par on the part parallel to it."""
-    w_par = parallel_part(w, layout)
-    return perp[None] * w + (par - perp)[None] * w_par
+    w perpendicular to k, par on the part parallel to it; written into
+    ``out`` if given (which may be w itself), with w_par formed in
+    ``scratch`` if given."""
+    w_par = parallel_part(w, layout, out=scratch)
+    out = np.multiply(perp[None], w, out=out)
+    np.multiply((par - perp)[None], w_par, out=w_par)
+    return np.add(out, w_par, out=out)
 
 
 def stiff_symbols(grid: GridSpec, p: PhysParams,
@@ -178,50 +195,54 @@ def stiff_symbols(grid: GridSpec, p: PhysParams,
 # right-hand side
 # ---------------------------------------------------------------------------
 
-def _grid_tasks(arrays, outs) -> list:
-    """`run_tasks` tasks that write `to_physical` of each band vector field
-    of ``arrays`` into the matching grid array of ``outs``, one task per
-    component."""
+def grid_tasks(arrays, outs) -> list:
+    """`StepEngine.run` tasks that write `to_physical` of each band vector
+    field of ``arrays`` into the matching triple of grid arrays of
+    ``outs``, one task per component."""
     def component(c, out):
         return lambda ws: ws.to_physical(c, out)
     return [component(c[i], out[i]) for c, out in zip(arrays, outs)
             for i in range(3)]
 
 
-def _advect_band(velocities, terms, grid: GridSpec) -> list[list[np.ndarray]]:
+def _advect_band(velocities, terms, grid: GridSpec,
+                 engine: StepEngine) -> list[list[np.ndarray]]:
     """(v.grad)f on the retained band, in advective form, for each
     (f_band, indices) of ``terms`` and each band velocity
-    ``velocities[i]``, i in indices: one list per term, one band array per
-    index.  The velocities are transformed to the grid once, then one task
-    per component of each f transforms that component's gradient once and
+    ``velocities[i]``, i in indices: one list per term, one band buffer of
+    ``engine``'s pool per index, in use until the caller's scope ends.  The
+    velocities are transformed to the grid once, then one task per
+    component of each f transforms that component's gradient once and
     shares it among the velocities."""
     symbols = [1j * k for k in grid.band.k_vectors]
-    # the results first, then the grid values and workspaces, which are
-    # freed in the reverse order
-    outs = [[np.empty_like(f_band) for _ in indices]
-            for f_band, indices in terms]
-    phys = [np.empty((3,) + (grid.n,) * 3) for _ in velocities]
+    outs = [engine.band_buffers(len(indices)) for _, indices in terms]
 
     def component(f, term_velocities, term_outs):
+        # (v.grad)f = (v_0 df_0 + v_1 df_1) + v_2 df_2 for each velocity v,
+        # summed in p as each gradient component df_j reaches the grid
         def task(ws):
-            grad, df, (p, q) = ws.band_fields, ws.fields[:3], ws.fields[3:]
+            grad, df, q = ws.band, ws.fields[0], ws.spare
+            sums = ws.fields[1:1 + len(term_velocities)]
             for j in range(3):
-                np.multiply(symbols[j], f, out=grad[j])
-                ws.to_physical(grad[j], df[j])
-            for v, out in zip(term_velocities, term_outs):
-                np.multiply(v[0], df[0], out=p)
-                np.multiply(v[1], df[1], out=q)
-                np.add(p, q, out=p)
-                np.multiply(v[2], df[2], out=q)
-                np.add(p, q, out=p)
+                np.multiply(symbols[j], f, out=grad)
+                ws.to_physical(grad, df)
+                for v, p in zip(term_velocities, sums):
+                    if j == 0:
+                        np.multiply(v[0], df, out=p)
+                    else:
+                        np.add(p, np.multiply(v[j], df, out=q), out=p)
+            for p, out in zip(sums, term_outs):
                 ws.to_spectral(p, out)
         return task
-    run_tasks([_grid_tasks(velocities, phys),
-               [component(f_band[i], [phys[k] for k in indices],
-                          [out[i] for out in term_outs])
-                for (f_band, indices), term_outs in zip(terms, outs)
-                for i in range(3)]],
-              grid, fields=5, band_fields=3)
+    with engine.scope():
+        buffers = engine.grid_buffers(3 * len(velocities))
+        phys = [buffers[3 * k:3 * k + 3] for k in range(len(velocities))]
+        engine.run([grid_tasks(velocities, phys),
+                    [component(f_band[i], [phys[k] for k in indices],
+                               [out[i] for out in term_outs])
+                     for (f_band, indices), term_outs in zip(terms, outs)
+                     for i in range(3)]],
+                   fields=1 + max(len(indices) for _, indices in terms))
     return outs
 
 
@@ -233,9 +254,11 @@ def advect(v: SpectralVectorField, f: SpectralVectorField) -> SpectralVectorFiel
     if v.grid.n != f.grid.n:
         raise ValueError("advect requires fields on a shared grid")
     grid = f.grid
-    ((out,),) = _advect_band([band_part(v.coeffs, grid)],
-                             [(band_part(f.coeffs, grid), (0,))], grid)
-    return SpectralVectorField(expand_band(out, grid), grid)
+    with StepEngine(grid) as engine:
+        ((out,),) = _advect_band([band_part(v.coeffs, grid)],
+                                 [(band_part(f.coeffs, grid), (0,))], grid,
+                                 engine)
+        return SpectralVectorField(expand_band(out, grid), grid)
 
 
 def _check_variant_consistency(p: PhysParams, variant: SystemVariant) -> None:
@@ -245,10 +268,11 @@ def _check_variant_consistency(p: PhysParams, variant: SystemVariant) -> None:
 
 
 def _product_task(out: np.ndarray, a, b, c=None, d=None):
-    """A `run_tasks` task that forms the grid product a b, or a b - c d, in
-    its workspace's two grid buffers and transforms it into ``out``."""
+    """A `StepEngine.run` task that forms the grid product a b, or a b - c d,
+    in its workspace's grid buffer (c d in its spare) and transforms it into
+    ``out``."""
     def task(ws):
-        p, q = ws.fields
+        (p,), q = ws.fields, ws.spare
         np.multiply(a, b, out=p)
         if c is not None:
             np.multiply(c, d, out=q)
@@ -258,70 +282,100 @@ def _product_task(out: np.ndarray, a, b, c=None, d=None):
 
 
 def _quadratic_terms(u_hat: np.ndarray, w_hat: np.ndarray, m_hat: np.ndarray,
-                     grid: GridSpec
+                     grid: GridSpec, add_to, engine: StepEngine | None = None
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """-div(u(x)u - b(x)b), -div(u(x)omega) and curl(u x b) on retained-band
-    coefficients; the band transforms make them dealiased.
+    coefficients, added into the triple ``add_to``, which is returned; the
+    band transforms make them dealiased.
 
-    One `run_tasks` call in two phases: 9 tasks each transform one
+    One `StepEngine.run` call in two phases: 9 tasks each transform one
     component of u, omega or b to the grid; then 18 tasks each form one
     product (the 6 stress components u_i u_j - b_i b_j, the 9 flux rows
-    u_j omega_i, the 3 emf components) in their thread's two grid buffers
-    and transform it into its slice of one band array.  The working set is
-    the grid values of u, omega and b, the 18 band products, and per
-    thread two grid buffers and one transform workspace.  Each 1D line and
-    each product is the one a whole-stack evaluation would compute."""
+    u_j omega_i, the 3 emf components) in their thread's grid buffer and
+    workspace and transform it into its band buffer.  The working set, all
+    from the engine's pool, is the grid values of u, omega and b, 6 band
+    vector buffers for the 18 products plus one for scratch, and per
+    thread one grid buffer and one transform workspace.  Each 1D line and
+    each product is the one a whole-stack evaluation would compute, and each
+    term component is formed from them by the operations of the stacked
+    -1j k.stress, -1j k.flux and curl(emf), then added."""
     band = grid.band
-    # the products first, then the grid values and workspaces, which are
-    # freed in the reverse order
-    products = np.empty((18,) + u_hat.shape[1:], dtype=np.complex128)
-    stress, flux, emf = products[:6], products[6:15], products[15:]
-    u, w, b = phys = [np.empty((3,) + (grid.n,) * 3) for _ in range(3)]
-    # flux[3 j + i] = u_j omega_i, so k . flux sums over j
-    factors = ([(u[i], u[j], b[i], b[j]) for i, j in _SYM_PAIRS]
-               + [(u[j], w[i]) for j in range(3) for i in range(3)]
-               + [(u[i], b[j], u[j], b[i])
-                  for i, j in ((1, 2), (2, 0), (0, 1))])
-    run_tasks([_grid_tasks((u_hat, w_hat, m_hat), phys),
-               [_product_task(out, *f) for out, f in zip(products, factors)]],
-              grid, fields=2)
-    del u, w, b, phys, factors
-    div_stress = np.stack([k_dot(stress[list(row)], band) for row in _SYM_ROWS])
-    return (-1j * div_stress, -1j * k_dot(flux.reshape((3,) + w_hat.shape),
-                                          band),
-            curl_coeffs(emf, band))
+    with using_engine(engine, grid) as engine, engine.scope():
+        # stress = products[0:2], flux = products[2:5], emf = products[5]
+        products = engine.band_buffers(6)
+        with engine.scope():
+            u, w, b = phys = [engine.grid_buffers(3) for _ in range(3)]
+            # flux row j holds u_j omega_i, i = 0, 1, 2, so k . flux sums
+            # over j
+            factors = ([(u[i], u[j], b[i], b[j]) for i, j in _SYM_PAIRS]
+                       + [(u[j], w[i]) for j in range(3) for i in range(3)]
+                       + [(u[i], b[j], u[j], b[i])
+                          for i, j in ((1, 2), (2, 0), (0, 1))])
+            engine.run([grid_tasks((u_hat, w_hat, m_hat), phys),
+                        [_product_task(out, *f) for out, f in
+                         zip((c for v in products for c in v), factors)]],
+                       fields=1)
+        (scratch,) = engine.band_buffers(1)
+        du, dw, dm = add_to
+        stress = [c for v in products[:2] for c in v]
+        flux = products[2:5]
+        for i, row in enumerate(_SYM_ROWS):
+            value = k_dot([stress[r] for r in row], band, out=scratch[0],
+                          scratch=scratch[1])
+            np.add(du[i], np.multiply(-1j, value, out=value), out=du[i])
+        for i in range(3):
+            value = k_dot([f[i] for f in flux], band, out=scratch[0],
+                          scratch=scratch[1])
+            np.add(dw[i], np.multiply(-1j, value, out=value), out=dw[i])
+        # the flux buffers are free now
+        np.add(dm, curl_coeffs(products[5], band, out=products[2],
+                               scratch=scratch[0]), out=dm)
+        return add_to
 
 
 def explicit_rhs_arrays(u_hat: np.ndarray, w_hat: np.ndarray, m_hat: np.ndarray,
                         grid: GridSpec, p: PhysParams, variant: SystemVariant,
-                        linearized: bool = False
+                        linearized: bool = False,
+                        engine: StepEngine | None = None, out=None
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Explicit (non-stiff) tendency of the selected variant on retained-band
-    coefficient arrays (3, 2kc+1, 2kc+1, kc+1).  ``linearized=True`` drops
-    the quadratic terms."""
+    coefficient arrays (3, 2kc+1, 2kc+1, kc+1), written into the triple
+    ``out`` (new arrays if None), which must not be the input.
+    ``linearized=True`` drops the quadratic terms.  The sums are formed in
+    ``out`` term by term, with scratch from ``engine``'s pool (a transient
+    engine if None), by the operations and in the order of
+
+        du = P(2 chi curl omega + i(alpha.k) b + q_u)
+        dw = 2 chi curl u + q_omega                (k = 0 mode zeroed)
+        dm = P(0 + i(alpha.k) u + q_b)
+
+    with each term a new array, P the Leray projection and q the quadratic
+    terms."""
     band = grid.band
-    chi = p.coupling_chi(variant)
-    two_chi = 2.0 * chi
-
-    du = two_chi * curl_coeffs(w_hat, band)
-    dw = two_chi * curl_coeffs(u_hat, band)
-    dm = np.zeros_like(m_hat)
-
-    if variant.uses_background:
-        sym = alpha_symbol(p.alpha_vector, band)
-        du = du + sym[None] * m_hat
-        dm = dm + sym[None] * u_hat
-
-    if not linearized:
-        nu, nw, nm = _quadratic_terms(u_hat, w_hat, m_hat, grid)
-        du = du + nu
-        dw = dw + nw
-        dm = dm + nm
-
-    du = project_coeffs(du, band)
-    dm = project_coeffs(dm, band)
+    two_chi = 2.0 * p.coupling_chi(variant)
+    if out is None:
+        out = tuple(np.empty_like(a) for a in (u_hat, w_hat, m_hat))
+    du, dw, dm = out
+    with using_engine(engine, grid) as engine:
+        with engine.scope():
+            (scratch,) = engine.band_buffers(1)
+            np.multiply(two_chi, curl_coeffs(w_hat, band, out=du,
+                                             scratch=scratch[0]), out=du)
+            np.multiply(two_chi, curl_coeffs(u_hat, band, out=dw,
+                                             scratch=scratch[0]), out=dw)
+            dm.fill(0.0)
+            if variant.uses_background:
+                sym = alpha_symbol(p.alpha_vector, band)
+                np.add(du, np.multiply(sym[None], m_hat, out=scratch), out=du)
+                np.add(dm, np.multiply(sym[None], u_hat, out=scratch), out=dm)
+        if not linearized:
+            _quadratic_terms(u_hat, w_hat, m_hat, grid, out, engine)
+        with engine.scope():
+            (scratch,) = engine.band_buffers(1)
+            project_coeffs(du, band, out=du, scratch=scratch)
+            project_coeffs(dm, band, out=dm, scratch=scratch)
     dw[:, 0, 0, 0] = 0.0
-    return du, dw, dm
+    return out
 
 
 def rhs(state: State, p: PhysParams, variant: SystemVariant,
@@ -389,17 +443,22 @@ class EnergyFluxAudit:
 
 
 def energy_flux_audit(state: State | BandState, p: PhysParams,
-                      variant: SystemVariant) -> EnergyFluxAudit:
+                      variant: SystemVariant,
+                      engine: StepEngine | None = None) -> EnergyFluxAudit:
     """Evaluate the energy-identity inner products at `state`, a `State` or
-    the `BandState` that `run` carries.
+    the `BandState` that `run` carries, on ``engine`` (a transient one if
+    None).
 
     Reads only the retained 2/3-rule box of the state, as `step` does:
     content outside it is dropped.  The advection terms are `advect`'s
     products on the box, with u and b transformed once and each
     component's gradient shared by the products that use it: 33 inverse
-    and 15 forward scalar transforms, split over threads by `run_tasks`.
-    Their grid values and scratch are freed before the six cancellation
-    pairings, which run on the calling thread.  Each forms conj(a) b on
+    and 15 forward scalar transforms, split over threads by
+    `StepEngine.run`, in buffers of the engine's pool.  The engine then
+    drops its grid buffers and workspaces, whose memory the n^3 expansions
+    of the six cancellation pairings, which run on the calling thread, can
+    take instead of adding to the pool; a transient engine drops all of
+    its pool but the five advected fields.  Each forms conj(a) b on
     the band, expands it once and sums it over n^3: entry for entry the
     product that the full-spectrum inner product of the expanded fields
     sums (the mirror entries k3 < 0 are conjugates, with the same real
@@ -414,9 +473,11 @@ def energy_flux_audit(state: State | BandState, p: PhysParams,
     chi = p.coupling_chi(variant)
 
     u_band, w_band, m_band = as_band(state).arrays
-    (u_grad_u, m_grad_u), (u_grad_w,), (u_grad_m, m_grad_m) = _advect_band(
-        [u_band, m_band], [(u_band, (0, 1)), (w_band, (0,)),
-                           (m_band, (0, 1))], grid)
+    with using_engine(engine, grid) as engine, engine.scope():
+        (u_grad_u, m_grad_u), (u_grad_w,), (u_grad_m, m_grad_m) = \
+            _advect_band([u_band, m_band], [(u_band, (0, 1)), (w_band, (0,)),
+                                            (m_band, (0, 1))], grid, engine)
+        engine.release(band=False)
 
     def pairing(a, b):
         # inner_product of the expansions of a and b: conj(a) b formed in

@@ -20,11 +20,21 @@ band-resident: it takes the band of its input once and carries the
 `BandState` from step to step, building a full-spectrum `State` only for
 the state sink and its result.  Each explicit evaluation makes 27 pruned
 real transforms of scalar fields, 108 per step; each is three 1D passes
-(324 per step) over n^2 + n(kc+1) + (2kc+1)(kc+1) lines, kc = n//3.  Each
-stage is freed after its last use (see `_step_arrays`).  Within an
-evaluation the transforms run on two threads from n =
-`spectral.SPLIT_MIN_N` up (`spectral.run_tasks`); the four stages stay
-sequential, and a step's result is the single-thread one bit for bit.
+(324 per step) over n^2 + n(kc+1) + (2kc+1)(kc+1) lines, kc = n//3.
+
+`run` builds one `spectral.StepEngine` for the whole run and passes it to
+every `stable_dt`, `step` and diagnostics record.  The step's stage and
+accumulator arrays, the grid values and products of its explicit
+evaluations, |u| on the grid and the audit's buffers all come from the
+engine's one pool, reused from step to step, so a run does not hand its
+working set back to the allocator and fault it in again on every step
+(see `_step_arrays`).  The run releases the pool before it builds a
+full-spectrum `State` (for the state sink and its result), and the audit
+drops the pool's grid buffers before its pairings.  Within an evaluation
+the transforms run on the engine's helper thread as well from n =
+`spectral.SPLIT_MIN_N` up; the four stages stay sequential, and a step's
+result is the single-thread one bit for bit.  A public `step` or
+`stable_dt` without an engine builds a transient one.
 """
 
 from __future__ import annotations
@@ -36,14 +46,20 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import StiffSymbols, explicit_rhs_arrays, stiff_symbols
+from .dynamics import (
+    StiffSymbols,
+    explicit_rhs_arrays,
+    grid_tasks,
+    stiff_symbols,
+)
 from .fields import BandState, PhysParams, State, SystemVariant, as_band
 from .norms import DiagnosticsRecord, DiagnosticsSettings, compute_record
 from .spectral import (
     GridSpec,
     IntegrityError,
+    StepEngine,
     project_coeffs,
-    to_physical,
+    using_engine,
 )
 
 
@@ -70,19 +86,28 @@ class StepperConfig:
                              f"got {self.cfl_advective}")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if self.record_interval <= 0.0:
-            raise ValueError("record_interval must be positive")
+        if not (self.record_interval > 0.0
+                and math.isfinite(self.record_interval)):
+            raise ValueError(f"record_interval must be positive and finite, "
+                             f"got {self.record_interval}")
 
 
 def stable_dt(state: State | BandState, p: PhysParams, grid: GridSpec,
-              cfg: StepperConfig) -> float:
+              cfg: StepperConfig, engine: StepEngine | None = None) -> float:
     """Largest step honouring the base step, the advective CFL bound, the
     micro-rotation coupling bound cfl/(6 chi + 1), and the background
     transport bound.  Floors at cfg.dt * 1e-6 with a warning.  Reads only
     the retained 2/3-rule box of the velocity: content outside it is
-    dropped, as `run` does on entry."""
-    u_phys = to_physical(as_band(state).u, grid)
-    umax = float(np.sqrt((u_phys ** 2).sum(axis=0)).max())
+    dropped, as `run` does on entry.  |u| is formed on the grid in three
+    grid buffers of ``engine`` (a transient one if None), as
+    sqrt((u_0^2 + u_1^2) + u_2^2)."""
+    with using_engine(engine, grid) as engine, engine.scope():
+        u_phys = engine.grid_buffers(3)
+        engine.run([grid_tasks([as_band(state).u], [u_phys])])
+        speed = np.square(u_phys[0], out=u_phys[0])
+        for c in u_phys[1:]:
+            np.add(speed, np.square(c, out=c), out=speed)
+        umax = float(np.sqrt(speed, out=speed).max())
     if not math.isfinite(umax):
         raise IntegrityError("non-finite velocity in stable_dt")
 
@@ -105,61 +130,81 @@ def stable_dt(state: State | BandState, p: PhysParams, grid: GridSpec,
     return dt
 
 
-def _axpy(y, x, c):
-    return tuple(yi + c * xi for yi, xi in zip(y, x))
+def _axpy(y, x, c, out, scratch):
+    """out = y + c x per field of the triples, c x formed in the triple
+    ``scratch`` first (which may be x or out)."""
+    for yi, xi, oi, si in zip(y, x, out, scratch):
+        np.multiply(c, xi, out=si)
+        np.add(yi, si, out=oi)
+    return out
 
 
 def _step_arrays(arrays, symbols: StiffSymbols, grid: GridSpec,
                  p: PhysParams, variant: SystemVariant, dt: float,
-                 linearized: bool):
+                 linearized: bool, engine: StepEngine):
     """One step on retained-band arrays, with retained-band symbols;
     e_half and e_full are the Eh and Ef above.
 
-    Each stage triple is released after its last use, and the Ef N1 +
-    2 Eh (N2 + N3) part of the sum is formed before the fourth evaluation,
-    so that evaluation runs with y0, Ef y0, that partial sum and y4 alive:
-    four band triples besides its own temporaries.  The arithmetic and its
-    order are those of the formulas above."""
-    def explicit(u, w, m):
-        return explicit_rhs_arrays(u, w, m, grid, p, variant,
-                                   linearized=linearized)
+    Every stage lives in four band triples of ``engine``'s pool, each value
+    written with ``out=`` over one whose last use has passed: t1 holds N1,
+    then Ef N1 and the accumulator; t2 holds y2, y3, Ef y0, then the new
+    state; t3 holds N2, N2 + N3 (and Eh of it), then N4; t4 holds N3, Eh
+    N3, then y4.  Scratch (the parallel part of omega in a propagation,
+    dt/2 N2, the projection's k.c) is one more band buffer, taken above
+    the stages for each use, so the explicit evaluations reuse it.  The new
+    state is handed over from the pool to the caller.  Each value is formed
+    by the operations of the formulas above, in their order, so the step
+    is bit-identical to evaluating them with a new array per operation."""
+    def explicit(y, out):
+        return explicit_rhs_arrays(*y, grid, p, variant,
+                                   linearized=linearized, engine=engine,
+                                   out=out)
+
+    def propagate(e, y, out):
+        with engine.scope():
+            return e.apply(*y, out=out, scratch=engine.band_buffers(1)[0])
 
     e_half, e_full = symbols.step_propagators(dt)
+    with engine.scope():
+        buffers = engine.band_buffers(12)
+        t1, t2, t3, t4 = (tuple(buffers[3 * i:3 * i + 3]) for i in range(4))
 
-    n1 = explicit(*arrays)
-    s2 = e_half.apply(*_axpy(arrays, n1, 0.5 * dt))
-    n2 = explicit(*s2)
-    del s2
-    s3 = _axpy(e_half.apply(*arrays), n2, 0.5 * dt)
-    n3 = explicit(*s3)
-    del s3
-    n23 = tuple(a + b for a, b in zip(n2, n3))
-    del n2
-    full_y0 = e_full.apply(*arrays)
-    s4 = _axpy(full_y0, e_half.apply(*n3), dt)
-    del n3
-    accum = _axpy(e_full.apply(*n1), e_half.apply(*n23), 2.0)
-    del n1, n23
-    n4 = explicit(*s4)
-    accum = _axpy(accum, n4, 1.0)
-    out = _axpy(full_y0, accum, dt / 6.0)
-
-    u_new = project_coeffs(out[0], grid.band)
-    m_new = project_coeffs(out[2], grid.band)
-    w_new = out[1]
+        n1 = explicit(arrays, t1)
+        y2 = propagate(e_half, _axpy(arrays, n1, 0.5 * dt, t2, t2), t2)
+        n2 = explicit(y2, t3)
+        with engine.scope():
+            y3 = _axpy(propagate(e_half, arrays, t2), n2, 0.5 * dt, t2,
+                       engine.band_buffers(1) * 3)
+        n3 = explicit(y3, t4)
+        n23 = tuple(np.add(a, b, out=a) for a, b in zip(n2, n3))
+        full_y0 = propagate(e_full, arrays, t2)
+        y4 = _axpy(full_y0, propagate(e_half, n3, n3), dt, n3, n3)
+        accum = _axpy(propagate(e_full, n1, n1), propagate(e_half, n23, n23),
+                      2.0, n1, n23)
+        n4 = explicit(y4, t3)
+        accum = _axpy(accum, n4, 1.0, accum, n4)
+        u_new, w_new, m_new = _axpy(full_y0, accum, dt / 6.0, full_y0, accum)
+        with engine.scope():
+            scratch = engine.band_buffers(1)[0]
+            project_coeffs(u_new, grid.band, out=u_new, scratch=scratch)
+            project_coeffs(m_new, grid.band, out=m_new, scratch=scratch)
+        engine.hand_over(full_y0)
     w_new[:, 0, 0, 0] = 0.0
     return u_new, w_new, m_new
 
 
 def step(state: State | BandState, p: PhysParams, variant: SystemVariant,
          dt: float, linearized: bool = False,
-         symbols: StiffSymbols | None = None) -> State | BandState:
+         symbols: StiffSymbols | None = None,
+         engine: StepEngine | None = None) -> State | BandState:
     """Advance one integrating-factor RK4 step of size dt and return the
     new state of the same kind: a full-spectrum `State` for a `State`, a
     `BandState` for the `BandState` that `run` carries.  Reads only the
     retained 2/3-rule box of the state: content outside it is dropped, as
     `run` does on entry, and the new state is zero outside it.
-    ``symbols`` may be full-layout (`stiff_symbols`) or band-layout."""
+    ``symbols`` may be full-layout (`stiff_symbols`) or band-layout.  The
+    step runs on ``engine``, or on a transient `StepEngine` closed before
+    the call returns."""
     if state.variant is not variant:
         raise ValueError(f"state is tagged {state.variant.value!r}, "
                          f"step was asked for {variant.value!r}")
@@ -167,8 +212,9 @@ def step(state: State | BandState, p: PhysParams, variant: SystemVariant,
     if symbols is None:
         symbols = stiff_symbols(grid, p, variant)
     band = as_band(state)
-    u, w, m = _step_arrays(band.arrays, symbols.band, grid, p, variant, dt,
-                           linearized)
+    with using_engine(engine, grid) as engine:
+        u, w, m = _step_arrays(band.arrays, symbols.band, grid, p, variant,
+                               dt, linearized, engine)
     for name, arr in (("u", u), ("omega", w), ("magnetic", m)):
         if not np.all(np.isfinite(arr)):
             raise IntegrityError(f"non-finite {name} after step")
@@ -223,8 +269,10 @@ def run(state: State, p: PhysParams, variant: SystemVariant,
     caller that holds none frees the full-spectrum arrays.  Between steps
     only the `BandState` is kept; a full-spectrum `State` is built for each
     ``state_sink`` call and for the result's state (final, blow-up or
-    sink-failure partial).  Each step is one call of the module-level
-    `step` with its ``dt``.
+    sink-failure partial), each after the engine's pool is released.  Each
+    step is one call of the module-level `step` with its ``dt`` and the
+    run's `StepEngine`, whose helper thread is joined when the run returns
+    or raises.
     """
     if state.variant is not variant:
         raise ValueError("state variant does not match run variant")
@@ -235,15 +283,19 @@ def run(state: State, p: PhysParams, variant: SystemVariant,
     grid = current.grid
 
     symbols = stiff_symbols(grid, p, variant).band
+    engine = StepEngine(grid)
     records: list[DiagnosticsRecord] = []
     steps = 0
 
+    def full_state() -> State:
+        engine.release()
+        return current.to_state()
+
     def result(status: RunStatus, failure_step=None) -> RunResult:
-        return RunResult(current.to_state(), records, status, steps,
-                         failure_step)
+        return RunResult(full_state(), records, status, steps, failure_step)
 
     def emit_record() -> None:
-        rec = compute_record(current, p, settings)
+        rec = compute_record(current, p, settings, engine=engine)
         records.append(rec)
         if record_sink is not None:
             try:
@@ -255,7 +307,7 @@ def run(state: State, p: PhysParams, variant: SystemVariant,
     def emit_state() -> None:
         if state_sink is not None:
             try:
-                state_sink(current.to_state(), steps)
+                state_sink(full_state(), steps)
             except OSError as exc:
                 raise SinkWriteError(f"state sink failed: {exc}",
                                      result(RunStatus.STEP_CAP)) from exc
@@ -271,8 +323,10 @@ def run(state: State, p: PhysParams, variant: SystemVariant,
         while current.t < cfg.t_end - t_tol:
             if steps >= cfg.max_steps:
                 return result(RunStatus.STEP_CAP)
-            dt = min(stable_dt(current, p, grid, cfg), cfg.t_end - current.t)
-            current = step(current, p, variant, dt, symbols=symbols)
+            dt = min(stable_dt(current, p, grid, cfg, engine=engine),
+                     cfg.t_end - current.t)
+            current = step(current, p, variant, dt, symbols=symbols,
+                           engine=engine)
             steps += 1
             if current.t >= next_record - 1e-9 * cfg.record_interval:
                 emit_record()
@@ -282,7 +336,8 @@ def run(state: State, p: PhysParams, variant: SystemVariant,
                 emit_state()
                 next_state_dump = _next_boundary(current.t,
                                                  state_sink_interval)
+        return result(RunStatus.COMPLETED)
     except IntegrityError:
         return result(RunStatus.BLOW_UP, failure_step=steps)
-
-    return result(RunStatus.COMPLETED)
+    finally:
+        engine.close()

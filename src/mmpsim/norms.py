@@ -34,6 +34,7 @@ from .spectral import (
     Field,
     IntegrityError,
     SpectralLayout,
+    StepEngine,
     alpha_symbol,
     curl_coeffs,
     divergence_residual_coeffs,
@@ -262,8 +263,8 @@ class DiagnosticsSettings:
 
 
 def compute_record(state: State | BandState, p: PhysParams,
-                   settings: DiagnosticsSettings | None = None
-                   ) -> DiagnosticsRecord:
+                   settings: DiagnosticsSettings | None = None,
+                   engine: StepEngine | None = None) -> DiagnosticsRecord:
     """One diagnostics sample of ``state``, a `State` or the `BandState`
     that `run` carries.
 
@@ -274,14 +275,14 @@ def compute_record(state: State | BandState, p: PhysParams,
     band sum with the layout's multiplicity.  On a dealiased state (every
     state a run records) the entries equal the full-spectrum field-level
     functions up to the summation order, and the divergence residuals bit
-    for bit.  The energy-flux audit reads the same band arrays (see
-    `energy_flux_audit`).
+    for bit.  The energy-flux audit reads the same band arrays and runs on
+    ``engine`` (see `energy_flux_audit`).
     """
     s = settings or DiagnosticsSettings()
     perturbation = state.variant is SystemVariant.PERTURBATION
     include_hr5 = perturbation if s.include_hr5 is None else s.include_hr5
     state = as_band(state)
-    audit = energy_flux_audit(state, p, state.variant)
+    audit = energy_flux_audit(state, p, state.variant, engine=engine)
 
     band = state.grid.band
     arrays = state.arrays

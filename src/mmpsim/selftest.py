@@ -15,8 +15,8 @@ from .diagio import read_diagnostics, write_diagnostics
 from .diophantine import check_diophantine
 from .dynamics import advect, energy_flux_audit, rhs
 from .fields import InitSpec, PhysParams, State, SystemVariant, make_random_state
-from .integrator import step
-from .norms import DiagnosticsRecord, fit_decay, sobolev_norm
+from .integrator import StepperConfig, run, stable_dt, step
+from .norms import DiagnosticsRecord, compute_record, fit_decay, sobolev_norm
 from .spectral import (
     GridSpec,
     SpectralVectorField,
@@ -78,15 +78,24 @@ def check_band_fft_exact():
             f"max difference inverse {inverse:.1e}, forward {forward:.1e}")
 
 
+def _state_bytes(state):
+    return [f.coeffs.tobytes() for f in (state.u, state.omega,
+                                          state.magnetic)] + [state.t]
+
+
 def check_threaded_bit_exact():
     # The step and the audit split their band transforms over threads from
-    # a grid size up; that equals the single-thread result bit for bit only
-    # if numpy computes every 1D line alike in any thread, a property of the
-    # numpy build checked here with the split engaged at 32^3.
+    # a grid size up, and a run reuses one engine's buffers and helper
+    # thread for all of its steps and records; that equals the
+    # single-thread public calls bit for bit only if numpy computes every
+    # 1D line alike in any thread and in any buffer, a property of the
+    # numpy build checked here with the split engaged at 32^3: one step and
+    # audit, and a 3-step run against 3 public steps and their records.
     grid = GridSpec(32)
     full = SystemVariant.FULL
     p = PhysParams(mu=0.2, chi=1.0, kappa=0.4, eta=1.0, nu=0.5)
     state = make_random_state(grid, InitSpec(epsilon=1000.0, seed=17), full)
+    cfg = StepperConfig(dt=1e-4, t_end=3e-4, record_interval=1e-4)
     saved = spectral.WORKERS, spectral.SPLIT_MIN_N
     results = []
     try:
@@ -94,15 +103,30 @@ def check_threaded_bit_exact():
             spectral.WORKERS, spectral.SPLIT_MIN_N = workers, grid.n
             results.append((step(state, p, full, 1e-4),
                             energy_flux_audit(state, p, full)))
+        # single thread: the steps of `run`, as public calls on `State`s
+        spectral.WORKERS = 1
+        states, records = [state], [compute_record(state, p)]
+        while states[-1].t < cfg.t_end - 1e-12 * cfg.t_end:
+            dt = min(stable_dt(states[-1], p, grid, cfg),
+                     cfg.t_end - states[-1].t)
+            states.append(step(states[-1], p, full, dt))
+            records.append(compute_record(states[-1], p))
+        spectral.WORKERS = 2
+        result = run(state, p, full, cfg)
     finally:
         spectral.WORKERS, spectral.SPLIT_MIN_N = saved
     (serial, serial_audit), (threaded, threaded_audit) = results
     diff = max(np.abs(getattr(serial, name).coeffs
                       - getattr(threaded, name).coeffs).max()
                for name in ("u", "omega", "magnetic"))
-    ok = diff == 0.0 and serial_audit == threaded_audit
+    run_equal = (result.steps == len(states) - 1 == 3
+                 and _state_bytes(result.state) == _state_bytes(states[-1])
+                 and result.records == records)
+    ok = diff == 0.0 and serial_audit == threaded_audit and run_equal
     return ok, (f"step max difference {diff:.1e}, audit "
-                f"{'equal' if serial_audit == threaded_audit else 'differs'}")
+                f"{'equal' if serial_audit == threaded_audit else 'differs'}"
+                f", {result.steps}-step run "
+                f"{'equal' if run_equal else 'differs'}")
 
 
 def check_audit_pairings_exact():

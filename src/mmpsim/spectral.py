@@ -41,16 +41,21 @@ stored in FFT order along its last three axes: the full spectrum, or the
 retained box |k_i| <= kc of all three axes ((2kc+1)^3 modes, the band
 with its k3 < 0 half), on which the random initial data is built.
 
-`run_tasks` spreads independent scalar transforms (and the products that
-feed them) over min(2, available cores) threads from n = `SPLIT_MIN_N`
-up; numpy's FFTs and elementwise kernels release the interpreter lock.
-Each task writes through a `BandWorkspace`'s methods into arrays the
-calling thread allocated, so each 1D line is transformed as on one thread
-and the results are bit-identical; only which thread runs a line changes,
-never the pass and line counts above.  The threads run these array kernels
-only, never a public mmpsim function: a span recorder wrapping those (such
-as the benchmark's tracer, whose span stack is not thread-safe) sees every
-call on the calling thread.
+A `StepEngine` holds the resources that the step and the energy-flux
+audit reuse from call to call: one pool of grid and band buffers, each
+thread's `BandWorkspace`, and from n = `SPLIT_MIN_N` up one helper thread
+(min(2, available cores) threads in all; numpy's FFTs and elementwise
+kernels release the interpreter lock).  `run` builds one for the whole
+run; a public call without one builds a transient engine and closes it
+before it returns.  `StepEngine.run` spreads independent scalar
+transforms (and the products that feed them) over the threads.  Each task
+writes through a `BandWorkspace`'s methods into arrays the engine handed
+out, so each 1D line is transformed as on one thread and the results are
+bit-identical; only which thread runs a line changes, never the pass and
+line counts above.  The threads run these array kernels only, never a
+public mmpsim function: a span recorder wrapping those (such as the
+benchmark's tracer, whose span stack is not thread-safe) sees every call
+on the calling thread.
 
 All field-level operations are pure: they return new field objects and
 never mutate their inputs.
@@ -61,6 +66,7 @@ from __future__ import annotations
 import itertools
 import os
 import threading
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -274,23 +280,31 @@ class BandWorkspace:
     """The scratch arrays of one thread for scalar band transforms, each
     allocated when the workspace is made: ``wide`` (n, n, n//2+1) and
     ``narrow`` (n, 2kc+1, kc+1) complex for the transforms' intermediate
-    passes, plus ``fields`` real (n, n, n) grid buffers and ``band_fields``
-    complex retained-band buffers for the caller's own products.
+    passes.  ``spare`` is a real (n, n, n) view of the start of ``wide``,
+    whose content only lives within a transform: a task may use it for a
+    grid product between its transforms.  ``band`` is a complex
+    retained-band scalar buffer, made on first use, and ``fields`` are real
+    (n, n, n) grid buffers handed out by `StepEngine.run` for one call: the
+    thread's buffers for a task's own products.
 
     `to_physical` and `to_spectral` write into a given output and allocate
     no array: each 1D pass runs in place on the scratch.  numpy transforms
     line by line, so a pass written over its input returns the values of
     the out-of-place pass bit for bit."""
 
-    def __init__(self, grid: GridSpec, fields: int = 0, band_fields: int = 0):
+    def __init__(self, grid: GridSpec):
         n, kc = grid.n, grid.kmax_dealias
         self.grid = grid
         self.wide = np.empty((n, n, n // 2 + 1), dtype=np.complex128)
         self.narrow = np.empty((n, 2 * kc + 1, kc + 1), dtype=np.complex128)
-        self.fields = [np.empty((n, n, n)) for _ in range(fields)]
-        self.band_fields = [np.empty((2 * kc + 1, 2 * kc + 1, kc + 1),
-                                     dtype=np.complex128)
-                            for _ in range(band_fields)]
+        self.spare = self.wide.reshape(-1).view(np.float64)[:n ** 3].reshape(
+            n, n, n)
+        self.fields: list[np.ndarray] = []
+
+    @cached_property
+    def band(self) -> np.ndarray:
+        kc = self.grid.kmax_dealias
+        return np.empty((2 * kc + 1, 2 * kc + 1, kc + 1), dtype=np.complex128)
 
     def to_physical(self, c: np.ndarray, out: np.ndarray) -> None:
         """`to_physical` of scalar band coefficients c, written into the
@@ -361,7 +375,7 @@ def _available_cores() -> int:
     return os.cpu_count() or 1
 
 
-# `run_tasks` spreads its tasks over WORKERS threads on grids of at least
+# `StepEngine` spreads its tasks over WORKERS threads on grids of at least
 # SPLIT_MIN_N points per axis.  Measured on 2 cores, 30 alternating pairs
 # of a perturbation step and audit: two threads lost at n = 16 and 20, were
 # even at 24 and won 23-28 of 30 from 26 up.
@@ -369,53 +383,187 @@ WORKERS = min(2, _available_cores())
 SPLIT_MIN_N = 26
 
 
-def run_tasks(phases, grid: GridSpec, fields: int = 0,
-              band_fields: int = 0) -> None:
-    """Run each task of each phase once as ``task(ws)``, ws a
-    `BandWorkspace` of ``grid`` with ``fields`` and ``band_fields``
-    buffers.  A phase starts once every task of the one before has
-    returned.
+class _Stack:
+    """Arrays made by ``make``, handed out from the bottom up: ``top`` of
+    them are in use.  An empty slot (None) gets a new array when taken."""
 
-    From n = SPLIT_MIN_N up the calling thread and WORKERS - 1 helper
-    threads draw the tasks in list order, each with its own workspace;
-    below it the calling thread runs them all.  The calling thread
-    allocates every workspace, so a task should write only into arrays the
-    caller allocated and its workspace: a thread then computes each 1D
-    line and product exactly as the single-thread run does.  The first
-    exception raised by a task stops the drawing and is re-raised here
-    once every helper has been joined; no thread outlives its phase, and
-    nothing keeps a workspace alive after the call."""
-    count = WORKERS if grid.n >= SPLIT_MIN_N else 1
-    workspaces = [BandWorkspace(grid, fields, band_fields)
-                  for _ in range(count)]
-    lock = threading.Lock()
-    failures: list[BaseException] = []
+    def __init__(self, make):
+        self.make = make
+        self.arrays: list[np.ndarray | None] = []
+        self.top = 0
 
-    def drain(pending, ws: BandWorkspace) -> None:
+    def take(self, count: int) -> list[np.ndarray]:
+        end = self.top + count
+        self.arrays += [None] * (end - len(self.arrays))
+        for i in range(self.top, end):
+            if self.arrays[i] is None:
+                self.arrays[i] = self.make()
+        taken = self.arrays[self.top:end]
+        self.top = end
+        return taken
+
+
+class StepEngine:
+    """The resources that the step and the energy-flux audit on ``grid``
+    reuse from call to call.  `run` builds one for the whole run; a public
+    call without one builds a transient engine (`using_engine`).
+
+    *Pool.*  `grid_buffers` hands out real (n, n, n) grid buffers and
+    `band_buffers` complex retained-band vector buffers
+    (3, 2kc+1, 2kc+1, kc+1), each kind from a stack: what is handed out
+    inside a `scope` goes back when it ends, and the next request gets the
+    same arrays again.  So the step's phases, its stage arrays and the
+    audit's phases share one pool, which grows to the largest working set
+    any of them asked for, not their sum.  A buffer holds whatever its
+    last user left in it.  `release` drops the pool (or its grid buffers)
+    and the workspaces; the next request allocates afresh.
+
+    *Threads.*  `run` runs phases of tasks on the calling thread and, from
+    n = `SPLIT_MIN_N` up, WORKERS - 1 helper threads, each with its own
+    `BandWorkspace`.  The helpers start on the first `run` and wait at a
+    barrier between phases; `close` (or the end of a ``with`` block) joins
+    them.  Nothing starts when the engine is made."""
+
+    def __init__(self, grid: GridSpec):
+        n, kc = grid.n, grid.kmax_dealias
+        band_shape = (3, 2 * kc + 1, 2 * kc + 1, kc + 1)
+        self.grid = grid
+        self.threads = WORKERS if n >= SPLIT_MIN_N else 1
+        self._grid = _Stack(lambda: np.empty((n, n, n)))
+        self._band = _Stack(lambda: np.empty(band_shape, dtype=np.complex128))
+        self._workspaces: list[BandWorkspace] = []
+        self._helpers: list[threading.Thread] = []
+        self._start = self._done = None
+        self._lock = threading.Lock()
+        self._pending = iter(())
+        self._failures: list[BaseException] = []
+
+    def __enter__(self) -> "StepEngine":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held in the pool's buffers."""
+        return sum(a.nbytes for a in self._grid.arrays + self._band.arrays
+                   if a is not None)
+
+    def grid_buffers(self, count: int) -> list[np.ndarray]:
+        """``count`` grid buffers of the pool, in use until the enclosing
+        `scope` ends."""
+        return self._grid.take(count)
+
+    def band_buffers(self, count: int) -> list[np.ndarray]:
+        """``count`` band vector buffers of the pool, in use until the
+        enclosing `scope` ends."""
+        return self._band.take(count)
+
+    @contextmanager
+    def scope(self):
+        """Give back, on exit, every buffer handed out inside."""
+        tops = self._grid.top, self._band.top
         try:
-            while not failures:
-                with lock:
-                    task = next(pending, None)
+            yield self
+        finally:
+            self._grid.top, self._band.top = tops
+
+    def hand_over(self, arrays) -> None:
+        """Give the band buffers ``arrays`` to the caller for good: the pool
+        makes new ones in their place when next asked."""
+        self._band.arrays = [None if any(a is b for b in arrays) else a
+                             for a in self._band.arrays]
+
+    def release(self, band: bool = True) -> None:
+        """Drop the grid buffers, the workspaces and, if ``band``, the band
+        buffers of the pool; the threads stay.  Buffers a caller still
+        holds stay alive as its own."""
+        self._grid.arrays = []
+        self._workspaces = []
+        if band:
+            self._band.arrays = []
+
+    def run(self, phases, fields: int = 0) -> None:
+        """Run each task of each phase once as ``task(ws)``, ws the
+        `BandWorkspace` of the thread that draws it, holding ``fields``
+        grid buffers of the pool for this call.
+        A phase starts once every task of the one before has returned.
+
+        The threads draw the tasks in list order.  A task should write only
+        into buffers it was handed (its workspace's, or arrays of the
+        caller's): a thread then computes each 1D line and product exactly
+        as the single-thread run does.  The first exception raised by a
+        task stops the drawing and is re-raised here once every thread has
+        finished its task."""
+        with self.scope():
+            if not self._workspaces:
+                self._workspaces = [BandWorkspace(self.grid)
+                                    for _ in range(self.threads)]
+            for ws in self._workspaces:
+                ws.fields = self.grid_buffers(fields)
+            if self.threads > 1 and not self._helpers:
+                self._start_helpers()
+            try:
+                for tasks in phases:
+                    self._pending = iter(tasks)
+                    if self._helpers:
+                        self._start.wait()
+                    self._drain(self._workspaces[0])
+                    if self._helpers:
+                        self._done.wait()
+                    if self._failures:
+                        raise self._failures[0]
+            finally:
+                self._pending = iter(())
+                self._failures = []
+                for ws in self._workspaces:
+                    ws.fields = []
+
+    def close(self) -> None:
+        """Release the pool and join the helper threads."""
+        self.release()
+        if self._helpers:
+            self._start.abort()
+            self._done.abort()
+            for helper in self._helpers:
+                helper.join()
+            self._helpers = []
+
+    def _start_helpers(self) -> None:
+        self._start = threading.Barrier(self.threads)
+        self._done = threading.Barrier(self.threads)
+        self._helpers = [threading.Thread(target=self._serve, args=(index,),
+                                          daemon=True)
+                         for index in range(1, self.threads)]
+        for helper in self._helpers:
+            helper.start()
+
+    def _serve(self, index: int) -> None:
+        try:
+            while True:
+                self._start.wait()
+                self._drain(self._workspaces[index])
+                self._done.wait()
+        except threading.BrokenBarrierError:  # the engine was closed
+            return
+
+    def _drain(self, ws: BandWorkspace) -> None:
+        try:
+            while not self._failures:
+                with self._lock:
+                    task = next(self._pending, None)
                 if task is None:
                     return
                 task(ws)
         except BaseException as exc:  # re-raised by the calling thread
-            failures.append(exc)
+            self._failures.append(exc)
 
-    for tasks in phases:
-        pending = iter(tasks)
-        helpers = [threading.Thread(target=drain, args=(pending, ws))
-                   for ws in workspaces[1:]]
-        try:
-            for helper in helpers:
-                helper.start()
-            drain(pending, workspaces[0])
-        finally:
-            for helper in helpers:
-                if helper.is_alive():
-                    helper.join()
-        if failures:
-            raise failures[0]
+
+def using_engine(engine: StepEngine | None, grid: GridSpec):
+    """A context giving ``engine``, or a transient `StepEngine` of ``grid``
+    that is closed when the context ends."""
+    return nullcontext(engine) if engine is not None else StepEngine(grid)
 
 
 def power_spectrum(c: np.ndarray) -> np.ndarray:
@@ -433,10 +581,15 @@ def parseval_sum(values: np.ndarray, layout: SpectralLayout) -> float:
     return float(TWO_PI_CUBED * np.sum(layout.multiplicity * values))
 
 
-def k_dot(c: np.ndarray, layout: SpectralLayout) -> np.ndarray:
-    """k . c over the leading component axis of c."""
+def k_dot(c, layout: SpectralLayout, out: np.ndarray | None = None,
+          scratch: np.ndarray | None = None) -> np.ndarray:
+    """k . c over the leading component axis of c (an array or a sequence
+    of three), written into ``out`` if given, with the second and third
+    products formed in ``scratch`` if given."""
     k1, k2, k3 = layout.k_vectors
-    return k1 * c[0] + k2 * c[1] + k3 * c[2]
+    out = np.multiply(k1, c[0], out=out)
+    np.add(out, np.multiply(k2, c[1], out=scratch), out=out)
+    return np.add(out, np.multiply(k3, c[2], out=scratch), out=out)
 
 
 def gradient_coeffs(c: np.ndarray, layout: SpectralLayout) -> np.ndarray:
@@ -445,14 +598,20 @@ def gradient_coeffs(c: np.ndarray, layout: SpectralLayout) -> np.ndarray:
     return np.stack([1j * k1 * c, 1j * k2 * c, 1j * k3 * c])
 
 
-def curl_coeffs(c: np.ndarray, layout: SpectralLayout) -> np.ndarray:
-    """i k x c."""
+def curl_coeffs(c: np.ndarray, layout: SpectralLayout,
+                out: np.ndarray | None = None,
+                scratch: np.ndarray | None = None) -> np.ndarray:
+    """i k x c, written into ``out`` (not c itself) if given, with each
+    component's subtrahend formed in ``scratch`` if given."""
     k1, k2, k3 = layout.k_vectors
-    return np.stack([
-        1j * (k2 * c[2] - k3 * c[1]),
-        1j * (k3 * c[0] - k1 * c[2]),
-        1j * (k1 * c[1] - k2 * c[0]),
-    ])
+    if out is None:
+        out = np.empty(c.shape, dtype=np.complex128)
+    for i, (ka, a, kb, b) in enumerate(((k2, 2, k3, 1), (k3, 0, k1, 2),
+                                        (k1, 1, k2, 0))):
+        np.multiply(ka, c[a], out=out[i])
+        np.subtract(out[i], np.multiply(kb, c[b], out=scratch), out=out[i])
+        np.multiply(1j, out[i], out=out[i])
+    return out
 
 
 def grad_div_coeffs(c: np.ndarray, layout: SpectralLayout) -> np.ndarray:
@@ -462,24 +621,35 @@ def grad_div_coeffs(c: np.ndarray, layout: SpectralLayout) -> np.ndarray:
     return np.stack([-k1 * kdotv, -k2 * kdotv, -k3 * kdotv])
 
 
-def parallel_part(c: np.ndarray, layout: SpectralLayout) -> np.ndarray:
-    """k (k.c)/|k|^2, the part of each mode parallel to k (zero at k=0)."""
-    k1, k2, k3 = layout.k_vectors
-    kdotv = k_dot(c, layout) / layout.k_squared_safe
-    return np.stack([k1 * kdotv, k2 * kdotv, k3 * kdotv])
+def parallel_part(c: np.ndarray, layout: SpectralLayout,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """k (k.c)/|k|^2, the part of each mode parallel to k (zero at k=0),
+    written into ``out`` (not c itself) if given; out[0] holds (k.c)/|k|^2
+    until the last component is formed."""
+    if out is None:
+        out = np.empty_like(c)
+    kdotv = k_dot(c, layout, out=out[0], scratch=out[1])
+    np.divide(kdotv, layout.k_squared_safe, out=kdotv)
+    for i in (2, 1, 0):
+        np.multiply(layout.k_vectors[i], kdotv, out=out[i])
+    return out
 
 
 def project_coeffs(c: np.ndarray, layout: SpectralLayout,
-                   out: np.ndarray | None = None) -> np.ndarray:
+                   out: np.ndarray | None = None,
+                   scratch: np.ndarray | None = None) -> np.ndarray:
     """Leray projection c - k (k.c)/|k|^2 with the k=0 mode zeroed, written
-    into ``out`` (which may be c itself) if given.  One component of the
-    parallel part is alive at a time; the values are those of
-    c - `parallel_part`."""
-    kdotv = k_dot(c, layout) / layout.k_squared_safe
+    into ``out`` (which may be c itself) if given, with (k.c)/|k|^2 and
+    each component's parallel part formed in scratch[0] and scratch[1] if
+    given.  One component of the parallel part is alive at a time; the
+    values are those of c - `parallel_part`."""
+    kdotv, part = (None, None) if scratch is None else scratch[:2]
+    kdotv = k_dot(c, layout, out=kdotv, scratch=part)
+    np.divide(kdotv, layout.k_squared_safe, out=kdotv)
     if out is None:
         out = np.empty_like(c)
     for i, k in enumerate(layout.k_vectors):
-        np.subtract(c[i], k * kdotv, out=out[i])
+        np.subtract(c[i], np.multiply(k, kdotv, out=part), out=out[i])
     out[:, 0, 0, 0] = 0.0
     return out
 

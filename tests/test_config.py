@@ -16,6 +16,17 @@ init.epsilon = 0.01
 time.t_end = 20
 """
 
+# the acceptance fixture's grid and variant, less its background vector
+PERTURBATION = """
+grid.n = 32
+system = perturbation
+params.chi = 1
+params.eta = 1
+diophantine.r = 2.5
+init.epsilon = 0.01
+time.t_end = 1
+"""
+
 
 class TestParseConfig:
     def test_minimal_accepted_with_defaults(self):
@@ -180,6 +191,20 @@ time.t_end = 1
             parse_config("\n".join(lines) + "\n")
         (error,) = exc.value.errors
         assert error.startswith(f"line {len(lines)}: bad value for {key!r}: ")
+
+    @pytest.mark.parametrize("alpha, resonant", [
+        ("0, 0, 0.9", True), ("0.5, 0.5, 0.5", True),
+        (",".join(repr(float(0.9 * a / np.sqrt(6.0)))
+                  for a in (1.0, np.sqrt(2.0), np.sqrt(3.0))), False),
+    ], ids=["axis", "diagonal", "fixture"])
+    def test_resonant_background_field_warns(self, alpha, resonant):
+        # alpha.k = 0 on a plane of the retained box: those magnetic modes
+        # are not damped.  The acceptance fixture's alpha is not resonant
+        config = parse_config(PERTURBATION + f"alpha = {alpha}\n")
+        warned = [w for w in config.warnings if "resonant" in w]
+        assert bool(warned) == resonant
+        if resonant:
+            assert "alpha.k = 0" in warned[0]
 
     def test_totality_on_garbage(self):
         # arbitrary text must produce a structured error list, never a crash

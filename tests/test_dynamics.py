@@ -63,7 +63,8 @@ ALPHA = tuple(0.9 * np.array([1.0, np.sqrt(2), np.sqrt(3)]) / np.sqrt(6.0))
 
 
 def force_threads(monkeypatch, workers):
-    """Make `run_tasks` use ``workers`` threads on every grid size."""
+    """Make every `StepEngine` use ``workers`` threads on every grid
+    size."""
     monkeypatch.setattr(spectral, "WORKERS", workers)
     monkeypatch.setattr(spectral, "SPLIT_MIN_N", 8)
 
@@ -387,7 +388,8 @@ class TestBandStep:
                                   SystemVariant.FULL)
         arrays = [band_part(f.coeffs, g)
                   for f in (state.u, state.omega, state.magnetic)]
-        for got, want in zip(_quadratic_terms(*arrays, g),
+        zeros = [np.zeros_like(a) for a in arrays]
+        for got, want in zip(_quadratic_terms(*arrays, g, zeros),
                              stacked_quadratic_terms(*arrays, g)):
             assert np.array_equal(got, want)
 
@@ -519,8 +521,9 @@ class TestThreadedTransforms:
             time.sleep(0.01)  # lets the caller draw a task
             helper_done.append(ws)
         before = threading.active_count()
-        with pytest.raises(ValueError, match="caller share"):
-            spectral.run_tasks([[task] * 8], GridSpec(8))
+        with pytest.raises(ValueError, match="caller share"), \
+                spectral.StepEngine(GridSpec(8)) as engine:
+            engine.run([[task] * 8])
         assert threading.active_count() == before
         assert len(helper_done) < 8
 
@@ -537,8 +540,8 @@ class TestThreadedTransforms:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            spectral.run_tasks([[task(i) for i in range(500)]] * 2,
-                               GridSpec(8))
+            with spectral.StepEngine(GridSpec(8)) as engine:
+                engine.run([[task(i) for i in range(500)]] * 2)
         finally:
             sys.setswitchinterval(interval)
         assert counts == [2] * 500

@@ -1,7 +1,9 @@
 """Time stepping: exact stiff propagation, step-size control, fourth-order
-accuracy against the per-mode matrix-exponential oracle, and the driver."""
+accuracy against the per-mode matrix-exponential oracle, the driver, and
+the run-scoped engine: its helper thread and its reused buffers."""
 
 import inspect
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,11 +11,12 @@ import pytest
 
 from linear_oracle import exact_linear_solution, stacked_error
 
-from mmpsim import integrator
+from mmpsim import integrator, spectral
 from mmpsim.dynamics import stiff_symbols
 from mmpsim.fields import InitSpec, PhysParams, State, SystemVariant, make_random_state
 from mmpsim.integrator import (
     RunStatus,
+    SinkWriteError,
     StepperConfig,
     _next_boundary,
     run,
@@ -25,6 +28,7 @@ from mmpsim.spectral import (
     GridSpec,
     IntegrityError,
     SpectralVectorField,
+    StepEngine,
     dealias,
     divergence_residual,
     forward_transform,
@@ -52,6 +56,9 @@ class TestStepperConfig:
             StepperConfig(dt=0.1, t_end=1.0, cfl_advective=1.5)
         with pytest.raises(ValueError):
             StepperConfig(dt=0.1, t_end=1.0, record_interval=0.0)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="record_interval"):
+                StepperConfig(dt=0.1, t_end=1.0, record_interval=value)
 
 
 class TestStableDt:
@@ -244,11 +251,11 @@ class TestRun:
         # does on a non-finite entry: the run stops with the steps taken
         calls = []
 
-        def failing_record(state, p, settings=None):
+        def failing_record(state, p, settings=None, engine=None):
             calls.append(state.t)
             if len(calls) == 2:
                 raise IntegrityError("non-finite diagnostics entry l2_energy")
-            return compute_record(state, p, settings)
+            return compute_record(state, p, settings, engine=engine)
         monkeypatch.setattr(integrator, "compute_record", failing_record)
         g = GridSpec(16)
         state = make_random_state(g, InitSpec(epsilon=0.01, seed=5), ZK)
@@ -407,26 +414,152 @@ class TestBandResidentRun:
             assert t0 == t1
         assert calls[0][0] == 0.0 and calls[-1][2] == result.state.t
 
-    def test_holds_no_full_spectrum_state_between_steps(self):
+    def test_holds_no_full_spectrum_state_between_steps(self, monkeypatch):
         # at 32^3 a full-spectrum state is 4.72 MB and its band 0.73 MB;
         # measured between steps: 1.41 MB traced, 6.24 MB when run carried
-        # a full State (and the caller's copy is not held here)
+        # a full State (and the caller's copy is not held here).  The run's
+        # engine keeps its pool of band buffers between steps on purpose
+        # (19 band vectors, 4.42 MB at 32^3); it is not counted here, and
+        # is bounded below
         g = GridSpec(32)
         init = InitSpec(epsilon=0.01, seed=6)
         cfg = StepperConfig(dt=0.05, t_end=0.15, record_interval=0.05)
         # fill the grid's caches and the transforms' plans first
         run(make_random_state(g, init, ZK), ZK_PARAMS, ZK,
             StepperConfig(dt=0.05, t_end=0.05))
-        held = []
+        engines = []
+
+        class Recorded(StepEngine):
+            def __init__(self, grid):
+                super().__init__(grid)
+                engines.append(self)
+        monkeypatch.setattr(integrator, "StepEngine", Recorded)
+        held, pooled = [], []
+
+        def sink(rec):
+            held.append(tracemalloc.get_traced_memory()[0] - base
+                        - engines[0].nbytes)
+            pooled.append(engines[0].nbytes)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             result = run(make_random_state(g, init, ZK), ZK_PARAMS, ZK, cfg,
-                         record_sink=lambda rec: held.append(
-                             tracemalloc.get_traced_memory()[0] - base),
-                         initial_record=False)
+                         record_sink=sink, initial_record=False)
         finally:
             tracemalloc.stop()
         assert result.steps == len(held) == 3
         full_state = 3 * 3 * g.n ** 3 * 16
         assert max(held) <= full_state / 2
+        band_vector = 3 * 21 * 21 * 11 * 16
+        assert max(pooled) <= 19 * band_vector
+
+
+class _Stop(BaseException):
+    """Raised from a sink: not an Exception, so nothing in run catches it."""
+
+
+class TestRunEngine:
+    """`run` keeps one `StepEngine` for the whole run: one helper thread,
+    joined however the run ends, and grid buffers reused from step to
+    step."""
+
+    @staticmethod
+    def count_starts(monkeypatch):
+        starts = []
+        original = threading.Thread.start
+
+        def counted(thread):
+            starts.append(thread)
+            original(thread)
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        return starts
+
+    @pytest.mark.parametrize("n, helpers", [(24, 0), (26, 1)])
+    def test_one_helper_thread_per_run_from_the_split_up(self, monkeypatch,
+                                                         n, helpers):
+        # the per-phase helpers of the per-call design started 8 threads
+        # per step and 2 per record
+        monkeypatch.setattr(spectral, "WORKERS", 2)
+        assert spectral.SPLIT_MIN_N == 26
+        state = make_random_state(GridSpec(n), InitSpec(epsilon=1.0, seed=8),
+                                  PERT)
+        starts = self.count_starts(monkeypatch)
+        result = run(state, PERT_PARAMS, PERT,
+                     StepperConfig(dt=0.05, t_end=0.15, record_interval=0.05))
+        assert result.steps == 3 and len(result.records) == 4
+        assert len(starts) == helpers
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("ending", ["completed", "step_cap", "blow_up",
+                                        "sink_error", "base_exception"])
+    def test_helper_joined_however_the_run_ends(self, monkeypatch, ending):
+        monkeypatch.setattr(spectral, "WORKERS", 2)
+        monkeypatch.setattr(spectral, "SPLIT_MIN_N", 8)
+        starts = self.count_starts(monkeypatch)
+        cfg = StepperConfig(dt=0.05, t_end=0.2, record_interval=0.05,
+                            max_steps=2 if ending == "step_cap" else 100)
+        state = (TestBandResidentRun.blow_up_state(ZK)
+                 if ending == "blow_up" else
+                 make_random_state(GridSpec(16), InitSpec(epsilon=1.0, seed=9),
+                                   ZK))
+        records = []
+
+        def sink(rec):
+            records.append(rec)
+            if len(records) == 2 and ending == "sink_error":
+                raise OSError("disk full")
+            if len(records) == 2 and ending == "base_exception":
+                raise _Stop()
+        before = threading.active_count()
+        if ending in ("sink_error", "base_exception"):
+            with pytest.raises(SinkWriteError if ending == "sink_error"
+                               else _Stop):
+                run(state, ZK_PARAMS, ZK, cfg, record_sink=sink)
+        else:
+            cfg = StepperConfig(dt=0.05, t_end=5.0 if ending == "blow_up"
+                                else 0.2, record_interval=0.05,
+                                max_steps=cfg.max_steps)
+            result = run(state, ZK_PARAMS, ZK, cfg, record_sink=sink)
+            assert result.status.value == ending
+        assert len(starts) == 1 and len(records) >= 2
+        assert threading.active_count() == before
+        assert not starts[0].is_alive()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_grid_buffers_reused_at_every_step(self, monkeypatch, workers):
+        # without a record or a state sink between steps, nothing makes the
+        # engine release its pool, so every step transforms into the same
+        # grid buffers.  Each one is kept alive here, so buffers allocated
+        # per call could not reuse a freed address
+        monkeypatch.setattr(spectral, "WORKERS", workers)
+        monkeypatch.setattr(spectral, "SPLIT_MIN_N", 8)
+        per_step, stepping_now = [], []
+        original_step = integrator.step
+        original = spectral.BandWorkspace.to_physical
+
+        def tracked(ws, c, out):
+            if stepping_now:  # not stable_dt's transform between steps
+                per_step[-1].append(out)
+            original(ws, c, out)
+
+        def stepping(*args, **kwargs):
+            per_step.append([])
+            stepping_now.append(True)
+            try:
+                return original_step(*args, **kwargs)
+            finally:
+                stepping_now.pop()
+        monkeypatch.setattr(spectral.BandWorkspace, "to_physical", tracked)
+        monkeypatch.setattr(integrator, "step", stepping)
+        state = make_random_state(GridSpec(16), InitSpec(epsilon=1.0, seed=10),
+                                  ZK)
+        result = run(state, ZK_PARAMS, ZK,
+                     StepperConfig(dt=0.05, t_end=0.2, record_interval=1.0),
+                     initial_record=False)
+        assert result.steps == len(per_step) == 4 and not result.records
+        pointers = [{out.__array_interface__["data"][0] for out in outs}
+                    for outs in per_step]
+        # the grid values of u, omega and b, 9 transforms per evaluation
+        assert len(pointers[0]) == 9 and len(per_step[0]) == 4 * 9
+        assert all(p == pointers[0] for p in pointers)

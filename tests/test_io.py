@@ -488,6 +488,27 @@ class TestCli:
         assert f"config error: line {lineno}: bad value for {key!r}: " in err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("key", ["time.record_interval",
+                                     "output.checkpoint_interval"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_interval_is_a_config_error(self, tmp_path, capsys,
+                                                   key, value):
+        # a NaN interval used to pass validation, write a header-only
+        # diagnostics.csv, and then fail converting NaN to an integer
+        outdir = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        text = CONFIG_TEMPLATE.format(
+            t_end=0.5, outdir=outdir, extra="").replace(
+            "grid.n = 16", "grid.n = 8").replace(
+            "time.record_interval = 0.1\n", "") + f"{key} = {value}\n"
+        cfg.write_text(text)
+        lineno = text.splitlines().index(f"{key} = {value}") + 1
+        code = cli_main(["run", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"config error: line {lineno}: bad value for {key!r}: " in err
+        assert not (outdir / "diagnostics.csv").exists()
+
     def test_resume_from_bad_header_keeps_diagnostics(self, tmp_path,
                                                       capsys):
         outdir = tmp_path / "out"
