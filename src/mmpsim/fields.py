@@ -9,7 +9,6 @@ only and validation flags them accordingly.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -17,13 +16,16 @@ from enum import Enum
 import numpy as np
 
 from .spectral import (
+    INDEX_WINDOW,
     GridSpec,
     IntegrityError,
     SpectralLayout,
     SpectralVectorField,
     band_part,
+    box_part,
     divergence_residual,
     expand_band,
+    expand_box,
     hermitian_symmetrize,
     parseval_sum,
     power_spectrum,
@@ -73,6 +75,11 @@ _WIRE_IDS = {v: i for i, v in enumerate(SystemVariant)}
 WIRE_VARIANTS = {i: v for v, i in _WIRE_IDS.items()}
 
 
+def _in_index_window(s: float) -> bool:
+    """True if s lies in `INDEX_WINDOW` (ends included); False for NaN."""
+    return INDEX_WINDOW[0] <= s <= INDEX_WINDOW[1]
+
+
 @dataclass(frozen=True)
 class PhysParams:
     """Equation coefficients plus the background vector and the Diophantine
@@ -100,6 +107,12 @@ class PhysParams:
             raise ValueError(f"alpha must be a finite 3-vector, got {self.alpha}")
         if not math.isfinite(self.r) or self.r <= 2.0:
             raise ValueError(f"Diophantine exponent r must exceed 2, got {self.r}")
+        # output.norms may ask for the H^(r+5) norm on any variant
+        if not _in_index_window(self.r + 5.0):
+            raise ValueError(
+                f"Diophantine exponent r puts the hr5 norm's index r + 5 = "
+                f"{self.r + 5.0} outside the Sobolev index window "
+                f"{INDEX_WINDOW}, got r={self.r}")
 
     @property
     def alpha_vector(self) -> np.ndarray:
@@ -292,9 +305,10 @@ class InitSpec:
     def __post_init__(self):
         if not math.isfinite(self.epsilon) or self.epsilon < 0.0:
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
-        if not math.isfinite(self.sobolev_index):
+        if not _in_index_window(self.sobolev_index):
             raise ValueError(
-                f"sobolev_index must be finite, got {self.sobolev_index}")
+                f"sobolev_index must be finite and inside the Sobolev index "
+                f"window {INDEX_WINDOW}, got {self.sobolev_index}")
         if not math.isfinite(self.spectrum_slope) or self.spectrum_slope < 0.0:
             raise ValueError(f"spectrum_slope must be finite and >= 0, "
                              f"got {self.spectrum_slope}")
@@ -326,51 +340,6 @@ def rescale_to_norm(f: SpectralVectorField, s: float,
         f.coeffs * _rescale_factor(sobolev_norm(f, s), target), f.grid)
 
 
-# ---------------------------------------------------------------------------
-# the retained box |k_i| <= kc, (2kc+1)^3 modes in FFT order along each axis
-# ---------------------------------------------------------------------------
-
-def _box_blocks(grid: GridSpec) -> list:
-    """The box as eight (full, box) pairs of slice triples: along each axis
-    k = 0..kc, then -kc..-1, is a contiguous slice in either layout, so
-    basic slicing copies the box without an index array."""
-    n, kc = grid.n, grid.kmax_dealias
-    axis = ((slice(0, kc + 1), slice(0, kc + 1)),
-            (slice(n - kc, n), slice(kc + 1, 2 * kc + 1)))
-    return [tuple(zip(*pairs)) for pairs in itertools.product(axis, repeat=3)]
-
-
-def _box_part(a: np.ndarray, grid: GridSpec,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """The box of full-layout values over the last three axes, copied into
-    ``out`` if given."""
-    m = 2 * grid.kmax_dealias + 1
-    if out is None:
-        out = np.empty(a.shape[:-3] + (m, m, m), dtype=a.dtype)
-    for full, box in _box_blocks(grid):
-        out[(..., *box)] = a[(..., *full)]
-    return out
-
-
-def _expand_box(box: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Full-layout values of box ones: the box scattered into +0.0."""
-    out = np.zeros(box.shape[:-3] + (grid.n,) * 3, dtype=box.dtype)
-    for full, b in _box_blocks(grid):
-        out[(..., *full)] = box[(..., *b)]
-    return out
-
-
-def _box_layout(grid: GridSpec) -> SpectralLayout:
-    """Wavevectors of the box, gathered from the full layout's, so a symbol
-    evaluated on it equals the box of the full-layout symbol bit for bit."""
-    k = grid.k_axis[grid.band_index]
-    return SpectralLayout(grid, (k[:, None, None], k[None, :, None],
-                                 k[None, None, :]),
-                          _box_part(grid.k_squared, grid),
-                          _box_part(grid.k_squared_safe, grid),
-                          np.ones((1, 1, 1)))
-
-
 def _box_sobolev_norm(box: np.ndarray, weights: np.ndarray,
                       grid: GridSpec) -> float:
     """`sobolev_norm` of the field that is ``box`` on the box and zero
@@ -379,7 +348,7 @@ def _box_sobolev_norm(box: np.ndarray, weights: np.ndarray,
     +0.0."""
     if not np.all(np.isfinite(box)):
         raise IntegrityError("non-finite coefficients in sobolev_norm")
-    values = _expand_box(weights * power_spectrum(box), grid)
+    values = expand_box(weights * power_spectrum(box), grid)
     return math.sqrt(max(parseval_sum(values, grid.full), 0.0))
 
 
@@ -408,14 +377,14 @@ def make_random_state(grid: GridSpec, init: InitSpec,
     out-of-box k1 planes are skipped, not drawn.  Identical seeds give
     bit-identical states.
 
-    Each field
-    is built on the box: envelope * exp(i phases), `hermitian_symmetrize`
-    (the box is closed under k -> -k), the Leray projection (u and the
-    magnetic unknown), the box's part of the dealias mask and the rescale to
-    H^s norm epsilon, in this order.  These are the elementwise operations
-    of the same construction on the full spectrum, so every retained
-    coefficient has the value and bytes it would have there.  The box is
-    then scattered into zeros: outside it every coefficient is +0.0.
+    Each field is built on the layout ``grid.box`` (see `spectral`):
+    envelope * exp(i phases), `hermitian_symmetrize` (the box is closed
+    under k -> -k), the Leray projection (u and the magnetic unknown), the
+    box's part of the dealias mask and the rescale to H^s norm epsilon, in
+    this order.  These are the elementwise operations of the same
+    construction on the full spectrum, so every retained coefficient has
+    the value and bytes it would have there.  `expand_box` then scatters
+    the box into zeros: outside it every coefficient is +0.0.
     """
     k_peak = init.k_peak if init.k_peak is not None else grid.n / 6.0
     if k_peak > grid.kmax_dealias:
@@ -430,9 +399,9 @@ def make_random_state(grid: GridSpec, init: InitSpec,
 
     n, kc = grid.n, grid.kmax_dealias
     rng = np.random.Generator(np.random.Philox(init.seed))
-    layout = _box_layout(grid)
+    layout = grid.box
     envelope = _spectral_envelope(layout, init.spectrum_slope, k_peak)
-    mask = _box_part(grid.dealias_mask, grid)
+    mask = box_part(grid.dealias_mask, grid)
     weights = _sobolev_weights(layout, init.sobolev_index)
     # Philox yields its draws in blocks of four, and advance(b) skips b
     # blocks; the planes kc < i1 < n - kc of a component lie outside the
@@ -447,7 +416,7 @@ def make_random_state(grid: GridSpec, init: InitSpec,
             rng.random(out=draw[:kc + 1])
             rng.bit_generator.advance(skipped_blocks)
             rng.random(out=draw[n - kc:])
-            _box_part(draw, grid, out=component)
+            component[...] = box_part(draw, grid)
         coeffs = np.empty(phases.shape, dtype=np.complex128)
         coeffs.real = 0.0
         # 1j * phases, where uniform(0, 2pi) is 0 + 2pi * random()
@@ -464,5 +433,5 @@ def make_random_state(grid: GridSpec, init: InitSpec,
         np.multiply(coeffs, mask, out=coeffs)
         coeffs *= _rescale_factor(_box_sobolev_norm(coeffs, weights, grid),
                                   init.epsilon)
-        fields.append(SpectralVectorField(_expand_box(coeffs, grid), grid))
+        fields.append(SpectralVectorField(expand_box(coeffs, grid), grid))
     return State(fields[0], fields[1], fields[2], variant, t=0.0)

@@ -29,8 +29,16 @@ from dataclasses import dataclass, fields as dataclass_fields
 import numpy as np
 
 from .dynamics import energy_flux_audit
-from .fields import BandState, PhysParams, State, SystemVariant, as_band
+from .fields import (
+    BandState,
+    PhysParams,
+    State,
+    SystemVariant,
+    _in_index_window,
+    as_band,
+)
 from .spectral import (
+    INDEX_WINDOW,
     Field,
     IntegrityError,
     SpectralLayout,
@@ -43,8 +51,6 @@ from .spectral import (
     require_finite,
 )
 
-INDEX_WINDOW = (-10.0, 40.0)
-
 # Weights of the monitored Lyapunov functionals: A of the curl-energy
 # functional F, gamma and c0 of the perturbation functionals E and D.
 # Every record uses them; the public functional functions default to them.
@@ -54,7 +60,7 @@ C0_WEIGHT = 1.0
 
 
 def _check_index(s: float) -> None:
-    if not (INDEX_WINDOW[0] <= s <= INDEX_WINDOW[1]):
+    if not _in_index_window(s):
         raise ValueError(f"Sobolev index {s} outside sanity window {INDEX_WINDOW}")
 
 

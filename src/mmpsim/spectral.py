@@ -8,38 +8,40 @@ Conventions used throughout the package:
   wavevectors k in {-n/2, ..., n/2 - 1}^3;
 * Parseval then reads ||f||_{L2}^2 = (2pi)^3 sum_k |fhat(k)|^2, so the
   integer wavevectors are directly the Sobolev weights used elsewhere.
-  `parseval_sum` evaluates such sums on either layout below: the band
+  `parseval_sum` evaluates such sums on any layout below: the band
   stores one of each pair k, -k off the k3 = 0 plane, so each of its modes
   carries the layout's multiplicity m(k) (1 on k3 = 0, 2 for k3 > 0);
 * coefficients are stored full-spectrum in numpy FFT layout, i.e. index
   order 0, 1, ..., n/2-1, -n/2, ..., -1 along each axis.  Python's negative
   indexing makes ``coeffs[k1, k2, k3]`` a signed-wavevector lookup.
 
-Two coefficient layouts share one array-level kernel layer (the ``*_coeffs``
-functions, which take the layout's wavevectors as a `SpectralLayout`):
+Three coefficient layouts share one array-level kernel layer (the
+``*_coeffs`` functions, which take the layout's wavevectors as a
+`SpectralLayout`):
 
 * ``grid.full``: the full spectrum, shape (..., n, n, n), used by the field
   classes, the state and checkpoints;
-* ``grid.band``: the retained band, shape (..., 2kc+1, 2kc+1, kc+1) with
-  kc = n//3, i.e. exactly the 2/3-rule box |k_i| <= kc with k3 >= 0, in FFT
-  order along the first two axes (k = 0..kc, then -kc..-1) and k3 = 0..kc
-  along the last.  A real dealiased field is determined by it; the time
-  step runs in it.
+* ``grid.box``: the retained box, shape (..., 2kc+1, 2kc+1, 2kc+1) with
+  kc = n//3, i.e. exactly the 2/3-rule box |k_i| <= kc, in FFT order
+  (k = 0..kc, then -kc..-1) along each axis; the random initial data is
+  built on it;
+* ``grid.band``: its k3 >= 0 part, shape (..., 2kc+1, 2kc+1, kc+1).  A
+  real dealiased field is determined by it; the time step runs in it.
 
-`band_part` gathers the band out of full-spectrum coefficients (dropping
-everything outside the box) and `expand_band` scatters it back, filling
-k3 < 0 by Hermitian symmetry.  `to_physical` and `to_spectral` are the real
-transforms between the band and the n^3 grid, pruned to the lines that
-carry retained modes.  Each is three 1D passes, one per axis; per scalar
-field they transform n^2 + n(kc+1) + (2kc+1)(kc+1) lines, against
-n^2 + 2n(n//2+1) for the unpruned rfftn/irfftn.  numpy's n-d real
-transforms are the same 1D passes, so on dealiased data the pruned ones
-return their retained coefficients and physical values bit for bit.  The
-field-level operators are thin wrappers over the kernels on ``grid.full``.
-`hermitian_symmetrize` is the one reflection c(k) -> c(-k), on any array
-stored in FFT order along its last three axes: the full spectrum, or the
-retained box |k_i| <= kc of all three axes ((2kc+1)^3 modes, the band
-with its k3 < 0 half), on which the random initial data is built.
+One block table, `GridSpec.box_blocks`, places the box in the full
+spectrum.  `box_part` and `band_part` gather with it (dropping everything
+outside the box), `expand_box` and `expand_band` scatter back into zeros,
+`expand_band` filling k3 < 0 by Hermitian symmetry.  `to_physical` and
+`to_spectral` are the real transforms between the band and the n^3 grid,
+pruned to the lines that carry retained modes.  Each is three 1D passes,
+one per axis; per scalar field they transform n^2 + n(kc+1) +
+(2kc+1)(kc+1) lines, against n^2 + 2n(n//2+1) for the unpruned
+rfftn/irfftn.  numpy's n-d real transforms are the same 1D passes, so on
+dealiased data the pruned ones return their retained coefficients and
+physical values bit for bit.  The field-level operators are thin wrappers
+over the kernels on ``grid.full``.
+`_conj_reflection` is the one reflection c(k) -> conj(c(-k)), used by
+`hermitian_symmetrize` and `expand_band`.
 
 A `StepEngine` holds the resources that the step and the energy-flux
 audit reuse from call to call: one pool of grid and band buffers, each
@@ -73,6 +75,12 @@ from functools import cached_property
 import numpy as np
 
 TWO_PI_CUBED = (2.0 * np.pi) ** 3
+
+# The Sobolev indices s, ends included, whose weights (1 + |k|^2)^s the
+# norms evaluate; a sanity window that keeps the weights finite on every
+# grid in use.  The initial data's index and the hr5 norm's r + 5 must lie
+# in it.
+INDEX_WINDOW = (-10.0, 40.0)
 
 
 class IntegrityError(RuntimeError):
@@ -142,17 +150,25 @@ class GridSpec:
         n, kc = self.n, self.kmax_dealias
         return np.r_[0:kc + 1, n - kc:n]
 
+    @property
+    def box_shape(self) -> tuple[int, int, int]:
+        return (2 * self.kmax_dealias + 1,) * 3
+
+    @property
+    def band_shape(self) -> tuple[int, int, int]:
+        return self.box_shape[:2] + (self.kmax_dealias + 1,)
+
     @cached_property
-    def band_blocks(self) -> tuple:
-        """The retained box over the first two wavevector axes as four
-        (full, band) pairs of slice pairs.  Each axis holds k = 0..kc, then
-        -kc..-1, a contiguous slice in either layout, so the box is four
-        blocks that basic slicing copies without an index array."""
+    def box_blocks(self) -> tuple:
+        """The retained box as eight (full, box) pairs of slice triples:
+        along each axis k = 0..kc, then -kc..-1, is a contiguous slice in
+        either layout, so basic slicing copies it without an index array.
+        The even entries (k3 = 0..kc) are the band's blocks."""
         n, kc = self.n, self.kmax_dealias
         axis = ((slice(0, kc + 1), slice(0, kc + 1)),
                 (slice(n - kc, n), slice(kc + 1, 2 * kc + 1)))
-        return tuple(((f1, f2), (b1, b2))
-                     for f1, b1 in axis for f2, b2 in axis)
+        return tuple(tuple(zip(*pairs))
+                     for pairs in itertools.product(axis, repeat=3))
 
     @cached_property
     def full(self) -> "SpectralLayout":
@@ -160,14 +176,23 @@ class GridSpec:
         return SpectralLayout(self, self.k_vectors, self.k_squared,
                               self.k_squared_safe, np.ones((1, 1, 1)))
 
+    @property
+    def box(self) -> "SpectralLayout":
+        """Wavevectors of the retained-box layout (2kc+1, 2kc+1, 2kc+1),
+        the box parts of the full layout's arrays, made on each access
+        (only the initial data reads them, so no copy outlives it)."""
+        k = self.k_axis[self.band_index]
+        return SpectralLayout(self, (k[:, None, None], k[None, :, None],
+                                     k[None, None, :]),
+                              box_part(self.k_squared, self),
+                              box_part(self.k_squared_safe, self),
+                              np.ones((1, 1, 1)))
+
     @cached_property
     def band(self) -> "SpectralLayout":
-        """Wavevectors of the retained-band layout (2kc+1, 2kc+1, kc+1).
-
-        Every array is the band part of its full-layout counterpart, so a
-        symbol evaluated on this layout equals the band part of the
-        full-layout symbol bit for bit.
-        """
+        """Wavevectors of the retained-band layout (2kc+1, 2kc+1, kc+1): the
+        k3 >= 0 part of ``box``, gathered from the full layout's arrays by
+        the band's blocks."""
         k = self.k_axis[self.band_index]
         k3 = k[None, None, :self.kmax_dealias + 1]
         return SpectralLayout(self, (k[:, None, None], k[None, :, None], k3),
@@ -184,11 +209,11 @@ class GridSpec:
 @dataclass(frozen=True, eq=False)
 class SpectralLayout:
     """The wavevector arrays of one coefficient layout of ``grid``
-    (``grid.full`` or ``grid.band``), broadcastable against coefficient
-    arrays of that layout's shape.  ``multiplicity`` counts the full-spectrum
-    modes each stored mode stands for in a sum over a real field's spectrum:
-    1 everywhere on the full layout; on the band 1 on the k3 = 0 plane and 2
-    for k3 > 0, whose mirror -k is not stored."""
+    (``grid.full``, ``grid.box`` or ``grid.band``), broadcastable against
+    coefficient arrays of that layout's shape.  ``multiplicity`` counts the
+    full-spectrum modes each stored mode stands for in a sum over a real
+    field's spectrum: 1, except 2 on the band for k3 > 0, whose mirror -k
+    is not stored."""
 
     grid: GridSpec
     k_vectors: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -248,16 +273,32 @@ Field = SpectralScalarField | SpectralVectorField
 # array-level kernels (coefficients in, coefficients out, on either layout)
 # ---------------------------------------------------------------------------
 
+def _gather(c: np.ndarray, blocks, shape: tuple) -> np.ndarray:
+    """``blocks`` of `GridSpec.box_blocks` gathered from c."""
+    out = np.empty(c.shape[:-3] + shape, dtype=c.dtype)
+    for full, part in blocks:
+        out[(..., *part)] = c[(..., *full)]
+    return out
+
+
+def box_part(c: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """A copy of the retained box |k_i| <= kc of full-layout values."""
+    return _gather(c, grid.box_blocks, grid.box_shape)
+
+
+def expand_box(c: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Full-layout values of box ones: the box scattered into +0.0."""
+    out = np.zeros(c.shape[:-3] + (grid.n,) * 3, dtype=c.dtype)
+    for full, box in grid.box_blocks:
+        out[(..., *full)] = c[(..., *box)]
+    return out
+
+
 def band_part(c: np.ndarray, grid: GridSpec) -> np.ndarray:
     """The retained-band part of coefficients of shape (..., n, n, m) in FFT
     order, m > kc (full or half spectrum): a copy of the modes |k_i| <= kc
     with k3 >= 0.  Everything outside the box is dropped."""
-    kc = grid.kmax_dealias
-    out = np.empty(c.shape[:-3] + (2 * kc + 1, 2 * kc + 1, kc + 1),
-                   dtype=c.dtype)
-    for (f1, f2), (b1, b2) in grid.band_blocks:
-        out[..., b1, b2, :] = c[..., f1, f2, :kc + 1]
-    return out
+    return _gather(c, grid.box_blocks[::2], grid.band_shape)
 
 
 def expand_band(c: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -266,13 +307,14 @@ def expand_band(c: np.ndarray, grid: GridSpec) -> np.ndarray:
     Exact, so band -> full -> band reproduces the band bit for bit."""
     n, kc = grid.n, grid.kmax_dealias
     out = np.zeros(c.shape[:-3] + (n, n, n), dtype=np.complex128)
-    # entry k3 = -j mirrors k3 = j for j = kc .. 1, and k1, k2 -> -k1, -k2
-    # is band index i -> (2kc+1 - i) mod (2kc+1): a flip, then a roll
-    mirror = np.roll(np.flip(np.conj(c[..., kc:0:-1]), axis=(-3, -2)), 1,
-                     axis=(-3, -2))
-    for (f1, f2), (b1, b2) in grid.band_blocks:
-        out[..., f1, f2, :kc + 1] = c[..., b1, b2, :]
-        out[..., f1, f2, n - kc:] = mirror[..., b1, b2, :]
+    for full, band in grid.box_blocks[::2]:
+        out[(..., *full)] = c[(..., *band)]
+    # the k3 = -kc..-1 blocks: conj(c(-k)) of the band's k3 = kc..1
+    mirror = c[..., kc:0:-1]
+    mirror = _conj_reflection(mirror, np.empty(mirror.shape, np.complex128),
+                              axes=2)
+    for (f1, f2, f3), (b1, b2, _) in grid.box_blocks[1::2]:
+        out[..., f1, f2, f3] = mirror[..., b1, b2, :]
     return out
 
 
@@ -293,18 +335,18 @@ class BandWorkspace:
     the out-of-place pass bit for bit."""
 
     def __init__(self, grid: GridSpec):
-        n, kc = grid.n, grid.kmax_dealias
+        n = grid.n
         self.grid = grid
         self.wide = np.empty((n, n, n // 2 + 1), dtype=np.complex128)
-        self.narrow = np.empty((n, 2 * kc + 1, kc + 1), dtype=np.complex128)
+        self.narrow = np.empty((n,) + grid.band_shape[1:],
+                               dtype=np.complex128)
         self.spare = self.wide.reshape(-1).view(np.float64)[:n ** 3].reshape(
             n, n, n)
         self.fields: list[np.ndarray] = []
 
     @cached_property
     def band(self) -> np.ndarray:
-        kc = self.grid.kmax_dealias
-        return np.empty((2 * kc + 1, 2 * kc + 1, kc + 1), dtype=np.complex128)
+        return np.empty(self.grid.band_shape, dtype=np.complex128)
 
     def to_physical(self, c: np.ndarray, out: np.ndarray) -> None:
         """`to_physical` of scalar band coefficients c, written into the
@@ -360,9 +402,7 @@ def to_spectral(phys: np.ndarray, grid: GridSpec) -> np.ndarray:
     Equals the band part of rfftn bit for bit: the same 1D passes (axis -1,
     then -2, then -3), each keeping only the retained outputs, so the next
     pass transforms only the lines that reach the band."""
-    kc = grid.kmax_dealias
-    out = np.empty(phys.shape[:-3] + (2 * kc + 1, 2 * kc + 1, kc + 1),
-                   dtype=np.complex128)
+    out = np.empty(phys.shape[:-3] + grid.band_shape, dtype=np.complex128)
     ws = BandWorkspace(grid)
     for index in np.ndindex(phys.shape[:-3]):
         ws.to_spectral(phys[index], out[index])
@@ -425,8 +465,8 @@ class StepEngine:
     them.  Nothing starts when the engine is made."""
 
     def __init__(self, grid: GridSpec):
-        n, kc = grid.n, grid.kmax_dealias
-        band_shape = (3, 2 * kc + 1, 2 * kc + 1, kc + 1)
+        n = grid.n
+        band_shape = (3,) + grid.band_shape
         self.grid = grid
         self.threads = WORKERS if n >= SPLIT_MIN_N else 1
         self._grid = _Stack(lambda: np.empty((n, n, n)))
@@ -692,20 +732,26 @@ def inverse_transform(f: Field) -> np.ndarray:
     return np.real(np.fft.ifftn(f.coeffs, axes=(-3, -2, -1))) * f.grid.npoints
 
 
+def _conj_reflection(c: np.ndarray, out: np.ndarray,
+                     axes: int = 3) -> np.ndarray:
+    """conj(c(-k)) written into ``out``, reflected along the first ``axes``
+    of c's last three axes by blocks: index i from (-i) mod m, i.e. c[0],
+    then c[m-1], ..., c[1].  That is k -> -k modulo n on the full spectrum,
+    and exactly on the box (k = 0..kc, then -kc..-1)."""
+    halves = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
+    rest = (slice(None),) * (3 - axes)
+    for blocks in itertools.product(halves, repeat=axes):
+        to, source = zip(*blocks)
+        out[(..., *to, *rest)] = c[(..., *source, *rest)]
+    return np.conjugate(out, out=out)
+
+
 def hermitian_symmetrize(coeffs: np.ndarray) -> np.ndarray:
     """Project coefficients onto the Hermitian-symmetric subspace
     (coeff(-k) = conj(coeff(k))), i.e. onto real physical fields:
     0.5 (c(k) + conj(c(-k))), formed in one new array that first holds
-    c(-k), copied by blocks: along each axis of length m, c[0], then
-    c[m-1], ..., c[1], i.e. index i from (-i) mod m.  On the full spectrum
-    that is k -> -k modulo n; on the retained box, whose axes hold
-    k = 0..kc, then -kc..-1, it is k -> -k exactly, so the result on the
-    box is the box of the full-spectrum result, bit for bit."""
-    halves = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
-    out = np.empty_like(coeffs)
-    for (o1, c1), (o2, c2), (o3, c3) in itertools.product(halves, repeat=3):
-        out[..., o1, o2, o3] = coeffs[..., c1, c2, c3]
-    np.conjugate(out, out=out)
+    `_conj_reflection`; on the box, bit for bit the box of the full one."""
+    out = _conj_reflection(coeffs, np.empty_like(coeffs))
     out += coeffs
     out *= 0.5
     return out

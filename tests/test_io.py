@@ -543,3 +543,82 @@ class TestCli:
                          "--resume", str(outdir / "final.mmp")])
         capsys.readouterr()
         assert code == 1
+
+
+# an 8^3 perturbation run of two steps, one assignment per key; alpha is
+# the acceptance fixture's background vector, not resonant on the box
+SWEEP_BASE = {
+    "grid.n": "8",
+    "system": "perturbation",
+    "params.chi": "1",
+    "params.eta": "1",
+    "alpha": "0.367423461417,0.519615242271,0.636396103068",
+    "diophantine.r": "2.5",
+    "init.epsilon": "0.01",
+    "init.seed": "5",
+    "time.dt": "0.01",
+    "time.t_end": "1",
+    "time.max_steps": "2",
+    "time.record_interval": "0.01",
+}
+
+
+def run_sweep_config(tmp_path, capsys, key, value):
+    """`mmpsim run` on SWEEP_BASE with ``key = value``: the exit code, the
+    key's line number, the captured output and the output directory."""
+    outdir = tmp_path / "out"
+    assignments = dict(SWEEP_BASE, **{"output.dir": str(outdir), key: value})
+    lines = [f"{k} = {v}" for k, v in assignments.items()]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    lineno = lines.index(f"{key} = {value}") + 1
+    code = cli_main(["run", "--config", str(cfg)])
+    return code, lineno, capsys.readouterr(), outdir
+
+
+class TestInvalidInput:
+    # both ends of INDEX_WINDOW are inside it; the hr5 norm's index is r + 5
+    @pytest.mark.parametrize("key, value, accepted", [
+        ("init.sobolev_index", "40", True),
+        ("init.sobolev_index", "40.5", False),
+        ("init.sobolev_index", "-10", True),
+        ("init.sobolev_index", "-10.5", False),
+        ("diophantine.r", "35", True),
+        ("diophantine.r", "35.5", False),
+    ])
+    def test_sobolev_index_window_is_checked_on_its_line(
+            self, tmp_path, capsys, key, value, accepted):
+        code, lineno, captured, outdir = run_sweep_config(
+            tmp_path, capsys, key, value)
+        if accepted:
+            assert code == 0, captured.err
+            assert (outdir / "diagnostics.csv").exists()
+        else:
+            assert code == 1
+            assert (f"config error: line {lineno}: bad value for {key!r}: "
+                    in captured.err)
+            assert not (outdir / "diagnostics.csv").exists()
+
+    # extreme values may overflow or floor the step size: both warn
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("value", [
+        "nan", "inf", "-inf", "0", "-1", "1e308", "1e-308", "", "text", "1,2",
+        "3.5", "1e20"])
+    @pytest.mark.parametrize("key", [
+        "grid.n", "system", "params.mu", "params.chi", "params.kappa",
+        "params.eta", "params.nu", "alpha", "diophantine.r", "init.epsilon",
+        "init.sobolev_index", "init.spectrum_slope", "init.k_peak",
+        "init.seed", "time.dt", "time.cfl", "time.t_end", "time.max_steps",
+        "time.record_interval", "output.norms",
+        "output.checkpoint_interval", "validate"])
+    def test_each_bad_value_ends_with_an_exit_code(self, tmp_path, capsys,
+                                                    key, value):
+        # 0 (ran), 1 (refused) or 2 (blow-up), never a traceback, and a
+        # refused run writes no diagnostics
+        code, _, captured, outdir = run_sweep_config(
+            tmp_path, capsys, key, value)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in captured.out + captured.err
+        if code == 1:
+            assert not (outdir / "diagnostics.csv").exists()
