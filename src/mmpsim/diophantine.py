@@ -41,10 +41,17 @@ def check_diophantine(alpha, r: float, k_max: int) -> DiophantineReport:
     """Scan 0 < |k|_inf <= k_max (half lattice, by the symmetry
     |alpha.(-k)| = |alpha.k|) for the worst Diophantine product."""
     a = np.asarray(alpha, dtype=np.float64)
-    if a.shape != (3,):
-        raise ValueError("alpha must be a 3-vector")
+    if a.shape != (3,) or not np.all(np.isfinite(a)):
+        raise ValueError("alpha must be a finite 3-vector")
     if not (1 <= k_max <= MAX_SEARCH_RADIUS):
         raise ValueError(f"k_max must lie in [1, {MAX_SEARCH_RADIUS}]")
+    if not math.isfinite(r):
+        raise ValueError(f"Diophantine exponent r must be finite, got {r}")
+    try:  # the scan's largest weight |k|^r, at |k|^2 = 3 k_max^2
+        math.pow(3.0 * k_max * k_max, 0.5 * r)
+    except OverflowError:
+        raise ValueError(f"Diophantine exponent r={r} overflows the weight "
+                         f"|k|^r on the lattice |k|_inf <= {k_max}") from None
     if r <= 2.0:
         warnings.warn(f"Diophantine exponent r={r} <= 2: the lifting "
                       "inequality holds for almost no such vector")

@@ -286,6 +286,11 @@ def check_state(state: State) -> None:
             raise ValueError(f"{name} divergence residual {res:.3e} > 1e-12")
 
 
+# The smallest k_peak whose envelope at |k| = 1, exp(-1/k_peak^2), is at
+# least 1e-150: below about 0.05 the rescaled data vanish on every box.
+_K_PEAK_MIN = 1.0 / math.sqrt(150.0 * math.log(10.0))
+
+
 @dataclass(frozen=True)
 class InitSpec:
     """Random initial data: spectral envelope |k|^(-slope) exp(-|k|^2/k_peak^2)
@@ -313,9 +318,9 @@ class InitSpec:
             raise ValueError(f"spectrum_slope must be finite and >= 0, "
                              f"got {self.spectrum_slope}")
         if self.k_peak is not None and not (math.isfinite(self.k_peak)
-                                            and self.k_peak > 0.0):
-            raise ValueError(
-                f"k_peak must be finite and positive, got {self.k_peak}")
+                                            and self.k_peak >= _K_PEAK_MIN):
+            raise ValueError(f"k_peak must be finite and >= "
+                             f"{_K_PEAK_MIN:.5f}, got {self.k_peak}")
 
 
 def _rescale_factor(current: float, target: float) -> float:

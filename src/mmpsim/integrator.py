@@ -96,7 +96,8 @@ def stable_dt(state: State | BandState, p: PhysParams, grid: GridSpec,
               cfg: StepperConfig, engine: StepEngine | None = None) -> float:
     """Largest step honouring the base step, the advective CFL bound, the
     micro-rotation coupling bound cfl/(6 chi + 1), and the background
-    transport bound.  Floors at cfg.dt * 1e-6 with a warning.  Reads only
+    transport bound.  Floors with a warning at cfg.dt * 1e-6, or at the
+    coupling or transport bound if that is smaller.  Reads only
     the retained 2/3-rule box of the velocity: content outside it is
     dropped, as `run` does on entry.  |u| is formed on the grid in three
     grid buffers of ``engine`` (a transient one if None), as
@@ -115,14 +116,16 @@ def stable_dt(state: State | BandState, p: PhysParams, grid: GridSpec,
     cfl = cfg.cfl_advective
     chi = p.coupling_chi(state.variant)
     bounds = [cfg.dt, cfl / (6.0 * chi + 1.0)]
-    if umax > 0.0:
-        bounds.append(cfl * h / umax)
     if state.variant.uses_background:
         alpha_mag = math.sqrt(p.alpha_norm_sq)
         if alpha_mag > 0.0:
             bounds.append(cfl * h / alpha_mag)
+    # capped by the bounds that do not depend on the state, so only a
+    # collapsing advective bound can reach the floor
+    floor = min(cfg.dt * 1e-6, *bounds[1:])
+    if umax > 0.0:
+        bounds.append(cfl * h / umax)
     dt = min(bounds)
-    floor = cfg.dt * 1e-6
     if dt < floor:
         warnings.warn(f"stable_dt floored at {floor:.3e} "
                       f"(computed bound {dt:.3e})")

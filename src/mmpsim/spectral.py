@@ -46,7 +46,8 @@ over the kernels on ``grid.full``.
 A `StepEngine` holds the resources that the step and the energy-flux
 audit reuse from call to call: one pool of grid and band buffers, each
 thread's `BandWorkspace`, and from n = `SPLIT_MIN_N` up one helper thread
-(min(2, available cores) threads in all; numpy's FFTs and elementwise
+from a `concurrent.futures.ThreadPoolExecutor` (min(2, available cores)
+threads in all, the calling thread included; numpy's FFTs and elementwise
 kernels release the interpreter lock).  `run` builds one for the whole
 run; a public call without one builds a transient engine and closes it
 before it returns.  `StepEngine.run` spreads independent scalar
@@ -459,10 +460,13 @@ class StepEngine:
     and the workspaces; the next request allocates afresh.
 
     *Threads.*  `run` runs phases of tasks on the calling thread and, from
-    n = `SPLIT_MIN_N` up, WORKERS - 1 helper threads, each with its own
-    `BandWorkspace`.  The helpers start on the first `run` and wait at a
-    barrier between phases; `close` (or the end of a ``with`` block) joins
-    them.  Nothing starts when the engine is made."""
+    n = `SPLIT_MIN_N` up, WORKERS - 1 helper threads of an executor made on
+    the first such `run`, each thread with its own `BandWorkspace`.  Each
+    phase submits one drain per helper, drains on the calling thread too
+    and waits for every drain; its task iterator and failure list are
+    local to it, and no barrier is involved.  `close` (or the end of a
+    ``with`` block) shuts the executor down, which joins the helpers.
+    Nothing starts when the engine is made."""
 
     def __init__(self, grid: GridSpec):
         n = grid.n
@@ -472,11 +476,8 @@ class StepEngine:
         self._grid = _Stack(lambda: np.empty((n, n, n)))
         self._band = _Stack(lambda: np.empty(band_shape, dtype=np.complex128))
         self._workspaces: list[BandWorkspace] = []
-        self._helpers: list[threading.Thread] = []
-        self._start = self._done = None
+        self._helpers = None  # a ThreadPoolExecutor from the first split run
         self._lock = threading.Lock()
-        self._pending = iter(())
-        self._failures: list[BaseException] = []
 
     def __enter__(self) -> "StepEngine":
         return self
@@ -542,62 +543,44 @@ class StepEngine:
                                     for _ in range(self.threads)]
             for ws in self._workspaces:
                 ws.fields = self.grid_buffers(fields)
-            if self.threads > 1 and not self._helpers:
-                self._start_helpers()
+            if self.threads > 1 and self._helpers is None:
+                # imported here: after numpy it takes 3.5-4 ms on a 2-core
+                # x86 host (its _base imports logging), which every set-up
+                # would pay, though set-up starts no thread
+                from concurrent.futures import ThreadPoolExecutor
+                self._helpers = ThreadPoolExecutor(self.threads - 1)
             try:
                 for tasks in phases:
-                    self._pending = iter(tasks)
-                    if self._helpers:
-                        self._start.wait()
-                    self._drain(self._workspaces[0])
-                    if self._helpers:
-                        self._done.wait()
-                    if self._failures:
-                        raise self._failures[0]
+                    pending, failures = iter(tasks), []
+                    futures = [self._helpers.submit(self._drain, ws, pending,
+                                                    failures)
+                               for ws in self._workspaces[1:]]
+                    self._drain(self._workspaces[0], pending, failures)
+                    for future in futures:
+                        future.result()
+                    if failures:
+                        raise failures[0]
             finally:
-                self._pending = iter(())
-                self._failures = []
                 for ws in self._workspaces:
                     ws.fields = []
 
     def close(self) -> None:
         """Release the pool and join the helper threads."""
         self.release()
-        if self._helpers:
-            self._start.abort()
-            self._done.abort()
-            for helper in self._helpers:
-                helper.join()
-            self._helpers = []
+        if self._helpers is not None:
+            self._helpers.shutdown()
+            self._helpers = None
 
-    def _start_helpers(self) -> None:
-        self._start = threading.Barrier(self.threads)
-        self._done = threading.Barrier(self.threads)
-        self._helpers = [threading.Thread(target=self._serve, args=(index,),
-                                          daemon=True)
-                         for index in range(1, self.threads)]
-        for helper in self._helpers:
-            helper.start()
-
-    def _serve(self, index: int) -> None:
+    def _drain(self, ws: BandWorkspace, pending, failures: list) -> None:
         try:
-            while True:
-                self._start.wait()
-                self._drain(self._workspaces[index])
-                self._done.wait()
-        except threading.BrokenBarrierError:  # the engine was closed
-            return
-
-    def _drain(self, ws: BandWorkspace) -> None:
-        try:
-            while not self._failures:
+            while not failures:
                 with self._lock:
-                    task = next(self._pending, None)
+                    task = next(pending, None)
                 if task is None:
                     return
                 task(ws)
         except BaseException as exc:  # re-raised by the calling thread
-            self._failures.append(exc)
+            failures.append(exc)
 
 
 def using_engine(engine: StepEngine | None, grid: GridSpec):

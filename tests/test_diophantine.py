@@ -53,6 +53,23 @@ class TestCheckDiophantine:
         with pytest.warns(UserWarning):
             check_diophantine(BADLY_APPROXIMABLE, r=1.5, k_max=4)
 
+    @pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf, 1e308, 367.0])
+    def test_non_finite_or_overflowing_exponent_refused(self, r):
+        # at k_max = 4 the largest weight |k|^r is 48^(r/2), which
+        # overflows from r = 366.7; nan used to report c_est = inf
+        with pytest.raises(ValueError, match="Diophantine exponent r"):
+            check_diophantine(BADLY_APPROXIMABLE, r, 4)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_exponent_below_the_overflow_accepted(self):
+        report = check_diophantine(BADLY_APPROXIMABLE, 360.0, 4)
+        assert np.isfinite(report.c_est) and report.c_est > 0.0
+
+    @pytest.mark.parametrize("alpha", [(np.nan, 0.0, 0.0), (np.inf, 1.0, 1.0)])
+    def test_non_finite_alpha_refused(self, alpha):
+        with pytest.raises(ValueError, match="finite 3-vector"):
+            check_diophantine(alpha, 2.5, 4)
+
     def test_radius_validation(self):
         with pytest.raises(ValueError):
             check_diophantine(BADLY_APPROXIMABLE, 2.5, 0)

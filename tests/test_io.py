@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -561,6 +562,9 @@ SWEEP_BASE = {
     "time.max_steps": "2",
     "time.record_interval": "0.01",
 }
+# the bad values each key or flag is set to
+SWEEP_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e308", "1e-308", "", "text",
+                "1,2", "3.5", "1e20"]
 
 
 def run_sweep_config(tmp_path, capsys, key, value):
@@ -599,12 +603,40 @@ class TestInvalidInput:
                     in captured.err)
             assert not (outdir / "diagnostics.csv").exists()
 
+    @pytest.mark.parametrize("value", ["1e20", "1e308"])
+    def test_huge_base_step_is_held_to_the_stability_bound(
+            self, tmp_path, capsys, value):
+        # the floor cfg.dt * 1e-6 used to exceed the coupling bound 1/14
+        # and take one step of dt = 1 to t_end
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, captured, outdir = run_sweep_config(
+                tmp_path, capsys, "time.dt", value)
+        assert code == 0, captured.err
+        times = [rec.t for rec in read_diagnostics(outdir / "diagnostics.csv")]
+        assert times == pytest.approx([0.0, 1.0 / 14.0, 2.0 / 14.0],
+                                      rel=1e-15)
+
+    @pytest.mark.parametrize("value, accepted", [
+        ("1e-308", False), ("0.05", False), ("0.052", False), ("0.055", True)])
+    def test_k_peak_whose_data_vanish_is_refused_on_its_line(
+            self, tmp_path, capsys, value, accepted):
+        # below ~0.054 exp(-1/k_peak^2) underflows the rescaled data to zero
+        code, lineno, captured, outdir = run_sweep_config(
+            tmp_path, capsys, "init.k_peak", value)
+        if accepted:
+            assert code == 0, captured.err
+            assert (outdir / "diagnostics.csv").exists()
+        else:
+            assert code == 1
+            assert (f"config error: line {lineno}: bad value for "
+                    f"'init.k_peak': " in captured.err)
+            assert not (outdir / "diagnostics.csv").exists()
+
     # extreme values may overflow or floor the step size: both warn
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.filterwarnings("ignore::UserWarning")
-    @pytest.mark.parametrize("value", [
-        "nan", "inf", "-inf", "0", "-1", "1e308", "1e-308", "", "text", "1,2",
-        "3.5", "1e20"])
+    @pytest.mark.parametrize("value", SWEEP_VALUES)
     @pytest.mark.parametrize("key", [
         "grid.n", "system", "params.mu", "params.chi", "params.kappa",
         "params.eta", "params.nu", "alpha", "diophantine.r", "init.epsilon",
@@ -622,3 +654,50 @@ class TestInvalidInput:
         assert "Traceback" not in captured.out + captured.err
         if code == 1:
             assert not (outdir / "diagnostics.csv").exists()
+
+
+SUBCOMMAND_ALPHA = "1,1.41421356,1.7320508"
+
+
+def subcommand_flags(csv_path):
+    """Each subcommand's flags with values it runs on: kmax 4, n = 8 and
+    two trials, and a fit of a 30-row CSV."""
+    return {
+        "check-diophantine": {"--alpha": SUBCOMMAND_ALPHA, "--r": "2.5",
+                              "--kmax": "4"},
+        "verify-lemma": {"--alpha": SUBCOMMAND_ALPHA, "--s": "0",
+                         "--r": "2.5", "--n": "8", "--trials": "2",
+                         "--seed": "1"},
+        "fit-decay": {"--csv": str(csv_path), "--column": "l2_energy",
+                      "--model": "exp", "--tmin": "0"},
+    }
+
+
+class TestInvalidSubcommandFlags:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("value", SWEEP_VALUES)
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in subcommand_flags("").items()
+        for flag in flags])
+    def test_each_bad_value_ends_with_an_exit_code(self, tmp_path, capsys,
+                                                    command, flag, value):
+        # 0 (ran), 1 (refused) or 3 (unreadable file), never a traceback,
+        # and a non-finite value never runs; no value here is a valid
+        # grid size above 8, so verify-lemma never allocates a large grid
+        t = np.linspace(0.0, 10.0, 30)
+        csv_path = tmp_path / "decay.csv"
+        write_diagnostics([DiagnosticsRecord(t=float(ti),
+                                             l2_energy=float(np.exp(-ti)))
+                           for ti in t], csv_path)
+        argv = [command]
+        for name, default in subcommand_flags(csv_path)[command].items():
+            argv += [name, value if name == flag else default]
+        code = cli_main(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 1, 3)
+        assert "Traceback" not in captured.out + captured.err
+        if value in ("nan", "inf", "-inf"):
+            assert code != 0, captured.out
+        if value == "-inf":  # argparse reads it as a flag
+            assert code == 1

@@ -80,7 +80,7 @@ def test_worker_names_exist_and_accept_its_arguments():
 
 
 def test_split_transforms_open_spans_on_the_calling_thread(monkeypatch):
-    # the threads of spectral.run_tasks run array kernels only, never a
+    # the threads of a spectral.StepEngine run array kernels only, never a
     # span target, so every span opens and closes on the calling thread
     spans = load_spans()
     opened, transformed = set(), set()
