@@ -5,6 +5,11 @@ variant id u32, the five coefficients f64, alpha f64x3, Diophantine
 exponent f64, time f64, step count u64, seed u64, then nine coefficient
 arrays (u1,u2,u3,w1,w2,w3,m1,m2,m3) as f64 (re, im) pairs, full-spectrum
 row-major over (k1,k2,k3) with each axis ordered 0,1,...,n/2-1,-n/2,...,-1.
+A `State` holds only its retained band, so the payload is its expansion
+(`spectral.expand_band`): zero outside the 2/3-rule box, and k3 < 0
+filled by Hermitian symmetry.  The nine arrays are expanded and written,
+and read and gathered back to the band, one at a time, so neither
+direction holds more than one full-spectrum scalar component.
 
 A checkpoint is written to ``<path>.tmp`` and renamed onto ``<path>``, so a
 process that dies mid-write leaves the previous file (or none) under the
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import PhysParams, State, WIRE_VARIANTS
-from .spectral import GridSpec, SpectralVectorField
+from .spectral import GridSpec, band_part, expand_band
 
 MAGIC = b"MMP1"
 FORMAT_VERSION = 1
@@ -70,15 +75,18 @@ def save_checkpoint(path, state: State, params: PhysParams, step: int,
         params.r, state.t, step, seed)
     with write_then_rename(path, "wb") as fh:
         fh.write(header)
-        for f in (state.u, state.omega, state.magnetic):
-            fh.write(np.ascontiguousarray(f.coeffs.astype("<c16", copy=False)))
+        for field in state.arrays:
+            for component in field:
+                fh.write(expand_band(component, state.grid).astype(
+                    "<c16", copy=False))
 
 
 def load_checkpoint(path) -> CheckpointData:
     """Read a checkpoint.  The header is validated first: a non-finite time,
     a grid size `GridSpec` rejects or parameters `PhysParams` rejects raise
-    `CheckpointFormatError`.  The payload is read straight into one array,
-    and its length is checked against the file's size before it is read."""
+    `CheckpointFormatError`.  The payload's length is checked against the
+    file's size before it is read; then each of its nine arrays is read
+    and its band gathered into the state, one at a time."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size:
@@ -106,12 +114,10 @@ def load_checkpoint(path) -> CheckpointData:
             raise CheckpointFormatError(
                 f"array payload length mismatch: expected {expected} bytes, "
                 f"file has {size}")
-        payload = np.fromfile(fh, dtype="<c16", count=9 * n ** 3)
+        arrays = np.empty((3, 3) + grid.band_shape, dtype=np.complex128)
+        for component in arrays.reshape((9,) + grid.band_shape):
+            component[...] = band_part(np.fromfile(
+                fh, dtype="<c16", count=n ** 3).reshape(n, n, n), grid)
 
-    arrays = payload.reshape(3, 3, n, n, n).astype(np.complex128, copy=False)
-    variant = WIRE_VARIANTS[variant_id]
-    state = State(SpectralVectorField(arrays[0], grid),
-                  SpectralVectorField(arrays[1], grid),
-                  SpectralVectorField(arrays[2], grid),
-                  variant, t=t)
+    state = State.from_band(arrays, grid, WIRE_VARIANTS[variant_id], t=t)
     return CheckpointData(state=state, params=params, step=step, seed=seed)

@@ -139,13 +139,8 @@ def _cmd_run(args) -> int:
         save_checkpoint(os.path.join(config.output_dir, name), snapshot,
                         config.params, step_offset + steps, config.init.seed)
 
-    # run() keeps only the retained band of the initial state: hold no
-    # reference to it here, so its full-spectrum arrays are freed once run()
-    # has taken the band
-    initial = [state]
-    state = data = None
     try:
-        result = run(initial.pop(), config.params, config.variant,
+        result = run(state, config.params, config.variant,
                      config.stepper,
                      settings=config.diagnostics_settings(),
                      record_sink=record_sink,

@@ -39,7 +39,9 @@ class DiophantineReport:
 
 def check_diophantine(alpha, r: float, k_max: int) -> DiophantineReport:
     """Scan 0 < |k|_inf <= k_max (half lattice, by the symmetry
-    |alpha.(-k)| = |alpha.k|) for the worst Diophantine product."""
+    |alpha.(-k)| = |alpha.k|) for the worst Diophantine product.  Refuses
+    (ValueError) an alpha or r that is not finite, or whose alpha.k or
+    |alpha.k| |k|^r overflows somewhere on the scanned lattice."""
     a = np.asarray(alpha, dtype=np.float64)
     if a.shape != (3,) or not np.all(np.isfinite(a)):
         raise ValueError("alpha must be a finite 3-vector")
@@ -48,15 +50,21 @@ def check_diophantine(alpha, r: float, k_max: int) -> DiophantineReport:
     if not math.isfinite(r):
         raise ValueError(f"Diophantine exponent r must be finite, got {r}")
     try:  # the scan's largest weight |k|^r, at |k|^2 = 3 k_max^2
-        math.pow(3.0 * k_max * k_max, 0.5 * r)
+        weight = math.pow(3.0 * k_max * k_max, 0.5 * r)
     except OverflowError:
         raise ValueError(f"Diophantine exponent r={r} overflows the weight "
                          f"|k|^r on the lattice |k|_inf <= {k_max}") from None
+    alpha_out = tuple(float(x) for x in a)
+    # the scan's largest |alpha.k|, k_max sum |alpha_i|, and largest product
+    # |alpha.k| |k|^r are both taken at a corner k_max (+-1, +-1, +-1)
+    largest_dot = k_max * sum(abs(x) for x in alpha_out)
+    if not math.isfinite(largest_dot * max(weight, 1.0)):
+        raise ValueError(f"alpha={alpha_out} overflows alpha.k |k|^r on the "
+                         f"lattice |k|_inf <= {k_max} (r={r})")
     if r <= 2.0:
         warnings.warn(f"Diophantine exponent r={r} <= 2: the lifting "
                       "inequality holds for almost no such vector")
 
-    alpha_out = tuple(float(x) for x in a)
     if np.all(a == 0.0):
         return DiophantineReport(alpha_out, r, k_max, 0.0, (0, 0, 1), True)
 

@@ -47,11 +47,9 @@ from functools import cached_property
 import numpy as np
 
 from .fields import (
-    BandState,
     PhysParams,
     State,
     SystemVariant,
-    as_band,
     structural_violations,
 )
 from .spectral import (
@@ -85,14 +83,17 @@ _SYM_ROWS = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
 
 @dataclass(frozen=True, eq=False)
 class StiffSymbols:
-    """Non-negative per-mode damping rates of the diagonal linear part, on
-    one coefficient layout (`stiff_symbols` gives the full one)."""
+    """Non-negative per-mode damping rates of the diagonal linear part of
+    ``variant`` under ``params``, on one coefficient layout
+    (`stiff_symbols` gives the full one, `layout_stiff_symbols` any)."""
 
     u: np.ndarray
     omega_perp: np.ndarray
     omega_par: np.ndarray
     magnetic: np.ndarray
     layout: SpectralLayout
+    params: PhysParams
+    variant: SystemVariant
     _step_propagators: dict = field(default_factory=dict, init=False,
                                     repr=False)
 
@@ -118,18 +119,18 @@ class StiffSymbols:
     @property
     def band(self) -> "StiffSymbols":
         """The same symbols on the retained-band layout: these symbols if
-        they are on it, else their band part, gathered once."""
+        they are on it, else formed there once from its |k|^2, with the
+        values of their band part bit for bit.  (Not a cached property:
+        caching ``self`` would make a reference cycle that keeps a run's
+        symbols and propagators alive after it returns.)"""
         if self.layout is self.layout.grid.band:
             return self
-        return self._band_part
+        return self._on_band
 
     @cached_property
-    def _band_part(self) -> "StiffSymbols":
-        grid = self.layout.grid
-        return StiffSymbols(
-            *(band_part(a, grid) for a in (self.u, self.omega_perp,
-                                           self.omega_par, self.magnetic)),
-            grid.band)
+    def _on_band(self) -> "StiffSymbols":
+        return layout_stiff_symbols(self.layout.grid.band, self.params,
+                                    self.variant)
 
     def apply_rhs(self, u: np.ndarray, w: np.ndarray,
                   m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -178,17 +179,28 @@ def _omega_split(perp: np.ndarray, par: np.ndarray, w: np.ndarray,
     return np.add(out, w_par, out=out)
 
 
-def stiff_symbols(grid: GridSpec, p: PhysParams,
-                  variant: SystemVariant) -> StiffSymbols:
-    ksq = grid.k_squared
+def layout_stiff_symbols(layout: SpectralLayout, p: PhysParams,
+                         variant: SystemVariant) -> StiffSymbols:
+    """The stiff symbols on ``layout``, formed elementwise from its |k|^2:
+    on the band, the band part of the full-layout ones bit for bit."""
+    ksq = layout.k_squared
     chi = p.coupling_chi(variant)
     return StiffSymbols(
         u=p.u_diffusion(variant) * ksq,
         omega_perp=p.eta * ksq + 4.0 * chi,
         omega_par=(p.eta + p.kappa) * ksq + 4.0 * chi,
         magnetic=p.magnetic_diffusion(variant) * ksq,
-        layout=grid.full,
+        layout=layout,
+        params=p,
+        variant=variant,
     )
+
+
+def stiff_symbols(grid: GridSpec, p: PhysParams,
+                  variant: SystemVariant) -> StiffSymbols:
+    """The stiff symbols on the full spectrum (`run` forms them on the
+    band, `layout_stiff_symbols`)."""
+    return layout_stiff_symbols(grid.full, p, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -382,27 +394,24 @@ def rhs(state: State, p: PhysParams, variant: SystemVariant,
         linearized: bool = False
         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The full-spectrum tendency (du, domega, dmagnetic) of the selected
-    variant at the given state: the explicit part, expanded from the
-    retained band, plus the stiff part -symbol * field.
+    variant at the given state: the explicit part plus the stiff part
+    -symbol * field, both formed on the state's band, then expanded.
 
-    The explicit part reads only the retained 2/3-rule box of the state:
-    content outside it is dropped, as `run` does on entry.  Rejects
-    coefficient sets that contradict the variant structure (e.g. a nonzero
-    magnetic diffusivity supplied to the ideal variant) and a state tagged
-    with a different variant.
+    Rejects coefficient sets that contradict the variant structure (e.g. a
+    nonzero magnetic diffusivity supplied to the ideal variant) and a state
+    tagged with a different variant.
     """
     if state.variant is not variant:
         raise ValueError(f"state is tagged {state.variant.value!r}, "
                          f"rhs was asked for {variant.value!r}")
     _check_variant_consistency(p, variant)
     grid = state.grid
-    explicit = explicit_rhs_arrays(
-        *(band_part(f.coeffs, grid) for f in (state.u, state.omega,
-                                              state.magnetic)),
-        grid, p, variant, linearized=linearized)
-    stiff = stiff_symbols(grid, p, variant).apply_rhs(
-        state.u.coeffs, state.omega.coeffs, state.magnetic.coeffs)
-    return tuple(expand_band(e, grid) + s for e, s in zip(explicit, stiff))
+    explicit = explicit_rhs_arrays(*state.arrays, grid, p, variant,
+                                   linearized=linearized)
+    stiff = layout_stiff_symbols(grid.band, p, variant).apply_rhs(
+        *state.arrays)
+    return tuple(expand_band(np.add(e, s, out=e), grid)
+                 for e, s in zip(explicit, stiff))
 
 
 # ---------------------------------------------------------------------------
@@ -442,19 +451,15 @@ class EnergyFluxAudit:
         return self.max_relative_cancellation <= 1e-10
 
 
-def energy_flux_audit(state: State | BandState, p: PhysParams,
-                      variant: SystemVariant,
+def energy_flux_audit(state: State, p: PhysParams, variant: SystemVariant,
                       engine: StepEngine | None = None) -> EnergyFluxAudit:
-    """Evaluate the energy-identity inner products at `state`, a `State` or
-    the `BandState` that `run` carries, on ``engine`` (a transient one if
-    None).
+    """Evaluate the energy-identity inner products at `state`, on its band
+    arrays, on ``engine`` (a transient one if None).
 
-    Reads only the retained 2/3-rule box of the state, as `step` does:
-    content outside it is dropped.  The advection terms are `advect`'s
-    products on the box, with u and b transformed once and each
-    component's gradient shared by the products that use it: 33 inverse
-    and 15 forward scalar transforms, split over threads by
-    `StepEngine.run`, in buffers of the engine's pool.  The engine then
+    The advection terms are `advect`'s products on the box, with u and b
+    transformed once and each component's gradient shared by the products
+    that use it: 33 inverse and 15 forward scalar transforms, split over
+    threads by `StepEngine.run`, in buffers of the engine's pool.  The engine then
     drops its grid buffers and workspaces, whose memory the n^3 expansions
     of the six cancellation pairings, which run on the calling thread, can
     take instead of adding to the pool; a transient engine drops all of
@@ -462,17 +467,16 @@ def energy_flux_audit(state: State | BandState, p: PhysParams,
     the band, expands it once and sums it over n^3: entry for entry the
     product that the full-spectrum inner product of the expanded fields
     sums (the mirror entries k3 < 0 are conjugates, with the same real
-    parts), in the same order, so on a dealiased state the pairings take
-    the values of the full fields bit for bit.
+    parts), in the same order, so the pairings take the values of the
+    state's full fields bit for bit.
     ``coupling_transfer``, ``dissipation`` and ``l2_energy_sq`` are band
     sums weighted by the band's multiplicity (`parseval_sum`), equal to
-    their full-spectrum values on a dealiased real state up to the
-    summation order."""
+    their full-spectrum values up to the summation order."""
     grid = state.grid
     band = grid.band
     chi = p.coupling_chi(variant)
 
-    u_band, w_band, m_band = as_band(state).arrays
+    u_band, w_band, m_band = state.arrays
     with using_engine(engine, grid) as engine, engine.scope():
         (u_grad_u, m_grad_u), (u_grad_w,), (u_grad_m, m_grad_m) = \
             _advect_band([u_band, m_band], [(u_band, (0, 1)), (w_band, (0,)),

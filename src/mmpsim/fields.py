@@ -5,29 +5,34 @@ The six variants select which linear terms are present in the evolution
 equations.  The two chi=0 variants decouple the micro-rotation field and
 carry no stability guarantee; they are offered for boundary exploration
 only and validation flags them accordingly.
+
+A `State` holds the retained 2/3-rule band of each field (see `spectral`)
+and no full-spectrum array; its full-spectrum fields are built on access.
+The random initial data are built on the retained box and kept as its
+band.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .spectral import (
     INDEX_WINDOW,
+    TWO_PI_CUBED,
     GridSpec,
     IntegrityError,
     SpectralLayout,
     SpectralVectorField,
     band_part,
     box_part,
-    divergence_residual,
+    divergence_residual_coeffs,
     expand_band,
     expand_box,
     hermitian_symmetrize,
-    parseval_sum,
     power_spectrum,
     project_coeffs,
     zero_vector_field,
@@ -105,6 +110,9 @@ class PhysParams:
         object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
         if len(self.alpha) != 3 or not all(math.isfinite(a) for a in self.alpha):
             raise ValueError(f"alpha must be a finite 3-vector, got {self.alpha}")
+        with np.errstate(over="ignore"):
+            if not math.isfinite(self.alpha_norm_sq):
+                raise ValueError(f"alpha overflows |alpha|^2, got {self.alpha}")
         if not math.isfinite(self.r) or self.r <= 2.0:
             raise ValueError(f"Diophantine exponent r must exceed 2, got {self.r}")
         # output.norms may ask for the H^(r+5) norm on any variant
@@ -209,79 +217,79 @@ def validate_params(p: PhysParams, variant: SystemVariant,
     return ValidationReport(ok=True, errors=[], warnings=warnings + violations)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class State:
     """Solution snapshot: velocity, micro-rotation, and the magnetic unknown
     (the field itself, or its deviation from the background for the
-    perturbation variant), tagged with the evolving variant."""
+    perturbation variant), tagged with the evolving variant.
 
-    u: SpectralVectorField
-    omega: SpectralVectorField
-    magnetic: SpectralVectorField
-    variant: SystemVariant
-    t: float = 0.0
+    A state holds only the retained-band coefficients of its fields (see
+    `spectral`): ``arrays`` are the (3, 2kc+1, 2kc+1, kc+1) arrays of u,
+    omega and the magnetic unknown.  Built from full-spectrum fields, it
+    keeps their band (`band_part`) and drops everything else, so every
+    state is dealiased and real by construction.  ``u``, ``omega`` and
+    ``magnetic`` return the full-spectrum fields, `expand_band` of the
+    band, built anew on each access and not kept: a cache would hold the
+    full spectrum that the state exists to avoid.  `run`, `step`,
+    `make_random_state` and `load_checkpoint` build states from band
+    arrays (`from_band`)."""
 
-    def __post_init__(self):
-        n = self.u.grid.n
-        if self.omega.grid.n != n or self.magnetic.grid.n != n:
-            raise ValueError("state fields must share one grid")
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.u.grid
-
-    def with_time(self, t: float) -> "State":
-        return replace(self, t=t)
-
-
-@dataclass(frozen=True, eq=False)
-class BandState:
-    """A state held as its retained-band coefficients (see `spectral`): the
-    (3, 2kc+1, 2kc+1, kc+1) arrays of u, omega and the magnetic unknown,
-    with grid, variant and time.  `run` carries this between steps;
-    `step`, `stable_dt`, `compute_record` and `energy_flux_audit` accept it
-    next to a `State`.  Not part of the package's public API."""
-
-    u: np.ndarray
-    omega: np.ndarray
-    magnetic: np.ndarray
+    arrays: tuple[np.ndarray, np.ndarray, np.ndarray]
     grid: GridSpec
     variant: SystemVariant
-    t: float = 0.0
+    t: float
+
+    def __init__(self, u: SpectralVectorField, omega: SpectralVectorField,
+                 magnetic: SpectralVectorField, variant: SystemVariant,
+                 t: float = 0.0):
+        grid = u.grid
+        if omega.grid.n != grid.n or magnetic.grid.n != grid.n:
+            raise ValueError("state fields must share one grid")
+        # a frozen dataclass: the fields go straight into the instance dict
+        vars(self).update(arrays=tuple(band_part(f.coeffs, grid)
+                                       for f in (u, omega, magnetic)),
+                          grid=grid, variant=variant, t=t)
+
+    @classmethod
+    def from_band(cls, arrays, grid: GridSpec, variant: SystemVariant,
+                  t: float = 0.0) -> "State":
+        """The state whose band arrays are ``arrays`` (u, omega, magnetic),
+        held as they are, not copied."""
+        state = cls.__new__(cls)
+        vars(state).update(arrays=tuple(arrays), grid=grid, variant=variant,
+                           t=t)
+        return state
+
+    def _expanded(self, index: int) -> SpectralVectorField:
+        return SpectralVectorField(expand_band(self.arrays[index], self.grid),
+                                   self.grid)
 
     @property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.u, self.omega, self.magnetic
+    def u(self) -> SpectralVectorField:
+        return self._expanded(0)
 
-    def to_state(self) -> State:
-        """The full-spectrum state: zero outside the box, k3 < 0 filled by
-        Hermitian symmetry (`expand_band`)."""
-        return State(*(SpectralVectorField(expand_band(c, self.grid),
-                                           self.grid)
-                       for c in self.arrays), self.variant, t=self.t)
+    @property
+    def omega(self) -> SpectralVectorField:
+        return self._expanded(1)
 
+    @property
+    def magnetic(self) -> SpectralVectorField:
+        return self._expanded(2)
 
-def as_band(state: State | BandState) -> BandState:
-    """``state`` itself if it is a `BandState`; otherwise the band part of
-    each field of a `State`, copied (`band_part`), so only the retained box
-    is read and everything outside it is dropped."""
-    if isinstance(state, BandState):
-        return state
-    grid = state.grid
-    return BandState(*(band_part(f.coeffs, grid)
-                       for f in (state.u, state.omega, state.magnetic)),
-                     grid, state.variant, t=state.t)
+    def with_time(self, t: float) -> "State":
+        return State.from_band(self.arrays, self.grid, self.variant, t)
 
 
 def check_state(state: State) -> None:
     """Assert the state invariants: mean-zero fields, divergence-free u and
-    magnetic component (residual <= 1e-12).  Raises ValueError if not."""
-    for name, f in (("u", state.u), ("omega", state.omega),
-                    ("magnetic", state.magnetic)):
-        if np.abs(f.coeffs[:, 0, 0, 0]).max() != 0.0:
+    magnetic component (residual <= 1e-12), read on the state's band with
+    the full spectrum's values.  Raises ValueError if not."""
+    u, omega, magnetic = state.arrays
+    for name, c in (("u", u), ("omega", omega), ("magnetic", magnetic)):
+        if np.abs(c[:, 0, 0, 0]).max() != 0.0:
             raise ValueError(f"{name} is not mean-zero")
-    for name, f in (("u", state.u), ("magnetic", state.magnetic)):
-        res = divergence_residual(f)
+    for name, c in (("u", u), ("magnetic", magnetic)):
+        res = divergence_residual_coeffs(c, state.grid.band)
         if res > 1e-12:
             raise ValueError(f"{name} divergence residual {res:.3e} > 1e-12")
 
@@ -350,11 +358,12 @@ def _box_sobolev_norm(box: np.ndarray, weights: np.ndarray,
     """`sobolev_norm` of the field that is ``box`` on the box and zero
     elsewhere, given its Sobolev weights on the box (`norms`), bit for bit:
     the same check and n^3 sum, taken over the box's values scattered into
-    +0.0."""
+    +0.0 (a transient n^3 array: a box sum would change the order)."""
     if not np.all(np.isfinite(box)):
         raise IntegrityError("non-finite coefficients in sobolev_norm")
     values = expand_box(weights * power_spectrum(box), grid)
-    return math.sqrt(max(parseval_sum(values, grid.full), 0.0))
+    # `parseval_sum` with m = 1, without the full layout's n^3 arrays
+    return math.sqrt(max(float(TWO_PI_CUBED * np.sum(values)), 0.0))
 
 
 def _spectral_envelope(layout: SpectralLayout, slope: float,
@@ -388,8 +397,8 @@ def make_random_state(grid: GridSpec, init: InitSpec,
     box's part of the dealias mask and the rescale to H^s norm epsilon, in
     this order.  These are the elementwise operations of the same
     construction on the full spectrum, so every retained coefficient has
-    the value and bytes it would have there.  `expand_box` then scatters
-    the box into zeros: outside it every coefficient is +0.0.
+    the value and bytes it would have there.  The state keeps the box's
+    k3 >= 0 part, its band.
     """
     k_peak = init.k_peak if init.k_peak is not None else grid.n / 6.0
     if k_peak > grid.kmax_dealias:
@@ -397,8 +406,9 @@ def make_random_state(grid: GridSpec, init: InitSpec,
             f"k_peak={k_peak} exceeds the dealias cutoff {grid.kmax_dealias}")
 
     if init.epsilon == 0.0:
-        zero = zero_vector_field(grid)
-        return State(zero, zero, zero, variant, t=0.0)
+        return State.from_band(
+            (np.zeros((3,) + grid.band_shape, dtype=np.complex128)
+             for _ in range(3)), grid, variant)
 
     from .norms import _sobolev_weights
 
@@ -406,7 +416,7 @@ def make_random_state(grid: GridSpec, init: InitSpec,
     rng = np.random.Generator(np.random.Philox(init.seed))
     layout = grid.box
     envelope = _spectral_envelope(layout, init.spectrum_slope, k_peak)
-    mask = box_part(grid.dealias_mask, grid)
+    mask = np.ones(grid.box_shape, dtype=bool)  # the dealias mask on the box
     weights = _sobolev_weights(layout, init.sobolev_index)
     # Philox yields its draws in blocks of four, and advance(b) skips b
     # blocks; the planes kc < i1 < n - kc of a component lie outside the
@@ -414,7 +424,7 @@ def make_random_state(grid: GridSpec, init: InitSpec,
     draw = np.empty((n,) * 3)
     skipped_blocks = (n - 2 * kc - 1) * n * n // 4
 
-    fields = []
+    arrays = []
     for name in ("u", "omega", "magnetic"):
         phases = np.empty((3,) + envelope.shape)
         for component in phases:
@@ -438,5 +448,5 @@ def make_random_state(grid: GridSpec, init: InitSpec,
         np.multiply(coeffs, mask, out=coeffs)
         coeffs *= _rescale_factor(_box_sobolev_norm(coeffs, weights, grid),
                                   init.epsilon)
-        fields.append(SpectralVectorField(expand_box(coeffs, grid), grid))
-    return State(fields[0], fields[1], fields[2], variant, t=0.0)
+        arrays.append(coeffs[..., :kc + 1].copy())
+    return State.from_band(arrays, grid, variant)

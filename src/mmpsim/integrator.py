@@ -13,12 +13,11 @@ exp(-Lambda * delta) between the four classical stages:
 The velocity and magnetic fields are re-projected and the k=0 modes
 re-zeroed once per full step.
 
-The step works on retained-band coefficients (see `spectral`).  At the
-public API the state stays full-spectrum: `step` on a `State` gathers the
-2/3-rule box on entry and expands the result on exit.  `run` is
-band-resident: it takes the band of its input once and carries the
-`BandState` from step to step, building a full-spectrum `State` only for
-the state sink and its result.  Each explicit evaluation makes 27 pruned
+The step works on the retained-band coefficients that a `State` holds
+(see `spectral`), and `run` carries band `State`s from step to step, to
+the state sink and into its result; no full-spectrum copy of a state is
+formed on the way (the audit's pairings still sum transient n^3
+expansions, see `dynamics`).  Each explicit evaluation makes 27 pruned
 real transforms of scalar fields, 108 per step; each is three 1D passes
 (324 per step) over n^2 + n(kc+1) + (2kc+1)(kc+1) lines, kc = n//3.
 
@@ -28,12 +27,11 @@ accumulator arrays, the grid values and products of its explicit
 evaluations, |u| on the grid and the audit's buffers all come from the
 engine's one pool, reused from step to step, so a run does not hand its
 working set back to the allocator and fault it in again on every step
-(see `_step_arrays`).  The run releases the pool before it builds a
-full-spectrum `State` (for the state sink and its result), and the audit
-drops the pool's grid buffers before its pairings.  Within an evaluation
-the transforms run on the engine's helper thread as well from n =
-`spectral.SPLIT_MIN_N` up; the four stages stay sequential, and a step's
-result is the single-thread one bit for bit.  A public `step` or
+(see `_step_arrays`); the pool is kept across state-sink calls too.  The
+audit drops the pool's grid buffers before its pairings.  Within an
+evaluation the transforms run on the engine's helper thread as well from
+n = `spectral.SPLIT_MIN_N` up; the four stages stay sequential, and a
+step's result is the single-thread one bit for bit.  A public `step` or
 `stable_dt` without an engine builds a transient one.
 """
 
@@ -50,9 +48,9 @@ from .dynamics import (
     StiffSymbols,
     explicit_rhs_arrays,
     grid_tasks,
-    stiff_symbols,
+    layout_stiff_symbols,
 )
-from .fields import BandState, PhysParams, State, SystemVariant, as_band
+from .fields import PhysParams, State, SystemVariant
 from .norms import DiagnosticsRecord, DiagnosticsSettings, compute_record
 from .spectral import (
     GridSpec,
@@ -92,19 +90,17 @@ class StepperConfig:
                              f"got {self.record_interval}")
 
 
-def stable_dt(state: State | BandState, p: PhysParams, grid: GridSpec,
+def stable_dt(state: State, p: PhysParams, grid: GridSpec,
               cfg: StepperConfig, engine: StepEngine | None = None) -> float:
     """Largest step honouring the base step, the advective CFL bound, the
     micro-rotation coupling bound cfl/(6 chi + 1), and the background
     transport bound.  Floors with a warning at cfg.dt * 1e-6, or at the
-    coupling or transport bound if that is smaller.  Reads only
-    the retained 2/3-rule box of the velocity: content outside it is
-    dropped, as `run` does on entry.  |u| is formed on the grid in three
-    grid buffers of ``engine`` (a transient one if None), as
-    sqrt((u_0^2 + u_1^2) + u_2^2)."""
+    coupling or transport bound if that is smaller.  |u| is formed from
+    the velocity's band on the grid in three grid buffers of ``engine`` (a
+    transient one if None), as sqrt((u_0^2 + u_1^2) + u_2^2)."""
     with using_engine(engine, grid) as engine, engine.scope():
         u_phys = engine.grid_buffers(3)
-        engine.run([grid_tasks([as_band(state).u], [u_phys])])
+        engine.run([grid_tasks(state.arrays[:1], [u_phys])])
         speed = np.square(u_phys[0], out=u_phys[0])
         for c in u_phys[1:]:
             np.add(speed, np.square(c, out=c), out=speed)
@@ -196,33 +192,26 @@ def _step_arrays(arrays, symbols: StiffSymbols, grid: GridSpec,
     return u_new, w_new, m_new
 
 
-def step(state: State | BandState, p: PhysParams, variant: SystemVariant,
-         dt: float, linearized: bool = False,
-         symbols: StiffSymbols | None = None,
-         engine: StepEngine | None = None) -> State | BandState:
-    """Advance one integrating-factor RK4 step of size dt and return the
-    new state of the same kind: a full-spectrum `State` for a `State`, a
-    `BandState` for the `BandState` that `run` carries.  Reads only the
-    retained 2/3-rule box of the state: content outside it is dropped, as
-    `run` does on entry, and the new state is zero outside it.
-    ``symbols`` may be full-layout (`stiff_symbols`) or band-layout.  The
-    step runs on ``engine``, or on a transient `StepEngine` closed before
-    the call returns."""
+def step(state: State, p: PhysParams, variant: SystemVariant, dt: float,
+         linearized: bool = False, symbols: StiffSymbols | None = None,
+         engine: StepEngine | None = None) -> State:
+    """Advance one integrating-factor RK4 step of size dt on the state's
+    band and return the new state.  ``symbols`` may be full-layout
+    (`stiff_symbols`) or band-layout.  The step runs on ``engine``, or on
+    a transient `StepEngine` closed before the call returns."""
     if state.variant is not variant:
         raise ValueError(f"state is tagged {state.variant.value!r}, "
                          f"step was asked for {variant.value!r}")
     grid = state.grid
-    if symbols is None:
-        symbols = stiff_symbols(grid, p, variant)
-    band = as_band(state)
+    symbols = (layout_stiff_symbols(grid.band, p, variant) if symbols is None
+               else symbols.band)
     with using_engine(engine, grid) as engine:
-        u, w, m = _step_arrays(band.arrays, symbols.band, grid, p, variant,
-                               dt, linearized, engine)
-    for name, arr in (("u", u), ("omega", w), ("magnetic", m)):
+        arrays = _step_arrays(state.arrays, symbols, grid, p, variant, dt,
+                              linearized, engine)
+    for name, arr in zip(("u", "omega", "magnetic"), arrays):
         if not np.all(np.isfinite(arr)):
             raise IntegrityError(f"non-finite {name} after step")
-    new = BandState(u, w, m, grid, variant, t=state.t + dt)
-    return new if band is state else new.to_state()
+    return State.from_band(arrays, grid, variant, t=state.t + dt)
 
 
 class RunStatus(Enum):
@@ -267,35 +256,31 @@ def run(state: State, p: PhysParams, variant: SystemVariant,
     Sink failures abort the run and raise SinkWriteError carrying the
     partial result.
 
-    Band-resident: the retained box of the input is copied once, with its
-    k=0 modes zeroed, and the reference to the input is dropped, so a
-    caller that holds none frees the full-spectrum arrays.  Between steps
-    only the `BandState` is kept; a full-spectrum `State` is built for each
-    ``state_sink`` call and for the result's state (final, blow-up or
-    sink-failure partial), each after the engine's pool is released.  Each
-    step is one call of the module-level `step` with its ``dt`` and the
-    run's `StepEngine`, whose helper thread is joined when the run returns
-    or raises.
+    The input's band is copied once, with its k=0 modes zeroed, so the
+    caller's state is left as it is, and the reference to the input is
+    dropped, so a caller that holds none frees it.  Each step is one call of the
+    module-level `step` with its ``dt`` and the run's `StepEngine`, whose
+    pool is kept from step to step and whose helper thread is joined when
+    the run returns or raises.  ``state_sink`` and the result get the
+    run's current `State` itself; a step never writes into the arrays of
+    a state it has returned.
     """
     if state.variant is not variant:
         raise ValueError("state variant does not match run variant")
-    current = as_band(state)
+    grid = state.grid
+    current = State.from_band((c.copy() for c in state.arrays), grid,
+                              variant, t=state.t)
     del state
     for c in current.arrays:
         c[:, 0, 0, 0] = 0.0
-    grid = current.grid
 
-    symbols = stiff_symbols(grid, p, variant).band
+    symbols = layout_stiff_symbols(grid.band, p, variant)
     engine = StepEngine(grid)
     records: list[DiagnosticsRecord] = []
     steps = 0
 
-    def full_state() -> State:
-        engine.release()
-        return current.to_state()
-
     def result(status: RunStatus, failure_step=None) -> RunResult:
-        return RunResult(full_state(), records, status, steps, failure_step)
+        return RunResult(current, records, status, steps, failure_step)
 
     def emit_record() -> None:
         rec = compute_record(current, p, settings, engine=engine)
@@ -310,7 +295,7 @@ def run(state: State, p: PhysParams, variant: SystemVariant,
     def emit_state() -> None:
         if state_sink is not None:
             try:
-                state_sink(full_state(), steps)
+                state_sink(current, steps)
             except OSError as exc:
                 raise SinkWriteError(f"state sink failed: {exc}",
                                      result(RunStatus.STEP_CAP)) from exc

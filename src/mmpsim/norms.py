@@ -29,14 +29,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 import numpy as np
 
 from .dynamics import energy_flux_audit
-from .fields import (
-    BandState,
-    PhysParams,
-    State,
-    SystemVariant,
-    _in_index_window,
-    as_band,
-)
+from .fields import PhysParams, State, SystemVariant, _in_index_window
 from .spectral import (
     INDEX_WINDOW,
     Field,
@@ -268,26 +261,21 @@ class DiagnosticsSettings:
     include_hr5: bool | None = None
 
 
-def compute_record(state: State | BandState, p: PhysParams,
+def compute_record(state: State, p: PhysParams,
                    settings: DiagnosticsSettings | None = None,
                    engine: StepEngine | None = None) -> DiagnosticsRecord:
-    """One diagnostics sample of ``state``, a `State` or the `BandState`
-    that `run` carries.
+    """One diagnostics sample of ``state``, read from its band arrays.
 
-    Reads only the retained 2/3-rule box of the state, as `step` does:
-    the band of u, omega and the magnetic unknown is taken once (gathered
-    from a `State`, as is from a `BandState`), each field's power spectrum
-    formed once, and every norm, functional and divergence residual is a
-    band sum with the layout's multiplicity.  On a dealiased state (every
-    state a run records) the entries equal the full-spectrum field-level
-    functions up to the summation order, and the divergence residuals bit
-    for bit.  The energy-flux audit reads the same band arrays and runs on
-    ``engine`` (see `energy_flux_audit`).
+    Each field's power spectrum is formed once, and every norm, functional
+    and divergence residual is a band sum with the layout's multiplicity.
+    The entries equal the full-spectrum field-level functions of the
+    state's fields up to the summation order, and the divergence residuals
+    bit for bit.  The energy-flux audit reads the same band arrays and runs
+    on ``engine`` (see `energy_flux_audit`).
     """
     s = settings or DiagnosticsSettings()
     perturbation = state.variant is SystemVariant.PERTURBATION
     include_hr5 = perturbation if s.include_hr5 is None else s.include_hr5
-    state = as_band(state)
     audit = energy_flux_audit(state, p, state.variant, engine=engine)
 
     band = state.grid.band

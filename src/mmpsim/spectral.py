@@ -17,16 +17,18 @@ Conventions used throughout the package:
 
 Three coefficient layouts share one array-level kernel layer (the
 ``*_coeffs`` functions, which take the layout's wavevectors as a
-`SpectralLayout`):
+`SpectralLayout`, whose |k|^2 is formed from its own wavevectors, so
+nothing on the run path builds an n^3 wavevector array):
 
 * ``grid.full``: the full spectrum, shape (..., n, n, n), used by the field
-  classes, the state and checkpoints;
+  classes and the checkpoint payload;
 * ``grid.box``: the retained box, shape (..., 2kc+1, 2kc+1, 2kc+1) with
   kc = n//3, i.e. exactly the 2/3-rule box |k_i| <= kc, in FFT order
   (k = 0..kc, then -kc..-1) along each axis; the random initial data is
   built on it;
 * ``grid.band``: its k3 >= 0 part, shape (..., 2kc+1, 2kc+1, kc+1).  A
-  real dealiased field is determined by it; the time step runs in it.
+  real dealiased field is determined by it; a `State` holds it and the
+  time step runs in it.
 
 One block table, `GridSpec.box_blocks`, places the box in the full
 spectrum.  `box_part` and `band_part` gather with it (dropping everything
@@ -70,7 +72,7 @@ import itertools
 import os
 import threading
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -125,16 +127,9 @@ class GridSpec:
         k = self.k_axis
         return (k[:, None, None], k[None, :, None], k[None, None, :])
 
-    @cached_property
+    @property
     def k_squared(self) -> np.ndarray:
-        k1, k2, k3 = self.k_vectors
-        return k1 ** 2 + k2 ** 2 + k3 ** 2
-
-    @cached_property
-    def k_squared_safe(self) -> np.ndarray:
-        ksq = self.k_squared.copy()
-        ksq[0, 0, 0] = 1.0
-        return ksq
+        return self.full.k_squared
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
@@ -174,31 +169,24 @@ class GridSpec:
     @cached_property
     def full(self) -> "SpectralLayout":
         """Wavevectors of the full-spectrum layout (n, n, n)."""
-        return SpectralLayout(self, self.k_vectors, self.k_squared,
-                              self.k_squared_safe, np.ones((1, 1, 1)))
+        return SpectralLayout(self, self.k_vectors, np.ones((1, 1, 1)))
 
     @property
     def box(self) -> "SpectralLayout":
         """Wavevectors of the retained-box layout (2kc+1, 2kc+1, 2kc+1),
-        the box parts of the full layout's arrays, made on each access
-        (only the initial data reads them, so no copy outlives it)."""
+        made on each access (only the initial data reads them, so no copy
+        outlives it)."""
         k = self.k_axis[self.band_index]
         return SpectralLayout(self, (k[:, None, None], k[None, :, None],
-                                     k[None, None, :]),
-                              box_part(self.k_squared, self),
-                              box_part(self.k_squared_safe, self),
-                              np.ones((1, 1, 1)))
+                                     k[None, None, :]), np.ones((1, 1, 1)))
 
     @cached_property
     def band(self) -> "SpectralLayout":
         """Wavevectors of the retained-band layout (2kc+1, 2kc+1, kc+1): the
-        k3 >= 0 part of ``box``, gathered from the full layout's arrays by
-        the band's blocks."""
+        k3 >= 0 part of ``box``."""
         k = self.k_axis[self.band_index]
         k3 = k[None, None, :self.kmax_dealias + 1]
         return SpectralLayout(self, (k[:, None, None], k[None, :, None], k3),
-                              band_part(self.k_squared, self),
-                              band_part(self.k_squared_safe, self),
                               np.where(k3 > 0.0, 2.0, 1.0))
 
     def physical_coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -214,13 +202,24 @@ class SpectralLayout:
     coefficient arrays of that layout's shape.  ``multiplicity`` counts the
     full-spectrum modes each stored mode stands for in a sum over a real
     field's spectrum: 1, except 2 on the band for k3 > 0, whose mirror -k
-    is not stored."""
+    is not stored.  |k|^2, and |k|^2 with 1 at k = 0 to divide by, are
+    formed elementwise from the layout's own wavevectors, so on the box or
+    the band they are the part of the full ones bit for bit, without an
+    n^3 array."""
 
     grid: GridSpec
     k_vectors: tuple[np.ndarray, np.ndarray, np.ndarray]
-    k_squared: np.ndarray
-    k_squared_safe: np.ndarray
     multiplicity: np.ndarray
+    k_squared: np.ndarray = field(init=False)
+    k_squared_safe: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        k1, k2, k3 = self.k_vectors
+        k_squared = k1 ** 2 + k2 ** 2 + k3 ** 2
+        k_squared_safe = k_squared.copy()
+        k_squared_safe[0, 0, 0] = 1.0
+        object.__setattr__(self, "k_squared", k_squared)
+        object.__setattr__(self, "k_squared_safe", k_squared_safe)
 
 
 def _check_signed_index(grid: GridSpec, k: tuple[int, int, int]) -> None:

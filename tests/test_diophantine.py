@@ -70,6 +70,22 @@ class TestCheckDiophantine:
         with pytest.raises(ValueError, match="finite 3-vector"):
             check_diophantine(alpha, 2.5, 4)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("alpha, r", [
+        ((1e308, 1e308, 1.0), 2.5), ((1e306, 0.0, 0.0), 2.5),
+        ((1e200, 1.0, 1.0), 200.0)])
+    def test_overflowing_alpha_refused(self, alpha, r):
+        # alpha.k or |alpha.k| |k|^r overflows at a corner of the lattice
+        # |k|_inf <= 4; (1e308, 1e308, 1) used to report c_est = 0, resonant
+        with pytest.raises(ValueError, match="alpha="):
+            check_diophantine(alpha, r, 4)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_alpha_below_the_overflow_accepted(self):
+        # at k_max = 4 and r = 2.5 the largest product is 4e305 48^1.25
+        report = check_diophantine((1e305, np.sqrt(2.0), np.sqrt(3.0)), 2.5, 4)
+        assert np.isfinite(report.c_est) and report.c_est > 0.0
+
     def test_radius_validation(self):
         with pytest.raises(ValueError):
             check_diophantine(BADLY_APPROXIMABLE, 2.5, 0)

@@ -19,6 +19,7 @@ from mmpsim.dynamics import (
     _quadratic_terms,
     advect,
     energy_flux_audit,
+    layout_stiff_symbols,
     rhs,
     stiff_symbols,
 )
@@ -27,7 +28,6 @@ from mmpsim.fields import (
     PhysParams,
     State,
     SystemVariant,
-    as_band,
     make_random_state,
 )
 from mmpsim.integrator import step
@@ -278,6 +278,24 @@ class TestStiffSymbols:
             fd = (new - old) / dt
             assert np.abs(fd - dy).max() <= 1e-5 * max(np.abs(dy).max(), 1e-30)
 
+    @pytest.mark.parametrize("n", [8, 12, 32])
+    @pytest.mark.parametrize("variant", list(SystemVariant),
+                             ids=[v.value for v in SystemVariant])
+    def test_band_symbols_are_the_band_part_of_the_full_ones(self, n,
+                                                              variant):
+        # formed on the band from its |k|^2, not gathered from n^3 arrays
+        g = GridSpec(n)
+        p = PhysParams(mu=0.2, chi=0.8, kappa=0.6, eta=0.4, nu=0.3,
+                       alpha=ALPHA)
+        full = stiff_symbols(g, p, variant)
+        assert full.layout is g.full
+        for band in (layout_stiff_symbols(g.band, p, variant), full.band):
+            assert band.layout is g.band and band.band is band
+            for name in ("u", "omega_perp", "omega_par", "magnetic"):
+                assert getattr(band, name).tobytes() == band_part(
+                    getattr(full, name), g).tobytes()
+        assert full.band is full.band
+
     @pytest.mark.parametrize("layout", ["full", "band"])
     def test_omega_split_matches_written_out_form(self, layout):
         # oracle: perp w + (par - perp) w_par written out, for the
@@ -290,7 +308,7 @@ class TestStiffSymbols:
         arrays = (state.u.coeffs, state.omega.coeffs, state.magnetic.coeffs)
         if layout == "band":
             sym = sym.band
-            arrays = as_band(state).arrays
+            arrays = state.arrays
         u, w, m = arrays
         w_par = parallel_part(w, sym.layout)
 
@@ -414,26 +432,27 @@ class TestBandStep:
         assert peak <= 12e6
 
     def test_step_reads_only_retained_box(self):
+        # a state keeps only the band of the fields it is built from, so
+        # the step of noisy fields is the step of their dealiased part
         g = GridSpec(8)
         state = make_random_state(g, InitSpec(epsilon=1.0, seed=6),
                                   SystemVariant.FULL)
         rng = np.random.default_rng(6)
         shape = (3, g.n, g.n, g.n)
-        noisy = State(*(SpectralVectorField(
+        fields = [SpectralVectorField(
             f.coeffs + hermitian_symmetrize(rng.standard_normal(shape)
                                             + 1j * rng.standard_normal(shape)),
-            g) for f in (state.u, state.omega, state.magnetic)),
-            SystemVariant.FULL)
+            g) for f in (state.u, state.omega, state.magnetic)]
         p = PhysParams(mu=0.2, chi=1.0, kappa=0.4, eta=1.0, nu=0.5)
-        clean = State(*(dealias(f) for f in (noisy.u, noisy.omega,
-                                             noisy.magnetic)),
-                      SystemVariant.FULL)
-        assert not np.array_equal(noisy.u.coeffs, clean.u.coeffs)
+        noisy = State(*fields, SystemVariant.FULL)
+        clean = State(*(dealias(f) for f in fields), SystemVariant.FULL)
+        assert not np.array_equal(fields[0].coeffs, noisy.u.coeffs)
+        for a, b in zip(noisy.arrays, clean.arrays):
+            assert a.tobytes() == b.tobytes()
         got = step(noisy, p, SystemVariant.FULL, 0.01)
         want = step(clean, p, SystemVariant.FULL, 0.01)
-        for a, b in ((got.u, want.u), (got.omega, want.omega),
-                     (got.magnetic, want.magnetic)):
-            assert np.array_equal(a.coeffs, b.coeffs)
+        for a, b in zip(got.arrays, want.arrays):
+            assert a.tobytes() == b.tobytes()
 
     def test_propagators_cached_per_dt(self):
         g = GridSpec(8)
@@ -465,8 +484,8 @@ class TestThreadedTransforms:
     def test_threaded_equals_single_thread(self, monkeypatch, n, variant,
                                            params):
         # epsilon = 1000 makes the quadratic terms dominate every tendency
-        state = as_band(make_random_state(
-            GridSpec(n), InitSpec(epsilon=1000.0, seed=n), variant))
+        state = make_random_state(
+            GridSpec(n), InitSpec(epsilon=1000.0, seed=n), variant)
         threads = set()
         original = spectral.BandWorkspace.to_physical
 
@@ -552,8 +571,8 @@ class TestThreadedTransforms:
         force_threads(monkeypatch, 2)
         g = GridSpec(32)
         p = PhysParams(mu=0.2, chi=1.0, kappa=0.4, eta=1.0, nu=0.5)
-        state = as_band(make_random_state(g, InitSpec(epsilon=1.0, seed=3),
-                                          SystemVariant.FULL))
+        state = make_random_state(g, InitSpec(epsilon=1.0, seed=3),
+                                  SystemVariant.FULL)
         workspaces = []
         original_init = spectral.BandWorkspace.__init__
 
@@ -583,7 +602,7 @@ class TestThreadedTransforms:
         held, dead = at_pairings[0]
         assert all(dead) and all(ref() is None for ref in workspaces)
         # the five advected band fields, and not the 1.57 MB grid values
-        assert held <= 5 * state.u.nbytes + 100_000
+        assert held <= 5 * state.arrays[0].nbytes + 100_000
         assert threading.active_count() == before
 
 
@@ -596,7 +615,7 @@ class TestEnergyFluxAudit:
         state = make_random_state(g, InitSpec(epsilon=1000.0, seed=n),
                                   SystemVariant.FULL)
         p = PhysParams(mu=0.2, chi=1.0, kappa=0.4, eta=1.0, nu=0.5)
-        band, w = g.band, as_band(state).omega
+        band, w = g.band, state.arrays[1]
         k1, k2, k3 = band.k_vectors
         kdotw = k_dot(w, band)
         gd = np.stack([-k1 * kdotw, -k2 * kdotw, -k3 * kdotw])
@@ -685,7 +704,7 @@ class TestEnergyFluxAudit:
             variant)
         for state in (dealiased, noisy):
             u, w, m = (SpectralVectorField(expand_band(c, g), g)
-                       for c in as_band(state).arrays)
+                       for c in state.arrays)
             alpha = None
             if variant.uses_background:
                 alpha = (inner_product(alpha_dot_grad(m, params.alpha), u)
@@ -701,6 +720,8 @@ class TestEnergyFluxAudit:
                 curl(grad_div(w)), curl(w))
 
     def test_reads_only_retained_box(self):
+        # a state keeps only the band of the fields it is built from, so
+        # the audit of noisy fields is the audit of their dealiased part.
         # n=16: at n=8 every wavenumber is 0, 1, 2, 3 or 4, so the symbol
         # products of curl(grad div) cancel exactly whatever the input
         g = GridSpec(16)
@@ -709,14 +730,14 @@ class TestEnergyFluxAudit:
         p = PhysParams(chi=1.0, eta=1.0, alpha=ALPHA, r=2.5)
         rng = np.random.default_rng(3)
         shape = (3, g.n, g.n, g.n)
-        noisy = State(*(SpectralVectorField(
+        fields = [SpectralVectorField(
             f.coeffs + hermitian_symmetrize(rng.standard_normal(shape)
                                             + 1j * rng.standard_normal(shape)),
-            g) for f in (state.u, state.omega, state.magnetic)),
-            SystemVariant.PERTURBATION)
-        clean = State(*(dealias(f) for f in (noisy.u, noisy.omega,
-                                             noisy.magnetic)),
+            g) for f in (state.u, state.omega, state.magnetic)]
+        noisy = State(*fields, SystemVariant.PERTURBATION)
+        clean = State(*(dealias(f) for f in fields),
                       SystemVariant.PERTURBATION)
+        assert not np.array_equal(fields[0].coeffs, noisy.u.coeffs)
         assert energy_flux_audit(noisy, p, SystemVariant.PERTURBATION) == \
             energy_flux_audit(clean, p, SystemVariant.PERTURBATION)
 

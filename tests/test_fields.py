@@ -20,7 +20,9 @@ from mmpsim.norms import sobolev_norm
 from mmpsim.spectral import (
     GridSpec,
     SpectralVectorField,
+    band_part,
     divergence_residual,
+    expand_band,
     hermitian_symmetrize,
     project_coeffs,
     zero_vector_field,
@@ -30,7 +32,7 @@ from mmpsim.spectral import (
 def full_spectrum_random_state(grid, init, variant):
     """The construction of `make_random_state` carried out on the full
     spectrum, every operation over all n^3 modes: the oracle of the box
-    construction."""
+    construction.  Returns the three full-spectrum coefficient arrays."""
     k_peak = init.k_peak if init.k_peak is not None else grid.n / 6.0
     kmag = np.sqrt(grid.k_squared)
     kmag_safe = np.where(kmag == 0.0, 1.0, kmag)
@@ -54,8 +56,8 @@ def full_spectrum_random_state(grid, init, variant):
         np.multiply(coeffs, grid.dealias_mask, out=coeffs)
         f = SpectralVectorField(coeffs, grid)
         coeffs *= init.epsilon / sobolev_norm(f, init.sobolev_index)
-        fields.append(f)
-    return State(*fields, variant)
+        fields.append(coeffs)
+    return fields
 
 
 class TestPhysParams:
@@ -216,32 +218,31 @@ class TestMakeRandomState:
         init = InitSpec(epsilon=0.01, seed=n, **settings)
         got = make_random_state(g, init, variant)
         want = full_spectrum_random_state(g, init, variant)
-        box = g.dealias_mask
-        for name in ("u", "omega", "magnetic"):
+        for name, band, b in zip(("u", "omega", "magnetic"), got.arrays,
+                                 want):
+            assert band.tobytes() == band_part(b, g).tobytes()
             a = getattr(got, name).coeffs
-            b = getattr(want, name).coeffs
             assert np.array_equal(a, b)
-            assert a[:, box].tobytes() == b[:, box].tobytes()
-            outside = a[:, ~box]
+            outside = a[:, ~g.dealias_mask]
             assert not np.signbit(outside.real).any()
             assert not np.signbit(outside.imag).any()
 
-    # SHA-256 of the u, omega, magnetic coefficient bytes: the construction
-    # may be reorganised only if every IEEE operation and its order stay.
-    # Outside the retained box it writes +0.0
+    # SHA-256 of the bytes of the u, omega, magnetic band arrays that the
+    # state holds: the construction may be reorganised only if every IEEE
+    # operation and its order stay
     @pytest.mark.parametrize("variant, init, expected", [
         (SystemVariant.ZERO_KINEMATIC, InitSpec(epsilon=0.01, seed=2024),
-         "ff52e6ee511ede8d8ff07e5d50d22fff2679dd8dda7dfa64638a272f175a253a"),
+         "d9f8351283d5b4760e8b54345e989ee74917ebbecdf478ea8b19f1a8590a1c9f"),
         (SystemVariant.PERTURBATION,
          InitSpec(epsilon=0.01, sobolev_index=21.0, spectrum_slope=1.5,
                   k_peak=4.0, seed=7),
-         "fea1e38abeec8bfca7bc16294e6a1a1fd0eb6fe409f55b421a59fd31bf4f2bf7"),
+         "fc722a21cf307a9c53d6838bd9e3514b62903b1eb176ce3c48e844c47a414744"),
     ], ids=["zero-kinematic", "perturbation"])
     def test_coefficients_pinned(self, variant, init, expected):
         state = make_random_state(GridSpec(16), init, variant)
         digest = hashlib.sha256()
-        for f in (state.u, state.omega, state.magnetic):
-            digest.update(f.coeffs.tobytes())
+        for band in state.arrays:
+            digest.update(band.tobytes())
         assert digest.hexdigest() == expected
 
     def test_working_set(self):
@@ -257,6 +258,42 @@ class TestMakeRandomState:
         finally:
             tracemalloc.stop()
         assert peak <= 8.0e6
+
+    def test_state_holds_three_band_vectors(self):
+        # at 32^3 the three band vectors are 0.70 MB; the full-spectrum
+        # fields a state used to hold were 4.72 MB
+        g = GridSpec(32)
+        state = make_random_state(g, InitSpec(epsilon=0.01, seed=2024),
+                                  SystemVariant.PERTURBATION)
+        band_vector = 3 * 21 * 21 * 11 * 16
+        assert not any(isinstance(value, np.ndarray)
+                       for value in vars(state).values())
+        assert [a.shape for a in state.arrays] == [(3,) + g.band_shape] * 3
+        assert sum(a.nbytes for a in state.arrays) == 3 * band_vector == 698544
+
+    def test_fields_built_on_each_access(self):
+        g = GridSpec(16)
+        state = make_random_state(g, InitSpec(epsilon=0.01, seed=3),
+                                  SystemVariant.FULL)
+        for name, band in zip(("u", "omega", "magnetic"), state.arrays):
+            first, second = getattr(state, name), getattr(state, name)
+            assert first.coeffs is not second.coeffs
+            for f in (first, second):
+                assert f.coeffs.tobytes() == expand_band(band, g).tobytes()
+
+    def test_state_keeps_the_band_of_its_fields(self):
+        g = GridSpec(12)
+        rng = np.random.default_rng(12)
+        shape = (3, g.n, g.n, g.n)
+        fields = [SpectralVectorField(rng.standard_normal(shape)
+                                      + 1j * rng.standard_normal(shape), g)
+                  for _ in range(3)]
+        state = State(*fields, SystemVariant.FULL, t=0.5)
+        for band, f in zip(state.arrays, fields):
+            assert band.tobytes() == band_part(f.coeffs, g).tobytes()
+        assert state.t == 0.5 and state.grid is g
+        moved = state.with_time(1.5)
+        assert moved.t == 1.5 and moved.arrays == state.arrays
 
     def test_grid_mismatch_in_state_rejected(self):
         a = zero_vector_field(GridSpec(8))

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -75,13 +76,43 @@ class TestCheckpoint:
         assert first == state.u.coeffs[0, 0, 0, 0]
         assert second == state.u.coeffs[0, 0, 0, 1]
 
+    def test_writes_whole_field_bytes_one_component_at_a_time(self,
+                                                              tmp_path):
+        # oracle: the MMP1 writer that wrote each full-spectrum field whole;
+        # the writer expands one scalar component at a time, 0.52 MB at
+        # 32^3, and peaks under 1.5 of them
+        g = GridSpec(32)
+        state = make_random_state(g, InitSpec(epsilon=0.1, seed=4), ZK)
+        state = state.with_time(0.5)
+        oracle = tmp_path / "oracle.mmp"
+        with open(oracle, "wb") as fh:
+            fh.write(checkpoint._HEADER.pack(
+                checkpoint.MAGIC, checkpoint.FORMAT_VERSION, g.n,
+                ZK.wire_id, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 2.5,
+                0.5, 3, 4))
+            for f in (state.u, state.omega, state.magnetic):
+                fh.write(f.coeffs.tobytes())
+        path = tmp_path / "state.mmp"
+        save_checkpoint(path, state, ZK_PARAMS, step=3, seed=4)
+        tracemalloc.start()
+        try:
+            save_checkpoint(path, state, ZK_PARAMS, step=3, seed=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes() == oracle.read_bytes()
+        assert peak <= 1.5 * g.n ** 3 * 16
+        data = load_checkpoint(path)
+        for a, b in zip(data.state.arrays, state.arrays):
+            assert a.tobytes() == b.tobytes()
+
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "state.mmp"
         save_checkpoint(path, sample_state(seed=1), ZK_PARAMS, step=1, seed=1)
         before = path.read_bytes()
 
         class FailingFile:
-            """Writes the header and the first field, then fails."""
+            """Writes the header and the first array, then fails."""
 
             def __init__(self, fh):
                 self.fh, self.writes = fh, 0
@@ -633,6 +664,19 @@ class TestInvalidInput:
                     f"'init.k_peak': " in captured.err)
             assert not (outdir / "diagnostics.csv").exists()
 
+    def test_overflowing_alpha_is_refused_on_its_line(self, tmp_path,
+                                                      capsys):
+        # |alpha|^2 and alpha.k used to overflow with RuntimeWarnings before
+        # the structure condition refused |alpha|^2 = inf on no line
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, lineno, captured, outdir = run_sweep_config(
+                tmp_path, capsys, "alpha", "1e308,1e308,1")
+        assert code == 1
+        assert (f"config error: line {lineno}: bad value for 'alpha': "
+                in captured.err)
+        assert not (outdir / "diagnostics.csv").exists()
+
     # extreme values may overflow or floor the step size: both warn
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -674,6 +718,22 @@ def subcommand_flags(csv_path):
 
 
 class TestInvalidSubcommandFlags:
+    @pytest.mark.parametrize("command", ["check-diophantine",
+                                         "verify-lemma"])
+    def test_overflowing_alpha_exits_one(self, tmp_path, capsys, command):
+        # check-diophantine used to exit 0 with c_est = 0 and
+        # verify-lemma to call the vector resonant, both after overflow
+        # RuntimeWarnings
+        argv = [command]
+        for name, default in subcommand_flags("")[command].items():
+            argv += [name, "1e308,1e308,1" if name == "--alpha" else default]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_main(argv)
+        assert code == 1
+        assert "error: alpha=(1e+308, 1e+308, 1.0) overflows" in \
+            capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.filterwarnings("ignore::UserWarning")
     @pytest.mark.parametrize("value", SWEEP_VALUES)

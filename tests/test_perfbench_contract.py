@@ -14,8 +14,13 @@ thread-safe.
 import ast
 import importlib
 import inspect
+import sys
 import threading
+import types
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import mmpsim
 from mmpsim import spectral
@@ -24,11 +29,34 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def load_spans() -> dict:
-    path = PERFBENCH / "spans.py"
-    namespace = {"__name__": "perfbench_spans"}
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
-         namespace)
+    return load_source("spans.py", "perfbench_spans")
+
+
+def load_source(name: str, module: str) -> dict:
+    """The namespace of perfbench/<name> run as the module ``module``,
+    which is registered while it runs (dataclasses look it up)."""
+    path = PERFBENCH / name
+    sys.modules[module] = types.ModuleType(module)
+    try:
+        namespace = sys.modules[module].__dict__
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
+             namespace)
+    finally:
+        del sys.modules[module]
     return namespace
+
+
+def load_translate():
+    """`translate` of perfbench/worker.py, compiled alone: the worker's own
+    imports put perfbench/ on the path."""
+    path = PERFBENCH / "worker.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (node,) = [n for n in tree.body if isinstance(n, ast.FunctionDef)
+               and n.name == "translate"]
+    namespace = {"mmpsim": mmpsim, "np": np}
+    exec(compile(ast.Module([node], type_ignores=[]), str(path), "exec"),
+         namespace)
+    return namespace["translate"]
 
 
 def test_every_span_target_resolves():
@@ -115,3 +143,27 @@ def test_split_transforms_open_spans_on_the_calling_thread(monkeypatch):
     assert transformed - {caller}
     assert {"integrator.step", "dynamics.energy_flux_audit"} <= {
         s.name for s in tracer.spans}
+
+
+@pytest.mark.parametrize("workload", ["pert32", "zk32_cfl"])
+def test_translated_state_is_the_phase_shifted_band(workload):
+    # the worker moves the initial state on the torus by multiplying each
+    # full-spectrum field (3, n, n, n) by a phase per mode and building a
+    # State of the products; the state then holds the band of those, so
+    # run() starts from the band the parent's full state gave it
+    w = load_source("workloads.py", "perfbench_workloads")["WORKLOADS"][
+        workload]
+    cfg = mmpsim.parse_config(w.config_text(2024, "unused"))
+    state = mmpsim.make_random_state(cfg.grid(), cfg.init, cfg.variant)
+    grid = state.grid
+    for f in (state.u, state.omega, state.magnetic):
+        assert f.coeffs.shape == (3, grid.n, grid.n, grid.n)
+    shift = w.shift(2024)
+    moved = load_translate()(state, shift)
+    assert isinstance(moved, mmpsim.State)
+    assert moved.variant is state.variant and moved.t == state.t
+    k1, k2, k3 = grid.band.k_vectors
+    phase = np.exp(-1j * grid.spacing
+                   * (k1 * shift[0] + k2 * shift[1] + k3 * shift[2]))
+    for got, band in zip(moved.arrays, state.arrays):
+        assert got.tobytes() == (band * phase).tobytes()
