@@ -28,7 +28,6 @@ from .spectral import (
     SpectralLayout,
     SpectralVectorField,
     band_part,
-    box_part,
     divergence_residual_coeffs,
     expand_band,
     expand_box,
@@ -420,9 +419,11 @@ def make_random_state(grid: GridSpec, init: InitSpec,
     weights = _sobolev_weights(layout, init.sobolev_index)
     # Philox yields its draws in blocks of four, and advance(b) skips b
     # blocks; the planes kc < i1 < n - kc of a component lie outside the
-    # box and start after (kc + 1) n^2 draws, a multiple of four
-    draw = np.empty((n,) * 3)
+    # box and start after (kc + 1) n^2 draws, a multiple of four.  The
+    # retained planes k1 = 0..kc, then -kc..-1, are drawn in box order
+    draw = np.empty((2 * kc + 1, n, n))
     skipped_blocks = (n - 2 * kc - 1) * n * n // 4
+    idx = grid.band_index
 
     arrays = []
     for name in ("u", "omega", "magnetic"):
@@ -430,8 +431,8 @@ def make_random_state(grid: GridSpec, init: InitSpec,
         for component in phases:
             rng.random(out=draw[:kc + 1])
             rng.bit_generator.advance(skipped_blocks)
-            rng.random(out=draw[n - kc:])
-            component[...] = box_part(draw, grid)
+            rng.random(out=draw[kc + 1:])
+            component[...] = draw[:, idx[:, None], idx]
         coeffs = np.empty(phases.shape, dtype=np.complex128)
         coeffs.real = 0.0
         # 1j * phases, where uniform(0, 2pi) is 0 + 2pi * random()

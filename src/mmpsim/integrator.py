@@ -11,7 +11,9 @@ exp(-Lambda * delta) between the four classical stages:
     y  = Ef y0 + dt/6 (Ef N1 + 2 Eh (N2 + N3) + N4)
 
 The velocity and magnetic fields are re-projected and the k=0 modes
-re-zeroed once per full step.
+re-zeroed once per full step.  Eh and Ef are formed from the band's stiff
+symbols on every step, so a step whose dt differs from the last one's
+costs the same as any other.
 
 The step works on the retained-band coefficients that a `State` holds
 (see `spectral`), and `run` carries band `State`s from step to step, to
@@ -142,7 +144,8 @@ def _step_arrays(arrays, symbols: StiffSymbols, grid: GridSpec,
                  p: PhysParams, variant: SystemVariant, dt: float,
                  linearized: bool, engine: StepEngine):
     """One step on retained-band arrays, with retained-band symbols;
-    e_half and e_full are the Eh and Ef above.
+    e_half and e_full are the Eh and Ef above, formed from them on every
+    step (see `dynamics`).
 
     Every stage lives in four band triples of ``engine``'s pool, each value
     written with ``out=`` over one whose last use has passed: t1 holds N1,
@@ -163,7 +166,7 @@ def _step_arrays(arrays, symbols: StiffSymbols, grid: GridSpec,
         with engine.scope():
             return e.apply(*y, out=out, scratch=engine.band_buffers(1)[0])
 
-    e_half, e_full = symbols.step_propagators(dt)
+    e_half, e_full = symbols.propagator(0.5 * dt), symbols.propagator(dt)
     with engine.scope():
         buffers = engine.band_buffers(12)
         t1, t2, t3, t4 = (tuple(buffers[3 * i:3 * i + 3]) for i in range(4))
@@ -196,15 +199,17 @@ def step(state: State, p: PhysParams, variant: SystemVariant, dt: float,
          linearized: bool = False, symbols: StiffSymbols | None = None,
          engine: StepEngine | None = None) -> State:
     """Advance one integrating-factor RK4 step of size dt on the state's
-    band and return the new state.  ``symbols`` may be full-layout
-    (`stiff_symbols`) or band-layout.  The step runs on ``engine``, or on
-    a transient `StepEngine` closed before the call returns."""
+    band and return the new state.  ``symbols`` are used if they are on
+    the band; otherwise (None, or full-layout `stiff_symbols`) the band
+    symbols are formed from ``p`` and ``variant``.  The step runs on
+    ``engine``, or on a transient `StepEngine` closed before the call
+    returns."""
     if state.variant is not variant:
         raise ValueError(f"state is tagged {state.variant.value!r}, "
                          f"step was asked for {variant.value!r}")
     grid = state.grid
-    symbols = (layout_stiff_symbols(grid.band, p, variant) if symbols is None
-               else symbols.band)
+    if symbols is None or symbols.layout is not grid.band:
+        symbols = layout_stiff_symbols(grid.band, p, variant)
     with using_engine(engine, grid) as engine:
         arrays = _step_arrays(state.arrays, symbols, grid, p, variant, dt,
                               linearized, engine)

@@ -4,8 +4,7 @@ regression, and the per-sample diagnostics record.
 All norms and inner products are evaluated in spectral space: with the
 convention f = sum_k fhat(k) exp(i k.x),
 
-    ||f||_{H^s}^2    = (2pi)^3 sum_k (1 + |k|^2)^s |fhat(k)|^2,
-    ||f||_{Hdot^s}^2 = (2pi)^3 sum_{k != 0} |k|^{2s} |fhat(k)|^2.
+    ||f||_{H^s}^2 = (2pi)^3 sum_k (1 + |k|^2)^s |fhat(k)|^2.
 
 Non-integer indices are supported directly through real-exponent weights.
 
@@ -61,17 +60,10 @@ def _check_index(s: float) -> None:
 # array-level kernels (power spectra and coefficients on one layout)
 # ---------------------------------------------------------------------------
 
-def _sobolev_weights(layout: SpectralLayout, s: float,
-                     homogeneous: bool = False) -> np.ndarray:
-    """(1 + |k|^2)^s, or |k|^(2s) with the k=0 mode zeroed."""
+def _sobolev_weights(layout: SpectralLayout, s: float) -> np.ndarray:
+    """(1 + |k|^2)^s."""
     _check_index(s)
-    ksq = layout.k_squared
-    if homogeneous:
-        weights = np.where(ksq > 0.0, ksq, 1.0) ** s
-        weights[0, 0, 0] = 0.0
-    else:
-        weights = (1.0 + ksq) ** s
-    return weights
+    return (1.0 + layout.k_squared) ** s
 
 
 def _norm(power: np.ndarray, weights: np.ndarray,
@@ -159,18 +151,17 @@ def _perturbation_functionals(arrays, powers, layout: SpectralLayout,
 # field-level wrappers (full spectrum)
 # ---------------------------------------------------------------------------
 
-def sobolev_norm(f: Field, s: float, homogeneous: bool = False) -> float:
-    """H^s norm of a scalar or vector field; the homogeneous variant uses
-    |k|^(2s) weights and skips the k=0 mode."""
+def sobolev_norm(f: Field, s: float) -> float:
+    """H^s norm of a scalar or vector field."""
     layout = f.grid.full
-    weights = _sobolev_weights(layout, s, homogeneous)
+    weights = _sobolev_weights(layout, s)
     require_finite(f, "sobolev_norm")
     return _norm(power_spectrum(f.coeffs), weights, layout)
 
 
-def triple_sobolev_norm(state: State, s: float, homogeneous: bool = False) -> float:
+def triple_sobolev_norm(state: State, s: float) -> float:
     """Norm of the (u, omega, magnetic) triple: sqrt of the sum of squares."""
-    return math.sqrt(sum(sobolev_norm(f, s, homogeneous) ** 2
+    return math.sqrt(sum(sobolev_norm(f, s) ** 2
                          for f in (state.u, state.omega, state.magnetic)))
 
 
@@ -180,10 +171,10 @@ def l2_energy(state: State) -> float:
 
 
 def curl_energy_functional(state: State, weight_a: float = WEIGHT_A) -> float:
-    """Damped curl-energy functional: A times the squared Hdot^2 norm of
-    (curl u, curl omega, curl magnetic) minus the second-derivative pairing
-    of omega with curl u.  Coercive above the curl energy once A is large
-    enough."""
+    """Damped curl-energy functional: A times the squared homogeneous H^2
+    norm (weights |k|^4) of (curl u, curl omega, curl magnetic) minus the
+    second-derivative pairing of omega with curl u.  Coercive above the
+    curl energy once A is large enough."""
     return _curl_energy(state.u.coeffs, state.omega.coeffs,
                         state.magnetic.coeffs, state.grid.full, weight_a)
 

@@ -455,8 +455,9 @@ class StepEngine:
     same arrays again.  So the step's phases, its stage arrays and the
     audit's phases share one pool, which grows to the largest working set
     any of them asked for, not their sum.  A buffer holds whatever its
-    last user left in it.  `release` drops the pool (or its grid buffers)
-    and the workspaces; the next request allocates afresh.
+    last user left in it.  `release` drops its grid buffers and the
+    workspaces, `close` its band buffers too; the next request allocates
+    afresh.
 
     *Threads.*  `run` runs phases of tasks on the calling thread and, from
     n = `SPLIT_MIN_N` up, WORKERS - 1 helper threads of an executor made on
@@ -515,14 +516,12 @@ class StepEngine:
         self._band.arrays = [None if any(a is b for b in arrays) else a
                              for a in self._band.arrays]
 
-    def release(self, band: bool = True) -> None:
-        """Drop the grid buffers, the workspaces and, if ``band``, the band
-        buffers of the pool; the threads stay.  Buffers a caller still
-        holds stay alive as its own."""
+    def release(self) -> None:
+        """Drop the grid buffers of the pool and the workspaces; the band
+        buffers and the threads stay.  Buffers a caller still holds stay
+        alive as its own."""
         self._grid.arrays = []
         self._workspaces = []
-        if band:
-            self._band.arrays = []
 
     def run(self, phases, fields: int = 0) -> None:
         """Run each task of each phase once as ``task(ws)``, ws the
@@ -564,8 +563,10 @@ class StepEngine:
                     ws.fields = []
 
     def close(self) -> None:
-        """Release the pool and join the helper threads."""
+        """Drop the whole pool and the workspaces, and join the helper
+        threads."""
         self.release()
+        self._band.arrays = []
         if self._helpers is not None:
             self._helpers.shutdown()
             self._helpers = None

@@ -289,12 +289,11 @@ class TestStiffSymbols:
                        alpha=ALPHA)
         full = stiff_symbols(g, p, variant)
         assert full.layout is g.full
-        for band in (layout_stiff_symbols(g.band, p, variant), full.band):
-            assert band.layout is g.band and band.band is band
-            for name in ("u", "omega_perp", "omega_par", "magnetic"):
-                assert getattr(band, name).tobytes() == band_part(
-                    getattr(full, name), g).tobytes()
-        assert full.band is full.band
+        band = layout_stiff_symbols(g.band, p, variant)
+        assert band.layout is g.band
+        for name in ("u", "omega_perp", "omega_par", "magnetic"):
+            assert getattr(band, name).tobytes() == band_part(
+                getattr(full, name), g).tobytes()
 
     @pytest.mark.parametrize("layout", ["full", "band"])
     def test_omega_split_matches_written_out_form(self, layout):
@@ -307,7 +306,7 @@ class TestStiffSymbols:
                                   SystemVariant.FULL)
         arrays = (state.u.coeffs, state.omega.coeffs, state.magnetic.coeffs)
         if layout == "band":
-            sym = sym.band
+            sym = layout_stiff_symbols(g.band, p, SystemVariant.FULL)
             arrays = state.arrays
         u, w, m = arrays
         w_par = parallel_part(w, sym.layout)
@@ -454,16 +453,21 @@ class TestBandStep:
         for a, b in zip(got.arrays, want.arrays):
             assert a.tobytes() == b.tobytes()
 
-    def test_propagators_cached_per_dt(self):
-        g = GridSpec(8)
-        sym = stiff_symbols(g, PhysParams(chi=1.0, eta=1.0, nu=1.0),
-                            SystemVariant.ZERO_KINEMATIC).band
-        pair = sym.step_propagators(0.05)
-        assert sym.step_propagators(0.05) is pair
-        other = sym.step_propagators(0.025)
-        assert other is not pair
-        assert np.array_equal(other[1].exp_u, pair[0].exp_u)
-        assert sym.step_propagators(0.05) is not pair
+    def test_propagator_is_exp_of_minus_dt_symbol(self):
+        # formed in place, each factor has the bytes of np.exp(-dt * a)
+        g = GridSpec(12)
+        sym = layout_stiff_symbols(g.band, PhysParams(mu=0.2, chi=0.8,
+                                                      kappa=0.6, eta=0.4,
+                                                      nu=0.3),
+                                   SystemVariant.FULL)
+        for dt in (0.05, 0.025, 1.0 / 3.0):
+            prop = sym.propagator(dt)
+            assert prop.layout is g.band
+            for rate, factor in zip(
+                    (sym.u, sym.omega_perp, sym.omega_par, sym.magnetic),
+                    (prop.exp_u, prop.exp_omega_perp, prop.exp_omega_par,
+                     prop.exp_magnetic)):
+                assert factor.tobytes() == np.exp(-dt * rate).tobytes()
 
 
 THREAD_CASES = [

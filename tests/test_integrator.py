@@ -11,7 +11,7 @@ import pytest
 
 from linear_oracle import exact_linear_solution, stacked_error
 
-from mmpsim import integrator, spectral
+from mmpsim import dynamics, integrator, spectral
 from mmpsim.dynamics import stiff_symbols
 from mmpsim.fields import InitSpec, PhysParams, State, SystemVariant, make_random_state
 from mmpsim.integrator import (
@@ -328,6 +328,18 @@ def state_bytes(state):
                                           state.magnetic)] + [state.t]
 
 
+def record_engines(monkeypatch) -> list:
+    """The `StepEngine`s that `run` makes from now on, in a list."""
+    engines = []
+
+    class Recorded(StepEngine):
+        def __init__(self, grid):
+            super().__init__(grid)
+            engines.append(self)
+    monkeypatch.setattr(integrator, "StepEngine", Recorded)
+    return engines
+
+
 class TestBandResidentRun:
     """`run` carries band states between steps; the states it hands out
     must be those of the public calls, bit for bit."""
@@ -438,13 +450,7 @@ class TestBandResidentRun:
         # fill the grid's caches and the transforms' plans first
         run(make_random_state(g, init, ZK), ZK_PARAMS, ZK,
             StepperConfig(dt=0.05, t_end=0.05))
-        engines = []
-
-        class Recorded(StepEngine):
-            def __init__(self, grid):
-                super().__init__(grid)
-                engines.append(self)
-        monkeypatch.setattr(integrator, "StepEngine", Recorded)
+        engines = record_engines(monkeypatch)
         held, pooled = [], []
 
         def sink(rec):
@@ -559,6 +565,35 @@ class TestRunEngine:
         assert len(starts) == 1 and len(records) >= 2
         assert threading.active_count() == before
         assert not starts[0].is_alive()
+
+    def test_audit_drops_grid_buffers_before_its_pairings(self,
+                                                          monkeypatch):
+        # the pairings expand band products to n^3 on the calling thread;
+        # the run's grid buffers and workspaces are dropped first, so the
+        # expansions can take their memory, and the band buffers are kept
+        # for the next step
+        monkeypatch.setattr(spectral, "WORKERS", 2)
+        monkeypatch.setattr(spectral, "SPLIT_MIN_N", 8)
+        engines = record_engines(monkeypatch)
+        at_pairings = []
+        original_expand = dynamics.expand_band
+
+        def expand(c, grid):
+            (engine,) = engines
+            at_pairings.append((len(engine._grid.arrays),
+                                len(engine._workspaces),
+                                len(engine._band.arrays)))
+            return original_expand(c, grid)
+        monkeypatch.setattr(dynamics, "expand_band", expand)
+        state = make_random_state(GridSpec(16), InitSpec(epsilon=1.0, seed=12),
+                                  ZK)
+        result = run(state, ZK_PARAMS, ZK,
+                     StepperConfig(dt=0.05, t_end=0.1, record_interval=0.05))
+        assert result.steps == 2 and len(result.records) == 3
+        # six pairings per record (no background field)
+        assert len(at_pairings) == 3 * 6
+        assert all(grid == 0 and workspaces == 0 and band > 0
+                   for grid, workspaces, band in at_pairings)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_grid_buffers_reused_at_every_step(self, monkeypatch, workers):

@@ -82,12 +82,6 @@ class TestSobolevNorm:
             assert sobolev_norm(total, s) <= (sobolev_norm(f, s)
                                               + sobolev_norm(h, s) + 1e-12)
 
-    def test_homogeneous_below_inhomogeneous(self):
-        g = GridSpec(16)
-        f = random_state(g, SystemVariant.ZERO_KINEMATIC, seed=3).u
-        for s in (0.0, 1.0, 3.0, 4.5):
-            assert sobolev_norm(f, s, homogeneous=True) <= sobolev_norm(f, s)
-
     def test_parseval_cross_check(self):
         from mmpsim.spectral import inverse_transform
         g = GridSpec(16)

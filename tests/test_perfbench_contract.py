@@ -17,6 +17,7 @@ import inspect
 import sys
 import threading
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -167,3 +168,24 @@ def test_translated_state_is_the_phase_shifted_band(workload):
                    * (k1 * shift[0] + k2 * shift[1] + k3 * shift[2]))
     for got, band in zip(moved.arrays, state.arrays):
         assert got.tobytes() == (band * phase).tobytes()
+
+
+def test_micro_sweep_stiff_calls_run_on_full_layout_symbols():
+    # the worker's micro sweep times these calls with the full-layout
+    # symbols of `stiff_symbols`, on the smallest of its grids; a layout
+    # mismatch would otherwise show only in a traced benchmark run
+    pert = load_source("workloads.py", "perfbench_workloads")["WORKLOADS"][
+        "pert32"]
+    w = replace(pert, keys={**pert.keys, "grid.n": 16})
+    cfg = mmpsim.parse_config(w.config_text(2024, "unused"))
+    grid, p, variant = cfg.grid(), cfg.params, cfg.variant
+    state = mmpsim.make_random_state(grid, cfg.init, variant)
+    symbols = mmpsim.stiff_symbols(grid, p, variant)
+    dt = cfg.stepper.dt
+    propagated = symbols.propagator(dt).apply(
+        state.u.coeffs, state.omega.coeffs, state.magnetic.coeffs)
+    assert [a.shape for a in propagated] == [(3, grid.n, grid.n, grid.n)] * 3
+    got = mmpsim.step(state, p, variant, dt, symbols=symbols)
+    want = mmpsim.step(state, p, variant, dt)
+    for a, b in zip(got.arrays, want.arrays):
+        assert a.tobytes() == b.tobytes()
