@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 validation error, 2 runtime integrity error
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -175,34 +176,30 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _print_report(report) -> None:
+    """One ``name = value`` line per field of the report dataclass, in
+    field order: floats as .17g, tuples comma-joined, bools lower-case."""
+    def text(value) -> str:
+        if isinstance(value, tuple):
+            return ",".join(text(v) for v in value)
+        if isinstance(value, bool):
+            return str(value).lower()
+        if isinstance(value, float):
+            return f"{value:.17g}"
+        return str(value)
+    for f in dataclasses.fields(report):
+        print(f"{f.name} = {text(getattr(report, f.name))}")
+
+
 def _cmd_check_diophantine(args) -> int:
-    report = check_diophantine(parse_vec3(args.alpha), args.r, args.kmax)
-    print(f"alpha = {report.alpha[0]:.17g},{report.alpha[1]:.17g},"
-          f"{report.alpha[2]:.17g}")
-    print(f"r = {report.r:.17g}")
-    print(f"k_max = {report.k_max}")
-    print(f"c_est = {report.c_est:.17g}")
-    print(f"argmin_k = {report.argmin_k[0]},{report.argmin_k[1]},"
-          f"{report.argmin_k[2]}")
-    print(f"degenerate = {str(report.degenerate).lower()}")
+    _print_report(check_diophantine(parse_vec3(args.alpha), args.r,
+                                    args.kmax))
     return EXIT_OK
 
 
 def _cmd_verify_lemma(args) -> int:
-    grid = GridSpec(args.n)
-    report = lifting_ratio(parse_vec3(args.alpha), args.s, args.r, grid,
-                           args.trials, args.seed)
-    print(f"alpha = {report.alpha[0]:.17g},{report.alpha[1]:.17g},"
-          f"{report.alpha[2]:.17g}")
-    print(f"s = {report.s:.17g}")
-    print(f"r = {report.r:.17g}")
-    print(f"k_max = {report.k_max}")
-    print(f"trials = {report.trials}")
-    print(f"max_ratio = {report.max_ratio:.17g}")
-    print(f"mean_ratio = {report.mean_ratio:.17g}")
-    print(f"mode_bound = {report.mode_bound:.17g}")
-    print(f"bound_mode = {report.bound_mode[0]},{report.bound_mode[1]},"
-          f"{report.bound_mode[2]}")
+    _print_report(lifting_ratio(parse_vec3(args.alpha), args.s, args.r,
+                                GridSpec(args.n), args.trials, args.seed))
     return EXIT_OK
 
 

@@ -238,8 +238,6 @@ def parse_config(text: str) -> RunConfig:
 
     params = build(PhysParams)
     init = build(InitSpec)
-    if values["init.seed"] < 0:
-        errors.append(bad_value("init.seed", "seed must be >= 0"))
 
     if grid is not None and init is not None and init.k_peak is not None \
             and init.k_peak > grid.kmax_dealias:

@@ -17,7 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import GridSpec, dealias, forward_transform_scalar, zero_mean
+from .norms import sobolev_norm
+from .spectral import (
+    GridSpec,
+    alpha_dot_grad,
+    dealias,
+    forward_transform_scalar,
+    zero_mean,
+)
 
 DEGENERACY_THRESHOLD = 1e-14
 MAX_SEARCH_RADIUS = 512
@@ -126,9 +133,6 @@ def lifting_ratio(alpha, s: float, r: float, grid: GridSpec, trials: int,
                   seed: int) -> LiftingRatioReport:
     """Measure the lifting ratio on random mean-zero band-limited scalar
     fields and compare with the sharp per-mode constant."""
-    from .norms import sobolev_norm  # local import avoids a module cycle
-    from .spectral import alpha_dot_grad
-
     a = np.asarray(alpha, dtype=np.float64)
     check = check_diophantine(a, r, grid.kmax_dealias)
     if check.degenerate:

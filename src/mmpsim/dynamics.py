@@ -35,12 +35,14 @@ bit.
 The stiff symbol of the micro-rotation field is diagonal only after
 splitting each mode into components parallel and perpendicular to k: the
 parallel part sees (eta + kappa)|k|^2 + 4 chi, the perpendicular part
-eta|k|^2 + 4 chi (`_omega_split`).  `StiffSymbols` holds these rates on
-one layout and nothing else; `StiffSymbols.propagator(dt)` forms
-exp(-dt * symbol) anew on each call, which the step makes twice per step
-(a pair takes 0.03, 0.05 and 1.2 ms at 16^3, 32^3 and 64^3 on a 2-core
-x86 host: about 0.5% of a 64^3 step, less below).  `rhs` returns the full tendency, explicit plus stiff, on
-the full spectrum.
+eta|k|^2 + 4 chi (`_omega_split`).  `StiffPropagator` is the one per-mode
+diagonal operator of this form: four factor arrays on one layout, applied
+with the split.  `StiffSymbols` is one whose factors are the rates, and
+adds only `StiffSymbols.propagator(dt)`, which forms the operator
+exp(-dt * symbol) anew on each call; the step makes two per step (a pair
+takes 0.03, 0.05 and 1.2 ms at 16^3, 32^3 and 64^3 on a 2-core x86 host:
+about 0.5% of a 64^3 step, less below).  `rhs` returns the full tendency,
+the explicit part minus symbol * field, on the full spectrum.
 """
 
 from __future__ import annotations
@@ -85,10 +87,13 @@ _SYM_ROWS = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class StiffSymbols:
-    """Non-negative per-mode damping rates of the diagonal linear part of a
-    variant, on one coefficient layout (`stiff_symbols` gives the full
-    one, `layout_stiff_symbols` any)."""
+class StiffPropagator:
+    """A per-mode diagonal operator on one coefficient layout, applied with
+    the parallel/perpendicular split of the micro-rotation field: the
+    factor ``u`` on the velocity, ``omega_perp`` and ``omega_par`` on the
+    parts of omega perpendicular and parallel to k, ``magnetic`` on the
+    magnetic field.  `StiffSymbols` holds the damping rates in this form,
+    and their ``propagator(dt)`` the factors exp(-dt * rate)."""
 
     u: np.ndarray
     omega_perp: np.ndarray
@@ -96,7 +101,27 @@ class StiffSymbols:
     magnetic: np.ndarray
     layout: SpectralLayout
 
-    def propagator(self, dt: float) -> "StiffPropagator":
+    def apply(self, u: np.ndarray, w: np.ndarray, m: np.ndarray,
+              out=None, scratch: np.ndarray | None = None
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The operator applied to (u, w, m), written into the triple
+        ``out`` if given (which may be the input itself), with the parallel
+        part of w formed in ``scratch`` if given."""
+        if out is None:
+            out = (None, None, None)
+        return (np.multiply(self.u[None], u, out=out[0]),
+                _omega_split(self.omega_perp, self.omega_par, w,
+                             self.layout, out=out[1], scratch=scratch),
+                np.multiply(self.magnetic[None], m, out=out[2]))
+
+
+class StiffSymbols(StiffPropagator):
+    """Non-negative per-mode damping rates of the diagonal linear part of a
+    variant, on one coefficient layout (`stiff_symbols` gives the full
+    one, `layout_stiff_symbols` any); `apply` gives symbol * field, the
+    stiff tendency with its sign flipped."""
+
+    def propagator(self, dt: float) -> StiffPropagator:
         """exp(-dt * symbol) per mode, each factor formed in place in one
         new array: the bytes of ``np.exp(-dt * a)`` with no temporary."""
         def factor(a):
@@ -105,39 +130,6 @@ class StiffSymbols:
         return StiffPropagator(factor(self.u), factor(self.omega_perp),
                                factor(self.omega_par), factor(self.magnetic),
                                self.layout)
-
-    def apply_rhs(self, u: np.ndarray, w: np.ndarray,
-                  m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Tendency contribution of the stiff part: -symbol * field."""
-        return (-self.u[None] * u,
-                -_omega_split(self.omega_perp, self.omega_par, w,
-                              self.layout),
-                -self.magnetic[None] * m)
-
-
-@dataclass(frozen=True, eq=False)
-class StiffPropagator:
-    """exp(-symbol * dt) applied per mode, with the parallel/perpendicular
-    split of the micro-rotation field."""
-
-    exp_u: np.ndarray
-    exp_omega_perp: np.ndarray
-    exp_omega_par: np.ndarray
-    exp_magnetic: np.ndarray
-    layout: SpectralLayout
-
-    def apply(self, u: np.ndarray, w: np.ndarray, m: np.ndarray,
-              out=None, scratch: np.ndarray | None = None
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The propagated (u, w, m), written into the triple ``out`` if
-        given (which may be the input itself), with the parallel part of w
-        formed in ``scratch`` if given."""
-        if out is None:
-            out = (None, None, None)
-        return (np.multiply(self.exp_u[None], u, out=out[0]),
-                _omega_split(self.exp_omega_perp, self.exp_omega_par, w,
-                             self.layout, out=out[1], scratch=scratch),
-                np.multiply(self.exp_magnetic[None], m, out=out[2]))
 
 
 def _omega_split(perp: np.ndarray, par: np.ndarray, w: np.ndarray,
@@ -366,8 +358,9 @@ def rhs(state: State, p: PhysParams, variant: SystemVariant,
         linearized: bool = False
         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The full-spectrum tendency (du, domega, dmagnetic) of the selected
-    variant at the given state: the explicit part plus the stiff part
-    -symbol * field, both formed on the state's band, then expanded.
+    variant at the given state: the explicit part minus the stiff part
+    symbol * field (`StiffSymbols.apply`), both formed on the state's band,
+    then expanded.
 
     Rejects coefficient sets that contradict the variant structure (e.g. a
     nonzero magnetic diffusivity supplied to the ideal variant) and a state
@@ -380,9 +373,8 @@ def rhs(state: State, p: PhysParams, variant: SystemVariant,
     grid = state.grid
     explicit = explicit_rhs_arrays(*state.arrays, grid, p, variant,
                                    linearized=linearized)
-    stiff = layout_stiff_symbols(grid.band, p, variant).apply_rhs(
-        *state.arrays)
-    return tuple(expand_band(np.add(e, s, out=e), grid)
+    stiff = layout_stiff_symbols(grid.band, p, variant).apply(*state.arrays)
+    return tuple(expand_band(np.subtract(e, s, out=e), grid)
                  for e, s in zip(explicit, stiff))
 
 

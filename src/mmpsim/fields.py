@@ -328,6 +328,9 @@ class InitSpec:
                                             and self.k_peak >= _K_PEAK_MIN):
             raise ValueError(f"k_peak must be finite and >= "
                              f"{_K_PEAK_MIN:.5f}, got {self.k_peak}")
+        # a checkpoint header stores the seed as an unsigned 64-bit integer
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
 
 
 def _rescale_factor(current: float, target: float) -> float:

@@ -29,7 +29,9 @@ accumulator arrays, the grid values and products of its explicit
 evaluations, |u| on the grid and the audit's buffers all come from the
 engine's one pool, reused from step to step, so a run does not hand its
 working set back to the allocator and fault it in again on every step
-(see `_step_arrays`); the pool is kept across state-sink calls too.  The
+(see `_step_arrays`); the pool is kept across state-sink calls too.  Only
+the triple that becomes the new state is allocated per step, outside the
+pool, so the caller owns it from the start.  The
 audit drops the pool's grid buffers before its pairings.  Within an
 evaluation the transforms run on the engine's helper thread as well from
 n = `spectral.SPLIT_MIN_N` up; the four stages stay sequential, and a
@@ -147,16 +149,17 @@ def _step_arrays(arrays, symbols: StiffSymbols, grid: GridSpec,
     e_half and e_full are the Eh and Ef above, formed from them on every
     step (see `dynamics`).
 
-    Every stage lives in four band triples of ``engine``'s pool, each value
-    written with ``out=`` over one whose last use has passed: t1 holds N1,
-    then Ef N1 and the accumulator; t2 holds y2, y3, Ef y0, then the new
-    state; t3 holds N2, N2 + N3 (and Eh of it), then N4; t4 holds N3, Eh
-    N3, then y4.  Scratch (the parallel part of omega in a propagation,
-    dt/2 N2, the projection's k.c) is one more band buffer, taken above
-    the stages for each use, so the explicit evaluations reuse it.  The new
-    state is handed over from the pool to the caller.  Each value is formed
-    by the operations of the formulas above, in their order, so the step
-    is bit-identical to evaluating them with a new array per operation."""
+    Every stage lives in four band triples, each value written with
+    ``out=`` over one whose last use has passed: t1 holds N1, then Ef N1
+    and the accumulator; t2 holds y2, y3, Ef y0, then the new state; t3
+    holds N2, N2 + N3 (and Eh of it), then N4; t4 holds N3, Eh N3, then
+    y4.  t1, t3 and t4 are buffers of ``engine``'s pool; t2 is three new
+    arrays, which the caller owns from the start.  Scratch (the parallel
+    part of omega in a propagation, dt/2 N2, the projection's parallel
+    part) is one more band buffer, taken above the stages for each use, so
+    the explicit evaluations reuse it.  Each value is formed by the
+    operations of the formulas above, in their order, so the step is
+    bit-identical to evaluating them with a new array per operation."""
     def explicit(y, out):
         return explicit_rhs_arrays(*y, grid, p, variant,
                                    linearized=linearized, engine=engine,
@@ -167,9 +170,10 @@ def _step_arrays(arrays, symbols: StiffSymbols, grid: GridSpec,
             return e.apply(*y, out=out, scratch=engine.band_buffers(1)[0])
 
     e_half, e_full = symbols.propagator(0.5 * dt), symbols.propagator(dt)
+    t2 = tuple(np.empty_like(a) for a in arrays)
     with engine.scope():
-        buffers = engine.band_buffers(12)
-        t1, t2, t3, t4 = (tuple(buffers[3 * i:3 * i + 3]) for i in range(4))
+        buffers = engine.band_buffers(9)
+        t1, t3, t4 = (tuple(buffers[3 * i:3 * i + 3]) for i in range(3))
 
         n1 = explicit(arrays, t1)
         y2 = propagate(e_half, _axpy(arrays, n1, 0.5 * dt, t2, t2), t2)
@@ -190,7 +194,6 @@ def _step_arrays(arrays, symbols: StiffSymbols, grid: GridSpec,
             scratch = engine.band_buffers(1)[0]
             project_coeffs(u_new, grid.band, out=u_new, scratch=scratch)
             project_coeffs(m_new, grid.band, out=m_new, scratch=scratch)
-        engine.hand_over(full_y0)
     w_new[:, 0, 0, 0] = 0.0
     return u_new, w_new, m_new
 

@@ -43,7 +43,9 @@ dealiased data the pruned ones return their retained coefficients and
 physical values bit for bit.  The field-level operators are thin wrappers
 over the kernels on ``grid.full``.
 `_conj_reflection` is the one reflection c(k) -> conj(c(-k)), used by
-`hermitian_symmetrize` and `expand_band`.
+`hermitian_symmetrize` and `expand_band`, and `parallel_part` the one
+k (k.c)/|k|^2, used by the Leray projection `project_coeffs` and by the
+micro-rotation split of `dynamics`.
 
 A `StepEngine` holds the resources that the step and the energy-flux
 audit reuse from call to call: one pool of grid and band buffers, each
@@ -425,19 +427,17 @@ SPLIT_MIN_N = 26
 
 class _Stack:
     """Arrays made by ``make``, handed out from the bottom up: ``top`` of
-    them are in use.  An empty slot (None) gets a new array when taken."""
+    them are in use."""
 
     def __init__(self, make):
         self.make = make
-        self.arrays: list[np.ndarray | None] = []
+        self.arrays: list[np.ndarray] = []
         self.top = 0
 
     def take(self, count: int) -> list[np.ndarray]:
         end = self.top + count
-        self.arrays += [None] * (end - len(self.arrays))
-        for i in range(self.top, end):
-            if self.arrays[i] is None:
-                self.arrays[i] = self.make()
+        while len(self.arrays) < end:
+            self.arrays.append(self.make())
         taken = self.arrays[self.top:end]
         self.top = end
         return taken
@@ -488,8 +488,7 @@ class StepEngine:
     @property
     def nbytes(self) -> int:
         """Bytes held in the pool's buffers."""
-        return sum(a.nbytes for a in self._grid.arrays + self._band.arrays
-                   if a is not None)
+        return sum(a.nbytes for a in self._grid.arrays + self._band.arrays)
 
     def grid_buffers(self, count: int) -> list[np.ndarray]:
         """``count`` grid buffers of the pool, in use until the enclosing
@@ -509,12 +508,6 @@ class StepEngine:
             yield self
         finally:
             self._grid.top, self._band.top = tops
-
-    def hand_over(self, arrays) -> None:
-        """Give the band buffers ``arrays`` to the caller for good: the pool
-        makes new ones in their place when next asked."""
-        self._band.arrays = [None if any(a is b for b in arrays) else a
-                             for a in self._band.arrays]
 
     def release(self) -> None:
         """Drop the grid buffers of the pool and the workspaces; the band
@@ -661,18 +654,11 @@ def parallel_part(c: np.ndarray, layout: SpectralLayout,
 def project_coeffs(c: np.ndarray, layout: SpectralLayout,
                    out: np.ndarray | None = None,
                    scratch: np.ndarray | None = None) -> np.ndarray:
-    """Leray projection c - k (k.c)/|k|^2 with the k=0 mode zeroed, written
-    into ``out`` (which may be c itself) if given, with (k.c)/|k|^2 and
-    each component's parallel part formed in scratch[0] and scratch[1] if
-    given.  One component of the parallel part is alive at a time; the
-    values are those of c - `parallel_part`."""
-    kdotv, part = (None, None) if scratch is None else scratch[:2]
-    kdotv = k_dot(c, layout, out=kdotv, scratch=part)
-    np.divide(kdotv, layout.k_squared_safe, out=kdotv)
-    if out is None:
-        out = np.empty_like(c)
-    for i, k in enumerate(layout.k_vectors):
-        np.subtract(c[i], np.multiply(k, kdotv, out=part), out=out[i])
+    """Leray projection c - `parallel_part` (c) with the k=0 mode zeroed,
+    written into ``out`` (which may be c itself) if given, with the
+    parallel part formed in the vector buffer ``scratch`` if given."""
+    part = parallel_part(c, layout, out=scratch)
+    out = np.subtract(c, part, out=out)
     out[:, 0, 0, 0] = 0.0
     return out
 

@@ -1,8 +1,13 @@
 """Diophantine scans and the norm-lifting ratio probe."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import mmpsim
 from mmpsim.diophantine import check_diophantine, lifting_ratio
 from mmpsim.spectral import GridSpec
 
@@ -132,3 +137,16 @@ class TestLiftingRatio:
         a = lifting_ratio(BADLY_APPROXIMABLE, 0.0, 2.5, g, trials=5, seed=9)
         b = lifting_ratio(BADLY_APPROXIMABLE, 0.0, 2.5, g, trials=5, seed=9)
         assert a.max_ratio == b.max_ratio and a.mean_ratio == b.mean_ratio
+
+
+@pytest.mark.parametrize("module", [
+    "mmpsim", "mmpsim.diophantine", "mmpsim.config", "mmpsim.cli",
+    "mmpsim.selftest", "mmpsim.norms", "mmpsim.fields", "mmpsim.checkpoint"])
+def test_module_imports_first(module):
+    # diophantine imports norms at its top: no module cycle runs through it
+    src = os.path.dirname(os.path.dirname(mmpsim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", f"import {module}"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -19,6 +19,7 @@ from mmpsim.dynamics import (
     _quadratic_terms,
     advect,
     energy_flux_audit,
+    explicit_rhs_arrays,
     layout_stiff_symbols,
     rhs,
     stiff_symbols,
@@ -53,6 +54,7 @@ from mmpsim.spectral import (
     k_dot,
     leray_project,
     parallel_part,
+    project_coeffs,
     to_physical,
     to_spectral,
     zero_mean,
@@ -273,7 +275,7 @@ class TestStiffSymbols:
         arrays = (state.u.coeffs, state.omega.coeffs, state.magnetic.coeffs)
         dt = 1e-7
         moved = sym.propagator(dt).apply(*arrays)
-        tendency = sym.apply_rhs(*arrays)
+        tendency = [-a for a in sym.apply(*arrays)]
         for new, old, dy in zip(moved, arrays, tendency):
             fd = (new - old) / dt
             assert np.abs(fd - dy).max() <= 1e-5 * max(np.abs(dy).max(), 1e-30)
@@ -298,7 +300,8 @@ class TestStiffSymbols:
     @pytest.mark.parametrize("layout", ["full", "band"])
     def test_omega_split_matches_written_out_form(self, layout):
         # oracle: perp w + (par - perp) w_par written out, for the
-        # propagator (the step's path) and for the stiff tendency
+        # propagator (the step's path), for the symbols and for the stiff
+        # part of rhs; and the projection is c - parallel_part(c)
         g = GridSpec(16)
         p = PhysParams(mu=0.2, chi=0.8, kappa=0.6, eta=0.4, nu=0.2)
         sym = stiff_symbols(g, p, SystemVariant.FULL)
@@ -312,19 +315,43 @@ class TestStiffSymbols:
         w_par = parallel_part(w, sym.layout)
 
         prop = sym.propagator(0.05)
-        want = (prop.exp_u[None] * u,
-                prop.exp_omega_perp[None] * w
-                + (prop.exp_omega_par - prop.exp_omega_perp)[None] * w_par,
-                prop.exp_magnetic[None] * m)
+        want = (prop.u[None] * u,
+                prop.omega_perp[None] * w
+                + (prop.omega_par - prop.omega_perp)[None] * w_par,
+                prop.magnetic[None] * m)
         for got, expected in zip(prop.apply(*arrays), want):
             assert np.array_equal(got, expected)
 
-        want = (-sym.u[None] * u,
-                -sym.omega_perp[None] * w
-                - (sym.omega_par - sym.omega_perp)[None] * w_par,
-                -sym.magnetic[None] * m)
-        for got, expected in zip(sym.apply_rhs(*arrays), want):
+        want = (sym.u[None] * u,
+                sym.omega_perp[None] * w
+                + (sym.omega_par - sym.omega_perp)[None] * w_par,
+                sym.magnetic[None] * m)
+        for got, expected in zip(sym.apply(*arrays), want):
             assert np.array_equal(got, expected)
+
+        # rhs = explicit - symbol * field, formed on the band: bit for bit
+        # explicit + (-symbol * field) on either layout
+        explicit = [expand_band(e, g) for e in explicit_rhs_arrays(
+            *state.arrays, g, p, SystemVariant.FULL)]
+        if layout == "band":
+            explicit = [band_part(e, g) for e in explicit]
+        got = rhs(state, p, SystemVariant.FULL)
+        for got_i, e, stiff in zip(got, explicit, want):
+            expected = e + -stiff
+            if layout == "band":
+                expected = expand_band(expected, g)
+            assert np.array_equal(got_i, expected)
+
+        scratch = np.empty_like(u)
+        for c in arrays:
+            expected = c - parallel_part(c, sym.layout)
+            expected[:, 0, 0, 0] = 0.0
+            assert project_coeffs(c, sym.layout).tobytes() == \
+                expected.tobytes()
+            in_place = c.copy()
+            project_coeffs(in_place, sym.layout, out=in_place,
+                           scratch=scratch)
+            assert in_place.tobytes() == expected.tobytes()
 
 
 class TestBandStep:
@@ -465,8 +492,8 @@ class TestBandStep:
             assert prop.layout is g.band
             for rate, factor in zip(
                     (sym.u, sym.omega_perp, sym.omega_par, sym.magnetic),
-                    (prop.exp_u, prop.exp_omega_perp, prop.exp_omega_par,
-                     prop.exp_magnetic)):
+                    (prop.u, prop.omega_perp, prop.omega_par,
+                     prop.magnetic)):
                 assert factor.tobytes() == np.exp(-dt * rate).tobytes()
 
 

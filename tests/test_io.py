@@ -21,6 +21,7 @@ from mmpsim.checkpoint import (
     save_checkpoint,
 )
 from mmpsim.cli import cli_main
+from mmpsim.diophantine import lifting_ratio
 from mmpsim.diagio import (
     CSV_HEADER,
     read_diagnostics,
@@ -29,6 +30,7 @@ from mmpsim.diagio import (
 )
 from mmpsim.fields import InitSpec, PhysParams, SystemVariant, make_random_state
 from mmpsim.norms import DiagnosticsRecord
+from mmpsim.selftest import CHECKS
 from mmpsim.spectral import GridSpec
 
 ZK = SystemVariant.ZERO_KINEMATIC
@@ -317,6 +319,35 @@ class TestCli:
         assert code == 0
         assert "mode_bound" in out
 
+    @pytest.mark.parametrize("alpha, want", [
+        ("1,1.41421356,1.7320508",
+         "alpha = 1,1.4142135600000001,1.7320507999999999\n"
+         "r = 2.5\nk_max = 6\nc_est = 0.45202324146479128\n"
+         "argmin_k = 3,4,-5\ndegenerate = false\n"),
+        ("1,1,0",
+         "alpha = 1,1,0\nr = 2.5\nk_max = 6\nc_est = 0\n"
+         "argmin_k = 0,0,1\ndegenerate = true\n"),
+    ], ids=["generic", "degenerate"])
+    def test_check_diophantine_stdout(self, capsys, alpha, want):
+        assert cli_main(["check-diophantine", "--alpha", alpha, "--r", "2.5",
+                         "--kmax", "6"]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_verify_lemma_stdout(self, capsys):
+        # the two ratios are sample statistics of FFT-transformed data,
+        # taken from the library call; every other value is pinned
+        assert cli_main(["verify-lemma", "--alpha", "1,1.41421356,1.7320508",
+                         "--s", "0", "--r", "2.5", "--n", "8", "--trials",
+                         "2", "--seed", "1"]) == 0
+        report = lifting_ratio((1.0, 1.41421356, 1.7320508), 0.0, 2.5,
+                               GridSpec(8), 2, 1)
+        assert capsys.readouterr().out == (
+            "alpha = 1,1.4142135600000001,1.7320507999999999\n"
+            "s = 0\nr = 2.5\nk_max = 2\ntrials = 2\n"
+            f"max_ratio = {report.max_ratio:.17g}\n"
+            f"mean_ratio = {report.mean_ratio:.17g}\n"
+            "mode_bound = 1.1272066916045511\nbound_mode = 2,1,-2\n")
+
     def test_verify_lemma_degenerate_is_validation_error(self, capsys):
         code = cli_main(["verify-lemma", "--alpha", "1,1,0", "--s", "0",
                          "--r", "2.5", "--n", "16"])
@@ -347,9 +378,10 @@ class TestCli:
 
     def test_selftest_prints_properties(self, capsys):
         assert cli_main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("PASS") >= 15
-        assert "FAIL" not in out
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(CHECKS)
+        for (name, _), line in zip(CHECKS, lines):
+            assert line.startswith(f"PASS  {name}  (")
 
     def test_bad_arguments_exit_one(self, capsys):
         assert cli_main(["run"]) == 1
@@ -662,6 +694,23 @@ class TestInvalidInput:
             assert code == 1
             assert (f"config error: line {lineno}: bad value for "
                     f"'init.k_peak': " in captured.err)
+            assert not (outdir / "diagnostics.csv").exists()
+
+    @pytest.mark.parametrize("seed, accepted", [
+        (2 ** 64, False), (-1, False), (2 ** 64 - 1, True)])
+    def test_seed_outside_the_checkpoint_range_is_refused_on_its_line(
+            self, tmp_path, capsys, seed, accepted):
+        # the checkpoint header packs the seed as u64: a seed of 2^64 used
+        # to run to t_end and then fail in save_checkpoint with a traceback
+        code, lineno, captured, outdir = run_sweep_config(
+            tmp_path, capsys, "init.seed", str(seed))
+        if accepted:
+            assert code == 0, captured.err
+            assert load_checkpoint(outdir / "final.mmp").seed == seed
+        else:
+            assert code == 1
+            assert (f"config error: line {lineno}: bad value for "
+                    f"'init.seed': " in captured.err)
             assert not (outdir / "diagnostics.csv").exists()
 
     def test_overflowing_alpha_is_refused_on_its_line(self, tmp_path,
