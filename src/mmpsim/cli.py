@@ -20,7 +20,7 @@ from .config import ConfigError, parse_config, parse_vec3
 from .diagio import read_diagnostics, truncate_diagnostics, write_diagnostics
 from .diophantine import check_diophantine, lifting_ratio
 from .fields import make_random_state
-from .integrator import RunStatus, SinkWriteError, run
+from .integrator import RunStatus, run
 from .norms import RECORD_COLUMNS, fit_decay
 from .selftest import run_selftest
 from .spectral import GridSpec
@@ -110,6 +110,10 @@ def _cmd_run(args) -> int:
             print("error: checkpoint parameters differ from the config",
                   file=sys.stderr)
             return EXIT_VALIDATION
+        if data.seed != config.init.seed:
+            print(f"error: checkpoint seed {data.seed} differs from "
+                  f"init.seed {config.init.seed}", file=sys.stderr)
+            return EXIT_VALIDATION
         state = data.state
         step_offset = data.step
         initial_record = False
@@ -140,18 +144,14 @@ def _cmd_run(args) -> int:
         save_checkpoint(os.path.join(config.output_dir, name), snapshot,
                         config.params, step_offset + steps, config.init.seed)
 
-    try:
-        result = run(state, config.params, config.variant,
-                     config.stepper,
-                     settings=config.diagnostics_settings(),
-                     record_sink=record_sink,
-                     state_sink=checkpoint_sink if
-                     config.checkpoint_interval is not None else None,
-                     state_sink_interval=config.checkpoint_interval,
-                     initial_record=initial_record)
-    except SinkWriteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    # a failing sink raises SinkWriteError, an OSError: exit 3 (cli_main)
+    result = run(state, config.params, config.variant, config.stepper,
+                 settings=config.diagnostics_settings(),
+                 record_sink=record_sink,
+                 state_sink=checkpoint_sink if
+                 config.checkpoint_interval is not None else None,
+                 state_sink_interval=config.checkpoint_interval,
+                 initial_record=initial_record)
 
     try:
         save_checkpoint(os.path.join(config.output_dir, "final.mmp"),

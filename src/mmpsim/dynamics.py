@@ -39,10 +39,12 @@ eta|k|^2 + 4 chi (`_omega_split`).  `StiffPropagator` is the one per-mode
 diagonal operator of this form: four factor arrays on one layout, applied
 with the split.  `StiffSymbols` is one whose factors are the rates, and
 adds only `StiffSymbols.propagator(dt)`, which forms the operator
-exp(-dt * symbol) anew on each call; the step makes two per step (a pair
-takes 0.03, 0.05 and 1.2 ms at 16^3, 32^3 and 64^3 on a 2-core x86 host:
-about 0.5% of a 64^3 step, less below).  `rhs` returns the full tendency,
-the explicit part minus symbol * field, on the full spectrum.
+exp(-dt * symbol) anew on each call.  The step forms its band symbols from
+its parameters and variant, then two propagators, on every step (on a
+2-core x86 host the symbols take 0.01-0.02, 0.01-0.03 and 0.4-0.6 ms at
+16^3, 32^3 and 64^3, a propagator pair 0.03, 0.05-0.08 and 1.2-1.3 ms:
+under 1% of a 64^3 step together, less below).  `rhs` returns the full
+tendency, the explicit part minus symbol * field, on the full spectrum.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from .fields import (
     PhysParams,
     State,
     SystemVariant,
-    structural_violations,
+    check_solver_arguments,
 )
 from .spectral import (
     TWO_PI_CUBED,
@@ -162,8 +164,8 @@ def layout_stiff_symbols(layout: SpectralLayout, p: PhysParams,
 
 def stiff_symbols(grid: GridSpec, p: PhysParams,
                   variant: SystemVariant) -> StiffSymbols:
-    """The stiff symbols on the full spectrum (`run` forms them on the
-    band, `layout_stiff_symbols`)."""
+    """The stiff symbols on the full spectrum.  No solver call uses them:
+    `step` and `rhs` form theirs on the band (`layout_stiff_symbols`)."""
     return layout_stiff_symbols(grid.full, p, variant)
 
 
@@ -235,12 +237,6 @@ def advect(v: SpectralVectorField, f: SpectralVectorField) -> SpectralVectorFiel
                                  [(band_part(f.coeffs, grid), (0,))], grid,
                                  engine)
         return SpectralVectorField(expand_band(out, grid), grid)
-
-
-def _check_variant_consistency(p: PhysParams, variant: SystemVariant) -> None:
-    structural = structural_violations(p, variant)
-    if structural:
-        raise ValueError("; ".join(structural))
 
 
 def _product_task(out: np.ndarray, a, b, c=None, d=None):
@@ -362,14 +358,11 @@ def rhs(state: State, p: PhysParams, variant: SystemVariant,
     symbol * field (`StiffSymbols.apply`), both formed on the state's band,
     then expanded.
 
-    Rejects coefficient sets that contradict the variant structure (e.g. a
-    nonzero magnetic diffusivity supplied to the ideal variant) and a state
-    tagged with a different variant.
+    Refuses what `check_solver_arguments` refuses: a state tagged with
+    another variant, and coefficients the variant forces to zero (e.g. a
+    nonzero magnetic diffusivity for the ideal variant).
     """
-    if state.variant is not variant:
-        raise ValueError(f"state is tagged {state.variant.value!r}, "
-                         f"rhs was asked for {variant.value!r}")
-    _check_variant_consistency(p, variant)
+    check_solver_arguments(state, p, variant, "rhs")
     grid = state.grid
     explicit = explicit_rhs_arrays(*state.arrays, grid, p, variant,
                                    linearized=linearized)
@@ -435,7 +428,11 @@ def energy_flux_audit(state: State, p: PhysParams, variant: SystemVariant,
     state's full fields bit for bit.
     ``coupling_transfer``, ``dissipation`` and ``l2_energy_sq`` are band
     sums weighted by the band's multiplicity (`parseval_sum`), equal to
-    their full-spectrum values up to the summation order."""
+    their full-spectrum values up to the summation order.
+
+    Refuses what `check_solver_arguments` refuses: a state tagged with
+    another variant, and coefficients the variant forces to zero."""
+    check_solver_arguments(state, p, variant, "energy_flux_audit")
     grid = state.grid
     band = grid.band
     chi = p.coupling_chi(variant)

@@ -166,9 +166,25 @@ def nonzero_forced(p: PhysParams, variant: SystemVariant) -> dict[str, float]:
 
 def structural_violations(p: PhysParams, variant: SystemVariant) -> list[str]:
     """Coefficients the variant structurally forces to zero but that were
-    supplied nonzero; such sets are rejected even by tendency assembly."""
+    supplied nonzero; the solver calls refuse such sets
+    (`check_solver_arguments`), whatever the validation mode."""
     return [f"variant {variant.value!r} forces {name}=0, got {name}={value}"
             for name, value in nonzero_forced(p, variant).items()]
+
+
+def check_solver_arguments(state: State, p: PhysParams,
+                           variant: SystemVariant, caller: str) -> None:
+    """The entry contract of `rhs`, `step`, `run` and `energy_flux_audit`
+    (and so of `compute_record`): raise ValueError for a state tagged with
+    another variant than ``variant``, named with ``caller``, and for a ``p``
+    that sets a coefficient the variant forces to zero
+    (`structural_violations`)."""
+    if state.variant is not variant:
+        raise ValueError(f"state is tagged {state.variant.value!r}, "
+                         f"{caller} was asked for {variant.value!r}")
+    structural = structural_violations(p, variant)
+    if structural:
+        raise ValueError("; ".join(structural))
 
 
 def validate_params(p: PhysParams, variant: SystemVariant,

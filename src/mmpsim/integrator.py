@@ -11,9 +11,10 @@ exp(-Lambda * delta) between the four classical stages:
     y  = Ef y0 + dt/6 (Ef N1 + 2 Eh (N2 + N3) + N4)
 
 The velocity and magnetic fields are re-projected and the k=0 modes
-re-zeroed once per full step.  Eh and Ef are formed from the band's stiff
-symbols on every step, so a step whose dt differs from the last one's
-costs the same as any other.
+re-zeroed once per full step.  Each step forms the band's stiff symbols
+Lambda from its parameters and variant, and Eh and Ef from them, so a step
+whose dt differs from the last one's costs the same as any other, and no
+operator formed elsewhere can enter a step.
 
 The step works on the retained-band coefficients that a `State` holds
 (see `spectral`), and `run` carries band `State`s from step to step, to
@@ -48,13 +49,8 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import (
-    StiffSymbols,
-    explicit_rhs_arrays,
-    grid_tasks,
-    layout_stiff_symbols,
-)
-from .fields import PhysParams, State, SystemVariant
+from .dynamics import explicit_rhs_arrays, grid_tasks, layout_stiff_symbols
+from .fields import PhysParams, State, SystemVariant, check_solver_arguments
 from .norms import DiagnosticsRecord, DiagnosticsSettings, compute_record
 from .spectral import (
     GridSpec,
@@ -101,7 +97,11 @@ def stable_dt(state: State, p: PhysParams, grid: GridSpec,
     transport bound.  Floors with a warning at cfg.dt * 1e-6, or at the
     coupling or transport bound if that is smaller.  |u| is formed from
     the velocity's band on the grid in three grid buffers of ``engine`` (a
-    transient one if None), as sqrt((u_0^2 + u_1^2) + u_2^2)."""
+    transient one if None), as sqrt((u_0^2 + u_1^2) + u_2^2).  ``grid``
+    must have the state's size."""
+    if grid.n != state.grid.n:
+        raise ValueError(f"stable_dt got a grid of n={grid.n} for a state "
+                         f"on n={state.grid.n}")
     with using_engine(engine, grid) as engine, engine.scope():
         u_phys = engine.grid_buffers(3)
         engine.run([grid_tasks(state.arrays[:1], [u_phys])])
@@ -142,12 +142,12 @@ def _axpy(y, x, c, out, scratch):
     return out
 
 
-def _step_arrays(arrays, symbols: StiffSymbols, grid: GridSpec,
-                 p: PhysParams, variant: SystemVariant, dt: float,
-                 linearized: bool, engine: StepEngine):
-    """One step on retained-band arrays, with retained-band symbols;
-    e_half and e_full are the Eh and Ef above, formed from them on every
-    step (see `dynamics`).
+def _step_arrays(arrays, grid: GridSpec, p: PhysParams,
+                 variant: SystemVariant, dt: float, linearized: bool,
+                 engine: StepEngine):
+    """One step on retained-band arrays; e_half and e_full are the Eh and
+    Ef above, formed from the band symbols of ``p`` and ``variant`` (see
+    `dynamics`).
 
     Every stage lives in four band triples, each value written with
     ``out=`` over one whose last use has passed: t1 holds N1, then Ef N1
@@ -169,6 +169,7 @@ def _step_arrays(arrays, symbols: StiffSymbols, grid: GridSpec,
         with engine.scope():
             return e.apply(*y, out=out, scratch=engine.band_buffers(1)[0])
 
+    symbols = layout_stiff_symbols(grid.band, p, variant)
     e_half, e_full = symbols.propagator(0.5 * dt), symbols.propagator(dt)
     t2 = tuple(np.empty_like(a) for a in arrays)
     with engine.scope():
@@ -199,23 +200,22 @@ def _step_arrays(arrays, symbols: StiffSymbols, grid: GridSpec,
 
 
 def step(state: State, p: PhysParams, variant: SystemVariant, dt: float,
-         linearized: bool = False, symbols: StiffSymbols | None = None,
+         linearized: bool = False, symbols=None,
          engine: StepEngine | None = None) -> State:
     """Advance one integrating-factor RK4 step of size dt on the state's
-    band and return the new state.  ``symbols`` are used if they are on
-    the band; otherwise (None, or full-layout `stiff_symbols`) the band
-    symbols are formed from ``p`` and ``variant``.  The step runs on
-    ``engine``, or on a transient `StepEngine` closed before the call
-    returns."""
-    if state.variant is not variant:
-        raise ValueError(f"state is tagged {state.variant.value!r}, "
-                         f"step was asked for {variant.value!r}")
+    band and return the new state.  The stiff operator is always the band
+    symbols of ``p`` and ``variant`` (`layout_stiff_symbols`), formed on
+    every call.  ``symbols`` is unused; it is kept until the benchmark
+    harness stops passing it.  The step runs on ``engine``, or on a
+    transient `StepEngine` closed before the call returns.
+
+    Refuses what `check_solver_arguments` refuses: a state tagged with
+    another variant, and coefficients the variant forces to zero."""
+    check_solver_arguments(state, p, variant, "step")
     grid = state.grid
-    if symbols is None or symbols.layout is not grid.band:
-        symbols = layout_stiff_symbols(grid.band, p, variant)
     with using_engine(engine, grid) as engine:
-        arrays = _step_arrays(state.arrays, symbols, grid, p, variant, dt,
-                              linearized, engine)
+        arrays = _step_arrays(state.arrays, grid, p, variant, dt, linearized,
+                              engine)
     for name, arr in zip(("u", "omega", "magnetic"), arrays):
         if not np.all(np.isfinite(arr)):
             raise IntegrityError(f"non-finite {name} after step")
@@ -264,17 +264,26 @@ def run(state: State, p: PhysParams, variant: SystemVariant,
     Sink failures abort the run and raise SinkWriteError carrying the
     partial result.
 
+    Refuses, before the first record, what `check_solver_arguments`
+    refuses (a state tagged with another variant, coefficients the variant
+    forces to zero) and a ``state_sink_interval`` that is not positive and
+    finite.
+
     The input's band is copied once, with its k=0 modes zeroed, so the
     caller's state is left as it is, and the reference to the input is
-    dropped, so a caller that holds none frees it.  Each step is one call of the
-    module-level `step` with its ``dt`` and the run's `StepEngine`, whose
-    pool is kept from step to step and whose helper thread is joined when
-    the run returns or raises.  ``state_sink`` and the result get the
-    run's current `State` itself; a step never writes into the arrays of
-    a state it has returned.
+    dropped, so a caller that holds none frees it.  Each step is one call
+    of the module-level `step` with its ``dt`` and the run's `StepEngine`,
+    whose pool is kept from step to step and whose helper thread is joined
+    when the run returns or raises; each step forms its own stiff
+    operator.  ``state_sink`` and the result get the run's current `State`
+    itself; a step never writes into the arrays of a state it has
+    returned.
     """
-    if state.variant is not variant:
-        raise ValueError("state variant does not match run variant")
+    check_solver_arguments(state, p, variant, "run")
+    if state_sink_interval is not None and not (
+            state_sink_interval > 0.0 and math.isfinite(state_sink_interval)):
+        raise ValueError(f"state_sink_interval must be positive and finite, "
+                         f"got {state_sink_interval}")
     grid = state.grid
     current = State.from_band((c.copy() for c in state.arrays), grid,
                               variant, t=state.t)
@@ -282,7 +291,6 @@ def run(state: State, p: PhysParams, variant: SystemVariant,
     for c in current.arrays:
         c[:, 0, 0, 0] = 0.0
 
-    symbols = layout_stiff_symbols(grid.band, p, variant)
     engine = StepEngine(grid)
     records: list[DiagnosticsRecord] = []
     steps = 0
@@ -321,8 +329,7 @@ def run(state: State, p: PhysParams, variant: SystemVariant,
                 return result(RunStatus.STEP_CAP)
             dt = min(stable_dt(current, p, grid, cfg, engine=engine),
                      cfg.t_end - current.t)
-            current = step(current, p, variant, dt, symbols=symbols,
-                           engine=engine)
+            current = step(current, p, variant, dt, engine=engine)
             steps += 1
             if current.t >= next_record - 1e-9 * cfg.record_interval:
                 emit_record()

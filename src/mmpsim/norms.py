@@ -119,7 +119,9 @@ def _alpha_transport_norm(power_m: np.ndarray, layout: SpectralLayout,
 
 def _perturbation_functionals(arrays, powers, layout: SpectralLayout,
                               p: PhysParams, gamma: float, c0_weight: float
-                              ) -> tuple[float, float]:
+                              ) -> tuple[float, float, float]:
+    """E, D and the H^(r+3) norm of the background transport of the
+    magnetic unknown, which D uses (`alpha_transport_norm`)."""
     if gamma <= 1.0:
         raise ValueError("gamma must exceed 1")
     u, w, m = arrays
@@ -141,10 +143,10 @@ def _perturbation_functionals(arrays, powers, layout: SpectralLayout,
 
     grad_omega_sq = parseval_sum(weights_r5 * ksq * power_w, layout)
     u_sq = _norm(power_u, weights_r5, layout) ** 2
-    transport_sq = _alpha_transport_norm(power_m, layout, p, r + 3.0) ** 2
+    transport_norm = _alpha_transport_norm(power_m, layout, p, r + 3.0)
     dissipation = ((gamma - 1.0) * p.eta * grad_omega_sq
-                   + 0.5 * c0_weight * (u_sq + transport_sq))
-    return energy, dissipation
+                   + 0.5 * c0_weight * (u_sq + transport_norm ** 2))
+    return energy, dissipation, transport_norm
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +207,10 @@ def perturbation_energy_functionals(state: State, p: PhysParams,
     for f in fields:
         require_finite(f, "perturbation_energy_functionals")
     arrays = tuple(f.coeffs for f in fields)
-    return _perturbation_functionals(
+    energy, dissipation, _ = _perturbation_functionals(
         arrays, tuple(power_spectrum(c) for c in arrays), state.grid.full,
         p, gamma, c0_weight)
+    return energy, dissipation
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +265,8 @@ def compute_record(state: State, p: PhysParams,
     The entries equal the full-spectrum field-level functions of the
     state's fields up to the summation order, and the divergence residuals
     bit for bit.  The energy-flux audit reads the same band arrays and runs
-    on ``engine`` (see `energy_flux_audit`).
+    on ``engine`` (see `energy_flux_audit`); through it, a ``p`` that sets
+    a coefficient the state's variant forces to zero is refused.
     """
     s = settings or DiagnosticsSettings()
     perturbation = state.variant is SystemVariant.PERTURBATION
@@ -283,9 +287,8 @@ def compute_record(state: State, p: PhysParams,
 
     e_func = d_func = transport = None
     if perturbation:
-        e_func, d_func = _perturbation_functionals(arrays, powers, band, p,
-                                                   GAMMA, C0_WEIGHT)
-        transport = _alpha_transport_norm(powers[2], band, p, p.r + 3.0)
+        e_func, d_func, transport = _perturbation_functionals(
+            arrays, powers, band, p, GAMMA, C0_WEIGHT)
 
     record = DiagnosticsRecord(
         t=state.t,

@@ -31,7 +31,8 @@ from mmpsim.fields import (
     SystemVariant,
     make_random_state,
 )
-from mmpsim.integrator import step
+from mmpsim.integrator import StepperConfig, run, step
+from mmpsim.norms import compute_record
 from mmpsim.spectral import (
     TWO_PI_CUBED,
     GridSpec,
@@ -62,6 +63,16 @@ from mmpsim.spectral import (
 )
 
 ALPHA = tuple(0.9 * np.array([1.0, np.sqrt(2), np.sqrt(3)]) / np.sqrt(6.0))
+
+# each public solver call as (state, p, variant) -> result, by name
+SOLVER_CALLS = {
+    "rhs": rhs,
+    "step": lambda state, p, variant: step(state, p, variant, 0.01),
+    "run": lambda state, p, variant: run(
+        state, p, variant, StepperConfig(dt=0.01, t_end=0.01)),
+    "energy_flux_audit": energy_flux_audit,
+    "compute_record": lambda state, p, variant: compute_record(state, p),
+}
 
 
 def force_threads(monkeypatch, workers):
@@ -243,15 +254,23 @@ class TestRhs:
         assert np.array_equal(state.omega.coeffs, before[1])
         assert np.array_equal(state.magnetic.coeffs, before[2])
 
-    def test_variant_inconsistency_rejected(self):
+    @pytest.mark.parametrize("call", sorted(SOLVER_CALLS))
+    def test_variant_inconsistency_rejected(self, call):
         state = self.make_state(SystemVariant.IDEAL_MHD, seed=1)
-        with pytest.raises(ValueError):
-            rhs(state, PhysParams(nu=1.0), SystemVariant.IDEAL_MHD)
+        with pytest.raises(ValueError, match="'ideal-mhd' forces nu=0"):
+            SOLVER_CALLS[call](state, PhysParams(nu=1.0),
+                               SystemVariant.IDEAL_MHD)
 
-    def test_state_tag_mismatch_rejected(self):
+    # compute_record takes no variant: it audits with the state's own tag
+    @pytest.mark.parametrize("call", sorted(set(SOLVER_CALLS)
+                                            - {"compute_record"}))
+    def test_state_tag_mismatch_rejected(self, call):
         state = self.make_state(SystemVariant.ZERO_KINEMATIC, seed=1)
-        with pytest.raises(ValueError):
-            rhs(state, PhysParams(chi=1.0, eta=1.0), SystemVariant.PERTURBATION)
+        with pytest.raises(ValueError, match=f"state is tagged "
+                           f"'zero-kinematic', {call} was asked for "
+                           f"'perturbation'"):
+            SOLVER_CALLS[call](state, PhysParams(chi=1.0, eta=1.0),
+                               SystemVariant.PERTURBATION)
 
 
 class TestStiffSymbols:
@@ -446,12 +465,12 @@ class TestBandStep:
         state = make_random_state(g, InitSpec(epsilon=1.0, seed=1),
                                   SystemVariant.FULL)
         p = PhysParams(mu=0.2, chi=1.0, kappa=0.4, eta=1.0, nu=0.5)
-        symbols = stiff_symbols(g, p, SystemVariant.FULL)
-        # the first step builds the cached band symbols and propagators
-        step(state, p, SystemVariant.FULL, 0.01, symbols=symbols)
+        # an untraced first step makes the grid's cached band layout and
+        # numpy's FFT plans, which later steps reuse
+        step(state, p, SystemVariant.FULL, 0.01)
         tracemalloc.start()
         try:
-            step(state, p, SystemVariant.FULL, 0.01, symbols=symbols)
+            step(state, p, SystemVariant.FULL, 0.01)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -12,7 +12,6 @@ import pytest
 from linear_oracle import exact_linear_solution, stacked_error
 
 from mmpsim import dynamics, integrator, spectral
-from mmpsim.dynamics import stiff_symbols
 from mmpsim.fields import InitSpec, PhysParams, State, SystemVariant, make_random_state
 from mmpsim.integrator import (
     RunStatus,
@@ -115,6 +114,13 @@ class TestStableDt:
         with pytest.warns(UserWarning):
             got = stable_dt(state, ZK_PARAMS, g, cfg)
         assert got == pytest.approx(1e-6)
+
+    def test_grid_of_another_size_refused(self):
+        state = make_random_state(GridSpec(8), InitSpec(epsilon=0.01, seed=1),
+                                  ZK)
+        cfg = StepperConfig(dt=0.01, t_end=1.0)
+        with pytest.raises(ValueError, match="grid of n=16 for a state on n=8"):
+            stable_dt(state, ZK_PARAMS, GridSpec(16), cfg)
 
 
 class TestStep:
@@ -287,6 +293,20 @@ class TestRun:
         result = run(state, ZK_PARAMS, ZK, cfg, record_sink=seen.append)
         assert len(seen) == len(result.records)
 
+    @pytest.mark.parametrize("interval", [0.0, float("nan"), -1.0,
+                                          float("inf")])
+    def test_bad_state_sink_interval_refused_before_the_first_record(
+            self, interval):
+        state = make_random_state(GridSpec(8), InitSpec(epsilon=0.01, seed=9),
+                                  ZK)
+        cfg = StepperConfig(dt=0.05, t_end=0.2, record_interval=0.05)
+        records, sunk = [], []
+        with pytest.raises(ValueError, match="state_sink_interval"):
+            run(state, ZK_PARAMS, ZK, cfg, record_sink=records.append,
+                state_sink=lambda s, n: sunk.append(n),
+                state_sink_interval=interval)
+        assert records == sunk == []
+
 
 PERT = SystemVariant.PERTURBATION
 PERT_PARAMS = PhysParams(chi=1.0, eta=1.0, alpha=ALPHA, r=2.5)
@@ -301,7 +321,6 @@ def public_loop(state, p, variant, cfg, settings, sink_interval):
                     for f in (state.u, state.omega, state.magnetic)),
                   state.variant, t=state.t)
     grid = state.grid
-    symbols = stiff_symbols(grid, p, variant)
     records = [compute_record(state, p, settings)]
     sunk = []
     steps = 0
@@ -310,7 +329,7 @@ def public_loop(state, p, variant, cfg, settings, sink_interval):
     while state.t < cfg.t_end - 1e-12 * max(1.0, cfg.t_end):
         try:
             dt = min(stable_dt(state, p, grid, cfg), cfg.t_end - state.t)
-            state = step(state, p, variant, dt, symbols=symbols)
+            state = step(state, p, variant, dt)
         except IntegrityError:
             return state, records, sunk, RunStatus.BLOW_UP, steps
         steps += 1

@@ -608,6 +608,28 @@ class TestCli:
         capsys.readouterr()
         assert code == 1
 
+    def test_resume_under_another_seed_keeps_diagnostics(self, tmp_path,
+                                                         capsys):
+        # the checkpoints and final.mmp of a resume carry init.seed, which
+        # must be the seed that drew the trajectory
+        outdir = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(
+            t_end=0.2, outdir=outdir, extra="output.checkpoint_interval = 0.1"))
+        assert cli_main(["run", "--config", str(cfg)]) == 0
+        csv = outdir / "diagnostics.csv"
+        before = csv.read_bytes()
+        other = tmp_path / "other.cfg"
+        other.write_text(cfg.read_text().replace("init.seed = 11",
+                                                 "init.seed = 12"))
+        ckpt = sorted(outdir.glob("checkpoint_*.mmp"))[0]
+        capsys.readouterr()
+        code = cli_main(["run", "--config", str(other), "--resume", str(ckpt)])
+        assert code == 1
+        assert ("error: checkpoint seed 11 differs from init.seed 12"
+                in capsys.readouterr().err)
+        assert csv.read_bytes() == before
+
 
 # an 8^3 perturbation run of two steps, one assignment per key; alpha is
 # the acceptance fixture's background vector, not resonant on the box
