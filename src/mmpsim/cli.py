@@ -114,11 +114,12 @@ def _cmd_run(args) -> int:
             print(f"error: checkpoint seed {data.seed} differs from "
                   f"init.seed {config.init.seed}", file=sys.stderr)
             return EXIT_VALIDATION
-        state = data.state
+        initial = [data.state]
         step_offset = data.step
         initial_record = False
+        del data
     else:
-        state = make_random_state(grid, config.init, config.variant)
+        initial = [make_random_state(grid, config.init, config.variant)]
 
     try:
         os.makedirs(config.output_dir, exist_ok=True)
@@ -129,7 +130,7 @@ def _cmd_run(args) -> int:
     csv_path = os.path.join(config.output_dir, "diagnostics.csv")
     try:
         if args.resume is not None:
-            truncate_diagnostics(csv_path, state.t)
+            truncate_diagnostics(csv_path, initial[0].t)
         else:
             write_diagnostics([], csv_path)
     except OSError as exc:
@@ -144,8 +145,10 @@ def _cmd_run(args) -> int:
         save_checkpoint(os.path.join(config.output_dir, name), snapshot,
                         config.params, step_offset + steps, config.init.seed)
 
-    # a failing sink raises SinkWriteError, an OSError: exit 3 (cli_main)
-    result = run(state, config.params, config.variant, config.stepper,
+    # a failing sink raises SinkWriteError, an OSError: exit 3 (cli_main).
+    # `run` copies the initial band; popped from `initial`, the state it
+    # was given then has no other reference and is freed while it runs
+    result = run(initial.pop(), config.params, config.variant, config.stepper,
                  settings=config.diagnostics_settings(),
                  record_sink=record_sink,
                  state_sink=checkpoint_sink if

@@ -34,8 +34,10 @@ def write_diagnostics(records, path, append: bool = False) -> None:
 def truncate_diagnostics(path, t_max: float) -> None:
     """Drop the rows with t > t_max from the diagnostics CSV at ``path``,
     and an unterminated last row left by a killed writer; a missing or
-    empty file becomes a header-only one.  The file is rewritten through
-    `checkpoint.write_then_rename`, so a failure leaves the old one."""
+    empty file becomes a header-only one.  A row whose t does not parse is
+    refused with a ValueError naming ``path`` and its line.  The file is
+    rewritten through `checkpoint.write_then_rename`, so a failure leaves
+    the old one."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             lines = fh.readlines()
@@ -45,10 +47,18 @@ def truncate_diagnostics(path, t_max: float) -> None:
     if lines[0] != CSV_HEADER + "\n":
         raise ValueError(f"{path}: not a diagnostics CSV "
                          f"(expected header {CSV_HEADER!r})")
-    kept = [line for line in lines[1:] if line.endswith("\n")
-            and float(line.split(",", 1)[0]) <= t_max]
+    kept = [lines[0]]
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.endswith("\n"):
+            continue
+        try:
+            t = float(line.split(",", 1)[0])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if t <= t_max:
+            kept.append(line)
     with write_then_rename(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines([lines[0]] + kept)
+        fh.writelines(kept)
 
 
 def read_diagnostics(path) -> list[DiagnosticsRecord]:

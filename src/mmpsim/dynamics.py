@@ -19,18 +19,23 @@ For divergence-free fields these equal the advective forms -(u.grad)u +
 the dealiased products exact, so the rewrite changes results only at
 roundoff.  One evaluation makes 9 inverse and 18 forward real transforms of
 scalar fields, each three 1D passes over n^2 + n(kc+1) + (2kc+1)(kc+1)
-lines (kc = n//3).  Each transform, with the product it transforms, is
-one task of `spectral.StepEngine.run`, which spreads them over two threads
-on grids from n = `spectral.SPLIT_MIN_N` up; every thread forms its
-products in a grid buffer and its workspace's spare (see
-`_quadratic_terms`).  The grid values, the products, the tendency's
-partial sums and scratch all live in buffers of the engine's pool, which
-a run keeps from evaluation to evaluation (`explicit_rhs_arrays` writes
-its result into a given triple).  The energy-flux audit splits its 33
-inverse and 15 forward transforms the same way, on the same pool; it drops
-the pool's grid buffers before its cancellation pairings, which run on the
-calling thread.  Threaded and single-thread results are equal bit for
-bit.
+lines (kc = n//3).  The transforms run as tasks of
+`spectral.StepEngine.run`, which spreads them over two threads on grids
+from n = `spectral.SPLIT_MIN_N` up, in two phases (see
+`_quadratic_terms`): phase 1 transforms u and b to the grid; in phase 2
+each micro-rotation component omega_i is one task that transforms it,
+forms and transforms its 3 flux products and adds -1j k.flux_i into the
+tendency on its own thread, and each of the 9 stress and emf products is
+one task.  Every thread forms its products in its grid buffers and its
+workspace's spare, and sums the flux in its workspace's accumulator.  The
+grid values of u and b, the stress and emf, the tendency's partial sums
+and scratch live in buffers of the engine's pool, which a run keeps from
+evaluation to evaluation (`explicit_rhs_arrays` writes its result into a
+given triple): 10 grid and 4 band vector buffers on two threads, 8 and 4
+on one.  The energy-flux audit splits its 33 inverse and 15 forward
+transforms the same way, on the same pool; it drops the pool's grid
+buffers before its cancellation pairings, which run on the calling
+thread.  Threaded and single-thread results are equal bit for bit.
 
 The stiff symbol of the micro-rotation field is diagonal only after
 splitting each mode into components parallel and perpendicular to k: the
@@ -241,15 +246,40 @@ def advect(v: SpectralVectorField, f: SpectralVectorField) -> SpectralVectorFiel
 
 def _product_task(out: np.ndarray, a, b, c=None, d=None):
     """A `StepEngine.run` task that forms the grid product a b, or a b - c d,
-    in its workspace's grid buffer (c d in its spare) and transforms it into
-    ``out``."""
+    in its workspace's first grid buffer (c d in its spare) and transforms
+    it into ``out``."""
     def task(ws):
-        (p,), q = ws.fields, ws.spare
+        p, q = ws.fields[0], ws.spare
         np.multiply(a, b, out=p)
         if c is not None:
             np.multiply(c, d, out=q)
             np.subtract(p, q, out=p)
         ws.to_spectral(p, out)
+    return task
+
+
+def _flux_task(w_i: np.ndarray, u, k_vectors, out: np.ndarray):
+    """A `StepEngine.run` task that adds -1j k.F(u omega_i) into ``out``:
+    omega_i goes to its workspace's second grid buffer, each product
+    u_j omega_i is formed in the first and transformed into its band
+    buffer, and k_j times it is summed into its band accumulator in the
+    order of `k_dot` (k_1 term, then k_2, then k_3).  ``k_vectors`` are
+    the band's wavevectors as complex arrays: numpy multiplies a float k
+    by complex values in a cast buffer, which a helper thread would take
+    from its own malloc arena (0.8 MB more peak RSS on a nonlinear 32^3
+    run, 2-core x86 host); the complex k gives the same products."""
+    def task(ws):
+        p, w = ws.fields
+        flux, acc = ws.band, ws.accumulator
+        ws.to_physical(w_i, w)
+        for j, k in enumerate(k_vectors):
+            np.multiply(u[j], w, out=p)
+            ws.to_spectral(p, flux)
+            if j == 0:
+                np.multiply(k, flux, out=acc)
+            else:
+                np.add(acc, np.multiply(k, flux, out=flux), out=acc)
+        np.add(out, np.multiply(-1j, acc, out=acc), out=out)
     return task
 
 
@@ -260,47 +290,45 @@ def _quadratic_terms(u_hat: np.ndarray, w_hat: np.ndarray, m_hat: np.ndarray,
     coefficients, added into the triple ``add_to``, which is returned; the
     band transforms make them dealiased.
 
-    One `StepEngine.run` call in two phases: 9 tasks each transform one
-    component of u, omega or b to the grid; then 18 tasks each form one
-    product (the 6 stress components u_i u_j - b_i b_j, the 9 flux rows
-    u_j omega_i, the 3 emf components) in their thread's grid buffer and
-    workspace and transform it into its band buffer.  The working set, all
-    from the engine's pool, is the grid values of u, omega and b, 6 band
-    vector buffers for the 18 products plus one for scratch, and per
-    thread one grid buffer and one transform workspace.  Each 1D line and
-    each product is the one a whole-stack evaluation would compute, and each
+    One `StepEngine.run` call in two phases.  Phase 1: 6 tasks each
+    transform one component of u or b to the grid.  Phase 2: 3 flux tasks
+    (`_flux_task`), one per component i of omega, each transform omega_i
+    to its thread's second grid buffer, form and transform the 3 products
+    u_j omega_i, and add -1j k.flux_i into ``add_to[1][i]`` on their own
+    thread; then 9 tasks each form one product (the 6 stress components
+    u_i u_j - b_i b_j, the 3 emf components) in their thread's first grid
+    buffer and transform it into its band buffer.  The working set, all
+    from the engine's pool, is the grid values of u and b, 3 band vector
+    buffers for the stress and emf plus one for scratch, and per thread
+    two grid buffers and one transform workspace.  Each 1D line and each
+    product is the one a whole-stack evaluation would compute, and each
     term component is formed from them by the operations of the stacked
     -1j k.stress, -1j k.flux and curl(emf), then added."""
     band = grid.band
+    k_vectors = [k.astype(np.complex128) for k in band.k_vectors]
+    du, dw, dm = add_to
     with using_engine(engine, grid) as engine, engine.scope():
-        # stress = products[0:2], flux = products[2:5], emf = products[5]
-        products = engine.band_buffers(6)
+        # stress = products[0:2], emf = products[2]
+        products = engine.band_buffers(3)
         with engine.scope():
-            u, w, b = phys = [engine.grid_buffers(3) for _ in range(3)]
-            # flux row j holds u_j omega_i, i = 0, 1, 2, so k . flux sums
-            # over j
+            u, b = phys = [engine.grid_buffers(3) for _ in range(2)]
             factors = ([(u[i], u[j], b[i], b[j]) for i, j in _SYM_PAIRS]
-                       + [(u[j], w[i]) for j in range(3) for i in range(3)]
                        + [(u[i], b[j], u[j], b[i])
                           for i, j in ((1, 2), (2, 0), (0, 1))])
-            engine.run([grid_tasks((u_hat, w_hat, m_hat), phys),
-                        [_product_task(out, *f) for out, f in
-                         zip((c for v in products for c in v), factors)]],
-                       fields=1)
+            engine.run([grid_tasks((u_hat, m_hat), phys),
+                        [_flux_task(w_hat[i], u, k_vectors, dw[i])
+                         for i in range(3)]
+                        + [_product_task(out, *f) for out, f in
+                           zip((c for v in products for c in v), factors)]],
+                       fields=2)
         (scratch,) = engine.band_buffers(1)
-        du, dw, dm = add_to
         stress = [c for v in products[:2] for c in v]
-        flux = products[2:5]
         for i, row in enumerate(_SYM_ROWS):
             value = k_dot([stress[r] for r in row], band, out=scratch[0],
                           scratch=scratch[1])
             np.add(du[i], np.multiply(-1j, value, out=value), out=du[i])
-        for i in range(3):
-            value = k_dot([f[i] for f in flux], band, out=scratch[0],
-                          scratch=scratch[1])
-            np.add(dw[i], np.multiply(-1j, value, out=value), out=dw[i])
-        # the flux buffers are free now
-        np.add(dm, curl_coeffs(products[5], band, out=products[2],
+        # the stress buffers are free now
+        np.add(dm, curl_coeffs(products[2], band, out=products[0],
                                scratch=scratch[0]), out=dm)
         return add_to
 

@@ -14,7 +14,8 @@ The velocity and magnetic fields are re-projected and the k=0 modes
 re-zeroed once per full step.  Each step forms the band's stiff symbols
 Lambda from its parameters and variant, and Eh and Ef from them, so a step
 whose dt differs from the last one's costs the same as any other, and no
-operator formed elsewhere can enter a step.
+operator formed elsewhere can enter a step.  The symbols are dropped once
+Eh and Ef are formed.
 
 The step works on the retained-band coefficients that a `State` holds
 (see `spectral`), and `run` carries band `State`s from step to step, to
@@ -30,13 +31,16 @@ accumulator arrays, the grid values and products of its explicit
 evaluations, |u| on the grid and the audit's buffers all come from the
 engine's one pool, reused from step to step, so a run does not hand its
 working set back to the allocator and fault it in again on every step
-(see `_step_arrays`); the pool is kept across state-sink calls too.  Only
-the triple that becomes the new state is allocated per step, outside the
-pool, so the caller owns it from the start.  The
-audit drops the pool's grid buffers before its pairings.  Within an
-evaluation the transforms run on the engine's helper thread as well from
-n = `spectral.SPLIT_MIN_N` up; the four stages stay sequential, and a
-step's result is the single-thread one bit for bit.  A public `step` or
+(see `_step_arrays`); the pool is kept across state-sink calls too.  A
+step takes 10 grid and 13 band vector buffers from it on two threads (8
+and 13 on one): the stages' 9 band buffers and, per evaluation, the grid
+values of u and b, two grid buffers per thread, and the stress, the emf
+and scratch (see `dynamics`).  Only the triple that becomes the new state
+is allocated per step, outside the pool, so the caller owns it from the
+start.  The audit drops the pool's grid buffers before its pairings.
+Within an evaluation the transforms run on the engine's helper thread as
+well from n = `spectral.SPLIT_MIN_N` up; the four stages stay sequential,
+and a step's result is the single-thread one bit for bit.  A public `step` or
 `stable_dt` without an engine builds a transient one.
 """
 
@@ -171,6 +175,7 @@ def _step_arrays(arrays, grid: GridSpec, p: PhysParams,
 
     symbols = layout_stiff_symbols(grid.band, p, variant)
     e_half, e_full = symbols.propagator(0.5 * dt), symbols.propagator(dt)
+    del symbols  # only the propagators are read below
     t2 = tuple(np.empty_like(a) for a in arrays)
     with engine.scope():
         buffers = engine.band_buffers(9)

@@ -461,7 +461,7 @@ class TestBandResidentRun:
         # measured between steps: 1.41 MB traced, 6.24 MB when run carried
         # a full State (and the caller's copy is not held here).  The run's
         # engine keeps its pool of band buffers between steps on purpose
-        # (16 band vectors, 3.73 MB at 32^3); it is not counted here, and
+        # (13 band vectors, 3.03 MB at 32^3); it is not counted here, and
         # is bounded below
         g = GridSpec(32)
         init = InitSpec(epsilon=0.01, seed=6)
@@ -487,7 +487,7 @@ class TestBandResidentRun:
         full_state = 3 * 3 * g.n ** 3 * 16
         assert max(held) <= full_state / 2
         band_vector = 3 * 21 * 21 * 11 * 16
-        assert max(pooled) <= 16 * band_vector
+        assert max(pooled) <= 13 * band_vector
 
 
     def test_caller_holding_its_state_adds_only_the_band(self):
@@ -648,9 +648,25 @@ class TestRunEngine:
         assert result.steps == len(per_step) == 4 and not result.records
         pointers = [{out.__array_interface__["data"][0] for out in outs}
                     for outs in per_step]
-        # the grid values of u, omega and b, 9 transforms per evaluation
-        assert len(pointers[0]) == 9 and len(per_step[0]) == 4 * 9
+        # 9 transforms per evaluation: u and b into 6 grid buffers, each
+        # omega_i into the second grid buffer of the thread that draws it
+        assert len(pointers[0]) == 6 + workers and len(per_step[0]) == 4 * 9
         assert all(p == pointers[0] for p in pointers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pool_after_one_step(self, monkeypatch, workers):
+        # grid: u and b (6), and two per thread (a product, and omega_i of
+        # a flux task).  band: the step's 9 stage buffers, the stress (2)
+        # and emf (1) of an evaluation and one for scratch
+        monkeypatch.setattr(spectral, "WORKERS", workers)
+        monkeypatch.setattr(spectral, "SPLIT_MIN_N", 8)
+        g = GridSpec(16)
+        state = make_random_state(g, InitSpec(epsilon=1.0, seed=14), PERT)
+        with StepEngine(g) as engine:
+            step(state, PERT_PARAMS, PERT, 0.05, engine=engine)
+            assert engine.threads == workers
+            assert len(engine._grid.arrays) == 6 + 2 * workers
+            assert len(engine._band.arrays) == 13
 
     def test_step_result_is_not_in_the_pool(self):
         # the step writes its new state into arrays of its own, so no later
@@ -662,7 +678,7 @@ class TestRunEngine:
                 state = step(state, PERT_PARAMS, PERT, 0.05, engine=engine)
                 kept = [a.copy() for a in state.arrays]
                 with engine.scope():
-                    # more than the 16 band buffers a step takes
+                    # more than the 13 band buffers a step takes
                     for buffer in engine.band_buffers(24):
                         assert not any(np.shares_memory(buffer, a)
                                        for a in state.arrays)

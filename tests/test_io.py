@@ -2,6 +2,7 @@
 
 import builtins
 import os
+import re
 import signal
 import struct
 import subprocess
@@ -9,12 +10,13 @@ import sys
 import time
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 import mmpsim
-from mmpsim import checkpoint
+from mmpsim import checkpoint, cli
 from mmpsim.checkpoint import (
     CheckpointFormatError,
     load_checkpoint,
@@ -253,6 +255,19 @@ class TestDiagnosticsCsv:
             truncate_diagnostics(path, 0.25)
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_truncate_names_the_row_it_cannot_read(self, tmp_path):
+        path = tmp_path / "diag.csv"
+        write_diagnostics([DiagnosticsRecord(t=0.1 * i, l2_energy=1.0 + i)
+                           for i in range(3)], path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("x,1,2\n")
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=(
+                rf"^{re.escape(str(path))}:5: could not convert string to "
+                rf"float: 'x'$")):
+            truncate_diagnostics(path, 1.0)
+        assert path.read_bytes() == before
 
     def test_absent_fields_written_empty(self, tmp_path):
         rec = DiagnosticsRecord(t=0.0, l2_energy=1.0)
@@ -592,6 +607,64 @@ class TestCli:
         assert code == 1
         assert "bad checkpoint" in capsys.readouterr().err
         assert csv.read_bytes() == before
+
+    def test_resume_from_unreadable_row_names_it(self, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(
+            t_end=0.2, outdir=outdir, extra="output.checkpoint_interval = 0.1"))
+        assert cli_main(["run", "--config", str(cfg)]) == 0
+        csv = outdir / "diagnostics.csv"
+        with open(csv, "a", encoding="utf-8") as fh:
+            fh.write("x,1,2\n")
+        before = csv.read_bytes()
+        lineno = before.count(b"\n")
+        ckpt = sorted(outdir.glob("checkpoint_*.mmp"))[0]
+        capsys.readouterr()
+        code = cli_main(["run", "--config", str(cfg), "--resume", str(ckpt)])
+        assert code == 1
+        assert (f"error: {csv}:{lineno}: could not convert string to float: "
+                f"'x'" in capsys.readouterr().err)
+        assert csv.read_bytes() == before
+
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_run_frees_its_initial_band_before_the_first_step(
+            self, tmp_path, capsys, monkeypatch, resume):
+        # `run` copies the initial band; the CLI holds no other reference,
+        # so the initial state is gone by the first record written after
+        # `run` starts (before the first step when the initial state is
+        # recorded, after it on resume)
+        outdir = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(
+            t_end=0.2, outdir=outdir, extra="output.checkpoint_interval = 0.1"))
+        if resume:
+            assert cli_main(["run", "--config", str(cfg)]) == 0
+            args = ["--resume",
+                    str(sorted(outdir.glob("checkpoint_*.mmp"))[0])]
+        else:
+            args = []
+        initial, alive_at_records = [], []
+
+        def tracked(make):
+            def made(*a, **k):
+                result = make(*a, **k)
+                state = result.state if resume else result
+                initial.append(weakref.ref(state.arrays[0]))
+                return result
+            return made
+
+        def write(records, path, append=False):
+            if append:
+                alive_at_records.append(initial[0]() is not None)
+            return write_diagnostics(records, path, append=append)
+        name = "load_checkpoint" if resume else "make_random_state"
+        monkeypatch.setattr(cli, name, tracked(getattr(cli, name)))
+        monkeypatch.setattr(cli, "write_diagnostics", write)
+        assert cli_main(["run", "--config", str(cfg)] + args) == 0
+        capsys.readouterr()
+        assert len(initial) == 1
+        assert alive_at_records and not any(alive_at_records)
 
     def test_resume_mismatched_grid_rejected(self, tmp_path, capsys):
         outdir = tmp_path / "out"
