@@ -62,6 +62,9 @@ def truncate_diagnostics(path, t_max: float) -> None:
 
 
 def read_diagnostics(path) -> list[DiagnosticsRecord]:
+    """The records of the diagnostics CSV at ``path``.  A row of the wrong
+    width, a cell that does not parse and a row without t or l2_energy
+    are refused with a ValueError naming ``path`` and its line."""
     with open(path, encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh]
     if not lines or lines[0] != CSV_HEADER:
@@ -75,8 +78,11 @@ def read_diagnostics(path) -> list[DiagnosticsRecord]:
         if len(cells) != len(RECORD_COLUMNS):
             raise ValueError(f"{path}:{lineno}: expected "
                              f"{len(RECORD_COLUMNS)} fields, got {len(cells)}")
-        kwargs = {name: (None if cell == "" else float(cell))
-                  for name, cell in zip(RECORD_COLUMNS, cells)}
+        try:
+            kwargs = {name: (None if cell == "" else float(cell))
+                      for name, cell in zip(RECORD_COLUMNS, cells)}
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
         if kwargs["t"] is None or kwargs["l2_energy"] is None:
             raise ValueError(f"{path}:{lineno}: t and l2_energy are required")
         records.append(DiagnosticsRecord(**kwargs))

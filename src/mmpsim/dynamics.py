@@ -28,11 +28,12 @@ forms and transforms its 3 flux products and adds -1j k.flux_i into the
 tendency on its own thread, and each of the 9 stress and emf products is
 one task.  Every thread forms its products in its grid buffers and its
 workspace's spare, and sums the flux in its workspace's accumulator.  The
-grid values of u and b, the stress and emf, the tendency's partial sums
-and scratch live in buffers of the engine's pool, which a run keeps from
-evaluation to evaluation (`explicit_rhs_arrays` writes its result into a
-given triple): 10 grid and 4 band vector buffers on two threads, 8 and 4
-on one.  The energy-flux audit splits its 33 inverse and 15 forward
+stress is transformed into the tendency's own arrays
+(`explicit_rhs_arrays` writes its result into a given triple), and the
+grid values of u and b, the emf and then the linear terms live in buffers
+of the engine's pool, which a run keeps from evaluation to evaluation:
+10 grid buffers and 1 band vector buffer on two threads, 8 and 1 on one.
+The energy-flux audit splits its 33 inverse and 15 forward
 transforms the same way, on the same pool; it drops the pool's grid
 buffers before its cancellation pairings, which run on the calling
 thread.  Threaded and single-thread results are equal bit for bit.
@@ -284,32 +285,37 @@ def _flux_task(w_i: np.ndarray, u, k_vectors, out: np.ndarray):
 
 
 def _quadratic_terms(u_hat: np.ndarray, w_hat: np.ndarray, m_hat: np.ndarray,
-                     grid: GridSpec, add_to, engine: StepEngine | None = None
+                     grid: GridSpec, out, engine: StepEngine | None = None
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """-div(u(x)u - b(x)b), -div(u(x)omega) and curl(u x b) on retained-band
-    coefficients, added into the triple ``add_to``, which is returned; the
+    coefficients: the first and the last written into ``out[0]`` and
+    ``out[2]``, the second added into ``out[1]``; ``out`` is returned.  The
     band transforms make them dealiased.
 
     One `StepEngine.run` call in two phases.  Phase 1: 6 tasks each
     transform one component of u or b to the grid.  Phase 2: 3 flux tasks
     (`_flux_task`), one per component i of omega, each transform omega_i
     to its thread's second grid buffer, form and transform the 3 products
-    u_j omega_i, and add -1j k.flux_i into ``add_to[1][i]`` on their own
-    thread; then 9 tasks each form one product (the 6 stress components
-    u_i u_j - b_i b_j, the 3 emf components) in their thread's first grid
-    buffer and transform it into its band buffer.  The working set, all
-    from the engine's pool, is the grid values of u and b, 3 band vector
-    buffers for the stress and emf plus one for scratch, and per thread
-    two grid buffers and one transform workspace.  Each 1D line and each
-    product is the one a whole-stack evaluation would compute, and each
-    term component is formed from them by the operations of the stacked
-    -1j k.stress, -1j k.flux and curl(emf), then added."""
+    u_j omega_i, and add -1j k.flux_i into ``out[1][i]`` on their own
+    thread; then 9 tasks each form one product in their thread's first
+    grid buffer and transform it: the 6 stress components u_i u_j - b_i b_j
+    into ``out`` itself (the diagonal in ``out[0]``, the off-diagonal 01,
+    02, 12 in ``out[2]``), the 3 emf components into a band buffer.  Then
+    row i of k.stress is formed over the stress component (0, i), which no
+    later row reads, -1j times it is written into ``out[0][i]`` and
+    curl(emf) into ``out[2]``, with the calling thread's workspace
+    accumulator as scratch.  The working set, all from the engine's pool,
+    is the grid values of u and b, one band vector buffer for the emf, and
+    per thread two grid buffers and one transform workspace.  Each 1D line
+    and each product is the one a whole-stack evaluation would compute,
+    and each term component is formed from them by the operations of the
+    stacked -1j k.stress, -1j k.flux and curl(emf)."""
     band = grid.band
     k_vectors = [k.astype(np.complex128) for k in band.k_vectors]
-    du, dw, dm = add_to
+    du, dw, dm = out
+    stress = [du[0], du[1], du[2], dm[0], dm[1], dm[2]]
     with using_engine(engine, grid) as engine, engine.scope():
-        # stress = products[0:2], emf = products[2]
-        products = engine.band_buffers(3)
+        (emf,) = engine.band_buffers(1)
         with engine.scope():
             u, b = phys = [engine.grid_buffers(3) for _ in range(2)]
             factors = ([(u[i], u[j], b[i], b[j]) for i, j in _SYM_PAIRS]
@@ -318,19 +324,41 @@ def _quadratic_terms(u_hat: np.ndarray, w_hat: np.ndarray, m_hat: np.ndarray,
             engine.run([grid_tasks((u_hat, m_hat), phys),
                         [_flux_task(w_hat[i], u, k_vectors, dw[i])
                          for i in range(3)]
-                        + [_product_task(out, *f) for out, f in
-                           zip((c for v in products for c in v), factors)]],
+                        + [_product_task(c, *f) for c, f in
+                           zip(stress + list(emf), factors)]],
                        fields=2)
-        (scratch,) = engine.band_buffers(1)
-        stress = [c for v in products[:2] for c in v]
-        for i, row in enumerate(_SYM_ROWS):
-            value = k_dot([stress[r] for r in row], band, out=scratch[0],
-                          scratch=scratch[1])
-            np.add(du[i], np.multiply(-1j, value, out=value), out=du[i])
-        # the stress buffers are free now
-        np.add(dm, curl_coeffs(products[2], band, out=products[0],
-                               scratch=scratch[0]), out=dm)
-        return add_to
+        scratch = engine.workspaces[0].accumulator
+        rows = [k_dot([stress[r] for r in row], band, out=stress[row[0]],
+                      scratch=scratch) for row in _SYM_ROWS]
+        for d, row in zip(du, rows):
+            np.multiply(-1j, row, out=d)
+        # the stress is read: dm takes curl(emf)
+        curl_coeffs(emf, band, out=dm, scratch=scratch)
+        return out
+
+
+def _velocity_linear(w_hat: np.ndarray, m_hat: np.ndarray,
+                     band: SpectralLayout, two_chi: float, sym, out,
+                     scratch: np.ndarray) -> np.ndarray:
+    """2 chi curl omega + i(alpha.k) b (the second term only if ``sym``, the
+    symbol i(alpha.k), is given), written into the vector ``out``, with
+    each subtrahend and product formed in the scalar ``scratch``."""
+    np.multiply(two_chi, curl_coeffs(w_hat, band, out=out, scratch=scratch),
+                out=out)
+    if sym is not None:
+        for o, m in zip(out, m_hat):
+            np.add(o, np.multiply(sym, m, out=scratch), out=o)
+    return out
+
+
+def _magnetic_linear(u_hat: np.ndarray, sym, out) -> np.ndarray:
+    """0 + i(alpha.k) u (0 if ``sym``, the symbol i(alpha.k), is None),
+    written into the vector ``out``."""
+    if sym is None:
+        out.fill(0.0)
+        return out
+    # not a no-op: 0 + (-0.0) is +0.0
+    return np.add(0.0, np.multiply(sym[None], u_hat, out=out), out=out)
 
 
 def explicit_rhs_arrays(u_hat: np.ndarray, w_hat: np.ndarray, m_hat: np.ndarray,
@@ -342,36 +370,45 @@ def explicit_rhs_arrays(u_hat: np.ndarray, w_hat: np.ndarray, m_hat: np.ndarray,
     coefficient arrays (3, 2kc+1, 2kc+1, kc+1), written into the triple
     ``out`` (new arrays if None), which must not be the input.
     ``linearized=True`` drops the quadratic terms.  The sums are formed in
-    ``out`` term by term, with scratch from ``engine``'s pool (a transient
-    engine if None), by the operations and in the order of
+    ``out``, with scratch from ``engine``'s pool (a transient engine if
+    None), by the operations of
 
         du = P(2 chi curl omega + i(alpha.k) b + q_u)
         dw = 2 chi curl u + q_omega                (k = 0 mode zeroed)
         dm = P(0 + i(alpha.k) u + q_b)
 
     with each term a new array, P the Leray projection and q the quadratic
-    terms."""
+    terms.  dw is summed in this order.  du and dm are summed as q + lin:
+    `_quadratic_terms` writes q_u and q_b into them (the stress is formed
+    there too), then the linear part lin in parentheses is formed in one
+    band buffer, with the calling thread's workspace accumulator as
+    scratch, and added.  IEEE addition commutes, signed zeros included, so
+    q + lin has the bits of lin + q.  The symbol i(alpha.k) is formed after
+    the quadratic terms, so it does not add to their working set.  Without
+    them the linear parts are formed in du and dm themselves."""
     band = grid.band
     two_chi = 2.0 * p.coupling_chi(variant)
     if out is None:
         out = tuple(np.empty_like(a) for a in (u_hat, w_hat, m_hat))
     du, dw, dm = out
     with using_engine(engine, grid) as engine:
-        with engine.scope():
-            (scratch,) = engine.band_buffers(1)
-            np.multiply(two_chi, curl_coeffs(w_hat, band, out=du,
-                                             scratch=scratch[0]), out=du)
-            np.multiply(two_chi, curl_coeffs(u_hat, band, out=dw,
-                                             scratch=scratch[0]), out=dw)
-            dm.fill(0.0)
-            if variant.uses_background:
-                sym = alpha_symbol(p.alpha_vector, band)
-                np.add(du, np.multiply(sym[None], m_hat, out=scratch), out=du)
-                np.add(dm, np.multiply(sym[None], u_hat, out=scratch), out=dm)
+        # du is written below, so du[0] is scratch here
+        np.multiply(two_chi, curl_coeffs(u_hat, band, out=dw,
+                                         scratch=du[0]), out=dw)
         if not linearized:
             _quadratic_terms(u_hat, w_hat, m_hat, grid, out, engine)
+        sym = (alpha_symbol(p.alpha_vector, band) if variant.uses_background
+               else None)
         with engine.scope():
             (scratch,) = engine.band_buffers(1)
+            if linearized:
+                _velocity_linear(w_hat, m_hat, band, two_chi, sym, du, dm[0])
+                _magnetic_linear(u_hat, sym, dm)
+            else:
+                acc = engine.workspaces[0].accumulator
+                np.add(du, _velocity_linear(w_hat, m_hat, band, two_chi, sym,
+                                            scratch, acc), out=du)
+                np.add(dm, _magnetic_linear(u_hat, sym, scratch), out=dm)
             project_coeffs(du, band, out=du, scratch=scratch)
             project_coeffs(dm, band, out=dm, scratch=scratch)
     dw[:, 0, 0, 0] = 0.0

@@ -32,12 +32,14 @@ evaluations, |u| on the grid and the audit's buffers all come from the
 engine's one pool, reused from step to step, so a run does not hand its
 working set back to the allocator and fault it in again on every step
 (see `_step_arrays`); the pool is kept across state-sink calls too.  A
-step takes 10 grid and 13 band vector buffers from it on two threads (8
-and 13 on one): the stages' 9 band buffers and, per evaluation, the grid
-values of u and b, two grid buffers per thread, and the stress, the emf
-and scratch (see `dynamics`).  Only the triple that becomes the new state
-is allocated per step, outside the pool, so the caller owns it from the
-start.  The audit drops the pool's grid buffers before its pairings.
+step takes 10 grid and 10 band vector buffers from it on two threads (8
+and 10 on one): the stages' 9 band buffers and, per evaluation, the grid
+values of u and b, two grid buffers per thread, and one band buffer for
+the emf, then for the linear terms and scratch (see `dynamics`; the
+stress is formed in the evaluation's output).  Only the triple that
+becomes the new state is allocated per step, outside the pool, so the
+caller owns it from the start.  The audit drops the pool's grid buffers
+before its pairings.
 Within an evaluation the transforms run on the engine's helper thread as
 well from n = `spectral.SPLIT_MIN_N` up; the four stages stay sequential,
 and a step's result is the single-thread one bit for bit.  A public `step` or
@@ -254,6 +256,13 @@ def _next_boundary(t: float, interval: float) -> float:
     return (math.floor(t / interval + 1e-9) + 1.0) * interval
 
 
+def _zero_mean_copy(c: np.ndarray) -> np.ndarray:
+    """A copy of the band vector c with its k=0 mode zeroed."""
+    c = c.copy()
+    c[:, 0, 0, 0] = 0.0
+    return c
+
+
 def run(state: State, p: PhysParams, variant: SystemVariant,
         cfg: StepperConfig, settings: DiagnosticsSettings | None = None,
         record_sink=None, state_sink=None,
@@ -276,7 +285,8 @@ def run(state: State, p: PhysParams, variant: SystemVariant,
 
     The input's band is copied once, with its k=0 modes zeroed, so the
     caller's state is left as it is, and the reference to the input is
-    dropped, so a caller that holds none frees it.  Each step is one call
+    dropped, so a caller that holds none frees it; the copy itself is
+    freed once the first step replaces it.  Each step is one call
     of the module-level `step` with its ``dt`` and the run's `StepEngine`,
     whose pool is kept from step to step and whose helper thread is joined
     when the run returns or raises; each step forms its own stiff
@@ -290,11 +300,9 @@ def run(state: State, p: PhysParams, variant: SystemVariant,
         raise ValueError(f"state_sink_interval must be positive and finite, "
                          f"got {state_sink_interval}")
     grid = state.grid
-    current = State.from_band((c.copy() for c in state.arrays), grid,
+    current = State.from_band(map(_zero_mean_copy, state.arrays), grid,
                               variant, t=state.t)
     del state
-    for c in current.arrays:
-        c[:, 0, 0, 0] = 0.0
 
     engine = StepEngine(grid)
     records: list[DiagnosticsRecord] = []

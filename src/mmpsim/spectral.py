@@ -338,9 +338,10 @@ class BandWorkspace:
     grid values and products.
 
     `to_physical` and `to_spectral` write into a given output and allocate
-    no array: each 1D pass runs in place on the scratch.  numpy transforms
-    line by line, so a pass written over its input returns the values of
-    the out-of-place pass bit for bit."""
+    no array: each 1D pass runs in place on the scratch, and each gather or
+    zero-padding between passes is two or three slice copies.  numpy
+    transforms line by line, so a pass written over its input returns the
+    values of the out-of-place pass bit for bit."""
 
     def __init__(self, grid: GridSpec):
         n = grid.n
@@ -373,17 +374,19 @@ class BandWorkspace:
 
     def to_spectral(self, phys: np.ndarray, out: np.ndarray) -> None:
         """`to_spectral` of scalar grid values, written into the band array
-        ``out``.  The gathers use mode "clip" (the indices are in range)
-        because numpy buffers ``out`` under the default "raise"."""
-        idx = self.grid.band_index
+        ``out``.  After each of the last two passes the retained
+        wavenumbers along its axis (k = 0..kc, then -kc..-1) are gathered."""
+        n, kc = self.grid.n, self.grid.kmax_dealias
         a = self.wide
         np.fft.rfft(phys, axis=-1, norm="forward", out=a)
-        a = a[..., :self.grid.kmax_dealias + 1]
+        a = a[..., :kc + 1]
         np.fft.fft(a, axis=-2, norm="forward", out=a)
         b = self.narrow
-        np.take(a, idx, axis=-2, out=b, mode="clip")
+        b[:, :kc + 1] = a[:, :kc + 1]
+        b[:, kc + 1:] = a[:, n - kc:]
         np.fft.fft(b, axis=-3, norm="forward", out=b)
-        np.take(b, idx, axis=-3, out=out, mode="clip")
+        out[:kc + 1] = b[:kc + 1]
+        out[kc + 1:] = b[n - kc:]
 
 
 def to_physical(c: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -520,6 +523,17 @@ class StepEngine:
         finally:
             self._grid.top, self._band.top = tops
 
+    @property
+    def workspaces(self) -> list[BandWorkspace]:
+        """Each thread's `BandWorkspace`, the calling thread's first, made
+        on the calling thread when first asked for after the engine is made
+        or released.  Between `run` calls no task holds one, so the
+        caller may use their band buffers as scratch."""
+        if not self._workspaces:
+            self._workspaces = [BandWorkspace(self.grid)
+                                for _ in range(self.threads)]
+        return self._workspaces
+
     def release(self) -> None:
         """Drop the grid buffers of the pool and the workspaces; the band
         buffers and the threads stay.  Buffers a caller still holds stay
@@ -540,10 +554,7 @@ class StepEngine:
         task stops the drawing and is re-raised here once every thread has
         finished its task."""
         with self.scope():
-            if not self._workspaces:
-                self._workspaces = [BandWorkspace(self.grid)
-                                    for _ in range(self.threads)]
-            for ws in self._workspaces:
+            for ws in self.workspaces:
                 ws.fields = self.grid_buffers(fields)
             if self.threads > 1 and self._helpers is None:
                 # imported here: after numpy it takes 3.5-4 ms on a 2-core

@@ -273,6 +273,56 @@ class TestRhs:
                                SystemVariant.PERTURBATION)
 
 
+def rotated(c):
+    """Full-spectrum vector coefficients of the field rotated by R, the
+    cyclic rotation x -> y -> z: R v(R^-1 x), i.e. component i + 1 at k
+    from component i at R^-1 k = (k2, k3, k1) (indices mod 3)."""
+    return np.transpose(c[[2, 0, 1]], (0, 3, 1, 2))
+
+
+class TestRotationEquivariance:
+    """Rotating the data and alpha cyclically (x -> y -> z) rotates the
+    tendency and the step: a guard on the assembly of the components,
+    which a swapped stress row or a mislabelled flux or emf component
+    breaks, whatever the summation order.  epsilon = 1000 makes the
+    quadratic terms 95-100% of the tendency's largest entry.  Worst
+    measured relative differences (2-core x86 host): 8.3e-16 for rhs,
+    1.6e-16 for step (at epsilon = 1: 7.5e-17 and 4.3e-17)."""
+
+    CASES = {
+        "zero-kinematic": (SystemVariant.ZERO_KINEMATIC,
+                           lambda alpha: PhysParams(chi=1.0, eta=1.0,
+                                                    nu=1.0)),
+        "perturbation": (SystemVariant.PERTURBATION,
+                         lambda alpha: PhysParams(chi=1.0, eta=1.0,
+                                                  alpha=alpha, r=2.5)),
+    }
+
+    @staticmethod
+    def fields(result):
+        if isinstance(result, State):
+            return [f.coeffs for f in (result.u, result.omega,
+                                       result.magnetic)]
+        return list(result)
+
+    @pytest.mark.parametrize("call", ["rhs", "step"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("n", [12, 16, 24])
+    def test_commutes_with_cyclic_rotation(self, n, case, call):
+        variant, params = self.CASES[case]
+        state = make_random_state(GridSpec(n),
+                                  InitSpec(epsilon=1000.0, seed=21), variant)
+        turned = State(*(SpectralVectorField(rotated(f.coeffs), state.grid)
+                         for f in (state.u, state.omega, state.magnetic)),
+                       variant)
+        alpha = ALPHA[2], ALPHA[0], ALPHA[1]
+        solver = SOLVER_CALLS[call]
+        want = self.fields(solver(state, params(ALPHA), variant))
+        got = self.fields(solver(turned, params(alpha), variant))
+        for a, b in zip(want, got):
+            assert np.abs(rotated(a) - b).max() <= 1e-14 * np.abs(a).max()
+
+
 class TestStiffSymbols:
     def test_parallel_perpendicular_split(self):
         g = GridSpec(8)

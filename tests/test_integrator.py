@@ -5,6 +5,7 @@ the run-scoped engine: its helper thread and its reused buffers."""
 import inspect
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -461,7 +462,7 @@ class TestBandResidentRun:
         # measured between steps: 1.41 MB traced, 6.24 MB when run carried
         # a full State (and the caller's copy is not held here).  The run's
         # engine keeps its pool of band buffers between steps on purpose
-        # (13 band vectors, 3.03 MB at 32^3); it is not counted here, and
+        # (10 band vectors, 2.33 MB at 32^3); it is not counted here, and
         # is bounded below
         g = GridSpec(32)
         init = InitSpec(epsilon=0.01, seed=6)
@@ -487,7 +488,7 @@ class TestBandResidentRun:
         full_state = 3 * 3 * g.n ** 3 * 16
         assert max(held) <= full_state / 2
         band_vector = 3 * 21 * 21 * 11 * 16
-        assert max(pooled) <= 13 * band_vector
+        assert max(pooled) <= 10 * band_vector
 
 
     def test_caller_holding_its_state_adds_only_the_band(self):
@@ -511,6 +512,28 @@ class TestBandResidentRun:
             tracemalloc.stop()
         assert result.steps == 2
         assert peak <= 5.5e6
+
+    def test_frees_its_initial_copy_after_the_first_step(self, monkeypatch):
+        # run copies the input's band once; a loop variable over the copy
+        # kept its magnetic band (1.86 MiB at 64^3) alive for the whole run
+        original_step = integrator.step
+        initial = []
+
+        def first_input(state, *args, **kwargs):
+            if not initial:
+                initial.extend(weakref.ref(a) for a in state.arrays)
+            return original_step(state, *args, **kwargs)
+        monkeypatch.setattr(integrator, "step", first_input)
+        alive = []
+        state = make_random_state(GridSpec(16), InitSpec(epsilon=1.0, seed=15),
+                                  ZK)
+        result = run(state, ZK_PARAMS, ZK,
+                     StepperConfig(dt=0.05, t_end=0.15, record_interval=0.05),
+                     state_sink=lambda s, n: alive.append(
+                         [ref() is not None for ref in initial]),
+                     state_sink_interval=0.05)
+        assert result.steps == 3 and len(initial) == 3
+        assert alive == [[False] * 3] * 3
 
 
 class _Stop(BaseException):
@@ -656,8 +679,8 @@ class TestRunEngine:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pool_after_one_step(self, monkeypatch, workers):
         # grid: u and b (6), and two per thread (a product, and omega_i of
-        # a flux task).  band: the step's 9 stage buffers, the stress (2)
-        # and emf (1) of an evaluation and one for scratch
+        # a flux task).  band: the step's 9 stage buffers and one for the
+        # emf of an evaluation, then for its linear parts and projection
         monkeypatch.setattr(spectral, "WORKERS", workers)
         monkeypatch.setattr(spectral, "SPLIT_MIN_N", 8)
         g = GridSpec(16)
@@ -666,7 +689,7 @@ class TestRunEngine:
             step(state, PERT_PARAMS, PERT, 0.05, engine=engine)
             assert engine.threads == workers
             assert len(engine._grid.arrays) == 6 + 2 * workers
-            assert len(engine._band.arrays) == 13
+            assert len(engine._band.arrays) == 10
 
     def test_step_result_is_not_in_the_pool(self):
         # the step writes its new state into arrays of its own, so no later
@@ -678,7 +701,7 @@ class TestRunEngine:
                 state = step(state, PERT_PARAMS, PERT, 0.05, engine=engine)
                 kept = [a.copy() for a in state.arrays]
                 with engine.scope():
-                    # more than the 13 band buffers a step takes
+                    # more than the 10 band buffers a step takes
                     for buffer in engine.band_buffers(24):
                         assert not any(np.shares_memory(buffer, a)
                                        for a in state.arrays)

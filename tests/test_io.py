@@ -31,7 +31,7 @@ from mmpsim.diagio import (
     write_diagnostics,
 )
 from mmpsim.fields import InitSpec, PhysParams, SystemVariant, make_random_state
-from mmpsim.norms import DiagnosticsRecord
+from mmpsim.norms import RECORD_COLUMNS, DiagnosticsRecord
 from mmpsim.selftest import CHECKS
 from mmpsim.spectral import GridSpec
 
@@ -386,6 +386,16 @@ class TestCli:
         write_diagnostics([], path)
         assert cli_main(["fit-decay", "--csv", str(path), "--column",
                          "entropy", "--model", "exp"]) == 1
+
+    def test_fit_decay_unparseable_cell_names_file_and_line(self, tmp_path,
+                                                             capsys):
+        path = tmp_path / "bad.csv"
+        row = ",".join(["x"] + ["1"] * (len(RECORD_COLUMNS) - 1))
+        path.write_text(f"{CSV_HEADER}\n{row}\n")
+        assert cli_main(["fit-decay", "--csv", str(path), "--column",
+                         "l2_energy", "--model", "exp"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:2: could not convert string to float: 'x'\n")
 
     def test_fit_decay_missing_file_is_io_error(self):
         assert cli_main(["fit-decay", "--csv", "/nonexistent/x.csv",
