@@ -26,7 +26,6 @@ from .fields import (
     ValidationReport,
     check_state,
     make_random_state,
-    rescale_to_norm,
     validate_params,
 )
 from .integrator import (

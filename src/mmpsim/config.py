@@ -21,7 +21,7 @@ from .fields import (
     nonzero_forced,
     validate_params,
 )
-from .integrator import StepperConfig
+from .integrator import StepperConfig, check_interval
 from .norms import DiagnosticsSettings
 from .spectral import GridSpec
 
@@ -278,10 +278,12 @@ def parse_config(text: str) -> RunConfig:
                     f"{params.r + 5.0} (hr5)"))
 
     ckpt = values["output.checkpoint_interval"]
-    if ckpt is not None and not (ckpt > 0.0 and math.isfinite(ckpt)):
-        errors.append(bad_value("output.checkpoint_interval",
-                                f"checkpoint_interval must be positive and "
-                                f"finite, got {ckpt}"))
+    if ckpt is not None:
+        try:
+            check_interval("checkpoint_interval", ckpt,
+                           stepper.t_end if stepper is not None else 0.0)
+        except ValueError as exc:
+            errors.append(bad_value("output.checkpoint_interval", exc))
 
     if params is not None and variant is not None and grid is not None \
             and variant.uses_background:

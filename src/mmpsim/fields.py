@@ -8,8 +8,7 @@ only and validation flags them accordingly.
 
 A `State` holds the retained 2/3-rule band of each field (see `spectral`)
 and no full-spectrum array; its full-spectrum fields are built on access.
-The random initial data are built on the retained box and kept as its
-band.
+The random initial data are built on the retained band.
 """
 
 from __future__ import annotations
@@ -30,11 +29,8 @@ from .spectral import (
     band_part,
     divergence_residual_coeffs,
     expand_band,
-    expand_box,
-    hermitian_symmetrize,
     power_spectrum,
     project_coeffs,
-    zero_vector_field,
 )
 
 
@@ -357,36 +353,23 @@ def _rescale_factor(current: float, target: float) -> float:
     return target / current
 
 
-def rescale_to_norm(f: SpectralVectorField, s: float,
-                    target: float) -> SpectralVectorField:
-    """Scale every coefficient by one real factor so the H^s norm equals
-    ``target``; directions are unchanged."""
-    from .norms import sobolev_norm
-
-    if target < 0.0:
-        raise ValueError("target norm must be >= 0")
-    if target == 0.0:
-        return zero_vector_field(f.grid)
-    return SpectralVectorField(
-        f.coeffs * _rescale_factor(sobolev_norm(f, s), target), f.grid)
-
-
-def _box_sobolev_norm(box: np.ndarray, weights: np.ndarray,
-                      grid: GridSpec) -> float:
-    """`sobolev_norm` of the field that is ``box`` on the box and zero
-    elsewhere, given its Sobolev weights on the box (`norms`), bit for bit:
-    the same check and n^3 sum, taken over the box's values scattered into
-    +0.0 (a transient n^3 array: a box sum would change the order)."""
-    if not np.all(np.isfinite(box)):
+def _band_sobolev_norm(band: np.ndarray, weights: np.ndarray,
+                       grid: GridSpec) -> float:
+    """`sobolev_norm` of the real field whose retained band is ``band``,
+    given its Sobolev weights on the band (`norms`), bit for bit: the same
+    check and n^3 sum, taken over the band's weighted power expanded to the
+    full spectrum (a transient n^3 array: a band sum would change the
+    order).  The power at k3 < 0 is that of the mirror -k, bit for bit."""
+    if not np.all(np.isfinite(band)):
         raise IntegrityError("non-finite coefficients in sobolev_norm")
-    values = expand_box(weights * power_spectrum(box), grid)
+    values = expand_band(weights * power_spectrum(band), grid)
     # `parseval_sum` with m = 1, without the full layout's n^3 arrays
     return math.sqrt(max(float(TWO_PI_CUBED * np.sum(values)), 0.0))
 
 
 def _spectral_envelope(layout: SpectralLayout, slope: float,
                        k_peak: float) -> np.ndarray:
-    """|k|^(-slope) exp(-|k|^2/k_peak^2) on the box, zero at k = 0.  The
+    """|k|^(-slope) exp(-|k|^2/k_peak^2) on the band, zero at k = 0.  The
     dealias mask is all true here, and a real multiply by 1 changes no
     non-NaN value, so the mask is not applied."""
     ksq = layout.k_squared
@@ -409,14 +392,17 @@ def make_random_state(grid: GridSpec, init: InitSpec,
     out-of-box k1 planes are skipped, not drawn.  Identical seeds give
     bit-identical states.
 
-    Each field is built on the layout ``grid.box`` (see `spectral`):
-    envelope * exp(i phases), `hermitian_symmetrize` (the box is closed
-    under k -> -k), the Leray projection (u and the magnetic unknown), the
-    box's part of the dealias mask and the rescale to H^s norm epsilon, in
-    this order.  These are the elementwise operations of the same
-    construction on the full spectrum, so every retained coefficient has
-    the value and bytes it would have there.  The state keeps the box's
-    k3 >= 0 part, its band.
+    Each field is built on the layout ``grid.band`` (see `spectral`) from
+    two gathers of the phases: A, the band's own, and M, its mirror's
+    (M(k) is the phase at -k).  With the envelope, which is even in k, the
+    Hermitian part 0.5 (conj(X(-k)) + X(k)) of X = envelope * exp(i phases)
+    is 0.5 (conj(envelope * exp(i M)) + envelope * exp(i A)), formed with
+    the operations of `hermitian_symmetrize`, in its order.  Then come the
+    Leray projection (u and the magnetic unknown), the band's part of the
+    dealias mask and the rescale to H^s norm epsilon, in this order.  These
+    are the elementwise operations of the same construction on the full
+    spectrum, so every retained coefficient has the value and bytes it
+    would have there.
     """
     k_peak = init.k_peak if init.k_peak is not None else grid.n / 6.0
     if k_peak > grid.kmax_dealias:
@@ -432,9 +418,9 @@ def make_random_state(grid: GridSpec, init: InitSpec,
 
     n, kc = grid.n, grid.kmax_dealias
     rng = np.random.Generator(np.random.Philox(init.seed))
-    layout = grid.box
+    layout = grid.band
     envelope = _spectral_envelope(layout, init.spectrum_slope, k_peak)
-    mask = np.ones(grid.box_shape, dtype=bool)  # the dealias mask on the box
+    mask = np.ones(grid.band_shape, dtype=bool)  # the dealias mask on the band
     weights = _sobolev_weights(layout, init.sobolev_index)
     # Philox yields its draws in blocks of four, and advance(b) skips b
     # blocks; the planes kc < i1 < n - kc of a component lie outside the
@@ -443,30 +429,39 @@ def make_random_state(grid: GridSpec, init: InitSpec,
     draw = np.empty((2 * kc + 1, n, n))
     skipped_blocks = (n - 2 * kc - 1) * n * n // 4
     idx = grid.band_index
+    # -k in box order is row (-i) mod (2kc+1), and in the full layout's
+    # k3 columns index (-i) mod n
+    mirror_rows = np.r_[0, 2 * kc:0:-1]
+    own = np.ix_(range(2 * kc + 1), idx, idx[:kc + 1])
+    mirror = np.ix_(mirror_rows, idx[mirror_rows], -idx[:kc + 1] % n)
 
     arrays = []
     for name in ("u", "omega", "magnetic"):
-        phases = np.empty((3,) + envelope.shape)
-        for component in phases:
+        waves = np.empty((2, 3) + grid.band_shape, dtype=np.complex128)
+        waves.real = 0.0
+        # the phases A, then M; no view of waves outlives `del waves`
+        for i in range(3):
             rng.random(out=draw[:kc + 1])
             rng.bit_generator.advance(skipped_blocks)
             rng.random(out=draw[kc + 1:])
-            component[...] = draw[:, idx[:, None], idx]
-        coeffs = np.empty(phases.shape, dtype=np.complex128)
-        coeffs.real = 0.0
+            waves.imag[0, i] = draw[own]
+            waves.imag[1, i] = draw[mirror]
         # 1j * phases, where uniform(0, 2pi) is 0 + 2pi * random()
-        np.multiply(phases, 2.0 * np.pi, out=coeffs.imag)
-        del phases
-        np.exp(coeffs, out=coeffs)
-        coeffs *= envelope
-        coeffs = hermitian_symmetrize(coeffs)
+        np.multiply(waves.imag, 2.0 * np.pi, out=waves.imag)
+        np.exp(waves, out=waves)
+        waves *= envelope
+        # `hermitian_symmetrize`: conj(X(-k)) + X(k), halved
+        coeffs = np.conjugate(waves[1])
+        coeffs += waves[0]
+        coeffs *= 0.5
+        del waves
         coeffs[:, 0, 0, 0] = 0.0
         if name != "omega":
             project_coeffs(coeffs, layout, out=coeffs)
-        # all true on the box, but a complex multiply by 1 may flip the sign
-        # of a zero part, as it did on the full spectrum
+        # all true on the band, but a complex multiply by 1 may flip the
+        # sign of a zero part, as it did on the full spectrum
         np.multiply(coeffs, mask, out=coeffs)
-        coeffs *= _rescale_factor(_box_sobolev_norm(coeffs, weights, grid),
+        coeffs *= _rescale_factor(_band_sobolev_norm(coeffs, weights, grid),
                                   init.epsilon)
-        arrays.append(coeffs[..., :kc + 1].copy())
+        arrays.append(coeffs)
     return State.from_band(arrays, grid, variant)

@@ -90,10 +90,17 @@ class StepperConfig:
                              f"got {self.cfl_advective}")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if not (self.record_interval > 0.0
-                and math.isfinite(self.record_interval)):
-            raise ValueError(f"record_interval must be positive and finite, "
-                             f"got {self.record_interval}")
+        check_interval("record_interval", self.record_interval, self.t_end)
+
+
+def check_interval(name: str, interval: float, t_end: float) -> None:
+    """Refuse a record or state-dump interval that is not positive and
+    finite, or so small that t_end / interval overflows: `run` counts the
+    interval's boundaries as floor(t / interval)."""
+    if not (interval > 0.0 and math.isfinite(interval)
+            and math.isfinite(t_end / interval)):
+        raise ValueError(f"{name} must be positive and finite with "
+                         f"t_end/{name} finite, got {interval}")
 
 
 def stable_dt(state: State, p: PhysParams, grid: GridSpec,
@@ -280,8 +287,8 @@ def run(state: State, p: PhysParams, variant: SystemVariant,
 
     Refuses, before the first record, what `check_solver_arguments`
     refuses (a state tagged with another variant, coefficients the variant
-    forces to zero) and a ``state_sink_interval`` that is not positive and
-    finite.
+    forces to zero) and a ``state_sink_interval`` that `check_interval`
+    refuses.
 
     The input's band is copied once, with its k=0 modes zeroed, so the
     caller's state is left as it is, and the reference to the input is
@@ -295,10 +302,8 @@ def run(state: State, p: PhysParams, variant: SystemVariant,
     returned.
     """
     check_solver_arguments(state, p, variant, "run")
-    if state_sink_interval is not None and not (
-            state_sink_interval > 0.0 and math.isfinite(state_sink_interval)):
-        raise ValueError(f"state_sink_interval must be positive and finite, "
-                         f"got {state_sink_interval}")
+    if state_sink_interval is not None:
+        check_interval("state_sink_interval", state_sink_interval, cfg.t_end)
     grid = state.grid
     current = State.from_band(map(_zero_mean_copy, state.arrays), grid,
                               variant, t=state.t)

@@ -22,7 +22,6 @@ from .spectral import (
     SpectralVectorField,
     alpha_dot_grad,
     band_part,
-    box_part,
     curl,
     dealias,
     divergence,
@@ -158,9 +157,9 @@ def check_audit_pairings_exact():
                         else "differ: " + ", ".join(differ))
 
 
-def check_init_box_exact():
-    # The random initial data is built on the retained box alone; that
-    # equals the box of the same construction on the full spectrum bit for
+def check_init_band_exact():
+    # The random initial data is built on the retained band alone; that
+    # equals the band of the same construction on the full spectrum bit for
     # bit only if numpy computes an element of an elementwise kernel alike
     # whatever array it sits in, a property of the numpy build checked here
     # at 16^3 on the kernels the construction uses.
@@ -176,8 +175,8 @@ def check_init_box_exact():
         "real **": (lambda x: x ** -1.7, rng.uniform(0.5, 100.0, shape)),
     }
     differ = [name for name, (kernel, *args) in cases.items()
-              if kernel(*(box_part(a, grid) for a in args)).tobytes()
-              != box_part(kernel(*args), grid).tobytes()]
+              if kernel(*(band_part(a, grid) for a in args)).tobytes()
+              != band_part(kernel(*args), grid).tobytes()]
     return not differ, ("all four equal" if not differ
                         else "differ: " + ", ".join(differ))
 
@@ -366,7 +365,7 @@ CHECKS = (
     ("band-fft-exact", check_band_fft_exact),
     ("threaded-bit-exact", check_threaded_bit_exact),
     ("audit-pairings-exact", check_audit_pairings_exact),
-    ("init-box-exact", check_init_box_exact),
+    ("init-band-exact", check_init_band_exact),
     ("parseval", check_parseval),
     ("div-of-curl", check_div_curl),
     ("curl-of-grad", check_curl_grad),

@@ -15,25 +15,23 @@ Conventions used throughout the package:
   order 0, 1, ..., n/2-1, -n/2, ..., -1 along each axis.  Python's negative
   indexing makes ``coeffs[k1, k2, k3]`` a signed-wavevector lookup.
 
-Three coefficient layouts share one array-level kernel layer (the
+Two coefficient layouts share one array-level kernel layer (the
 ``*_coeffs`` functions, which take the layout's wavevectors as a
 `SpectralLayout`, whose |k|^2 is formed from its own wavevectors, so
 nothing on the run path builds an n^3 wavevector array):
 
 * ``grid.full``: the full spectrum, shape (..., n, n, n), used by the field
   classes and the checkpoint payload;
-* ``grid.box``: the retained box, shape (..., 2kc+1, 2kc+1, 2kc+1) with
-  kc = n//3, i.e. exactly the 2/3-rule box |k_i| <= kc, in FFT order
-  (k = 0..kc, then -kc..-1) along each axis; the random initial data is
-  built on it;
-* ``grid.band``: its k3 >= 0 part, shape (..., 2kc+1, 2kc+1, kc+1).  A
-  real dealiased field is determined by it; a `State` holds it and the
-  time step runs in it.
+* ``grid.band``: the retained band, shape (..., 2kc+1, 2kc+1, kc+1) with
+  kc = n//3: the k3 >= 0 half of the 2/3-rule box |k_i| <= kc, in FFT
+  order (k = 0..kc, then -kc..-1) along k1 and k2.  A real dealiased
+  field is determined by it; a `State` holds it, the random initial data
+  is built on it and the time step runs in it.
 
 One block table, `GridSpec.box_blocks`, places the box in the full
-spectrum.  `box_part` and `band_part` gather with it (dropping everything
-outside the box), `expand_box` and `expand_band` scatter back into zeros,
-`expand_band` filling k3 < 0 by Hermitian symmetry.  `to_physical` and
+spectrum.  `band_part` gathers the band with it (dropping everything
+outside the box) and `expand_band` scatters it back into zeros, filling
+k3 < 0 by Hermitian symmetry.  `to_physical` and
 `to_spectral` are the real transforms between the band and the n^3 grid,
 pruned to the lines that carry retained modes.  Each is three 1D passes,
 one per axis; per scalar field they transform n^2 + n(kc+1) +
@@ -149,12 +147,9 @@ class GridSpec:
         return np.r_[0:kc + 1, n - kc:n]
 
     @property
-    def box_shape(self) -> tuple[int, int, int]:
-        return (2 * self.kmax_dealias + 1,) * 3
-
-    @property
     def band_shape(self) -> tuple[int, int, int]:
-        return self.box_shape[:2] + (self.kmax_dealias + 1,)
+        kc = self.kmax_dealias
+        return (2 * kc + 1, 2 * kc + 1, kc + 1)
 
     @cached_property
     def box_blocks(self) -> tuple:
@@ -173,19 +168,10 @@ class GridSpec:
         """Wavevectors of the full-spectrum layout (n, n, n)."""
         return SpectralLayout(self, self.k_vectors, np.ones((1, 1, 1)))
 
-    @property
-    def box(self) -> "SpectralLayout":
-        """Wavevectors of the retained-box layout (2kc+1, 2kc+1, 2kc+1),
-        made on each access (only the initial data reads them, so no copy
-        outlives it)."""
-        k = self.k_axis[self.band_index]
-        return SpectralLayout(self, (k[:, None, None], k[None, :, None],
-                                     k[None, None, :]), np.ones((1, 1, 1)))
-
     @cached_property
     def band(self) -> "SpectralLayout":
         """Wavevectors of the retained-band layout (2kc+1, 2kc+1, kc+1): the
-        k3 >= 0 part of ``box``."""
+        k3 >= 0 part of the retained box |k_i| <= kc."""
         k = self.k_axis[self.band_index]
         k3 = k[None, None, :self.kmax_dealias + 1]
         return SpectralLayout(self, (k[:, None, None], k[None, :, None], k3),
@@ -200,14 +186,14 @@ class GridSpec:
 @dataclass(frozen=True, eq=False)
 class SpectralLayout:
     """The wavevector arrays of one coefficient layout of ``grid``
-    (``grid.full``, ``grid.box`` or ``grid.band``), broadcastable against
+    (``grid.full`` or ``grid.band``), broadcastable against
     coefficient arrays of that layout's shape.  ``multiplicity`` counts the
     full-spectrum modes each stored mode stands for in a sum over a real
     field's spectrum: 1, except 2 on the band for k3 > 0, whose mirror -k
     is not stored.  |k|^2, and |k|^2 with 1 at k = 0 to divide by, are
-    formed elementwise from the layout's own wavevectors, so on the box or
-    the band they are the part of the full ones bit for bit, without an
-    n^3 array."""
+    formed elementwise from the layout's own wavevectors, so on the band
+    they are the part of the full ones bit for bit, without an n^3
+    array."""
 
     grid: GridSpec
     k_vectors: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -283,19 +269,6 @@ def _gather(c: np.ndarray, blocks, shape: tuple) -> np.ndarray:
     return out
 
 
-def box_part(c: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """A copy of the retained box |k_i| <= kc of full-layout values."""
-    return _gather(c, grid.box_blocks, grid.box_shape)
-
-
-def expand_box(c: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Full-layout values of box ones: the box scattered into +0.0."""
-    out = np.zeros(c.shape[:-3] + (grid.n,) * 3, dtype=c.dtype)
-    for full, box in grid.box_blocks:
-        out[(..., *full)] = c[(..., *box)]
-    return out
-
-
 def band_part(c: np.ndarray, grid: GridSpec) -> np.ndarray:
     """The retained-band part of coefficients of shape (..., n, n, m) in FFT
     order, m > kc (full or half spectrum): a copy of the modes |k_i| <= kc
@@ -304,16 +277,18 @@ def band_part(c: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def expand_band(c: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Full-spectrum coefficients of retained-band ones: zero outside the
-    box, and the k3 < 0 entries filled by coeff(-k) = conj(coeff(k)).
-    Exact, so band -> full -> band reproduces the band bit for bit."""
+    """Full-spectrum values of retained-band ones, in c's dtype: zero
+    outside the box, and the k3 < 0 entries filled by
+    coeff(-k) = conj(coeff(k)) (for real values, such as a power spectrum,
+    coeff(-k) = coeff(k)).  Exact, so band -> full -> band reproduces the
+    band bit for bit."""
     n, kc = grid.n, grid.kmax_dealias
-    out = np.zeros(c.shape[:-3] + (n, n, n), dtype=np.complex128)
+    out = np.zeros(c.shape[:-3] + (n, n, n), dtype=c.dtype)
     for full, band in grid.box_blocks[::2]:
         out[(..., *full)] = c[(..., *band)]
     # the k3 = -kc..-1 blocks: conj(c(-k)) of the band's k3 = kc..1
     mirror = c[..., kc:0:-1]
-    mirror = _conj_reflection(mirror, np.empty(mirror.shape, np.complex128),
+    mirror = _conj_reflection(mirror, np.empty(mirror.shape, c.dtype),
                               axes=2)
     for (f1, f2, f3), (b1, b2, _) in grid.box_blocks[1::2]:
         out[..., f1, f2, f3] = mirror[..., b1, b2, :]

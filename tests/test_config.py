@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mmpsim.cli import cli_main
 from mmpsim.config import ConfigError, parse_config
 from mmpsim.fields import SystemVariant
 
@@ -181,6 +182,9 @@ time.t_end = 1
         ("init.k_peak", "11"), ("init.seed", "-1"),
         ("time.dt", "0"), ("time.cfl", "2"), ("time.t_end", "-1"),
         ("time.max_steps", "0"), ("time.record_interval", "0"),
+        # positive and finite, but t_end / interval overflows
+        ("time.record_interval", "5e-324"),
+        ("output.checkpoint_interval", "5e-324"),
     ])
     def test_bad_value_reported_on_its_key_line(self, key, value):
         # the bad value is set last, so its line is no other key's
@@ -191,6 +195,24 @@ time.t_end = 1
             parse_config("\n".join(lines) + "\n")
         (error,) = exc.value.errors
         assert error.startswith(f"line {len(lines)}: bad value for {key!r}: ")
+
+    @pytest.mark.parametrize("key", ["time.record_interval",
+                                     "output.checkpoint_interval"])
+    def test_run_refuses_an_interval_t_end_overflows(self, key, tmp_path,
+                                                     capsys):
+        # both used to pass validation; the run then raised OverflowError
+        # after its first step, a checkpoint already written
+        outdir = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        lines = ["grid.n = 8", "system = zero-kinematic", "params.chi = 1",
+                 "params.eta = 1", "params.nu = 1", "init.epsilon = 0.01",
+                 "time.t_end = 0.1", f"output.dir = {outdir}",
+                 f"{key} = 5e-324"]
+        cfg.write_text("\n".join(lines) + "\n")
+        assert cli_main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"line {len(lines)}: bad value for {key!r}: " in err
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("alpha, resonant", [
         ("0, 0, 0.9", True), ("0.5, 0.5, 0.5", True),

@@ -56,9 +56,11 @@ class TestStepperConfig:
             StepperConfig(dt=0.1, t_end=1.0, cfl_advective=1.5)
         with pytest.raises(ValueError):
             StepperConfig(dt=0.1, t_end=1.0, record_interval=0.0)
-        for value in (float("nan"), float("inf")):
+        # 5e-324 is positive and finite, but t_end / 5e-324 overflows
+        for value in (float("nan"), float("inf"), 5e-324):
             with pytest.raises(ValueError, match="record_interval"):
                 StepperConfig(dt=0.1, t_end=1.0, record_interval=value)
+        StepperConfig(dt=0.1, t_end=0.0, record_interval=5e-324)
 
 
 class TestStableDt:
@@ -295,7 +297,7 @@ class TestRun:
         assert len(seen) == len(result.records)
 
     @pytest.mark.parametrize("interval", [0.0, float("nan"), -1.0,
-                                          float("inf")])
+                                          float("inf"), 5e-324])
     def test_bad_state_sink_interval_refused_before_the_first_record(
             self, interval):
         state = make_random_state(GridSpec(8), InitSpec(epsilon=0.01, seed=9),

@@ -17,13 +17,11 @@ from mmpsim.spectral import (
     SpectralVectorField,
     alpha_dot_grad,
     band_part,
-    box_part,
     curl,
     dealias,
     divergence,
     divergence_residual,
     expand_band,
-    expand_box,
     forward_transform,
     forward_transform_scalar,
     grad_div,
@@ -220,39 +218,16 @@ def ix_band_part(c, grid):
 
 
 def ix_expand_band(c, grid):
-    """`expand_band` as two fancy-indexed scatters, the oracle of its
-    blocks."""
+    """`expand_band` as two fancy-indexed scatters in c's dtype, the oracle
+    of its blocks."""
     n, kc = grid.n, grid.kmax_dealias
     idx = grid.band_index
-    out = np.zeros(c.shape[:-3] + (n, n, n), dtype=np.complex128)
+    out = np.zeros(c.shape[:-3] + (n, n, n), dtype=c.dtype)
     out[(...,) + np.ix_(idx, idx, idx[:kc + 1])] = c
     mirror = np.conj(c[..., kc:0:-1])
     out[(...,) + np.ix_(idx, idx, idx[kc + 1:])] = np.roll(
         np.flip(mirror, axis=(-3, -2)), 1, axis=(-3, -2))
     return out
-
-
-def ix_box_part(c, grid):
-    """`box_part` as one fancy-indexed gather, the oracle of its blocks."""
-    idx = grid.band_index
-    return c[(...,) + np.ix_(idx, idx, idx)]
-
-
-def ix_expand_box(c, grid):
-    """`expand_box` as one fancy-indexed scatter into zeros."""
-    idx = grid.band_index
-    out = np.zeros(c.shape[:-3] + (grid.n,) * 3, dtype=c.dtype)
-    out[(...,) + np.ix_(idx, idx, idx)] = c
-    return out
-
-
-def with_signed_zeros(c, rng):
-    """c with about a fifth of its real and imaginary parts set to -0.0."""
-    c = c.copy()
-    c.real[rng.random(c.shape) < 0.2] = -0.0
-    if np.iscomplexobj(c):
-        c.imag[rng.random(c.shape) < 0.2] = -0.0
-    return c
 
 
 class TestBandLayout:
@@ -283,59 +258,32 @@ class TestBandLayout:
         band[rng.random(shape) < 0.2] = complex(-0.0, -0.0)
         band.real[rng.random(shape) < 0.2] = -0.0
         band.imag[rng.random(shape) < 0.2] = -0.0
-        full = expand_band(band, g)
-        assert full.tobytes() == ix_expand_band(band, g).tobytes()
-        assert band_part(full, g).tobytes() == band.tobytes()
-
-    @pytest.mark.parametrize("n", [8, 10, 12, 16, 32, 64])
-    @pytest.mark.parametrize("lead", [(), (3,)], ids=["scalar", "vector"])
-    def test_box_part_bytes_match_fancy_indexing(self, n, lead):
-        g = GridSpec(n)
-        rng = np.random.default_rng(n + 2)
-        shape = lead + (n, n, n)
-        full = with_signed_zeros(
-            rng.standard_normal(shape) + 1j * rng.standard_normal(shape), rng)
-        for c in (full, full.real):
-            oracle = ix_box_part(c, g)
-            box = box_part(c, g)
-            assert box.dtype == oracle.dtype and box.shape == oracle.shape
-            assert box.tobytes() == oracle.tobytes()
-
-    @pytest.mark.parametrize("n", [8, 10, 12, 16, 32, 64])
-    @pytest.mark.parametrize("lead", [(), (3,)], ids=["scalar", "vector"])
-    def test_expand_box_bytes_match_fancy_indexing(self, n, lead):
-        g = GridSpec(n)
-        rng = np.random.default_rng(n + 3)
-        shape = lead + g.box_shape
-        box = with_signed_zeros(
-            rng.standard_normal(shape) + 1j * rng.standard_normal(shape), rng)
-        for c in (box, box.real):
-            full = expand_box(c, g)
-            oracle = ix_expand_box(c, g)
-            assert full.dtype == oracle.dtype and full.shape == oracle.shape
+        # a real band (a power spectrum) expands to real values
+        for c in (band, band.real):
+            full = expand_band(c, g)
+            oracle = ix_expand_band(c, g)
+            assert full.dtype == oracle.dtype == c.dtype
             assert full.tobytes() == oracle.tobytes()
-            assert box_part(full, g).tobytes() == c.tobytes()
+            assert band_part(full, g).tobytes() == c.tobytes()
 
     @pytest.mark.parametrize("n", [8, 10, 12, 16, 32, 64])
-    def test_box_and_band_wavevectors_are_gathers_of_the_full_layout(self, n):
-        # |k|^2 of the box and band is formed on them, not gathered: the
-        # gather of the full layout's arrays is the oracle
+    def test_band_wavevectors_are_gathers_of_the_full_layout(self, n):
+        # |k|^2 of the band is formed on it, not gathered: the gather of the
+        # full layout's arrays is the oracle
         g = GridSpec(n)
         idx = g.band_index
         kc = g.kmax_dealias
-        for layout, k3_index in ((g.box, idx), (g.band, idx[:kc + 1])):
-            index = (idx, idx, k3_index)
-            pairs = list(zip(layout.k_vectors, g.full.k_vectors)) + [
-                (layout.k_squared, g.k_squared),
-                (layout.k_squared_safe, g.full.k_squared_safe)]
-            for got, full in pairs:
-                # gather along the axes the full array spans
-                want = full[np.ix_(*(i if size == n else [0]
-                                     for i, size in zip(index, full.shape)))]
-                assert got.flags.c_contiguous
-                assert got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
-        assert g.box.multiplicity.tobytes() == np.ones((1, 1, 1)).tobytes()
+        layout, index = g.band, (idx, idx, idx[:kc + 1])
+        pairs = list(zip(layout.k_vectors, g.full.k_vectors)) + [
+            (layout.k_squared, g.k_squared),
+            (layout.k_squared_safe, g.full.k_squared_safe)]
+        for got, full in pairs:
+            # gather along the axes the full array spans
+            want = full[np.ix_(*(i if size == n else [0]
+                                 for i, size in zip(index, full.shape)))]
+            assert got.flags.c_contiguous
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
         want = np.r_[1.0, np.full(kc, 2.0)].reshape(1, 1, kc + 1)
         assert g.band.multiplicity.tobytes() == want.tobytes()
 
