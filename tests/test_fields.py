@@ -11,13 +11,16 @@ from mmpsim.fields import (
     PhysParams,
     State,
     SystemVariant,
+    _band_sobolev_norm,
+    _rescale_factor,
     check_state,
     make_random_state,
     validate_params,
 )
-from mmpsim.norms import sobolev_norm
+from mmpsim.norms import _sobolev_weights, sobolev_norm
 from mmpsim.spectral import (
     GridSpec,
+    IntegrityError,
     SpectralVectorField,
     band_part,
     divergence_residual,
@@ -126,6 +129,56 @@ class TestInitSpec:
     def test_rejects_non_finite_settings(self, field, value):
         with pytest.raises(ValueError, match=field):
             InitSpec(epsilon=0.01, **{field: value})
+
+
+class TestRescale:
+    """The rescale of `make_random_state` to H^s norm epsilon: the norm it
+    takes on the band and the factor it applies."""
+
+    def test_halves_coefficients(self):
+        # (e / 2) / c is (e / c) / 2 exactly, and so is every product
+        g = GridSpec(16)
+        init = InitSpec(epsilon=2.0, sobolev_index=3.0, seed=5)
+        half = InitSpec(epsilon=1.0, sobolev_index=3.0, seed=5)
+        a = make_random_state(g, init, SystemVariant.ZERO_KINEMATIC)
+        b = make_random_state(g, half, SystemVariant.ZERO_KINEMATIC)
+        for full, halved in zip(a.arrays, b.arrays):
+            assert np.array_equal(halved, full / 2.0)
+
+    def test_identity_when_target_matches(self):
+        assert _rescale_factor(0.37, 0.37) == 1.0
+
+    @pytest.mark.parametrize("s", [0.0, 3.0, 4.5])
+    def test_norm_recomputation(self, s):
+        g = GridSpec(16)
+        init = InitSpec(epsilon=0.01, sobolev_index=s, seed=5)
+        state = make_random_state(g, init, SystemVariant.PERTURBATION)
+        for f in (state.u, state.omega, state.magnetic):
+            assert sobolev_norm(f, s) == pytest.approx(0.01, rel=1e-12)
+
+    def test_zero_field_rejected(self):
+        with pytest.raises(ValueError, match="zero field"):
+            _rescale_factor(0.0, 1.0)
+
+    # the band norm must be `sobolev_norm` of the expanded field bit for
+    # bit, or the rescaled coefficients change their bytes
+    @pytest.mark.parametrize("n", [8, 10, 16])
+    @pytest.mark.parametrize("s", [0.0, 3.0, 4.5, 21.0])
+    def test_band_norm_is_sobolev_norm_bitwise(self, n, s):
+        g = GridSpec(n)
+        state = make_random_state(g, InitSpec(epsilon=2.0, seed=n),
+                                  SystemVariant.PERTURBATION)
+        weights = _sobolev_weights(g.band, s)
+        for name, band in zip(("u", "omega", "magnetic"), state.arrays):
+            assert (_band_sobolev_norm(band, weights, g)
+                    == sobolev_norm(getattr(state, name), s))
+
+    def test_band_norm_rejects_non_finite(self):
+        g = GridSpec(8)
+        band = np.zeros((3,) + g.band_shape, dtype=np.complex128)
+        band[0, 1, 0, 0] = np.nan
+        with pytest.raises(IntegrityError):
+            _band_sobolev_norm(band, _sobolev_weights(g.band, 3.0), g)
 
 
 class TestMakeRandomState:
