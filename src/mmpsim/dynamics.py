@@ -33,17 +33,26 @@ stress is transformed into the tendency's own arrays
 grid values of u and b, the emf and then the linear terms live in buffers
 of the engine's pool, which a run keeps from evaluation to evaluation:
 10 grid buffers and 1 band vector buffer on two threads, 8 and 1 on one.
-The energy-flux audit splits its 33 inverse and 15 forward
-transforms the same way, on the same pool; it drops the pool's grid
-buffers before its cancellation pairings, which run on the calling
-thread.  Threaded and single-thread results are equal bit for bit.
+The band-level work around the transforms (2 chi curl u; the rows of
+k.stress, -1j and curl(emf); the linear terms and both projections) runs
+as three stages of `spectral.StepEngine.run_rows`, each one k1-row range
+per thread from n = `spectral.ROW_SPLIT_MIN_N` up, with the symbol
+i(alpha.k) formed on the calling thread.  The energy-flux audit splits
+its 33 inverse and 15 forward transforms the same way, on the same pool;
+it drops the pool's grid buffers before its cancellation pairings, which
+run on the calling thread and expand into one n^3 buffer made for them.
+Threaded and single-thread results are equal bit for bit, and so are
+split and whole rows.
 
 The stiff symbol of the micro-rotation field is diagonal only after
 splitting each mode into components parallel and perpendicular to k: the
 parallel part sees (eta + kappa)|k|^2 + 4 chi, the perpendicular part
 eta|k|^2 + 4 chi (`_omega_split`).  `StiffPropagator` is the one per-mode
 diagonal operator of this form: four factor arrays on one layout, applied
-with the split.  `StiffSymbols` is one whose factors are the rates, and
+with the split (`StiffPropagator.apply`, or `_apply_rows` on a range of
+rows, which the step's row tasks call on either thread since a span
+recorder may wrap `apply`).  `StiffSymbols` is one whose factors are the
+rates, and
 adds only `StiffSymbols.propagator(dt)`, which forms the operator
 exp(-dt * symbol) anew on each call.  The step forms its band symbols from
 its parameters and variant, then two propagators, on every step (on a
@@ -115,12 +124,21 @@ class StiffPropagator:
         """The operator applied to (u, w, m), written into the triple
         ``out`` if given (which may be the input itself), with the parallel
         part of w formed in ``scratch`` if given."""
-        if out is None:
-            out = (None, None, None)
-        return (np.multiply(self.u[None], u, out=out[0]),
-                _omega_split(self.omega_perp, self.omega_par, w,
-                             self.layout, out=out[1], scratch=scratch),
-                np.multiply(self.magnetic[None], m, out=out[2]))
+        return self._apply_rows(self.layout, u, w, m,
+                               (None,) * 3 if out is None else out, scratch)
+
+    def _apply_rows(self, rows: SpectralLayout, u: np.ndarray, w: np.ndarray,
+                   m: np.ndarray, out, scratch: np.ndarray | None
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`apply` on the rows of ``rows``, the operator's layout or a
+        `row_view` of it: u, w, m, the triple ``out`` and ``scratch`` hold
+        those rows.  The step's row tasks call this on either thread, not
+        `apply`, which a span recorder may wrap."""
+        return (np.multiply(rows.part(self.u)[None], u, out=out[0]),
+                _omega_split(rows.part(self.omega_perp),
+                             rows.part(self.omega_par), w, rows, out=out[1],
+                             scratch=scratch),
+                np.multiply(rows.part(self.magnetic)[None], m, out=out[2]))
 
 
 class StiffSymbols(StiffPropagator):
@@ -304,7 +322,8 @@ def _quadratic_terms(u_hat: np.ndarray, w_hat: np.ndarray, m_hat: np.ndarray,
     row i of k.stress is formed over the stress component (0, i), which no
     later row reads, -1j times it is written into ``out[0][i]`` and
     curl(emf) into ``out[2]``, with the calling thread's workspace
-    accumulator as scratch.  The working set, all from the engine's pool,
+    accumulator as scratch, on the k1-row ranges of
+    `StepEngine.run_rows`.  The working set, all from the engine's pool,
     is the grid values of u and b, one band vector buffer for the emf, and
     per thread two grid buffers and one transform workspace.  Each 1D line
     and each product is the one a whole-stack evaluation would compute,
@@ -327,13 +346,18 @@ def _quadratic_terms(u_hat: np.ndarray, w_hat: np.ndarray, m_hat: np.ndarray,
                         + [_product_task(c, *f) for c, f in
                            zip(stress + list(emf), factors)]],
                        fields=2)
-        scratch = engine.workspaces[0].accumulator
-        rows = [k_dot([stress[r] for r in row], band, out=stress[row[0]],
-                      scratch=scratch) for row in _SYM_ROWS]
-        for d, row in zip(du, rows):
-            np.multiply(-1j, row, out=d)
-        # the stress is read: dm takes curl(emf)
-        curl_coeffs(emf, band, out=dm, scratch=scratch)
+        acc = engine.workspaces[0].accumulator
+
+        def assemble(rows):
+            part = rows.part
+            sums = [k_dot([part(stress[r]) for r in row], rows,
+                          out=part(stress[row[0]]), scratch=part(acc))
+                    for row in _SYM_ROWS]
+            for d, row_sum in zip(du, sums):
+                np.multiply(-1j, row_sum, out=part(d))
+            # the stress is read: dm takes curl(emf)
+            curl_coeffs(part(emf), rows, out=part(dm), scratch=part(acc))
+        engine.run_rows(assemble)
         return out
 
 
@@ -392,25 +416,36 @@ def explicit_rhs_arrays(u_hat: np.ndarray, w_hat: np.ndarray, m_hat: np.ndarray,
         out = tuple(np.empty_like(a) for a in (u_hat, w_hat, m_hat))
     du, dw, dm = out
     with using_engine(engine, grid) as engine:
-        # du is written below, so du[0] is scratch here
-        np.multiply(two_chi, curl_coeffs(u_hat, band, out=dw,
-                                         scratch=du[0]), out=dw)
+        def curl_u(rows):
+            # du is written below, so du[0] is scratch here
+            part = rows.part
+            np.multiply(two_chi, curl_coeffs(part(u_hat), rows, out=part(dw),
+                                             scratch=part(du[0])),
+                        out=part(dw))
+        engine.run_rows(curl_u)
         if not linearized:
             _quadratic_terms(u_hat, w_hat, m_hat, grid, out, engine)
         sym = (alpha_symbol(p.alpha_vector, band) if variant.uses_background
                else None)
         with engine.scope():
             (scratch,) = engine.band_buffers(1)
-            if linearized:
-                _velocity_linear(w_hat, m_hat, band, two_chi, sym, du, dm[0])
-                _magnetic_linear(u_hat, sym, dm)
-            else:
-                acc = engine.workspaces[0].accumulator
-                np.add(du, _velocity_linear(w_hat, m_hat, band, two_chi, sym,
-                                            scratch, acc), out=du)
-                np.add(dm, _magnetic_linear(u_hat, sym, scratch), out=dm)
-            project_coeffs(du, band, out=du, scratch=scratch)
-            project_coeffs(dm, band, out=dm, scratch=scratch)
+            acc = engine.workspaces[0].accumulator
+
+            def linear(rows):
+                part = rows.part
+                u, w, m, d_u, d_m, lin = map(part, (u_hat, w_hat, m_hat, du,
+                                                    dm, scratch))
+                s = None if sym is None else part(sym)
+                if linearized:
+                    _velocity_linear(w, m, rows, two_chi, s, d_u, d_m[0])
+                    _magnetic_linear(u, s, d_m)
+                else:
+                    np.add(d_u, _velocity_linear(w, m, rows, two_chi, s, lin,
+                                                 part(acc)), out=d_u)
+                    np.add(d_m, _magnetic_linear(u, s, lin), out=d_m)
+                project_coeffs(d_u, rows, out=d_u, scratch=lin)
+                project_coeffs(d_m, rows, out=d_m, scratch=lin)
+            engine.run_rows(linear)
     dw[:, 0, 0, 0] = 0.0
     return out
 
@@ -482,11 +517,14 @@ def energy_flux_audit(state: State, p: PhysParams, variant: SystemVariant,
     transformed once and each component's gradient shared by the products
     that use it: 33 inverse and 15 forward scalar transforms, split over
     threads by `StepEngine.run`, in buffers of the engine's pool.  The engine then
-    drops its grid buffers and workspaces, whose memory the n^3 expansions
-    of the six cancellation pairings, which run on the calling thread, can
-    take instead of adding to the pool; a transient engine drops all of
-    its pool but the five advected fields.  Each forms conj(a) b on
-    the band, expands it once and sums it over n^3: entry for entry the
+    drops its grid buffers and workspaces, whose memory the n^3 expansion
+    buffer of the cancellation pairings, which run on the calling thread,
+    can take instead of adding to the pool; a transient engine drops all
+    of its pool but the five advected fields.  The buffer is made once,
+    zeroed, for all the pairings (6, or 8 with the background field), and
+    dropped before the band sums.  Each pairing forms conj(a) b on the
+    band, writes only the box's blocks of its expansion into the buffer
+    (outside the box it stays zero) and sums it over n^3: entry for entry the
     product that the full-spectrum inner product of the expanded fields
     sums (the mirror entries k3 < 0 are conjugates, with the same real
     parts), in the same order, so the pairings take the values of the
@@ -509,16 +547,27 @@ def energy_flux_audit(state: State, p: PhysParams, variant: SystemVariant,
                                             (m_band, (0, 1))], grid, engine)
         engine.release()
 
+    # the curl pairing's operands are formed first, so that their
+    # temporaries do not coexist with the expansion buffers below
+    curl_operands = [curl_coeffs(grad_div_coeffs(w_band, band), band),
+                     curl_coeffs(w_band, band)]
+    # every pairing expands into these, on the calling thread; only the
+    # box's blocks are written, so outside it full stays zero
+    n, kc = grid.n, grid.kmax_dealias
+    full = np.zeros((3, n, n, n), dtype=np.complex128)
+    mirror = np.empty(u_band.shape[:-1] + (kc,), dtype=np.complex128)
+
     def pairing(a, b):
         # inner_product of the expansions of a and b: conj(a) b formed in
         # place in a, which no later line reads, then summed over n^3
         np.conjugate(a, out=a)
         np.multiply(a, b, out=a)
-        return float(TWO_PI_CUBED * np.sum(expand_band(a, grid)).real)
+        return float(TWO_PI_CUBED * np.sum(
+            expand_band(a, grid, out=full, scratch=mirror)).real)
 
     adv_w = pairing(u_grad_w, w_band)
-    curl_gd = pairing(curl_coeffs(grad_div_coeffs(w_band, band), band),
-                      curl_coeffs(w_band, band))
+    curl_gd = pairing(*curl_operands)
+    del curl_operands
     adv_u = pairing(u_grad_u, u_band)
     adv_m = pairing(u_grad_m, m_band)
     lorentz = pairing(m_grad_m, u_band) + pairing(m_grad_u, m_band)
@@ -528,6 +577,7 @@ def energy_flux_audit(state: State, p: PhysParams, variant: SystemVariant,
         sym = alpha_symbol(p.alpha_vector, band)
         alpha_pair = (pairing(sym * m_band, u_band)
                       + pairing(sym * u_band, m_band))
+    del full, mirror  # the band sums below need neither
 
     power_u, power_w, power_m = (power_spectrum(c)
                                  for c in (u_band, w_band, m_band))

@@ -39,11 +39,16 @@ the emf, then for the linear terms and scratch (see `dynamics`; the
 stress is formed in the evaluation's output).  Only the triple that
 becomes the new state is allocated per step, outside the pool, so the
 caller owns it from the start.  The audit drops the pool's grid buffers
-before its pairings.
+before its pairings, which expand into one n^3 buffer of their own.
 Within an evaluation the transforms run on the engine's helper thread as
-well from n = `spectral.SPLIT_MIN_N` up; the four stages stay sequential,
-and a step's result is the single-thread one bit for bit.  A public `step` or
-`stable_dt` without an engine builds a transient one.
+well from n = `spectral.SPLIT_MIN_N` up, and from n =
+`spectral.ROW_SPLIT_MIN_N` up so does one k1-row half of the band-level
+work: three stages of each evaluation and the four blocks of
+propagations, sums and the final projection between and after them
+(`StepEngine.run_rows`; the scratch of each block is one pool buffer, of
+which each range takes its rows).  The four stages stay sequential, and a
+step's result is the single-thread, whole-band one bit for bit.  A public
+`step` or `stable_dt` without an engine builds a transient one.
 """
 
 from __future__ import annotations
@@ -93,14 +98,19 @@ class StepperConfig:
         check_interval("record_interval", self.record_interval, self.t_end)
 
 
-def check_interval(name: str, interval: float, t_end: float) -> None:
+def check_interval(name: str, interval: float, t_end: float,
+                   t: float = 0.0) -> None:
     """Refuse a record or state-dump interval that is not positive and
-    finite, or so small that t_end / interval overflows: `run` counts the
-    interval's boundaries as floor(t / interval)."""
+    finite, or so small that t_end / interval or t / interval overflows,
+    t the time a run starts from: `run` counts the interval's boundaries
+    as floor(t / interval)."""
     if not (interval > 0.0 and math.isfinite(interval)
             and math.isfinite(t_end / interval)):
         raise ValueError(f"{name} must be positive and finite with "
                          f"t_end/{name} finite, got {interval}")
+    if not math.isfinite(t / interval):
+        raise ValueError(f"{name} {interval} is too small for the start "
+                         f"time t = {t}: t/{name} overflows")
 
 
 def stable_dt(state: State, p: PhysParams, grid: GridSpec,
@@ -167,20 +177,26 @@ def _step_arrays(arrays, grid: GridSpec, p: PhysParams,
     and the accumulator; t2 holds y2, y3, Ef y0, then the new state; t3
     holds N2, N2 + N3 (and Eh of it), then N4; t4 holds N3, Eh N3, then
     y4.  t1, t3 and t4 are buffers of ``engine``'s pool; t2 is three new
-    arrays, which the caller owns from the start.  Scratch (the parallel
-    part of omega in a propagation, dt/2 N2, the projection's parallel
-    part) is one more band buffer, taken above the stages for each use, so
-    the explicit evaluations reuse it.  Each value is formed by the
-    operations of the formulas above, in their order, so the step is
-    bit-identical to evaluating them with a new array per operation."""
+    arrays, which the caller owns from the start.  Between the explicit
+    evaluations, each block of propagations, sums and the final projection
+    runs through `StepEngine.run_rows`, on the k1-rows of every stage
+    (``cut``), with one more band buffer as scratch (the parallel part of
+    omega in a propagation, dt/2 N2, the projection's parallel part),
+    taken above the stages for each block, so the explicit evaluations
+    reuse it.  Each value is formed by the operations of the formulas
+    above, in their order, so the step is bit-identical to evaluating them
+    with a new array per operation, whatever the row split."""
     def explicit(y, out):
         return explicit_rhs_arrays(*y, grid, p, variant,
                                    linearized=linearized, engine=engine,
                                    out=out)
 
-    def propagate(e, y, out):
+    def block(task):
         with engine.scope():
-            return e.apply(*y, out=out, scratch=engine.band_buffers(1)[0])
+            (scratch,) = engine.band_buffers(1)
+            engine.run_rows(lambda rows: task(
+                rows, rows.part(scratch),
+                lambda triple: tuple(map(rows.part, triple))))
 
     symbols = layout_stiff_symbols(grid.band, p, variant)
     e_half, e_full = symbols.propagator(0.5 * dt), symbols.propagator(dt)
@@ -190,25 +206,41 @@ def _step_arrays(arrays, grid: GridSpec, p: PhysParams,
         buffers = engine.band_buffers(9)
         t1, t3, t4 = (tuple(buffers[3 * i:3 * i + 3]) for i in range(3))
 
-        n1 = explicit(arrays, t1)
-        y2 = propagate(e_half, _axpy(arrays, n1, 0.5 * dt, t2, t2), t2)
-        n2 = explicit(y2, t3)
-        with engine.scope():
-            y3 = _axpy(propagate(e_half, arrays, t2), n2, 0.5 * dt, t2,
-                       engine.band_buffers(1) * 3)
-        n3 = explicit(y3, t4)
-        n23 = tuple(np.add(a, b, out=a) for a, b in zip(n2, n3))
-        full_y0 = propagate(e_full, arrays, t2)
-        y4 = _axpy(full_y0, propagate(e_half, n3, n3), dt, n3, n3)
-        accum = _axpy(propagate(e_full, n1, n1), propagate(e_half, n23, n23),
-                      2.0, n1, n23)
-        n4 = explicit(y4, t3)
-        accum = _axpy(accum, n4, 1.0, accum, n4)
-        u_new, w_new, m_new = _axpy(full_y0, accum, dt / 6.0, full_y0, accum)
-        with engine.scope():
-            scratch = engine.band_buffers(1)[0]
-            project_coeffs(u_new, grid.band, out=u_new, scratch=scratch)
-            project_coeffs(m_new, grid.band, out=m_new, scratch=scratch)
+        def to_y2(rows, s, cut):
+            y2 = cut(t2)
+            e_half._apply_rows(rows, *_axpy(cut(arrays), cut(t1), 0.5 * dt,
+                                            y2, y2), y2, s)
+
+        def to_y3(rows, s, cut):
+            y3 = cut(t2)
+            _axpy(e_half._apply_rows(rows, *cut(arrays), y3, s), cut(t3),
+                  0.5 * dt, y3, (s,) * 3)
+
+        def to_y4(rows, s, cut):
+            n1, full_y0, n23, n3 = map(cut, (t1, t2, t3, t4))
+            for a, b in zip(n23, n3):
+                np.add(a, b, out=a)
+            e_full._apply_rows(rows, *cut(arrays), full_y0, s)
+            _axpy(full_y0, e_half._apply_rows(rows, *n3, n3, s), dt, n3, n3)
+            _axpy(e_full._apply_rows(rows, *n1, n1, s),
+                  e_half._apply_rows(rows, *n23, n23, s), 2.0, n1, n23)
+
+        def to_new(rows, s, cut):
+            accum, full_y0, n4 = map(cut, (t1, t2, t3))
+            _axpy(accum, n4, 1.0, accum, n4)
+            u_new, _, m_new = _axpy(full_y0, accum, dt / 6.0, full_y0, accum)
+            project_coeffs(u_new, rows, out=u_new, scratch=s)
+            project_coeffs(m_new, rows, out=m_new, scratch=s)
+
+        explicit(arrays, t1)
+        block(to_y2)
+        explicit(t2, t3)
+        block(to_y3)
+        explicit(t2, t4)
+        block(to_y4)
+        explicit(t4, t3)
+        block(to_new)
+    u_new, w_new, m_new = t2
     w_new[:, 0, 0, 0] = 0.0
     return u_new, w_new, m_new
 
@@ -287,8 +319,9 @@ def run(state: State, p: PhysParams, variant: SystemVariant,
 
     Refuses, before the first record, what `check_solver_arguments`
     refuses (a state tagged with another variant, coefficients the variant
-    forces to zero) and a ``state_sink_interval`` that `check_interval`
-    refuses.
+    forces to zero) and a ``cfg.record_interval`` or
+    ``state_sink_interval`` that `check_interval` refuses at the state's
+    time.
 
     The input's band is copied once, with its k=0 modes zeroed, so the
     caller's state is left as it is, and the reference to the input is
@@ -302,8 +335,11 @@ def run(state: State, p: PhysParams, variant: SystemVariant,
     returned.
     """
     check_solver_arguments(state, p, variant, "run")
+    check_interval("record_interval", cfg.record_interval, cfg.t_end,
+                   state.t)
     if state_sink_interval is not None:
-        check_interval("state_sink_interval", state_sink_interval, cfg.t_end)
+        check_interval("state_sink_interval", state_sink_interval, cfg.t_end,
+                       state.t)
     grid = state.grid
     current = State.from_band(map(_zero_mean_copy, state.arrays), grid,
                               variant, t=state.t)

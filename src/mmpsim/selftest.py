@@ -84,22 +84,25 @@ def _state_bytes(state):
 
 def check_threaded_bit_exact():
     # The step and the audit split their band transforms over threads from
-    # a grid size up, and a run reuses one engine's buffers and helper
+    # a grid size up, the step its band-level stages over k1-row ranges
+    # from another, and a run reuses one engine's buffers and helper
     # thread for all of its steps and records; that equals the
     # single-thread public calls bit for bit only if numpy computes every
-    # 1D line alike in any thread and in any buffer, a property of the
-    # numpy build checked here with the split engaged at 32^3: one step and
-    # audit, and a 3-step run against 3 public steps and their records.
+    # 1D line and every element alike in any thread, in any buffer and in
+    # any slice of it, a property of the numpy build checked here with
+    # both splits engaged at 32^3: one step and audit, and a 3-step run
+    # against 3 public steps and their records.
     grid = GridSpec(32)
     full = SystemVariant.FULL
     p = PhysParams(mu=0.2, chi=1.0, kappa=0.4, eta=1.0, nu=0.5)
     state = make_random_state(grid, InitSpec(epsilon=1000.0, seed=17), full)
     cfg = StepperConfig(dt=1e-4, t_end=3e-4, record_interval=1e-4)
-    saved = spectral.WORKERS, spectral.SPLIT_MIN_N
+    saved = spectral.WORKERS, spectral.SPLIT_MIN_N, spectral.ROW_SPLIT_MIN_N
     results = []
     try:
+        spectral.SPLIT_MIN_N = spectral.ROW_SPLIT_MIN_N = grid.n
         for workers in (1, 2):
-            spectral.WORKERS, spectral.SPLIT_MIN_N = workers, grid.n
+            spectral.WORKERS = workers
             results.append((step(state, p, full, 1e-4),
                             energy_flux_audit(state, p, full)))
         # single thread: the steps of `run`, as public calls on `State`s
@@ -113,7 +116,8 @@ def check_threaded_bit_exact():
         spectral.WORKERS = 2
         result = run(state, p, full, cfg)
     finally:
-        spectral.WORKERS, spectral.SPLIT_MIN_N = saved
+        (spectral.WORKERS, spectral.SPLIT_MIN_N,
+         spectral.ROW_SPLIT_MIN_N) = saved
     (serial, serial_audit), (threaded, threaded_audit) = results
     diff = max(np.abs(getattr(serial, name).coeffs
                       - getattr(threaded, name).coeffs).max()

@@ -21,12 +21,15 @@ Two coefficient layouts share one array-level kernel layer (the
 nothing on the run path builds an n^3 wavevector array):
 
 * ``grid.full``: the full spectrum, shape (..., n, n, n), used by the field
-  classes and the checkpoint payload;
+  classes and the format-1 checkpoint payload that is still read;
 * ``grid.band``: the retained band, shape (..., 2kc+1, 2kc+1, kc+1) with
   kc = n//3: the k3 >= 0 half of the 2/3-rule box |k_i| <= kc, in FFT
   order (k = 0..kc, then -kc..-1) along k1 and k2.  A real dealiased
-  field is determined by it; a `State` holds it, the random initial data
-  is built on it and the time step runs in it.
+  field is determined by it; a `State` holds it, a checkpoint stores it,
+  the random initial data is built on it and the time step runs in it.
+  `SpectralLayout.row_view` gives a range of its k1-rows as slices of
+  its arrays, so an elementwise kernel run on each range of rows computes
+  every mode as on the whole band.
 
 One block table, `GridSpec.box_blocks`, places the box in the full
 spectrum.  `band_part` gathers the band with it (dropping everything
@@ -53,14 +56,18 @@ threads in all, the calling thread included; numpy's FFTs and elementwise
 kernels release the interpreter lock).  `run` builds one for the whole
 run; a public call without one builds a transient engine and closes it
 before it returns.  `StepEngine.run` spreads independent scalar
-transforms (and the products that feed them) over the threads.  Each task
-writes through a `BandWorkspace`'s methods into arrays the engine handed
-out, so each 1D line is transformed as on one thread and the results are
-bit-identical; only which thread runs a line changes, never the pass and
-line counts above.  The threads run these array kernels only, never a
-public mmpsim function: a span recorder wrapping those (such as the
-benchmark's tracer, whose span stack is not thread-safe) sees every call
-on the calling thread.
+transforms (and the products that feed them) over the threads, and from
+n = `ROW_SPLIT_MIN_N` up `StepEngine.run_rows` runs each band-level stage
+of the step (its sums, curls, propagations and projections) as one k1-row
+range per thread; below it, the same stage code runs on the whole band on
+the calling thread.  Each task writes through a `BandWorkspace`'s methods,
+or into its rows, of arrays the engine handed out, so each 1D line and
+each mode is computed as on one thread and the results are bit-identical;
+only which thread runs a line or a mode changes, never the pass and line
+counts above.  The threads run these array kernels only, never a public
+mmpsim function: a span recorder wrapping those (such as the benchmark's
+tracer, whose span stack is not thread-safe) sees every call on the
+calling thread.
 
 All field-level operations are pure: they return new field objects and
 never mutate their inputs.
@@ -166,7 +173,7 @@ class GridSpec:
     @cached_property
     def full(self) -> "SpectralLayout":
         """Wavevectors of the full-spectrum layout (n, n, n)."""
-        return SpectralLayout(self, self.k_vectors, np.ones((1, 1, 1)))
+        return SpectralLayout.of(self, self.k_vectors, np.ones((1, 1, 1)))
 
     @cached_property
     def band(self) -> "SpectralLayout":
@@ -174,8 +181,8 @@ class GridSpec:
         k3 >= 0 part of the retained box |k_i| <= kc."""
         k = self.k_axis[self.band_index]
         k3 = k[None, None, :self.kmax_dealias + 1]
-        return SpectralLayout(self, (k[:, None, None], k[None, :, None], k3),
-                              np.where(k3 > 0.0, 2.0, 1.0))
+        return SpectralLayout.of(self, (k[:, None, None], k[None, :, None],
+                                        k3), np.where(k3 > 0.0, 2.0, 1.0))
 
     def physical_coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Broadcastable coordinate arrays x1, x2, x3 on the uniform grid."""
@@ -191,23 +198,53 @@ class SpectralLayout:
     full-spectrum modes each stored mode stands for in a sum over a real
     field's spectrum: 1, except 2 on the band for k3 > 0, whose mirror -k
     is not stored.  |k|^2, and |k|^2 with 1 at k = 0 to divide by, are
-    formed elementwise from the layout's own wavevectors, so on the band
-    they are the part of the full ones bit for bit, without an n^3
-    array."""
+    formed elementwise from the layout's own wavevectors (`of`), so on the
+    band they are the part of the full ones bit for bit, without an n^3
+    array.
+
+    A layout may also be a view of the k1-rows ``rows`` of a whole one
+    (`row_view`): its arrays are slices of that layout's, so an operation
+    on the rows of a coefficient array (`part`) computes each mode as on
+    the whole, and it holds k = 0 (`holds_origin`) only if its rows start
+    at 0."""
 
     grid: GridSpec
     k_vectors: tuple[np.ndarray, np.ndarray, np.ndarray]
     multiplicity: np.ndarray
-    k_squared: np.ndarray = field(init=False)
-    k_squared_safe: np.ndarray = field(init=False)
+    k_squared: np.ndarray
+    k_squared_safe: np.ndarray
+    rows: slice = field(default_factory=lambda: slice(None))
 
-    def __post_init__(self):
-        k1, k2, k3 = self.k_vectors
+    @classmethod
+    def of(cls, grid: GridSpec, k_vectors, multiplicity) -> "SpectralLayout":
+        """The whole layout of these wavevectors, its |k|^2 formed from
+        them."""
+        k1, k2, k3 = k_vectors
         k_squared = k1 ** 2 + k2 ** 2 + k3 ** 2
         k_squared_safe = k_squared.copy()
         k_squared_safe[0, 0, 0] = 1.0
-        object.__setattr__(self, "k_squared", k_squared)
-        object.__setattr__(self, "k_squared_safe", k_squared_safe)
+        return cls(grid, k_vectors, multiplicity, k_squared, k_squared_safe)
+
+    @property
+    def holds_origin(self) -> bool:
+        return not self.rows.start
+
+    def part(self, c: np.ndarray) -> np.ndarray:
+        """The view's rows of coefficients c of the whole layout's shape
+        over the last three axes (either rank)."""
+        return c[..., self.rows, :, :]
+
+    def row_view(self, start: int, stop: int) -> "SpectralLayout":
+        """The k1-rows start..stop-1 of this whole layout, as slices of its
+        arrays (an array of one row broadcasts over every row and is
+        kept)."""
+        rows = slice(start, stop)
+
+        def cut(a):
+            return a if a.shape[0] == 1 else a[rows]
+        return SpectralLayout(self.grid, tuple(map(cut, self.k_vectors)),
+                              cut(self.multiplicity), cut(self.k_squared),
+                              cut(self.k_squared_safe), rows)
 
 
 def _check_signed_index(grid: GridSpec, k: tuple[int, int, int]) -> None:
@@ -276,20 +313,26 @@ def band_part(c: np.ndarray, grid: GridSpec) -> np.ndarray:
     return _gather(c, grid.box_blocks[::2], grid.band_shape)
 
 
-def expand_band(c: np.ndarray, grid: GridSpec) -> np.ndarray:
+def expand_band(c: np.ndarray, grid: GridSpec, out: np.ndarray | None = None,
+                scratch: np.ndarray | None = None) -> np.ndarray:
     """Full-spectrum values of retained-band ones, in c's dtype: zero
     outside the box, and the k3 < 0 entries filled by
     coeff(-k) = conj(coeff(k)) (for real values, such as a power spectrum,
     coeff(-k) = coeff(k)).  Exact, so band -> full -> band reproduces the
-    band bit for bit."""
+    band bit for bit.  Written into ``out`` if given, which must hold zeros
+    outside the box: only the box's blocks are written.  The mirror
+    entries are formed in ``scratch`` (c's shape with kc modes along k3)
+    if given."""
     n, kc = grid.n, grid.kmax_dealias
-    out = np.zeros(c.shape[:-3] + (n, n, n), dtype=c.dtype)
+    if out is None:
+        out = np.zeros(c.shape[:-3] + (n, n, n), dtype=c.dtype)
     for full, band in grid.box_blocks[::2]:
         out[(..., *full)] = c[(..., *band)]
     # the k3 = -kc..-1 blocks: conj(c(-k)) of the band's k3 = kc..1
     mirror = c[..., kc:0:-1]
-    mirror = _conj_reflection(mirror, np.empty(mirror.shape, c.dtype),
-                              axes=2)
+    if scratch is None:
+        scratch = np.empty(mirror.shape, c.dtype)
+    mirror = _conj_reflection(mirror, scratch, axes=2)
     for (f1, f2, f3), (b1, b2, _) in grid.box_blocks[1::2]:
         out[..., f1, f2, f3] = mirror[..., b1, b2, :]
     return out
@@ -405,6 +448,14 @@ def _available_cores() -> int:
 # even at 24 and won 23-28 of 30 from 26 up.
 WORKERS = min(2, _available_cores())
 SPLIT_MIN_N = 26
+# From ROW_SPLIT_MIN_N up, `StepEngine.run_rows` runs the step's band-level
+# stages as one k1-row range per thread.  Measured on a 2-core x86 host,
+# median of a public perturbation step with the rows whole / split, and
+# the pairs of alternating steps the split won: 32^3 31.5 / 36.0 ms (4 of
+# 30), 40^3 57.9 / 57.3 (21 of 40), 42^3 78.2 / 78.4 (19 of 40), 44^3
+# 90.3 / 87.5 (25 of 40), 48^3 104.8 / 97.0 (36 of 40), 64^3 221.6 /
+# 197.3 ms (12 of 12).
+ROW_SPLIT_MIN_N = 44
 
 
 class _Stack:
@@ -440,6 +491,12 @@ class StepEngine:
     last user left in it.  `release` drops its grid buffers and the
     workspaces, `close` its band buffers too; the next request allocates
     afresh.
+
+    *Rows.*  `run_rows` runs a band-level stage as a phase of one task per
+    layout of `band_rows`: one k1-row range per thread from n =
+    `ROW_SPLIT_MIN_N` up, else the whole band on the calling thread.  The
+    caller takes the stage's scratch from the pool first, and each task
+    uses its rows of it, so the split takes no buffer of its own.
 
     *Threads.*  `run` runs phases of tasks on the calling thread and, from
     n = `SPLIT_MIN_N` up, WORKERS - 1 helper threads of an executor made on
@@ -508,6 +565,32 @@ class StepEngine:
             self._workspaces = [BandWorkspace(self.grid)
                                 for _ in range(self.threads)]
         return self._workspaces
+
+    @cached_property
+    def band_rows(self) -> list[SpectralLayout]:
+        """The k1-row ranges `run_rows` splits the band into: one per
+        thread from n = `ROW_SPLIT_MIN_N` up, each a `row_view` of
+        ``grid.band``; below it the whole band."""
+        parts = self.threads if self.grid.n >= ROW_SPLIT_MIN_N else 1
+        if parts == 1:
+            return [self.grid.band]
+        rows = self.grid.band_shape[0]
+        bounds = [rows * i // parts for i in range(parts + 1)]
+        return [self.grid.band.row_view(start, stop)
+                for start, stop in zip(bounds, bounds[1:])]
+
+    def run_rows(self, task) -> None:
+        """Run ``task(rows)`` once for each layout of `band_rows`: as one
+        phase of `run` when they are two or more, so each thread takes a
+        range, else on the calling thread.  The task must act on the
+        ``rows.part`` of each band array and take its wavevectors from
+        ``rows``; then each mode is computed as on the whole band, and the
+        result is the same bit for bit however the rows are split."""
+        if len(self.band_rows) == 1:
+            task(self.band_rows[0])
+        else:
+            self.run([[lambda ws, rows=rows: task(rows)
+                       for rows in self.band_rows]])
 
     def release(self) -> None:
         """Drop the grid buffers of the pool and the workspaces; the band
@@ -651,12 +734,14 @@ def parallel_part(c: np.ndarray, layout: SpectralLayout,
 def project_coeffs(c: np.ndarray, layout: SpectralLayout,
                    out: np.ndarray | None = None,
                    scratch: np.ndarray | None = None) -> np.ndarray:
-    """Leray projection c - `parallel_part` (c) with the k=0 mode zeroed,
-    written into ``out`` (which may be c itself) if given, with the
-    parallel part formed in the vector buffer ``scratch`` if given."""
+    """Leray projection c - `parallel_part` (c) with the k=0 mode zeroed
+    (where the layout holds it), written into ``out`` (which may be c
+    itself) if given, with the parallel part formed in the vector buffer
+    ``scratch`` if given."""
     part = parallel_part(c, layout, out=scratch)
     out = np.subtract(c, part, out=out)
-    out[:, 0, 0, 0] = 0.0
+    if layout.holds_origin:
+        out[:, 0, 0, 0] = 0.0
     return out
 
 

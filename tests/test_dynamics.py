@@ -683,11 +683,14 @@ class TestThreadedTransforms:
         at_pairings = []
         original_expand = dynamics.expand_band
 
-        def expand(c, grid):
+        def expand(c, grid, **buffers):
             if not at_pairings:
-                at_pairings.append((tracemalloc.get_traced_memory()[0],
+                # less the pairings' own expansion buffer and its scratch
+                held = tracemalloc.get_traced_memory()[0] - sum(
+                    a.nbytes for a in buffers.values())
+                at_pairings.append((held,
                                     [ref() is None for ref in workspaces]))
-            return original_expand(c, grid)
+            return original_expand(c, grid, **buffers)
         monkeypatch.setattr(dynamics, "expand_band", expand)
         before = threading.active_count()
 
@@ -701,9 +704,96 @@ class TestThreadedTransforms:
             tracemalloc.stop()
         held, dead = at_pairings[0]
         assert all(dead) and all(ref() is None for ref in workspaces)
-        # the five advected band fields, and not the 1.57 MB grid values
-        assert held <= 5 * state.arrays[0].nbytes + 100_000
+        # the five advected band fields and the curl pairing's two
+        # operands, and not the 1.57 MB grid values
+        assert held <= 7 * state.arrays[0].nbytes + 100_000
         assert threading.active_count() == before
+
+
+# every variant, each with coefficients it accepts
+ROW_CASES = THREAD_CASES + [
+    (SystemVariant.ZERO_KINEMATIC_ZERO_DIFFUSION,
+     PhysParams(chi=1.0, kappa=0.4, eta=1.0)),
+    (SystemVariant.INVISCID_RESISTIVE_MHD,
+     PhysParams(kappa=0.4, eta=1.0, nu=0.5)),
+    (SystemVariant.IDEAL_MHD, PhysParams(kappa=0.4, eta=1.0)),
+]
+
+
+def split_rows(monkeypatch, split):
+    """Make every `StepEngine` use two threads and run its band-level
+    stages as two k1-row ranges (``split``) or as the whole band."""
+    force_threads(monkeypatch, 2)
+    monkeypatch.setattr(spectral, "ROW_SPLIT_MIN_N", 8 if split else 10 ** 9)
+
+
+class TestRowSplit:
+    @pytest.mark.parametrize("variant,params", ROW_CASES,
+                             ids=[v.value for v, _ in ROW_CASES])
+    def test_split_equals_unsplit(self, monkeypatch, variant, params):
+        # the step (linearized too), rhs and a record, with the band stages
+        # on one range and on two, the second drawn by either thread
+        g = GridSpec(16)
+        state = make_random_state(g, InitSpec(epsilon=1000.0, seed=21),
+                                  variant)
+        threads = []
+        original = dynamics.StiffPropagator._apply_rows
+
+        def tracked(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return original(*args, **kwargs)
+        monkeypatch.setattr(dynamics.StiffPropagator, "_apply_rows", tracked)
+        results = []
+        for split in (False, True):
+            split_rows(monkeypatch, split)
+            threads.clear()
+            two = step(step(state, params, variant, 1e-3), params, variant,
+                       1e-3)
+            linear = step(state, params, variant, 1e-3, linearized=True)
+            results.append(
+                [a.tobytes() for a in two.arrays + linear.arrays
+                 + rhs(state, params, variant)]
+                + [compute_record(two, params)])
+            # 6 propagations per range per step, and rhs's stiff part
+            assert len(threads) == 3 * 6 * (2 if split else 1) + 1
+            if not split:
+                assert set(threads) == {threading.get_ident()}
+        assert threads and set(threads) - {threading.get_ident()}
+        assert results[0] == results[1]
+
+    def test_more_ranges_than_cores_under_a_short_switch_interval(
+            self, monkeypatch):
+        # four threads, four row ranges, and a thread switch after every
+        # few bytecodes: a range written twice or not at all, or rows that
+        # overlap, show in the bytes
+        variant, params = ROW_CASES[0]
+        state = make_random_state(GridSpec(16), InitSpec(epsilon=1000.0,
+                                                         seed=22), variant)
+        results = []
+        interval = sys.getswitchinterval()
+        try:
+            for workers in (1, 4):
+                force_threads(monkeypatch, workers)
+                monkeypatch.setattr(spectral, "ROW_SPLIT_MIN_N", 8)
+                sys.setswitchinterval(1e-6)
+                with spectral.StepEngine(state.grid) as engine:
+                    assert len(engine.band_rows) == workers
+                    results.append([a.tobytes() for a in step(
+                        state, params, variant, 1e-3, engine=engine).arrays])
+                sys.setswitchinterval(interval)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("n, ranges", [(42, 1), (44, 2), (64, 2)])
+    def test_split_from_its_threshold_up(self, monkeypatch, n, ranges):
+        monkeypatch.setattr(spectral, "WORKERS", 2)
+        assert spectral.ROW_SPLIT_MIN_N == 44
+        g = GridSpec(n)
+        rows = spectral.StepEngine(g).band_rows
+        assert len(rows) == ranges
+        assert [v.rows.start or 0 for v in rows] == \
+            [0, g.band_shape[0] // 2][:ranges]
 
 
 class TestEnergyFluxAudit:
@@ -724,6 +814,42 @@ class TestEnergyFluxAudit:
         assert want != 0.0
         audit = energy_flux_audit(state, p, SystemVariant.FULL)
         assert audit.curl_graddiv_omega == want
+
+    def test_pairings_share_one_expansion_buffer(self, monkeypatch):
+        # each pairing used to expand into a new n^3 array (1.57 MB at
+        # 32^3); now all eight write into one, made once the transforms
+        # are done and dropped before the band sums.  A whole 32^3 audit
+        # traced 5,600,200 B at its peak (in its transforms) when each
+        # pairing made its own; the allowance is for Python objects
+        g = GridSpec(32)
+        variant = SystemVariant.PERTURBATION
+        p = PhysParams(chi=1.0, kappa=0.3, eta=1.0, alpha=ALPHA, r=2.5)
+        state = make_random_state(g, InitSpec(epsilon=1.0, seed=3), variant)
+        energy_flux_audit(state, p, variant)
+        outs, at_pairings = [], []
+        original_expand = dynamics.expand_band
+
+        def expand(c, grid, **buffers):
+            outs.append(buffers["out"])
+            at_pairings.append(tracemalloc.get_traced_memory())
+            return original_expand(c, grid, **buffers)
+        monkeypatch.setattr(dynamics, "expand_band", expand)
+        tracemalloc.start()
+        try:
+            energy_flux_audit(state, p, variant)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(outs) == 8 and all(out is outs[0] for out in outs)
+        assert peak <= 5_600_200 + 4096
+        # at a pairing: the five advected fields, the curl pairing's two
+        # operands, the expansion and its mirror scratch; the transforms'
+        # grid values are gone
+        band = state.arrays[0].nbytes
+        expansion = outs[0].nbytes
+        bound = 7 * band + expansion + band * g.kmax_dealias // (
+            g.kmax_dealias + 1) + 100_000
+        assert max(current for current, _ in at_pairings) <= bound
 
     def test_zero_state_all_zero(self):
         g = GridSpec(8)

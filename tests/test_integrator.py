@@ -310,6 +310,25 @@ class TestRun:
                 state_sink_interval=interval)
         assert records == sunk == []
 
+    @pytest.mark.parametrize("name", ["record_interval",
+                                      "state_sink_interval"])
+    def test_interval_the_start_time_overflows_is_refused(self, name):
+        # t / interval overflows at t = 1e10 though t_end / interval does
+        # not; the boundary count used to raise OverflowError
+        state = make_random_state(GridSpec(8), InitSpec(epsilon=0.01, seed=9),
+                                  ZK).with_time(1e10)
+        tiny = {"record_interval": 1e-300, "state_sink_interval": 1e-300}
+        normal = {"record_interval": 0.05, "state_sink_interval": 0.05}
+        intervals = {**normal, name: tiny[name]}
+        cfg = StepperConfig(dt=0.05, t_end=0.1,
+                            record_interval=intervals["record_interval"])
+        records, sunk = [], []
+        with pytest.raises(ValueError, match=f"{name} .*t/{name} overflows"):
+            run(state, ZK_PARAMS, ZK, cfg, record_sink=records.append,
+                state_sink=lambda s, n: sunk.append(n),
+                state_sink_interval=intervals["state_sink_interval"])
+        assert records == sunk == []
+
 
 PERT = SystemVariant.PERTURBATION
 PERT_PARAMS = PhysParams(chi=1.0, eta=1.0, alpha=ALPHA, r=2.5)
@@ -619,23 +638,27 @@ class TestRunEngine:
         monkeypatch.setattr(spectral, "WORKERS", 2)
         monkeypatch.setattr(spectral, "SPLIT_MIN_N", 8)
         engines = record_engines(monkeypatch)
-        at_pairings = []
+        at_pairings, outs = [], []
         original_expand = dynamics.expand_band
 
-        def expand(c, grid):
+        def expand(c, grid, **buffers):
             (engine,) = engines
             at_pairings.append((len(engine._grid.arrays),
                                 len(engine._workspaces),
                                 len(engine._band.arrays)))
-            return original_expand(c, grid)
+            outs.append(buffers["out"])
+            return original_expand(c, grid, **buffers)
         monkeypatch.setattr(dynamics, "expand_band", expand)
         state = make_random_state(GridSpec(16), InitSpec(epsilon=1.0, seed=12),
                                   ZK)
         result = run(state, ZK_PARAMS, ZK,
                      StepperConfig(dt=0.05, t_end=0.1, record_interval=0.05))
         assert result.steps == 2 and len(result.records) == 3
-        # six pairings per record (no background field)
+        # six pairings per record (no background field), all six expanded
+        # into one buffer of the record's own
         assert len(at_pairings) == 3 * 6
+        assert all(out is outs[6 * (i // 6)] for i, out in enumerate(outs))
+        assert len({id(out) for out in outs}) == 3
         assert all(grid == 0 and workspaces == 0 and band > 0
                    for grid, workspaces, band in at_pairings)
 
@@ -678,18 +701,24 @@ class TestRunEngine:
         assert len(pointers[0]) == 6 + workers and len(per_step[0]) == 4 * 9
         assert all(p == pointers[0] for p in pointers)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_pool_after_one_step(self, monkeypatch, workers):
+    @pytest.mark.parametrize("workers, row_split", [(1, False), (2, False),
+                                                     (2, True)])
+    def test_pool_after_one_step(self, monkeypatch, workers, row_split):
         # grid: u and b (6), and two per thread (a product, and omega_i of
         # a flux task).  band: the step's 9 stage buffers and one for the
-        # emf of an evaluation, then for its linear parts and projection
+        # emf of an evaluation, then for its linear parts and projection,
+        # and between evaluations for the scratch of the row tasks, which
+        # each take their rows of it
         monkeypatch.setattr(spectral, "WORKERS", workers)
         monkeypatch.setattr(spectral, "SPLIT_MIN_N", 8)
+        monkeypatch.setattr(spectral, "ROW_SPLIT_MIN_N",
+                            8 if row_split else 10 ** 9)
         g = GridSpec(16)
         state = make_random_state(g, InitSpec(epsilon=1.0, seed=14), PERT)
         with StepEngine(g) as engine:
             step(state, PERT_PARAMS, PERT, 0.05, engine=engine)
             assert engine.threads == workers
+            assert len(engine.band_rows) == (2 if row_split else 1)
             assert len(engine._grid.arrays) == 6 + 2 * workers
             assert len(engine._band.arrays) == 10
 

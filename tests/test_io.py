@@ -11,6 +11,7 @@ import time
 import tracemalloc
 import warnings
 import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -45,6 +46,18 @@ def sample_state(n=8, seed=1, variant=ZK, t=0.75):
     return state.with_time(t)
 
 
+def write_format_1(path, state, params, step, seed):
+    """The format-1 (MMP1) writer: the header, then the nine full-spectrum
+    components, each field written whole."""
+    with open(path, "wb") as fh:
+        fh.write(checkpoint._HEADER.pack(
+            b"MMP1", 1, state.grid.n, state.variant.wire_id, params.mu,
+            params.chi, params.kappa, params.eta, params.nu, *params.alpha,
+            params.r, state.t, step, seed))
+        for f in (state.u, state.omega, state.magnetic):
+            fh.write(f.coeffs.tobytes())
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         state = sample_state()
@@ -64,10 +77,11 @@ class TestCheckpoint:
         path = tmp_path / "state.mmp"
         save_checkpoint(path, state, ZK_PARAMS, step=2, seed=9)
         blob = path.read_bytes()
-        assert blob[:4] == b"MMP1"
+        assert blob[:4] == b"MMP2"
         version, n, variant_id = struct.unpack_from("<III", blob, 4)
-        assert version == 1 and n == 8 and variant_id == ZK.wire_id
-        assert len(blob) == 112 + 9 * 8 ** 3 * 16
+        assert version == 2 and n == 8 and variant_id == ZK.wire_id
+        # the band of 8^3 is (5, 5, 3), then a 4-byte checksum
+        assert len(blob) == 112 + 9 * 5 * 5 * 3 * 16 + 4
 
     def test_coefficient_order_is_fft_layout(self, tmp_path):
         # the first stored complex value is the k=(0,0,0) mode of u1, the
@@ -80,22 +94,16 @@ class TestCheckpoint:
         assert first == state.u.coeffs[0, 0, 0, 0]
         assert second == state.u.coeffs[0, 0, 0, 1]
 
-    def test_writes_whole_field_bytes_one_component_at_a_time(self,
-                                                              tmp_path):
-        # oracle: the MMP1 writer that wrote each full-spectrum field whole;
-        # the writer expands one scalar component at a time, 0.52 MB at
-        # 32^3, and peaks under 1.5 of them
+    def test_writes_the_band_arrays_and_their_checksum(self, tmp_path):
+        # oracle: the header, the state's three band arrays as bytes and
+        # the CRC32 of both, joined; the writer builds no full-spectrum
+        # array (one 32^3 scalar component would be 0.52 MB)
         g = GridSpec(32)
         state = make_random_state(g, InitSpec(epsilon=0.1, seed=4), ZK)
         state = state.with_time(0.5)
-        oracle = tmp_path / "oracle.mmp"
-        with open(oracle, "wb") as fh:
-            fh.write(checkpoint._HEADER.pack(
-                checkpoint.MAGIC, checkpoint.FORMAT_VERSION, g.n,
-                ZK.wire_id, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 2.5,
-                0.5, 3, 4))
-            for f in (state.u, state.omega, state.magnetic):
-                fh.write(f.coeffs.tobytes())
+        body = checkpoint._HEADER.pack(
+            b"MMP2", 2, g.n, ZK.wire_id, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0,
+            0.0, 2.5, 0.5, 3, 4) + b"".join(a.tobytes() for a in state.arrays)
         path = tmp_path / "state.mmp"
         save_checkpoint(path, state, ZK_PARAMS, step=3, seed=4)
         tracemalloc.start()
@@ -104,11 +112,50 @@ class TestCheckpoint:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert path.read_bytes() == oracle.read_bytes()
-        assert peak <= 1.5 * g.n ** 3 * 16
+        assert path.read_bytes() == body + struct.pack("<I", zlib.crc32(body))
+        assert peak <= 64 * 1024
         data = load_checkpoint(path)
         for a, b in zip(data.state.arrays, state.arrays):
             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("variant", [ZK, SystemVariant.PERTURBATION])
+    def test_format_1_file_loads_to_the_same_band(self, tmp_path, variant):
+        # oracle: the format-1 writer, each full-spectrum field whole
+        state = sample_state(n=16, seed=6, variant=variant)
+        path = tmp_path / "state.mmp"
+        write_format_1(path, state, ZK_PARAMS, step=3, seed=6)
+        data = load_checkpoint(path)
+        for a, b in zip(data.state.arrays, state.arrays):
+            assert a.tobytes() == b.tobytes()
+        assert data.state.t == state.t and data.state.variant is variant
+        assert (data.params, data.step, data.seed) == (ZK_PARAMS, 3, 6)
+
+    def test_every_flipped_byte_is_refused(self, tmp_path):
+        # one byte of an 8^3 file changed by each of three masks, at every
+        # offset: header, payload and checksum alike; each change is made
+        # in place and undone after the load
+        path = tmp_path / "state.mmp"
+        save_checkpoint(path, sample_state(n=8), ZK_PARAMS, step=5, seed=1)
+        blob = path.read_bytes()
+        accepted = []
+        with open(path, "r+b") as fh:
+            for offset, byte in enumerate(blob):
+                for mask in (0x01, 0x80, 0xFF):
+                    fh.seek(offset)
+                    fh.write(bytes([byte ^ mask]))
+                    fh.flush()
+                    try:
+                        load_checkpoint(path)
+                    except CheckpointFormatError:
+                        pass
+                    else:
+                        accepted.append((offset, mask))
+                    fh.seek(offset)
+                    fh.write(bytes([byte]))
+                    fh.flush()
+        assert accepted == []
+        assert path.read_bytes() == blob
+        load_checkpoint(path)
 
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "state.mmp"
@@ -173,15 +220,17 @@ class TestCheckpoint:
         (16, "<d", -1.0),           # mu
     ])
     def test_bad_header_field_rejected(self, tmp_path, offset, fmt, value):
-        # the payload length always matches the header's n, so only the
-        # header field itself is wrong
+        # the payload length matches the header's n and the checksum the
+        # bytes, so only the header field itself is wrong
         path = tmp_path / "state.mmp"
         save_checkpoint(path, sample_state(n=8), ZK_PARAMS, step=0, seed=0)
         header = bytearray(path.read_bytes()[:112])
         struct.pack_into(fmt, header, offset, value)
         (n,) = struct.unpack_from("<I", header, 8)
-        path.write_bytes(bytes(header) + bytes(9 * n ** 3 * 16))
-        with pytest.raises(CheckpointFormatError):
+        body = bytes(header) + bytes(9 * (2 * (n // 3) + 1) ** 2
+                                     * (n // 3 + 1) * 16)
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(CheckpointFormatError, match="bad header|time"):
             load_checkpoint(path)
 
 
@@ -617,6 +666,74 @@ class TestCli:
         assert code == 1
         assert "bad checkpoint" in capsys.readouterr().err
         assert csv.read_bytes() == before
+
+    @pytest.mark.parametrize("where", ["header", "payload", "checksum"])
+    def test_resume_from_a_flipped_byte_keeps_diagnostics(self, tmp_path,
+                                                          capsys, where):
+        outdir = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(
+            t_end=0.2, outdir=outdir, extra="output.checkpoint_interval = 0.1"))
+        assert cli_main(["run", "--config", str(cfg)]) == 0
+        csv = outdir / "diagnostics.csv"
+        before = csv.read_bytes()
+        ckpt = sorted(outdir.glob("checkpoint_*.mmp"))[0]
+        blob = bytearray(ckpt.read_bytes())
+        offset = {"header": 60, "payload": len(blob) // 2,
+                  "checksum": len(blob) - 1}[where]
+        blob[offset] ^= 0x01
+        ckpt.write_bytes(bytes(blob))
+        capsys.readouterr()
+        code = cli_main(["run", "--config", str(cfg), "--resume", str(ckpt)])
+        assert code == 1
+        assert "error: bad checkpoint: " in capsys.readouterr().err
+        assert csv.read_bytes() == before
+
+    def test_resume_from_format_1_matches_format_2(self, tmp_path, capsys):
+        # the same mid-run checkpoint, rewritten by the format-1 writer,
+        # resumes to the same files as the format-2 one and as the
+        # uninterrupted run
+        extra = "output.checkpoint_interval = 0.1"
+        full_dir = tmp_path / "full"
+        cfg_full = tmp_path / "full.cfg"
+        cfg_full.write_text(CONFIG_TEMPLATE.format(
+            t_end=0.3, outdir=full_dir, extra=extra))
+        assert cli_main(["run", "--config", str(cfg_full)]) == 0
+        ckpt = full_dir / "checkpoint_00000002.mmp"
+        data = load_checkpoint(ckpt)
+        old = tmp_path / "format1.mmp"
+        write_format_1(old, data.state, data.params, data.step, data.seed)
+        outputs = []
+        for name, source in (("from2", ckpt), ("from1", old)):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(CONFIG_TEMPLATE.format(
+                t_end=0.3, outdir=tmp_path / name, extra=extra))
+            assert cli_main(["run", "--config", str(cfg), "--resume",
+                             str(source)]) == 0
+            outputs.append({p.name: p.read_bytes()
+                            for p in (tmp_path / name).iterdir()})
+        capsys.readouterr()
+        assert outputs[0] == outputs[1]
+        assert outputs[1]["final.mmp"] == (full_dir / "final.mmp").read_bytes()
+        assert "checkpoint_00000004.mmp" in outputs[1]
+
+    def test_resume_far_past_t_end_is_refused(self, tmp_path, capsys):
+        # t / record_interval overflows at the checkpoint's t = 1e10; the
+        # run used to end in an OverflowError traceback
+        outdir = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(
+            t_end=0.1, outdir=outdir, extra="").replace(
+            "time.record_interval = 0.1", "time.record_interval = 1e-300"))
+        ckpt = tmp_path / "late.mmp"
+        save_checkpoint(ckpt, sample_state(n=16, seed=11, t=1e10), ZK_PARAMS,
+                        step=2, seed=11)
+        code = cli_main(["run", "--config", str(cfg), "--resume", str(ckpt)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert ("error: record_interval 1e-300 is too small for the start "
+                "time t = 10000000000.0: t/record_interval overflows" in err)
+        assert not (outdir / "final.mmp").exists()
 
     def test_resume_from_unreadable_row_names_it(self, tmp_path, capsys):
         outdir = tmp_path / "out"

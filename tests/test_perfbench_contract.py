@@ -110,9 +110,11 @@ def test_worker_names_exist_and_accept_its_arguments():
 
 def test_split_transforms_open_spans_on_the_calling_thread(monkeypatch):
     # the threads of a spectral.StepEngine run array kernels only, never a
-    # span target, so every span opens and closes on the calling thread
+    # span target, so every span opens and closes on the calling thread:
+    # the transform tasks, and the row tasks of the band stages, which
+    # propagate through StiffPropagator._apply_rows, not the traced apply
     spans = load_spans()
-    opened, transformed = set(), set()
+    opened, transformed, propagated = set(), set(), set()
 
     class Recording(spans["Tracer"]):
         def span(self, name):
@@ -125,8 +127,16 @@ def test_split_transforms_open_spans_on_the_calling_thread(monkeypatch):
         transformed.add(threading.get_ident())
         original(ws, phys, out)
     monkeypatch.setattr(spectral.BandWorkspace, "to_spectral", tracked)
+    original_rows = mmpsim.dynamics.StiffPropagator._apply_rows
+
+    def tracked_rows(*args):
+        propagated.add(threading.get_ident())
+        return original_rows(*args)
+    monkeypatch.setattr(mmpsim.dynamics.StiffPropagator, "_apply_rows",
+                        tracked_rows)
     monkeypatch.setattr(spectral, "WORKERS", 2)
     monkeypatch.setattr(spectral, "SPLIT_MIN_N", 8)
+    monkeypatch.setattr(spectral, "ROW_SPLIT_MIN_N", 8)
     variant = mmpsim.SystemVariant.FULL
     state = mmpsim.make_random_state(
         mmpsim.GridSpec(16), mmpsim.InitSpec(epsilon=1.0, seed=4), variant)
@@ -142,6 +152,7 @@ def test_split_transforms_open_spans_on_the_calling_thread(monkeypatch):
     caller = threading.get_ident()
     assert opened == {caller}
     assert transformed - {caller}
+    assert propagated - {caller}
     assert {"integrator.step", "dynamics.energy_flux_audit"} <= {
         s.name for s in tracer.spans}
 

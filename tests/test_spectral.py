@@ -31,6 +31,7 @@ from mmpsim.spectral import (
     inverse_transform,
     laplacian,
     leray_project,
+    project_coeffs,
     to_physical,
     to_spectral,
     zero_mean,
@@ -286,6 +287,35 @@ class TestBandLayout:
             assert got.tobytes() == want.tobytes()
         want = np.r_[1.0, np.full(kc, 2.0)].reshape(1, 1, kc + 1)
         assert g.band.multiplicity.tobytes() == want.tobytes()
+
+
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_row_views_slice_the_band(self, n):
+        # a view of k1-rows holds slices of the band's arrays (no array is
+        # formed anew), and the projection on it zeroes k = 0 only in the
+        # range that holds it: row by row, the whole band's projection
+        g = GridSpec(n)
+        band, rows = g.band, g.band_shape[0]
+        views = [band.row_view(0, rows // 2), band.row_view(rows // 2, rows)]
+        assert [v.holds_origin for v in views] == [True, False]
+        assert band.holds_origin and g.full.holds_origin
+        for view in views:
+            for got, whole in zip(
+                    view.k_vectors + (view.multiplicity, view.k_squared,
+                                      view.k_squared_safe),
+                    band.k_vectors + (band.multiplicity, band.k_squared,
+                                      band.k_squared_safe)):
+                assert np.shares_memory(got, whole) or got is whole
+                want = whole if whole.shape[0] == 1 else whole[view.rows]
+                assert got.tobytes() == want.tobytes()
+        c = hermitian_symmetrize(np.random.default_rng(n).standard_normal(
+            (3, n, n, n)) + 0j)
+        c = band_part(c, g)
+        want = project_coeffs(c, band)
+        got = np.empty_like(c)
+        for view in views:
+            project_coeffs(view.part(c), view, out=view.part(got))
+        assert got.tobytes() == want.tobytes()
 
 
 class TestDiffOps:
