@@ -132,15 +132,22 @@ class LiftingRatioReport:
 def lifting_ratio(alpha, s: float, r: float, grid: GridSpec, trials: int,
                   seed: int) -> LiftingRatioReport:
     """Measure the lifting ratio on random mean-zero band-limited scalar
-    fields and compare with the sharp per-mode constant."""
+    fields and compare with the sharp per-mode constant.  Refuses
+    (ValueError) trials < 1 and a grid whose retained lattice is wider than
+    `MAX_SEARCH_RADIUS`, both before the lattice scan."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if grid.kmax_dealias > MAX_SEARCH_RADIUS:
+        raise ValueError(
+            f"grid size n={grid.n} retains |k|_inf <= {grid.kmax_dealias}, "
+            f"beyond the lattice search radius {MAX_SEARCH_RADIUS}; the "
+            f"largest accepted n is {3 * MAX_SEARCH_RADIUS + 2}")
     a = np.asarray(alpha, dtype=np.float64)
     check = check_diophantine(a, r, grid.kmax_dealias)
     if check.degenerate:
         raise ValueError(
             f"alpha={tuple(a)} is resonant on the truncated lattice: "
             f"alpha.k vanishes at k={check.argmin_k}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
 
     k1, k2, k3 = grid.k_vectors
     dot = np.abs(a[0] * k1 + a[1] * k2 + a[2] * k3)

@@ -24,7 +24,7 @@ lines (kc = n//3).  The transforms run as tasks of
 from n = `spectral.SPLIT_MIN_N` up, in two phases (see
 `_quadratic_terms`): phase 1 transforms u and b to the grid; in phase 2
 each micro-rotation component omega_i is one task that transforms it,
-forms and transforms its 3 flux products and adds -1j k.flux_i into the
+forms and transforms its 3 flux products and writes -1j k.flux_i into the
 tendency on its own thread, and each of the 9 stress and emf products is
 one task.  Every thread forms its products in its grid buffers and its
 workspace's spare, and sums the flux in its workspace's accumulator.  The
@@ -33,11 +33,11 @@ stress is transformed into the tendency's own arrays
 grid values of u and b, the emf and then the linear terms live in buffers
 of the engine's pool, which a run keeps from evaluation to evaluation:
 10 grid buffers and 1 band vector buffer on two threads, 8 and 1 on one.
-The band-level work around the transforms (2 chi curl u; the rows of
-k.stress, -1j and curl(emf); the linear terms and both projections) runs
-as three stages of `spectral.StepEngine.run_rows`, each one k1-row range
-per thread from n = `spectral.ROW_SPLIT_MIN_N` up, with the symbol
-i(alpha.k) formed on the calling thread.  The energy-flux audit splits
+All band-level work after the transforms (the rows of k.stress, -1j and
+curl(emf); 2 chi curl u; the linear terms and both projections) is one
+stage of `spectral.StepEngine.run_rows`, one k1-row range per thread from
+n = `spectral.ROW_SPLIT_MIN_N` up, with the symbol i(alpha.k) formed on
+the calling thread before it.  The energy-flux audit splits
 its 33 inverse and 15 forward transforms the same way, on the same pool;
 it drops the pool's grid buffers before its cancellation pairings, which
 run on the calling thread and expand into one n^3 buffer made for them.
@@ -278,7 +278,7 @@ def _product_task(out: np.ndarray, a, b, c=None, d=None):
 
 
 def _flux_task(w_i: np.ndarray, u, k_vectors, out: np.ndarray):
-    """A `StepEngine.run` task that adds -1j k.F(u omega_i) into ``out``:
+    """A `StepEngine.run` task that writes -1j k.F(u omega_i) into ``out``:
     omega_i goes to its workspace's second grid buffer, each product
     u_j omega_i is formed in the first and transformed into its band
     buffer, and k_j times it is summed into its band accumulator in the
@@ -298,67 +298,43 @@ def _flux_task(w_i: np.ndarray, u, k_vectors, out: np.ndarray):
                 np.multiply(k, flux, out=acc)
             else:
                 np.add(acc, np.multiply(k, flux, out=flux), out=acc)
-        np.add(out, np.multiply(-1j, acc, out=acc), out=out)
+        np.multiply(-1j, acc, out=out)
     return task
 
 
 def _quadratic_terms(u_hat: np.ndarray, w_hat: np.ndarray, m_hat: np.ndarray,
-                     grid: GridSpec, out, engine: StepEngine | None = None
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """-div(u(x)u - b(x)b), -div(u(x)omega) and curl(u x b) on retained-band
-    coefficients: the first and the last written into ``out[0]`` and
-    ``out[2]``, the second added into ``out[1]``; ``out`` is returned.  The
-    band transforms make them dealiased.
+                     grid: GridSpec, out, emf: np.ndarray,
+                     engine: StepEngine) -> None:
+    """The transforms of the quadratic terms, dealiased by the band
+    transforms: -div(u(x)omega) = -1j k.F(u omega) written into ``out[1]``,
+    the 6 stress components u_i u_j - b_i b_j into ``out`` itself (the
+    diagonal in ``out[0]``, the off-diagonal 01, 02, 12 in ``out[2]``) and
+    the 3 emf components of u x b into the band vector ``emf``, from which
+    `explicit_rhs_arrays` forms -div(u(x)u - b(x)b) and curl(u x b).
 
     One `StepEngine.run` call in two phases.  Phase 1: 6 tasks each
-    transform one component of u or b to the grid.  Phase 2: 3 flux tasks
-    (`_flux_task`), one per component i of omega, each transform omega_i
-    to its thread's second grid buffer, form and transform the 3 products
-    u_j omega_i, and add -1j k.flux_i into ``out[1][i]`` on their own
-    thread; then 9 tasks each form one product in their thread's first
-    grid buffer and transform it: the 6 stress components u_i u_j - b_i b_j
-    into ``out`` itself (the diagonal in ``out[0]``, the off-diagonal 01,
-    02, 12 in ``out[2]``), the 3 emf components into a band buffer.  Then
-    row i of k.stress is formed over the stress component (0, i), which no
-    later row reads, -1j times it is written into ``out[0][i]`` and
-    curl(emf) into ``out[2]``, with the calling thread's workspace
-    accumulator as scratch, on the k1-row ranges of
-    `StepEngine.run_rows`.  The working set, all from the engine's pool,
-    is the grid values of u and b, one band vector buffer for the emf, and
-    per thread two grid buffers and one transform workspace.  Each 1D line
-    and each product is the one a whole-stack evaluation would compute,
-    and each term component is formed from them by the operations of the
-    stacked -1j k.stress, -1j k.flux and curl(emf)."""
-    band = grid.band
-    k_vectors = [k.astype(np.complex128) for k in band.k_vectors]
+    transform one component of u or b to the grid, into pool buffers.
+    Phase 2: 3 flux tasks (`_flux_task`), one per component i of omega,
+    each transform omega_i to its thread's second grid buffer, form and
+    transform the 3 products u_j omega_i, and write -1j k.flux_i into
+    ``out[1][i]``; then 9 tasks each form one product in their thread's
+    first grid buffer and transform it into its place.  Each 1D line and
+    each product is the one a whole-stack evaluation would compute, and
+    each flux row is formed from them by the operations of the stacked
+    -1j k.flux."""
+    k_vectors = [k.astype(np.complex128) for k in grid.band.k_vectors]
     du, dw, dm = out
-    stress = [du[0], du[1], du[2], dm[0], dm[1], dm[2]]
-    with using_engine(engine, grid) as engine, engine.scope():
-        (emf,) = engine.band_buffers(1)
-        with engine.scope():
-            u, b = phys = [engine.grid_buffers(3) for _ in range(2)]
-            factors = ([(u[i], u[j], b[i], b[j]) for i, j in _SYM_PAIRS]
-                       + [(u[i], b[j], u[j], b[i])
-                          for i, j in ((1, 2), (2, 0), (0, 1))])
-            engine.run([grid_tasks((u_hat, m_hat), phys),
-                        [_flux_task(w_hat[i], u, k_vectors, dw[i])
-                         for i in range(3)]
-                        + [_product_task(c, *f) for c, f in
-                           zip(stress + list(emf), factors)]],
-                       fields=2)
-        acc = engine.workspaces[0].accumulator
-
-        def assemble(rows):
-            part = rows.part
-            sums = [k_dot([part(stress[r]) for r in row], rows,
-                          out=part(stress[row[0]]), scratch=part(acc))
-                    for row in _SYM_ROWS]
-            for d, row_sum in zip(du, sums):
-                np.multiply(-1j, row_sum, out=part(d))
-            # the stress is read: dm takes curl(emf)
-            curl_coeffs(part(emf), rows, out=part(dm), scratch=part(acc))
-        engine.run_rows(assemble)
-        return out
+    with engine.scope():
+        u, b = phys = [engine.grid_buffers(3) for _ in range(2)]
+        factors = ([(u[i], u[j], b[i], b[j]) for i, j in _SYM_PAIRS]
+                   + [(u[i], b[j], u[j], b[i])
+                      for i, j in ((1, 2), (2, 0), (0, 1))])
+        engine.run([grid_tasks((u_hat, m_hat), phys),
+                    [_flux_task(w_hat[i], u, k_vectors, dw[i])
+                     for i in range(3)]
+                    + [_product_task(c, *f) for c, f in
+                       zip([*du, *dm, *emf], factors)]],
+                   fields=2)
 
 
 def _velocity_linear(w_hat: np.ndarray, m_hat: np.ndarray,
@@ -402,50 +378,59 @@ def explicit_rhs_arrays(u_hat: np.ndarray, w_hat: np.ndarray, m_hat: np.ndarray,
         dm = P(0 + i(alpha.k) u + q_b)
 
     with each term a new array, P the Leray projection and q the quadratic
-    terms.  dw is summed in this order.  du and dm are summed as q + lin:
-    `_quadratic_terms` writes q_u and q_b into them (the stress is formed
-    there too), then the linear part lin in parentheses is formed in one
-    band buffer, with the calling thread's workspace accumulator as
-    scratch, and added.  IEEE addition commutes, signed zeros included, so
-    q + lin has the bits of lin + q.  The symbol i(alpha.k) is formed after
-    the quadratic terms, so it does not add to their working set.  Without
-    them the linear parts are formed in du and dm themselves."""
-    band = grid.band
+    terms.  `_quadratic_terms` transforms the products: q_omega into dw,
+    the stress into du and dm, the emf into one band buffer.  One band
+    stage (`StepEngine.run_rows`) then forms -1j k.stress in du, row i over
+    the stress component (0, i), which no later row reads; curl(emf) in
+    dm; in the emf's buffer 2 chi curl u and the linear parts lin in
+    parentheses, each added in; then both projections.  So each tendency
+    is summed as q + lin, which has the bits of lin + q since IEEE
+    addition commutes, signed zeros included.  The stage's scalar scratch
+    is the calling thread's workspace accumulator, and i(alpha.k) is
+    formed after the transforms, so it does not add to their working set.
+    Without the quadratic terms the stage forms 2 chi curl u and the
+    linear parts in dw, du and dm themselves."""
     two_chi = 2.0 * p.coupling_chi(variant)
     if out is None:
         out = tuple(np.empty_like(a) for a in (u_hat, w_hat, m_hat))
     du, dw, dm = out
-    with using_engine(engine, grid) as engine:
-        def curl_u(rows):
-            # du is written below, so du[0] is scratch here
-            part = rows.part
-            np.multiply(two_chi, curl_coeffs(part(u_hat), rows, out=part(dw),
-                                             scratch=part(du[0])),
-                        out=part(dw))
-        engine.run_rows(curl_u)
+    with using_engine(engine, grid) as engine, engine.scope():
+        (buffer,) = engine.band_buffers(1)
         if not linearized:
-            _quadratic_terms(u_hat, w_hat, m_hat, grid, out, engine)
-        sym = (alpha_symbol(p.alpha_vector, band) if variant.uses_background
-               else None)
-        with engine.scope():
-            (scratch,) = engine.band_buffers(1)
-            acc = engine.workspaces[0].accumulator
+            _quadratic_terms(u_hat, w_hat, m_hat, grid, out, buffer, engine)
+        sym = (alpha_symbol(p.alpha_vector, grid.band)
+               if variant.uses_background else None)
+        acc = engine.workspaces[0].accumulator
 
-            def linear(rows):
-                part = rows.part
-                u, w, m, d_u, d_m, lin = map(part, (u_hat, w_hat, m_hat, du,
-                                                    dm, scratch))
-                s = None if sym is None else part(sym)
-                if linearized:
-                    _velocity_linear(w, m, rows, two_chi, s, d_u, d_m[0])
-                    _magnetic_linear(u, s, d_m)
-                else:
-                    np.add(d_u, _velocity_linear(w, m, rows, two_chi, s, lin,
-                                                 part(acc)), out=d_u)
-                    np.add(d_m, _magnetic_linear(u, s, lin), out=d_m)
-                project_coeffs(d_u, rows, out=d_u, scratch=lin)
-                project_coeffs(d_m, rows, out=d_m, scratch=lin)
-            engine.run_rows(linear)
+        def stage(rows):
+            part = rows.part
+            u, w, m, d_u, d_w, d_m, lin, scratch = map(
+                part, (u_hat, w_hat, m_hat, du, dw, dm, buffer, acc))
+            s = None if sym is None else part(sym)
+            if linearized:
+                np.multiply(two_chi, curl_coeffs(u, rows, out=d_w,
+                                                 scratch=scratch), out=d_w)
+                _velocity_linear(w, m, rows, two_chi, s, d_u, scratch)
+                _magnetic_linear(u, s, d_m)
+            else:
+                stress = [*d_u, *d_m]
+                sums = [k_dot([stress[r] for r in row], rows,
+                              out=stress[row[0]], scratch=scratch)
+                        for row in _SYM_ROWS]
+                for d, row_sum in zip(d_u, sums):
+                    np.multiply(-1j, row_sum, out=d)
+                # the stress is read: dm takes curl(emf), then the emf's
+                # buffer takes the linear terms
+                curl_coeffs(lin, rows, out=d_m, scratch=scratch)
+                np.multiply(two_chi, curl_coeffs(u, rows, out=lin,
+                                                 scratch=scratch), out=lin)
+                np.add(d_w, lin, out=d_w)
+                np.add(d_u, _velocity_linear(w, m, rows, two_chi, s, lin,
+                                             scratch), out=d_u)
+                np.add(d_m, _magnetic_linear(u, s, lin), out=d_m)
+            project_coeffs(d_u, rows, out=d_u, scratch=lin)
+            project_coeffs(d_m, rows, out=d_m, scratch=lin)
+        engine.run_rows(stage)
     dw[:, 0, 0, 0] = 0.0
     return out
 

@@ -35,20 +35,22 @@ working set back to the allocator and fault it in again on every step
 step takes 10 grid and 10 band vector buffers from it on two threads (8
 and 10 on one): the stages' 9 band buffers and, per evaluation, the grid
 values of u and b, two grid buffers per thread, and one band buffer for
-the emf, then for the linear terms and scratch (see `dynamics`; the
-stress is formed in the evaluation's output).  Only the triple that
-becomes the new state is allocated per step, outside the pool, so the
-caller owns it from the start.  The audit drops the pool's grid buffers
-before its pairings, which expand into one n^3 buffer of their own.
+the emf, then for 2 chi curl u, the linear terms and the projections'
+scratch (see `dynamics`; the stress is formed in the evaluation's
+output).  Only the triple that becomes the new state is allocated per
+step, outside the pool, so the caller owns it from the start.  The audit
+drops the pool's grid buffers before its pairings, which expand into one
+n^3 buffer of their own.
 Within an evaluation the transforms run on the engine's helper thread as
 well from n = `spectral.SPLIT_MIN_N` up, and from n =
 `spectral.ROW_SPLIT_MIN_N` up so does one k1-row half of the band-level
-work: three stages of each evaluation and the four blocks of
-propagations, sums and the final projection between and after them
-(`StepEngine.run_rows`; the scratch of each block is one pool buffer, of
-which each range takes its rows).  The four stages stay sequential, and a
-step's result is the single-thread, whole-band one bit for bit.  A public
-`step` or `stable_dt` without an engine builds a transient one.
+work: the one stage of each evaluation and the four blocks of
+propagations, sums and the final projection between and after them, 8
+row phases per step (`StepEngine.run_rows`; the scratch of each block is
+one pool buffer, of which each range takes its rows).  The four RK
+stages stay sequential, and a step's result is the single-thread,
+whole-band one bit for bit.  A public `step` or `stable_dt` without an
+engine builds a transient one.
 """
 
 from __future__ import annotations

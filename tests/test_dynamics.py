@@ -16,7 +16,6 @@ from mmpsim import dynamics, spectral
 from mmpsim.dynamics import (
     _SYM_PAIRS,
     _SYM_ROWS,
-    _quadratic_terms,
     advect,
     energy_flux_audit,
     explicit_rhs_arrays,
@@ -39,6 +38,7 @@ from mmpsim.spectral import (
     SpectralScalarField,
     SpectralVectorField,
     alpha_dot_grad,
+    alpha_symbol,
     curl,
     dealias,
     divergence,
@@ -171,7 +171,8 @@ def monolithic_rhs(state, p, variant):
 def stacked_quadratic_terms(u_hat, w_hat, m_hat, grid):
     """The quadratic terms with the 6 stress, 9 flux and 3 emf products each
     formed and transformed as one stack: the same products and 1D lines as
-    `_quadratic_terms`, which forms and transforms them one at a time."""
+    `explicit_rhs_arrays`, which forms and transforms them one at a
+    time."""
     band = grid.band
     u, w, b = (to_physical(c, grid) for c in (u_hat, w_hat, m_hat))
     stress = to_spectral(np.stack([u[i] * u[j] - b[i] * b[j]
@@ -182,6 +183,24 @@ def stacked_quadratic_terms(u_hat, w_hat, m_hat, grid):
                                 u[2] * b[0] - u[0] * b[2],
                                 u[0] * b[1] - u[1] * b[0]]), grid)
     return (-1j * div_stress, -1j * k_dot(flux, band), curl_coeffs(emf, band))
+
+
+def stacked_explicit_rhs(u_hat, w_hat, m_hat, grid, p, variant):
+    """`explicit_rhs_arrays` by its documented formulas, each term a new
+    array, on the stacked quadratic terms."""
+    band = grid.band
+    q_u, q_w, q_b = stacked_quadratic_terms(u_hat, w_hat, m_hat, grid)
+    two_chi = 2.0 * p.coupling_chi(variant)
+    lin_u = two_chi * curl_coeffs(w_hat, band)
+    lin_b = np.zeros_like(u_hat)
+    if variant.uses_background:
+        sym = alpha_symbol(p.alpha_vector, band)
+        lin_u = lin_u + sym * m_hat
+        lin_b = lin_b + sym * u_hat
+    dw = two_chi * curl_coeffs(u_hat, band) + q_w
+    dw[:, 0, 0, 0] = 0.0
+    return (project_coeffs(lin_u + q_u, band), dw,
+            project_coeffs(lin_b + q_b, band))
 
 
 class TestRhs:
@@ -493,18 +512,23 @@ class TestBandStep:
                                     + (2 * kc + 1) * (kc + 1))
         assert not nd_calls
 
-    @pytest.mark.parametrize("n", [8, 12, 16])
-    def test_streamed_products_match_stacked(self, n):
-        # epsilon = 1000 makes the products dominate every tendency
+    @pytest.mark.parametrize("n", [8, 12, 16, 48])
+    def test_streamed_products_match_stacked(self, monkeypatch, n):
+        # epsilon = 1000 makes the products dominate every tendency; the
+        # perturbation variant adds every linear term, and at n = 48 the
+        # band stage runs as two k1-row ranges
+        monkeypatch.setattr(spectral, "WORKERS", 2)
         g = GridSpec(n)
-        state = make_random_state(g, InitSpec(epsilon=1000.0, seed=n),
-                                  SystemVariant.FULL)
-        arrays = [band_part(f.coeffs, g)
-                  for f in (state.u, state.omega, state.magnetic)]
-        zeros = [np.zeros_like(a) for a in arrays]
-        for got, want in zip(_quadratic_terms(*arrays, g, zeros),
-                             stacked_quadratic_terms(*arrays, g)):
-            assert np.array_equal(got, want)
+        for variant, params in THREAD_CASES[::2]:
+            state = make_random_state(g, InitSpec(epsilon=1000.0, seed=n),
+                                      variant)
+            with spectral.StepEngine(g) as engine:
+                assert len(engine.band_rows) == (2 if n >= 44 else 1)
+                got = explicit_rhs_arrays(*state.arrays, g, params, variant,
+                                          engine=engine)
+            for a, b in zip(got, stacked_explicit_rhs(*state.arrays, g,
+                                                      params, variant)):
+                assert np.array_equal(a, b)
 
     def test_working_set_of_one_step(self):
         # tracemalloc peak of one 32^3 step above its entry: 17.6 MB with
@@ -784,6 +808,30 @@ class TestRowSplit:
         finally:
             sys.setswitchinterval(interval)
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("linearized", [False, True])
+    def test_one_band_stage_per_evaluation(self, monkeypatch, linearized,
+                                           split):
+        # an explicit evaluation is one transform run and then one band
+        # stage; a step adds its four blocks between and after them
+        variant, params = ROW_CASES[2]
+        state = make_random_state(GridSpec(16), InitSpec(epsilon=1000.0,
+                                                         seed=23), variant)
+        split_rows(monkeypatch, split)
+        ranges = []
+        original = spectral.StepEngine.run_rows
+
+        def counted(engine, task):
+            ranges.append(len(engine.band_rows))
+            return original(engine, task)
+        monkeypatch.setattr(spectral.StepEngine, "run_rows", counted)
+        explicit_rhs_arrays(*state.arrays, state.grid, params, variant,
+                            linearized=linearized)
+        assert ranges == [2 if split else 1]
+        ranges.clear()
+        step(state, params, variant, 1e-3, linearized=linearized)
+        assert ranges == [2 if split else 1] * 8
 
     @pytest.mark.parametrize("n, ranges", [(42, 1), (44, 2), (64, 2)])
     def test_split_from_its_threshold_up(self, monkeypatch, n, ranges):

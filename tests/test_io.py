@@ -417,6 +417,27 @@ class TestCli:
                          "--r", "2.5", "--n", "16"])
         assert code == 1
 
+    @pytest.mark.parametrize("n", ["1540", "2000"])
+    def test_verify_lemma_refuses_a_grid_beyond_the_search_radius(
+            self, capsys, n):
+        # the refusal names the grid size and the largest one accepted,
+        # not the --kmax of check-diophantine, and comes before any n^3
+        # array is made
+        code = cli_main(["verify-lemma", "--alpha", "1,1.41421356,1.7320508",
+                         "--s", "0", "--r", "2.5", "--n", n])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"n={n} " in err and "largest accepted n is 1538" in err
+        assert "k_max" not in err
+
+    def test_verify_lemma_refuses_trials_before_the_scan(self, capsys):
+        # a resonant alpha is found by the lattice scan, which trials < 1
+        # must not reach
+        code = cli_main(["verify-lemma", "--alpha", "1,1,0", "--s", "0",
+                         "--r", "2.5", "--n", "16", "--trials", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: trials must be >= 1\n"
+
     def test_fit_decay_synthetic(self, tmp_path, capsys):
         t = np.linspace(0.0, 10.0, 50)
         records = [DiagnosticsRecord(t=float(ti),
