@@ -5,7 +5,7 @@ checkpoint), ``check-diophantine``, ``verify-lemma`` (lifting-ratio probe),
 ``fit-decay``, and ``selftest``.
 
 Exit codes: 0 success, 1 validation error, 2 runtime integrity error
-(blow-up / NaN), 3 I/O error.
+(blow-up / NaN), 3 I/O error, 4 out of memory.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import argparse
 import dataclasses
 import os
 import sys
+import warnings
+from contextlib import contextmanager
 
 from .checkpoint import CheckpointFormatError, load_checkpoint, save_checkpoint
 from .config import ConfigError, parse_config, parse_vec3
@@ -29,6 +31,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INTEGRITY = 2
 EXIT_IO = 3
+EXIT_MEMORY = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -194,15 +197,32 @@ def _print_report(report) -> None:
         print(f"{f.name} = {text(getattr(report, f.name))}")
 
 
+@contextmanager
+def _warnings_on_stderr():
+    """Print each warning raised inside as one ``warning: ...`` line on
+    stderr, as `mmpsim run` prints its config warnings, also when the
+    block raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            yield
+        finally:
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
+
+
 def _cmd_check_diophantine(args) -> int:
-    _print_report(check_diophantine(parse_vec3(args.alpha), args.r,
-                                    args.kmax))
+    with _warnings_on_stderr():
+        report = check_diophantine(parse_vec3(args.alpha), args.r, args.kmax)
+    _print_report(report)
     return EXIT_OK
 
 
 def _cmd_verify_lemma(args) -> int:
-    _print_report(lifting_ratio(parse_vec3(args.alpha), args.s, args.r,
-                                GridSpec(args.n), args.trials, args.seed))
+    with _warnings_on_stderr():
+        report = lifting_ratio(parse_vec3(args.alpha), args.s, args.r,
+                               GridSpec(args.n), args.trials, args.seed)
+    _print_report(report)
     return EXIT_OK
 
 
@@ -255,6 +275,10 @@ def cli_main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        # numpy's message names the size and shape it could not allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_MEMORY
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

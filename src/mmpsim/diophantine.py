@@ -146,7 +146,7 @@ def lifting_ratio(alpha, s: float, r: float, grid: GridSpec, trials: int,
     check = check_diophantine(a, r, grid.kmax_dealias)
     if check.degenerate:
         raise ValueError(
-            f"alpha={tuple(a)} is resonant on the truncated lattice: "
+            f"alpha={check.alpha} is resonant on the truncated lattice: "
             f"alpha.k vanishes at k={check.argmin_k}")
 
     k1, k2, k3 = grid.k_vectors

@@ -24,15 +24,17 @@ lines (kc = n//3).  The transforms run as tasks of
 from n = `spectral.SPLIT_MIN_N` up, in two phases (see
 `_quadratic_terms`): phase 1 transforms u and b to the grid; in phase 2
 each micro-rotation component omega_i is one task that transforms it,
-forms and transforms its 3 flux products and writes -1j k.flux_i into the
-tendency on its own thread, and each of the 9 stress and emf products is
-one task.  Every thread forms its products in its grid buffers and its
-workspace's spare, and sums the flux in its workspace's accumulator.  The
-stress is transformed into the tendency's own arrays
-(`explicit_rhs_arrays` writes its result into a given triple), and the
-grid values of u and b, the emf and then the linear terms live in buffers
-of the engine's pool, which a run keeps from evaluation to evaluation:
-10 grid buffers and 1 band vector buffer on two threads, 8 and 1 on one.
+forms and transforms its 3 flux products and sums -1j k.flux_i into its
+row of the tendency on its own thread, and each of the 9 stress and emf
+products is one task.  Each product is formed one slab of x1-planes at a
+time inside the forward transform it feeds
+(`spectral.BandWorkspace.to_spectral`), in the thread's product slab, so
+no product fills a grid buffer.  The stress is transformed into the
+tendency's own arrays (`explicit_rhs_arrays` writes its result into a
+given triple), and the grid values of u and b and of omega_i, the emf and
+then the linear terms live in buffers of the engine's pool, which a run
+keeps from evaluation to evaluation: 8 grid buffers, 2 product slabs and
+1 band vector buffer on two threads, 7, 1 and 1 on one.
 All band-level work after the transforms (the rows of k.stress, -1j and
 curl(emf); 2 chi curl u; the linear terms and both projections) is one
 stage of `spectral.StepEngine.run_rows`, one k1-row range per thread from
@@ -223,7 +225,7 @@ def _advect_band(velocities, terms, grid: GridSpec,
         # (v.grad)f = (v_0 df_0 + v_1 df_1) + v_2 df_2 for each velocity v,
         # summed in p as each gradient component df_j reaches the grid
         def task(ws):
-            grad, df, q = ws.band, ws.fields[0], ws.spare
+            grad, df = ws.band, ws.fields[0]
             sums = ws.fields[1:1 + len(term_velocities)]
             for j in range(3):
                 np.multiply(symbols[j], f, out=grad)
@@ -232,9 +234,9 @@ def _advect_band(velocities, terms, grid: GridSpec,
                     if j == 0:
                         np.multiply(v[0], df, out=p)
                     else:
-                        np.add(p, np.multiply(v[j], df, out=q), out=p)
+                        ws.add_product(p, v[j], df)
             for p, out in zip(sums, term_outs):
-                ws.to_spectral(p, out)
+                ws.to_spectral(out, p)
         return task
     with engine.scope():
         buffers = engine.grid_buffers(3 * len(velocities))
@@ -263,42 +265,34 @@ def advect(v: SpectralVectorField, f: SpectralVectorField) -> SpectralVectorFiel
         return SpectralVectorField(expand_band(out, grid), grid)
 
 
-def _product_task(out: np.ndarray, a, b, c=None, d=None):
-    """A `StepEngine.run` task that forms the grid product a b, or a b - c d,
-    in its workspace's first grid buffer (c d in its spare) and transforms
-    it into ``out``."""
-    def task(ws):
-        p, q = ws.fields[0], ws.spare
-        np.multiply(a, b, out=p)
-        if c is not None:
-            np.multiply(c, d, out=q)
-            np.subtract(p, q, out=p)
-        ws.to_spectral(p, out)
-    return task
+def _product_task(out: np.ndarray, *factors: np.ndarray):
+    """A `StepEngine.run` task that transforms the grid product a b, or
+    a b - c d, of ``factors`` into ``out``, formed slab by slab in its
+    workspace's product slab (`BandWorkspace.to_spectral`)."""
+    return lambda ws: ws.to_spectral(out, *factors)
 
 
 def _flux_task(w_i: np.ndarray, u, k_vectors, out: np.ndarray):
     """A `StepEngine.run` task that writes -1j k.F(u omega_i) into ``out``:
-    omega_i goes to its workspace's second grid buffer, each product
-    u_j omega_i is formed in the first and transformed into its band
-    buffer, and k_j times it is summed into its band accumulator in the
-    order of `k_dot` (k_1 term, then k_2, then k_3).  ``k_vectors`` are
-    the band's wavevectors as complex arrays: numpy multiplies a float k
-    by complex values in a cast buffer, which a helper thread would take
-    from its own malloc arena (0.8 MB more peak RSS on a nonlinear 32^3
-    run, 2-core x86 host); the complex k gives the same products."""
+    omega_i goes to its workspace's grid buffer, each product u_j omega_i
+    is formed slab by slab and transformed into its band buffer, and k_j
+    times it is summed into ``out`` in the order of `k_dot` (k_1 term,
+    then k_2, then k_3).  ``k_vectors`` are the band's wavevectors as
+    complex arrays: numpy multiplies a float k by complex values in a cast
+    buffer, which a helper thread would take from its own malloc arena
+    (0.8 MB more peak RSS on a nonlinear 32^3 run, 2-core x86 host); the
+    complex k gives the same products."""
     def task(ws):
-        p, w = ws.fields
-        flux, acc = ws.band, ws.accumulator
+        (w,) = ws.fields
+        flux = ws.band
         ws.to_physical(w_i, w)
         for j, k in enumerate(k_vectors):
-            np.multiply(u[j], w, out=p)
-            ws.to_spectral(p, flux)
+            ws.to_spectral(flux, u[j], w)
             if j == 0:
-                np.multiply(k, flux, out=acc)
+                np.multiply(k, flux, out=out)
             else:
-                np.add(acc, np.multiply(k, flux, out=flux), out=acc)
-        np.multiply(-1j, acc, out=out)
+                np.add(out, np.multiply(k, flux, out=flux), out=out)
+        np.multiply(-1j, out, out=out)
     return task
 
 
@@ -315,13 +309,13 @@ def _quadratic_terms(u_hat: np.ndarray, w_hat: np.ndarray, m_hat: np.ndarray,
     One `StepEngine.run` call in two phases.  Phase 1: 6 tasks each
     transform one component of u or b to the grid, into pool buffers.
     Phase 2: 3 flux tasks (`_flux_task`), one per component i of omega,
-    each transform omega_i to its thread's second grid buffer, form and
-    transform the 3 products u_j omega_i, and write -1j k.flux_i into
-    ``out[1][i]``; then 9 tasks each form one product in their thread's
-    first grid buffer and transform it into its place.  Each 1D line and
-    each product is the one a whole-stack evaluation would compute, and
-    each flux row is formed from them by the operations of the stacked
-    -1j k.flux."""
+    each transform omega_i to its thread's grid buffer, form and
+    transform the 3 products u_j omega_i, and sum -1j k.flux_i in
+    ``out[1][i]``; then 9 tasks each transform one product into its
+    place.  Every product is formed slab by slab in the thread's product
+    slab.  Each 1D line and each product is the one a whole-stack
+    evaluation would compute, and each flux row is formed from them by the
+    operations of the stacked -1j k.flux."""
     k_vectors = [k.astype(np.complex128) for k in grid.band.k_vectors]
     du, dw, dm = out
     with engine.scope():
@@ -334,7 +328,7 @@ def _quadratic_terms(u_hat: np.ndarray, w_hat: np.ndarray, m_hat: np.ndarray,
                      for i in range(3)]
                     + [_product_task(c, *f) for c, f in
                        zip([*du, *dm, *emf], factors)]],
-                   fields=2)
+                   fields=1, product=True)
 
 
 def _velocity_linear(w_hat: np.ndarray, m_hat: np.ndarray,
@@ -386,7 +380,7 @@ def explicit_rhs_arrays(u_hat: np.ndarray, w_hat: np.ndarray, m_hat: np.ndarray,
     parentheses, each added in; then both projections.  So each tendency
     is summed as q + lin, which has the bits of lin + q since IEEE
     addition commutes, signed zeros included.  The stage's scalar scratch
-    is the calling thread's workspace accumulator, and i(alpha.k) is
+    is the calling thread's workspace band buffer, and i(alpha.k) is
     formed after the transforms, so it does not add to their working set.
     Without the quadratic terms the stage forms 2 chi curl u and the
     linear parts in dw, du and dm themselves."""
@@ -400,12 +394,12 @@ def explicit_rhs_arrays(u_hat: np.ndarray, w_hat: np.ndarray, m_hat: np.ndarray,
             _quadratic_terms(u_hat, w_hat, m_hat, grid, out, buffer, engine)
         sym = (alpha_symbol(p.alpha_vector, grid.band)
                if variant.uses_background else None)
-        acc = engine.workspaces[0].accumulator
+        band_scratch = engine.workspaces[0].band
 
         def stage(rows):
             part = rows.part
             u, w, m, d_u, d_w, d_m, lin, scratch = map(
-                part, (u_hat, w_hat, m_hat, du, dw, dm, buffer, acc))
+                part, (u_hat, w_hat, m_hat, du, dw, dm, buffer, band_scratch))
             s = None if sym is None else part(sym)
             if linearized:
                 np.multiply(two_chi, curl_coeffs(u, rows, out=d_w,

@@ -32,15 +32,17 @@ evaluations, |u| on the grid and the audit's buffers all come from the
 engine's one pool, reused from step to step, so a run does not hand its
 working set back to the allocator and fault it in again on every step
 (see `_step_arrays`); the pool is kept across state-sink calls too.  A
-step takes 10 grid and 10 band vector buffers from it on two threads (8
-and 10 on one): the stages' 9 band buffers and, per evaluation, the grid
-values of u and b, two grid buffers per thread, and one band buffer for
-the emf, then for 2 chi curl u, the linear terms and the projections'
-scratch (see `dynamics`; the stress is formed in the evaluation's
-output).  Only the triple that becomes the new state is allocated per
-step, outside the pool, so the caller owns it from the start.  The audit
-drops the pool's grid buffers before its pairings, which expand into one
-n^3 buffer of their own.
+step takes 8 grid and 10 band vector buffers and 2 product slabs from it
+on two threads (7, 10 and 1 on one): the stages' 9 band buffers and, per
+evaluation, the grid values of u and b, one grid buffer per thread for
+omega_i, one product slab per thread in which its products are formed
+slab by slab (see `spectral.BandWorkspace`), and one band buffer for the
+emf, then for 2 chi curl u, the linear terms and the projections' scratch
+(see `dynamics`; the stress is formed in the evaluation's output).  Only
+the triple that becomes the new state is allocated per step, outside the
+pool, so the caller owns it from the start.  The audit takes no product
+slab, and drops the pool's grid buffers and slabs before its pairings,
+which expand into one n^3 buffer of their own.
 Within an evaluation the transforms run on the engine's helper thread as
 well from n = `spectral.SPLIT_MIN_N` up, and from n =
 `spectral.ROW_SPLIT_MIN_N` up so does one k1-row half of the band-level

@@ -62,20 +62,37 @@ def check_round_trip():
     return err <= 1e-12 * np.abs(phys).max(), f"max error {err:.2e}"
 
 
+def _slab_bytes(grid, planes):
+    """The `spectral.SLAB_BYTES` that makes slabs of ``planes`` x1-planes
+    on ``grid``."""
+    return 8 * planes * grid.n ** 2
+
+
 def check_band_fft_exact():
     # The step's pruned band transforms equal numpy's n-d real transforms
-    # bit for bit only if numpy runs every 1D line the same way in both, a
-    # property of the numpy build checked here on a dealiased field.
+    # bit for bit only if numpy runs every 1D line the same way in both,
+    # whether a pass runs over the whole grid or one slab of x1-planes at a
+    # time, a property of the numpy build checked here on a dealiased field
+    # with the grid as one slab and as slabs of 3 planes.
     grid = GridSpec(32)
     n, axes = grid.n, (-3, -2, -1)
     full = hermitian_symmetrize(_bandlimited(grid, 16).coeffs)
-    phys = to_physical(band_part(full, grid), grid)
-    inverse = np.abs(phys - np.fft.irfftn(
-        full[..., :n // 2 + 1], s=(n, n, n), axes=axes, norm="forward")).max()
-    forward = np.abs(to_spectral(phys, grid) - band_part(
-        np.fft.rfftn(phys, axes=axes, norm="forward"), grid)).max()
-    return (inverse == 0.0 and forward == 0.0,
-            f"max difference inverse {inverse:.1e}, forward {forward:.1e}")
+    saved, ok, details = spectral.SLAB_BYTES, True, []
+    try:
+        for planes in (n, 3):
+            spectral.SLAB_BYTES = _slab_bytes(grid, planes)
+            phys = to_physical(band_part(full, grid), grid)
+            inverse = np.abs(phys - np.fft.irfftn(
+                full[..., :n // 2 + 1], s=(n, n, n), axes=axes,
+                norm="forward")).max()
+            forward = np.abs(to_spectral(phys, grid) - band_part(
+                np.fft.rfftn(phys, axes=axes, norm="forward"), grid)).max()
+            ok &= inverse == 0.0 and forward == 0.0
+            details.append(f"{planes}-plane slabs: inverse {inverse:.1e}, "
+                           f"forward {forward:.1e}")
+    finally:
+        spectral.SLAB_BYTES = saved
+    return ok, "max difference " + "; ".join(details)
 
 
 def _state_bytes(state):
@@ -88,36 +105,42 @@ def check_threaded_bit_exact():
     # from another, and a run reuses one engine's buffers and helper
     # thread for all of its steps and records; that equals the
     # single-thread public calls bit for bit only if numpy computes every
-    # 1D line and every element alike in any thread, in any buffer and in
-    # any slice of it, a property of the numpy build checked here with
-    # both splits engaged at 32^3: one step and audit, and a 3-step run
-    # against 3 public steps and their records.
+    # 1D line and every element alike in any thread, in any buffer, in any
+    # slice of it and in any slab of x1-planes, a property of the numpy
+    # build checked here at 32^3 with both splits and slabs of 3 planes
+    # engaged against one thread and the grid as one slab: one step and
+    # audit, and a 3-step run against 3 public steps and their records.
     grid = GridSpec(32)
     full = SystemVariant.FULL
     p = PhysParams(mu=0.2, chi=1.0, kappa=0.4, eta=1.0, nu=0.5)
     state = make_random_state(grid, InitSpec(epsilon=1000.0, seed=17), full)
     cfg = StepperConfig(dt=1e-4, t_end=3e-4, record_interval=1e-4)
-    saved = spectral.WORKERS, spectral.SPLIT_MIN_N, spectral.ROW_SPLIT_MIN_N
+    saved = (spectral.WORKERS, spectral.SPLIT_MIN_N,
+             spectral.ROW_SPLIT_MIN_N, spectral.SLAB_BYTES)
     results = []
+
+    def engage(workers, planes):
+        spectral.WORKERS = workers
+        spectral.SLAB_BYTES = _slab_bytes(grid, planes)
     try:
         spectral.SPLIT_MIN_N = spectral.ROW_SPLIT_MIN_N = grid.n
-        for workers in (1, 2):
-            spectral.WORKERS = workers
+        for workers, planes in ((1, grid.n), (2, 3)):
+            engage(workers, planes)
             results.append((step(state, p, full, 1e-4),
                             energy_flux_audit(state, p, full)))
         # single thread: the steps of `run`, as public calls on `State`s
-        spectral.WORKERS = 1
+        engage(1, grid.n)
         states, records = [state], [compute_record(state, p)]
         while states[-1].t < cfg.t_end - 1e-12 * cfg.t_end:
             dt = min(stable_dt(states[-1], p, grid, cfg),
                      cfg.t_end - states[-1].t)
             states.append(step(states[-1], p, full, dt))
             records.append(compute_record(states[-1], p))
-        spectral.WORKERS = 2
+        engage(2, 3)
         result = run(state, p, full, cfg)
     finally:
-        (spectral.WORKERS, spectral.SPLIT_MIN_N,
-         spectral.ROW_SPLIT_MIN_N) = saved
+        (spectral.WORKERS, spectral.SPLIT_MIN_N, spectral.ROW_SPLIT_MIN_N,
+         spectral.SLAB_BYTES) = saved
     (serial, serial_audit), (threaded, threaded_audit) = results
     diff = max(np.abs(getattr(serial, name).coeffs
                       - getattr(threaded, name).coeffs).max()

@@ -41,7 +41,12 @@ one per axis; per scalar field they transform n^2 + n(kc+1) +
 (2kc+1)(kc+1) lines, against n^2 + 2n(n//2+1) for the unpruned
 rfftn/irfftn.  numpy's n-d real transforms are the same 1D passes, so on
 dealiased data the pruned ones return their retained coefficients and
-physical values bit for bit.  The field-level operators are thin wrappers
+physical values bit for bit.  The two passes that act within each
+x1-plane (axes -2 and -1) run one slab of x1-planes at a time
+(`SLAB_BYTES`, the whole grid for n <= 32), and so do the products that a
+forward transform of `BandWorkspace` forms: each line and each product is
+the one the whole grid would compute, and no transform or product needs a
+full-grid scratch array.  The field-level operators are thin wrappers
 over the kernels on ``grid.full``.
 `_conj_reflection` is the one reflection c(k) -> conj(c(-k)), used by
 `hermitian_symmetrize` and `expand_band`, and `parallel_part` the one
@@ -63,11 +68,11 @@ range per thread; below it, the same stage code runs on the whole band on
 the calling thread.  Each task writes through a `BandWorkspace`'s methods,
 or into its rows, of arrays the engine handed out, so each 1D line and
 each mode is computed as on one thread and the results are bit-identical;
-only which thread runs a line or a mode changes, never the pass and line
-counts above.  The threads run these array kernels only, never a public
-mmpsim function: a span recorder wrapping those (such as the benchmark's
-tracer, whose span stack is not thread-safe) sees every call on the
-calling thread.
+only which thread or which slab's call runs a line or a mode changes,
+never the pass and line counts above.  The threads run these array
+kernels only, never a public mmpsim function: a span recorder wrapping
+those (such as the benchmark's tracer, whose span stack is not
+thread-safe) sees every call on the calling thread.
 
 All field-level operations are pure: they return new field objects and
 never mutate their inputs.
@@ -338,73 +343,124 @@ def expand_band(c: np.ndarray, grid: GridSpec, out: np.ndarray | None = None,
     return out
 
 
+# The two passes of a band transform that act within each x1-plane, and
+# the products that feed a forward one, run one slab of x1-planes at a
+# time: SLAB_BYTES of real values, at least one plane (`slab_planes`), so
+# no transform needs a full-grid complex scratch and no product a
+# full-grid buffer.  At n <= 32 a slab is the whole grid.  Measured on a
+# 2-core x86 host, median of a perturbation step on one engine, the slab
+# sizes alternated: 128 KiB / 256 KiB / 512 KiB / the whole grid took
+# 236 / 214 / 212 / 211 ms at 64^3 (10 alternations) and 102 / 90 / 86 /
+# 89 ms at 48^3 (12), the quartiles of the last three overlapping; in
+# an earlier run 64 KiB / 256 KiB / whole took 295 / 196 / 191 ms and
+# 151 / 101 / 96 ms (8).  Smaller slabs make more numpy calls.
+SLAB_BYTES = 256 * 1024
+
+
+def slab_planes(n: int) -> int:
+    """The x1-planes of one slab on an n^3 grid: SLAB_BYTES of real
+    values, at least one plane and at most n."""
+    return min(n, max(1, SLAB_BYTES // (8 * n * n)))
+
+
 class BandWorkspace:
     """The scratch arrays of one thread for scalar band transforms, each
-    allocated when the workspace is made: ``wide`` (n, n, n//2+1) and
-    ``narrow`` (n, 2kc+1, kc+1) complex for the transforms' intermediate
-    passes.  ``spare`` is a real (n, n, n) view of the start of ``wide``,
-    whose content only lives within a transform: a task may use it for a
-    grid product between its transforms.  ``band`` and ``accumulator`` are
-    complex retained-band scalar buffers: a task transforms a product into
-    ``band`` and may sum band terms in ``accumulator`` (the micro-rotation
-    flux of `dynamics` does both).  `StepEngine.run` makes every
-    workspace on the calling thread, so none of these comes from a helper
-    thread's malloc arena (made there on first use, the two band buffers
+    allocated when the workspace is made: ``wide`` (planes, n, n//2+1) for
+    one slab of the transforms' x1-local passes and ``narrow``
+    (n, 2kc+1, kc+1) complex for the axis -3 pass, with ``slabs`` the
+    x1-ranges of `slab_planes` planes that cover the grid.  ``spare`` is a
+    real (planes, n, n) view of the start of ``wide``, whose content only
+    lives within a transform's slab: it takes c d of a product
+    a b - c d, and the addend of `add_product`.  ``band`` is a complex
+    retained-band scalar buffer, into which a task may transform a product
+    (the micro-rotation flux of `dynamics` does).  `StepEngine.run` makes
+    every workspace on the calling thread, so none of these comes from a
+    helper thread's malloc arena (made there on first use, band buffers
     cost a nonlinear 32^3 run 0.8 MB more peak RSS on a 2-core x86 host).
-    ``fields`` are real (n, n, n) grid buffers handed out by
-    `StepEngine.run` for one call: the thread's buffers for a task's own
-    grid values and products.
+    ``fields`` are real (n, n, n) grid buffers and ``product`` a real
+    (planes, n, n) slab, handed out by `StepEngine.run` for one call: the
+    thread's buffers for a task's own grid values and for the products
+    that `to_spectral` forms.
 
     `to_physical` and `to_spectral` write into a given output and allocate
     no array: each 1D pass runs in place on the scratch, and each gather or
     zero-padding between passes is two or three slice copies.  numpy
     transforms line by line, so a pass written over its input returns the
-    values of the out-of-place pass bit for bit."""
+    values of the out-of-place pass bit for bit, and a pass run slab by
+    slab those of the pass over the whole grid."""
 
     def __init__(self, grid: GridSpec):
         n = grid.n
+        planes = slab_planes(n)
         self.grid = grid
-        self.wide = np.empty((n, n, n // 2 + 1), dtype=np.complex128)
+        self.slabs = [slice(start, min(start + planes, n))
+                      for start in range(0, n, planes)]
+        self.wide = np.empty((planes, n, n // 2 + 1), dtype=np.complex128)
         self.narrow = np.empty((n,) + grid.band_shape[1:],
                                dtype=np.complex128)
-        self.spare = self.wide.reshape(-1).view(np.float64)[:n ** 3].reshape(
-            n, n, n)
+        self.spare = self.wide.reshape(-1).view(np.float64)[
+            :planes * n * n].reshape(planes, n, n)
         self.band = np.empty(grid.band_shape, dtype=np.complex128)
-        self.accumulator = np.empty(grid.band_shape, dtype=np.complex128)
         self.fields: list[np.ndarray] = []
+        self.product: np.ndarray | None = None
 
     def to_physical(self, c: np.ndarray, out: np.ndarray) -> None:
         """`to_physical` of scalar band coefficients c, written into the
         (n, n, n) array ``out``.  Each pass zero-pads the retained band
-        along its axis to the full n wavenumbers in FFT order."""
+        along its axis to the full n wavenumbers in FFT order; the axis -2
+        and axis -1 passes run one slab at a time."""
         n, kc = self.grid.n, self.grid.kmax_dealias
         a = self.narrow
         a[:kc + 1] = c[:kc + 1]
         a[kc + 1:n - kc] = 0.0
         a[n - kc:] = c[kc + 1:]
         np.fft.ifft(a, axis=-3, norm="forward", out=a)
-        b = self.wide[..., :kc + 1]
-        b[:, :kc + 1] = a[:, :kc + 1]
-        b[:, kc + 1:n - kc] = 0.0
-        b[:, n - kc:] = a[:, kc + 1:]
-        np.fft.ifft(b, axis=-2, norm="forward", out=b)
-        np.fft.irfft(b, n=n, axis=-1, norm="forward", out=out)
+        for s in self.slabs:
+            b = self.wide[:s.stop - s.start, :, :kc + 1]
+            b[:, :kc + 1] = a[s, :kc + 1]
+            b[:, kc + 1:n - kc] = 0.0
+            b[:, n - kc:] = a[s, kc + 1:]
+            np.fft.ifft(b, axis=-2, norm="forward", out=b)
+            np.fft.irfft(b, n=n, axis=-1, norm="forward", out=out[s])
 
-    def to_spectral(self, phys: np.ndarray, out: np.ndarray) -> None:
+    def to_spectral(self, out: np.ndarray, *factors: np.ndarray) -> None:
         """`to_spectral` of scalar grid values, written into the band array
-        ``out``.  After each of the last two passes the retained
-        wavenumbers along its axis (k = 0..kc, then -kc..-1) are gathered."""
+        ``out``: of the one (n, n, n) array ``factors`` holds, or of the
+        product a b of two or a b - c d of four, formed one slab at a time
+        in ``product`` (c d in ``spare``).  The axis -1 and axis -2
+        passes run one slab at a time, the axis -3 pass on all of
+        ``narrow``.  After each of the last two passes the retained
+        wavenumbers along its axis (k = 0..kc, then -kc..-1) are
+        gathered."""
         n, kc = self.grid.n, self.grid.kmax_dealias
-        a = self.wide
-        np.fft.rfft(phys, axis=-1, norm="forward", out=a)
-        a = a[..., :kc + 1]
-        np.fft.fft(a, axis=-2, norm="forward", out=a)
         b = self.narrow
-        b[:, :kc + 1] = a[:, :kc + 1]
-        b[:, kc + 1:] = a[:, n - kc:]
+        for s in self.slabs:
+            planes = s.stop - s.start
+            values = factors[0][s]
+            if len(factors) > 1:
+                values = np.multiply(values, factors[1][s],
+                                     out=self.product[:planes])
+            if len(factors) > 2:
+                np.subtract(values, np.multiply(factors[2][s], factors[3][s],
+                                                out=self.spare[:planes]),
+                            out=values)
+            a = self.wide[:planes]
+            np.fft.rfft(values, axis=-1, norm="forward", out=a)
+            a = a[..., :kc + 1]
+            np.fft.fft(a, axis=-2, norm="forward", out=a)
+            b[s, :kc + 1] = a[:, :kc + 1]
+            b[s, kc + 1:] = a[:, n - kc:]
         np.fft.fft(b, axis=-3, norm="forward", out=b)
         out[:kc + 1] = b[:kc + 1]
         out[kc + 1:] = b[n - kc:]
+
+    def add_product(self, p: np.ndarray, a: np.ndarray,
+                    b: np.ndarray) -> None:
+        """p + a b written into the (n, n, n) array p, with a b formed one
+        slab at a time in ``spare``."""
+        for s in self.slabs:
+            q = self.spare[:s.stop - s.start]
+            np.add(p[s], np.multiply(a[s], b[s], out=q), out=p[s])
 
 
 def to_physical(c: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -432,7 +488,7 @@ def to_spectral(phys: np.ndarray, grid: GridSpec) -> np.ndarray:
     out = np.empty(phys.shape[:-3] + grid.band_shape, dtype=np.complex128)
     ws = BandWorkspace(grid)
     for index in np.ndindex(phys.shape[:-3]):
-        ws.to_spectral(phys[index], out[index])
+        ws.to_spectral(out[index], phys[index])
     return out
 
 
@@ -483,14 +539,17 @@ class StepEngine:
 
     *Pool.*  `grid_buffers` hands out real (n, n, n) grid buffers and
     `band_buffers` complex retained-band vector buffers
-    (3, 2kc+1, 2kc+1, kc+1), each kind from a stack: what is handed out
-    inside a `scope` goes back when it ends, and the next request gets the
-    same arrays again.  So the step's phases, its stage arrays and the
-    audit's phases share one pool, which grows to the largest working set
-    any of them asked for, not their sum.  A buffer holds whatever its
-    last user left in it.  `release` drops its grid buffers and the
-    workspaces, `close` its band buffers too; the next request allocates
-    afresh.
+    (3, 2kc+1, 2kc+1, kc+1), and `run` one real (planes, n, n) product
+    slab per thread if asked (see `BandWorkspace`), each kind from a
+    stack: what is handed out inside a `scope` goes back when it ends, and
+    the next request gets the same arrays again.  So the step's phases,
+    its stage arrays and the audit's phases share one pool, which grows to
+    the largest working set any of them asked for, not their sum; for
+    that, the audit's extra grid buffers replace the step's idle product
+    slabs (`grid_buffers`).  A buffer holds whatever its last user left
+    in it.  `release` drops its
+    grid buffers, product slabs and the workspaces, `close` its band
+    buffers too; the next request allocates afresh.
 
     *Rows.*  `run_rows` runs a band-level stage as a phase of one task per
     layout of `band_rows`: one k1-row range per thread from n =
@@ -521,6 +580,7 @@ class StepEngine:
         self.threads = WORKERS if n >= SPLIT_MIN_N else 1
         self._grid = _Stack(lambda: np.empty((n, n, n)))
         self._band = _Stack(lambda: np.empty(band_shape, dtype=np.complex128))
+        self._slab = _Stack(lambda: np.empty((slab_planes(n), n, n)))
         self._workspaces: list[BandWorkspace] = []
         self._helpers = None  # a ThreadPoolExecutor from the first split run
         self._lock = threading.Lock()
@@ -534,11 +594,17 @@ class StepEngine:
     @property
     def nbytes(self) -> int:
         """Bytes held in the pool's buffers."""
-        return sum(a.nbytes for a in self._grid.arrays + self._band.arrays)
+        return sum(a.nbytes for a in self._grid.arrays + self._band.arrays
+                   + self._slab.arrays)
 
     def grid_buffers(self, count: int) -> list[np.ndarray]:
         """``count`` grid buffers of the pool, in use until the enclosing
-        `scope` ends."""
+        `scope` ends.  If the pool must make more while no product slab is
+        handed out, it drops its slabs first, so that the new buffers can
+        take their memory."""
+        if (self._grid.top + count > len(self._grid.arrays)
+                and not self._slab.top):
+            self._slab.arrays = []
         return self._grid.take(count)
 
     def band_buffers(self, count: int) -> list[np.ndarray]:
@@ -549,11 +615,11 @@ class StepEngine:
     @contextmanager
     def scope(self):
         """Give back, on exit, every buffer handed out inside."""
-        tops = self._grid.top, self._band.top
+        tops = self._grid.top, self._band.top, self._slab.top
         try:
             yield self
         finally:
-            self._grid.top, self._band.top = tops
+            self._grid.top, self._band.top, self._slab.top = tops
 
     @property
     def workspaces(self) -> list[BandWorkspace]:
@@ -593,16 +659,19 @@ class StepEngine:
                        for rows in self.band_rows]])
 
     def release(self) -> None:
-        """Drop the grid buffers of the pool and the workspaces; the band
-        buffers and the threads stay.  Buffers a caller still holds stay
-        alive as its own."""
+        """Drop the grid buffers and product slabs of the pool and the
+        workspaces; the band buffers and the threads stay.  Buffers a
+        caller still holds stay alive as its own."""
         self._grid.arrays = []
+        self._slab.arrays = []
         self._workspaces = []
 
-    def run(self, phases, fields: int = 0) -> None:
+    def run(self, phases, fields: int = 0, product: bool = False) -> None:
         """Run each task of each phase once as ``task(ws)``, ws the
         `BandWorkspace` of the thread that draws it, holding ``fields``
-        grid buffers of the pool for this call.
+        grid buffers of the pool for this call, and a product slab of the
+        pool if ``product`` (for `BandWorkspace.to_spectral` of a
+        product).
         A phase starts once every task of the one before has returned.
 
         The threads draw the tasks in list order.  A task should write only
@@ -614,6 +683,7 @@ class StepEngine:
         with self.scope():
             for ws in self.workspaces:
                 ws.fields = self.grid_buffers(fields)
+                ws.product = self._slab.take(1)[0] if product else None
             if self.threads > 1 and self._helpers is None:
                 # imported here: after numpy it takes 3.5-4 ms on a 2-core
                 # x86 host (its _base imports logging), which every set-up
@@ -633,7 +703,7 @@ class StepEngine:
                         raise failures[0]
             finally:
                 for ws in self._workspaces:
-                    ws.fields = []
+                    ws.fields, ws.product = [], None
 
     def close(self) -> None:
         """Drop the whole pool and the workspaces, and join the helper

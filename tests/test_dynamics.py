@@ -471,7 +471,9 @@ class TestBandStep:
         # library transforms the last three axes; per scalar field a pass
         # set covers n^2 + n(kc+1) + (2kc+1)(kc+1) lines, not the
         # n^2 + 2n(n//2+1) of unpruned rfftn/irfftn.  The same count holds
-        # with the transforms split over two threads (n = 32)
+        # with the transforms split over two threads (n = 32), and the same
+        # lines when the x1-local passes run slab by slab (n = 48, 4 slabs):
+        # one call per slab for each of them
         passes, lines, nd_calls = [], [], []
         for name in ("fft", "ifft", "rfft", "irfft"):
             def counted(a, *args, _original=getattr(np.fft, name), **kwargs):
@@ -507,6 +509,15 @@ class TestBandStep:
         g = one_step(32)
         assert g.n >= spectral.SPLIT_MIN_N
         assert sum(passes) == 324
+        n, kc = g.n, g.kmax_dealias
+        assert sum(lines) == 108 * (n * n + n * (kc + 1)
+                                    + (2 * kc + 1) * (kc + 1))
+        assert not nd_calls
+
+        g = one_step(48)
+        slabs = len(spectral.BandWorkspace(g).slabs)
+        assert slabs == 4
+        assert sum(passes) == 108 * (1 + 2 * slabs)
         n, kc = g.n, g.kmax_dealias
         assert sum(lines) == 108 * (n * n + n * (kc + 1)
                                     + (2 * kc + 1) * (kc + 1))
@@ -549,6 +560,25 @@ class TestBandStep:
         finally:
             tracemalloc.stop()
         assert peak <= 12e6
+
+    def test_working_set_of_one_step_over_slabs(self):
+        # tracemalloc peak of one 48^3 step above its entry, its x1-local
+        # passes and products in 4 slabs per transform: 25.9 MB with each
+        # workspace's full-grid transform scratch, each thread's product
+        # grid buffer and a band accumulator per workspace, 22.8 MB (22.9
+        # for the perturbation variant) with one slab of each
+        g = GridSpec(48)
+        state = make_random_state(g, InitSpec(epsilon=1.0, seed=1),
+                                  SystemVariant.FULL)
+        p = PhysParams(mu=0.2, chi=1.0, kappa=0.4, eta=1.0, nu=0.5)
+        step(state, p, SystemVariant.FULL, 0.01)
+        tracemalloc.start()
+        try:
+            step(state, p, SystemVariant.FULL, 0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24e6
 
     def test_step_reads_only_retained_box(self):
         # a state keeps only the band of the fields it is built from, so
@@ -636,12 +666,12 @@ class TestThreadedTransforms:
         helper_failed = threading.Event()
         original = spectral.BandWorkspace.to_spectral
 
-        def failing_in_helper(ws, phys, out):
+        def failing_in_helper(ws, out, *factors):
             if threading.get_ident() != caller:
                 helper_failed.set()
                 raise ValueError("helper share")
             assert helper_failed.wait(timeout=30)
-            original(ws, phys, out)
+            original(ws, out, *factors)
         monkeypatch.setattr(spectral.BandWorkspace, "to_spectral",
                             failing_in_helper)
         g = GridSpec(16)

@@ -697,18 +697,19 @@ class TestRunEngine:
         pointers = [{out.__array_interface__["data"][0] for out in outs}
                     for outs in per_step]
         # 9 transforms per evaluation: u and b into 6 grid buffers, each
-        # omega_i into the second grid buffer of the thread that draws it
+        # omega_i into the grid buffer of the thread that draws it
         assert len(pointers[0]) == 6 + workers and len(per_step[0]) == 4 * 9
         assert all(p == pointers[0] for p in pointers)
 
     @pytest.mark.parametrize("workers, row_split", [(1, False), (2, False),
                                                      (2, True)])
     def test_pool_after_one_step(self, monkeypatch, workers, row_split):
-        # grid: u and b (6), and two per thread (a product, and omega_i of
-        # a flux task).  band: the step's 9 stage buffers and one for the
-        # emf of an evaluation, then for its linear parts and projection,
-        # and between evaluations for the scratch of the row tasks, which
-        # each take their rows of it
+        # grid: u and b (6), and one per thread (omega_i of a flux task);
+        # the products are formed slab by slab, in one product slab per
+        # thread.  band: the step's 9 stage buffers and one for the emf of
+        # an evaluation, then for its linear parts and projection, and
+        # between evaluations for the scratch of the row tasks, which each
+        # take their rows of it
         monkeypatch.setattr(spectral, "WORKERS", workers)
         monkeypatch.setattr(spectral, "SPLIT_MIN_N", 8)
         monkeypatch.setattr(spectral, "ROW_SPLIT_MIN_N",
@@ -719,8 +720,34 @@ class TestRunEngine:
             step(state, PERT_PARAMS, PERT, 0.05, engine=engine)
             assert engine.threads == workers
             assert len(engine.band_rows) == (2 if row_split else 1)
-            assert len(engine._grid.arrays) == 6 + 2 * workers
+            assert len(engine._grid.arrays) == 6 + workers
+            assert len(engine._slab.arrays) == workers
             assert len(engine._band.arrays) == 10
+
+    def test_audit_takes_the_memory_of_the_idle_slabs(self, monkeypatch):
+        # the audit forms no product and needs more grid buffers than a
+        # step: the pool drops the step's product slabs before it makes
+        # them, and a step after the audit takes its slabs anew
+        monkeypatch.setattr(spectral, "WORKERS", 2)
+        monkeypatch.setattr(spectral, "SPLIT_MIN_N", 8)
+        g = GridSpec(16)
+        state = make_random_state(g, InitSpec(epsilon=1.0, seed=15), PERT)
+        slabs_in_audit = []
+        original = spectral.BandWorkspace.to_physical
+        with StepEngine(g) as engine:
+            def tracked(ws, c, out):
+                slabs_in_audit.append(len(engine._slab.arrays))
+                original(ws, c, out)
+            step(state, PERT_PARAMS, PERT, 0.05, engine=engine)
+            assert len(engine._slab.arrays) == 2
+            monkeypatch.setattr(spectral.BandWorkspace, "to_physical",
+                                tracked)
+            dynamics.energy_flux_audit(state, PERT_PARAMS, PERT, engine=engine)
+            monkeypatch.setattr(spectral.BandWorkspace, "to_physical",
+                                original)
+            assert slabs_in_audit and not any(slabs_in_audit)
+            step(state, PERT_PARAMS, PERT, 0.05, engine=engine)
+            assert len(engine._slab.arrays) == 2
 
     def test_step_result_is_not_in_the_pool(self):
         # the step writes its new state into arrays of its own, so no later

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import mmpsim
-from mmpsim import checkpoint, cli
+from mmpsim import checkpoint, cli, spectral
 from mmpsim.checkpoint import (
     CheckpointFormatError,
     load_checkpoint,
@@ -429,6 +429,63 @@ class TestCli:
         assert code == 1
         assert f"n={n} " in err and "largest accepted n is 1538" in err
         assert "k_max" not in err
+
+    def test_verify_lemma_resonance_names_plain_floats(self, capsys):
+        # the refusal printed numpy's scalar reprs, alpha=(np.float64(0.3),
+        # ...)
+        code = cli_main(["verify-lemma", "--alpha", "0.3,0.5,0.7", "--s",
+                         "1", "--r", "2.5", "--n", "8", "--trials", "2"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: alpha=(0.3, 0.5, 0.7) is resonant on the truncated "
+            "lattice: alpha.k vanishes at k=(1, -2, 1)\n")
+
+    R_WARNING = ("warning: Diophantine exponent r=1.0 <= 2: the lifting "
+                 "inequality holds for almost no such vector\n")
+
+    def test_small_r_warning_is_one_stderr_line(self):
+        # in its own process, where Python's default warning display would
+        # print the source path, UserWarning and the source line
+        src = os.path.dirname(os.path.dirname(mmpsim.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "mmpsim.cli", "check-diophantine",
+             "--alpha", "1,1.41421356,1.7320508", "--r", "1", "--kmax", "4"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == self.R_WARNING
+        assert "degenerate = false" in proc.stdout
+
+    @pytest.mark.parametrize("alpha, code", [("1,1.41421356,1.7320508", 0),
+                                             ("0.3,0.5,0.7", 1)],
+                             ids=["report", "resonant"])
+    def test_verify_lemma_small_r_warning(self, capsys, alpha, code):
+        # printed before the report, and before the error when the scan
+        # refuses the vector
+        assert cli_main(["verify-lemma", "--alpha", alpha, "--s", "0",
+                         "--r", "1", "--n", "8", "--trials", "2"]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(self.R_WARNING)
+        assert err.count("\n") == 1 + code
+
+    def test_run_out_of_memory_is_reported(self, tmp_path, capsys,
+                                           monkeypatch):
+        # a grid.n of 100000 ran out of memory building grid.band and
+        # ended in a traceback; the failure is raised here instead, with
+        # numpy's message for that case
+        message = ("Unable to allocate 33.1 GiB for an array with shape "
+                   "(66667, 66667, 1) and data type float64")
+
+        def refuse(*args):
+            raise MemoryError(message)
+        monkeypatch.setattr(spectral.SpectralLayout, "of", refuse)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(t_end=0.1,
+                                              outdir=tmp_path / "out",
+                                              extra=""))
+        assert cli_main(["run", "--config", str(cfg)]) == cli.EXIT_MEMORY == 4
+        assert capsys.readouterr().err == f"error: out of memory: {message}\n"
 
     def test_verify_lemma_refuses_trials_before_the_scan(self, capsys):
         # a resonant alpha is found by the lattice scan, which trials < 1

@@ -123,9 +123,9 @@ def test_split_transforms_open_spans_on_the_calling_thread(monkeypatch):
 
     original = spectral.BandWorkspace.to_spectral
 
-    def tracked(ws, phys, out):
+    def tracked(ws, out, *factors):
         transformed.add(threading.get_ident())
-        original(ws, phys, out)
+        original(ws, out, *factors)
     monkeypatch.setattr(spectral.BandWorkspace, "to_spectral", tracked)
     original_rows = mmpsim.dynamics.StiffPropagator._apply_rows
 

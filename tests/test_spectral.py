@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mmpsim import spectral
 from mmpsim.spectral import (
     BandWorkspace,
     GridSpec,
@@ -33,6 +34,7 @@ from mmpsim.spectral import (
     leray_project,
     project_coeffs,
     to_physical,
+    slab_planes,
     to_spectral,
     zero_mean,
 )
@@ -197,7 +199,7 @@ class TestBandTransforms:
         phys = np.empty((n, n, n))
         out = np.empty_like(band)
         calls = (lambda: ws.to_physical(band, phys),
-                 lambda: ws.to_spectral(phys, out))
+                 lambda: ws.to_spectral(out, phys))
         for call in calls:
             call()
         tracemalloc.start()
@@ -210,6 +212,45 @@ class TestBandTransforms:
         finally:
             tracemalloc.stop()
         assert np.allclose(out, band, rtol=0.0, atol=1e-12)
+
+
+class TestSlabs:
+    def test_slab_planes(self):
+        # 256 KiB of real values: the whole grid up to n = 32
+        assert all(slab_planes(n) == n for n in range(8, 34, 2))
+        assert [slab_planes(n) for n in (34, 48, 64, 128, 182, 512)] == [
+            28, 14, 8, 2, 1, 1]
+
+    @pytest.mark.parametrize("planes", [1, 3, None], ids=["1", "3", "whole"])
+    @pytest.mark.parametrize("n", [8, 16, 24, 48, 64])
+    def test_slab_split_equals_whole_grid_transforms(self, monkeypatch, n,
+                                                     planes):
+        # numpy transforms line by line and forms products elementwise, so
+        # the x1-local passes and the products run one slab at a time,
+        # a last slab of fewer planes included, equal the n-d real
+        # transforms of the whole grid bit for bit
+        planes = planes or n
+        monkeypatch.setattr(spectral, "SLAB_BYTES", 8 * planes * n * n)
+        g = GridSpec(n)
+        ws = BandWorkspace(g)
+        assert len(ws.slabs) == -(-n // planes)
+        assert ws.wide.shape == (planes, n, n // 2 + 1)
+        axes = (-3, -2, -1)
+        full = hermitian_symmetrize(random_bandlimited(g, n).coeffs)
+        phys = np.empty((3, n, n, n))
+        for c, out in zip(band_part(full, g), phys):
+            ws.to_physical(c, out)
+        assert phys.tobytes() == np.fft.irfftn(
+            full[..., :n // 2 + 1], s=(n, n, n), axes=axes,
+            norm="forward").tobytes()
+        a, b, c, d = random_physical(g, n + 1, ncomp=4)
+        ws.product = np.empty(ws.spare.shape)
+        out = np.empty(g.band_shape, dtype=np.complex128)
+        for factors, values in (((a,), a), ((a, b), a * b),
+                                ((a, b, c, d), a * b - c * d)):
+            ws.to_spectral(out, *factors)
+            assert out.tobytes() == band_part(np.fft.rfftn(
+                values, axes=axes, norm="forward"), g).tobytes()
 
 
 def ix_band_part(c, grid):
