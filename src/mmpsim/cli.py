@@ -71,6 +71,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _warnings_on_stderr():
+    """Print each warning shown inside as one ``warning: ...`` line on
+    stderr when it is raised, as `mmpsim run` prints its config warnings,
+    with no source location, also when the block then raises; every
+    UserWarning is shown (the solver's and the scans'), other categories
+    as the process's filters say (so ``-W error::ResourceWarning`` still
+    raises).  Used as a decorator on the commands that can warn."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", UserWarning)
+        warnings.showwarning = lambda message, *rest: print(
+            f"warning: {message}", file=sys.stderr)
+        yield
+
+
+@_warnings_on_stderr()
 def _cmd_run(args) -> int:
     try:
         with open(args.config, encoding="utf-8") as fh:
@@ -197,31 +213,17 @@ def _print_report(report) -> None:
         print(f"{f.name} = {text(getattr(report, f.name))}")
 
 
-@contextmanager
-def _warnings_on_stderr():
-    """Print each warning raised inside as one ``warning: ...`` line on
-    stderr, as `mmpsim run` prints its config warnings, also when the
-    block raises."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            yield
-        finally:
-            for warning in caught:
-                print(f"warning: {warning.message}", file=sys.stderr)
-
-
+@_warnings_on_stderr()
 def _cmd_check_diophantine(args) -> int:
-    with _warnings_on_stderr():
-        report = check_diophantine(parse_vec3(args.alpha), args.r, args.kmax)
+    report = check_diophantine(parse_vec3(args.alpha), args.r, args.kmax)
     _print_report(report)
     return EXIT_OK
 
 
+@_warnings_on_stderr()
 def _cmd_verify_lemma(args) -> int:
-    with _warnings_on_stderr():
-        report = lifting_ratio(parse_vec3(args.alpha), args.s, args.r,
-                               GridSpec(args.n), args.trials, args.seed)
+    report = lifting_ratio(parse_vec3(args.alpha), args.s, args.r,
+                           GridSpec(args.n), args.trials, args.seed)
     _print_report(report)
     return EXIT_OK
 

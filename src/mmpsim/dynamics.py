@@ -41,8 +41,9 @@ stage of `spectral.StepEngine.run_rows`, one k1-row range per thread from
 n = `spectral.ROW_SPLIT_MIN_N` up, with the symbol i(alpha.k) formed on
 the calling thread before it.  The energy-flux audit splits
 its 33 inverse and 15 forward transforms the same way, on the same pool;
-it drops the pool's grid buffers before its cancellation pairings, which
-run on the calling thread and expand into one n^3 buffer made for them.
+it releases the pool (grid buffers, slabs and idle band buffers) before
+its transforms and again before its cancellation pairings, which run on
+the calling thread and expand into one n^3 buffer made for them.
 Threaded and single-thread results are equal bit for bit, and so are
 split and whole rows.
 
@@ -54,14 +55,16 @@ diagonal operator of this form: four factor arrays on one layout, applied
 with the split (`StiffPropagator.apply`, or `_apply_rows` on a range of
 rows, which the step's row tasks call on either thread since a span
 recorder may wrap `apply`).  `StiffSymbols` is one whose factors are the
-rates, and
-adds only `StiffSymbols.propagator(dt)`, which forms the operator
-exp(-dt * symbol) anew on each call.  The step forms its band symbols from
-its parameters and variant, then two propagators, on every step (on a
-2-core x86 host the symbols take 0.01-0.02, 0.01-0.03 and 0.4-0.6 ms at
-16^3, 32^3 and 64^3, a propagator pair 0.03, 0.05-0.08 and 1.2-1.3 ms:
-under 1% of a 64^3 step together, less below).  `rhs` returns the full
-tendency, the explicit part minus symbol * field, on the full spectrum.
+rates, and adds only `StiffSymbols.propagator(dt)`, which forms the
+operator exp(-dt * symbol) anew on each call.  Each block of the step's
+propagations forms its band symbols, the one or two propagators it
+applies and each one's omega_par - omega_perp in views of idle pool grid
+buffers (`band_propagators`), on the calling thread: three symbol sets and
+four propagators per step (on a 2-core x86 host 0.14, 0.27 and 1.6 ms
+per step at 16^3, 32^3 and 64^3, against 0.03, 0.08 and 0.9 ms for one
+symbol set, two propagators and a difference per propagation: under 1% of
+a 64^3 step).  `rhs` returns the full tendency, the explicit part minus
+symbol * field, on the full spectrum.
 """
 
 from __future__ import annotations
@@ -112,13 +115,16 @@ class StiffPropagator:
     factor ``u`` on the velocity, ``omega_perp`` and ``omega_par`` on the
     parts of omega perpendicular and parallel to k, ``magnetic`` on the
     magnetic field.  `StiffSymbols` holds the damping rates in this form,
-    and their ``propagator(dt)`` the factors exp(-dt * rate)."""
+    and their ``propagator(dt)`` the factors exp(-dt * rate).
+    ``par_minus_perp`` is omega_par - omega_perp if formed already (see
+    `band_propagators`); if None, each call forms it for its rows."""
 
     u: np.ndarray
     omega_perp: np.ndarray
     omega_par: np.ndarray
     magnetic: np.ndarray
     layout: SpectralLayout
+    par_minus_perp: np.ndarray | None = None
 
     def apply(self, u: np.ndarray, w: np.ndarray, m: np.ndarray,
               out=None, scratch: np.ndarray | None = None
@@ -136,9 +142,12 @@ class StiffPropagator:
         `row_view` of it: u, w, m, the triple ``out`` and ``scratch`` hold
         those rows.  The step's row tasks call this on either thread, not
         `apply`, which a span recorder may wrap."""
+        perp = rows.part(self.omega_perp)
+        gap = (rows.part(self.omega_par) - perp
+               if self.par_minus_perp is None
+               else rows.part(self.par_minus_perp))
         return (np.multiply(rows.part(self.u)[None], u, out=out[0]),
-                _omega_split(rows.part(self.omega_perp),
-                             rows.part(self.omega_par), w, rows, out=out[1],
+                _omega_split(perp, gap, w, rows, out=out[1],
                              scratch=scratch),
                 np.multiply(rows.part(self.magnetic)[None], m, out=out[2]))
 
@@ -149,43 +158,76 @@ class StiffSymbols(StiffPropagator):
     one, `layout_stiff_symbols` any); `apply` gives symbol * field, the
     stiff tendency with its sign flipped."""
 
-    def propagator(self, dt: float) -> StiffPropagator:
+    def propagator(self, dt: float, out=None) -> StiffPropagator:
         """exp(-dt * symbol) per mode, each factor formed in place in one
-        new array: the bytes of ``np.exp(-dt * a)`` with no temporary."""
-        def factor(a):
-            f = np.multiply(-dt, a)
+        new array, or in the matching array of the four of ``out`` (u,
+        omega_perp, omega_par, magnetic; they may be the symbols' own):
+        the bytes of ``np.exp(-dt * a)`` with no temporary.  The step
+        forms its factors this way in pool memory (`band_propagators`)
+        for each block of propagations, so none outlives the block."""
+        def factor(a, into):
+            f = np.multiply(-dt, a, out=into)
             return np.exp(f, out=f)
-        return StiffPropagator(factor(self.u), factor(self.omega_perp),
-                               factor(self.omega_par), factor(self.magnetic),
+        rates = (self.u, self.omega_perp, self.omega_par, self.magnetic)
+        return StiffPropagator(*map(factor, rates, out or (None,) * 4),
                                self.layout)
 
 
-def _omega_split(perp: np.ndarray, par: np.ndarray, w: np.ndarray,
+def _omega_split(perp: np.ndarray, gap: np.ndarray, w: np.ndarray,
                  layout: SpectralLayout, out: np.ndarray | None = None,
                  scratch: np.ndarray | None = None) -> np.ndarray:
-    """perp w + (par - perp) w_par: the per-mode factor perp on the part of
-    w perpendicular to k, par on the part parallel to it; written into
-    ``out`` if given (which may be w itself), with w_par formed in
-    ``scratch`` if given."""
+    """perp w + gap w_par, gap = par - perp: the per-mode factor perp on
+    the part of w perpendicular to k, par on the part parallel to it;
+    written into ``out`` if given (which may be w itself), with w_par
+    formed in ``scratch`` if given."""
     w_par = parallel_part(w, layout, out=scratch)
     out = np.multiply(perp[None], w, out=out)
-    np.multiply((par - perp)[None], w_par, out=w_par)
+    np.multiply(gap[None], w_par, out=w_par)
     return np.add(out, w_par, out=out)
 
 
 def layout_stiff_symbols(layout: SpectralLayout, p: PhysParams,
-                         variant: SystemVariant) -> StiffSymbols:
-    """The stiff symbols on ``layout``, formed elementwise from its |k|^2:
-    on the band, the band part of the full-layout ones bit for bit."""
+                         variant: SystemVariant, out=None) -> StiffSymbols:
+    """The stiff symbols on ``layout``, formed elementwise from its |k|^2
+    in new arrays, or in the four arrays of ``out`` (u, omega_perp,
+    omega_par, magnetic): on the band, the band part of the full-layout
+    ones bit for bit."""
     ksq = layout.k_squared
     chi = p.coupling_chi(variant)
+    u, perp, par, magnetic = out or (None,) * 4
+
+    def plus_coupling(rate):
+        return np.add(rate, 4.0 * chi, out=rate)
     return StiffSymbols(
-        u=p.u_diffusion(variant) * ksq,
-        omega_perp=p.eta * ksq + 4.0 * chi,
-        omega_par=(p.eta + p.kappa) * ksq + 4.0 * chi,
-        magnetic=p.magnetic_diffusion(variant) * ksq,
+        u=np.multiply(p.u_diffusion(variant), ksq, out=u),
+        omega_perp=plus_coupling(np.multiply(p.eta, ksq, out=perp)),
+        omega_par=plus_coupling(np.multiply(p.eta + p.kappa, ksq, out=par)),
+        magnetic=np.multiply(p.magnetic_diffusion(variant), ksq,
+                             out=magnetic),
         layout=layout,
     )
+
+
+def band_propagators(layout: SpectralLayout, p: PhysParams,
+                     variant: SystemVariant, dts, scalars
+                     ) -> list[StiffPropagator]:
+    """exp(-dt * symbol) of the stiff symbols on ``layout`` for each dt of
+    ``dts``, each with its ``par_minus_perp`` formed once, all in the real
+    arrays ``scalars`` (5 per dt; the step's are views of pool grid
+    buffers, `StepEngine.band_scalars`): the symbols in the first four
+    (`layout_stiff_symbols`), the propagators (`StiffSymbols.propagator`)
+    in the next fours and the last one over the symbols, then the
+    differences.  Each factor has the bytes of
+    ``layout_stiff_symbols(layout, p, variant).propagator(dt)``'s, and no
+    other array is made."""
+    fours = [scalars[4 * i:4 * i + 4] for i in range(len(dts))]
+    symbols = layout_stiff_symbols(layout, p, variant, out=fours[0])
+    factors = [symbols.propagator(dt, out=four)
+               for dt, four in zip(dts, fours[1:] + fours[:1])]
+    return [StiffPropagator(e.u, e.omega_perp, e.omega_par, e.magnetic,
+                            layout, np.subtract(e.omega_par, e.omega_perp,
+                                                out=gap))
+            for e, gap in zip(factors, scalars[4 * len(dts):])]
 
 
 def stiff_symbols(grid: GridSpec, p: PhysParams,
@@ -495,11 +537,13 @@ def energy_flux_audit(state: State, p: PhysParams, variant: SystemVariant,
     The advection terms are `advect`'s products on the box, with u and b
     transformed once and each component's gradient shared by the products
     that use it: 33 inverse and 15 forward scalar transforms, split over
-    threads by `StepEngine.run`, in buffers of the engine's pool.  The engine then
-    drops its grid buffers and workspaces, whose memory the n^3 expansion
-    buffer of the cancellation pairings, which run on the calling thread,
-    can take instead of adding to the pool; a transient engine drops all
-    of its pool but the five advected fields.  The buffer is made once,
+    threads by `StepEngine.run`, in buffers of the engine's pool.  The
+    engine releases its pool first (`StepEngine.release`), so the step's
+    idle band buffers do not outlast the 12 grid buffers these take, and
+    again after them, dropping its grid buffers and workspaces, whose
+    memory the n^3 expansion buffer of the cancellation pairings, which
+    run on the calling thread, can take instead of adding to the pool;
+    only the five advected fields stay.  The buffer is made once,
     zeroed, for all the pairings (6, or 8 with the background field), and
     dropped before the band sums.  Each pairing forms conj(a) b on the
     band, writes only the box's blocks of its expansion into the buffer
@@ -521,6 +565,7 @@ def energy_flux_audit(state: State, p: PhysParams, variant: SystemVariant,
 
     u_band, w_band, m_band = state.arrays
     with using_engine(engine, grid) as engine, engine.scope():
+        engine.release()
         (u_grad_u, m_grad_u), (u_grad_w,), (u_grad_m, m_grad_m) = \
             _advect_band([u_band, m_band], [(u_band, (0, 1)), (w_band, (0,)),
                                             (m_band, (0, 1))], grid, engine)

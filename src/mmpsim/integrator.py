@@ -11,11 +11,15 @@ exp(-Lambda * delta) between the four classical stages:
     y  = Ef y0 + dt/6 (Ef N1 + 2 Eh (N2 + N3) + N4)
 
 The velocity and magnetic fields are re-projected and the k=0 modes
-re-zeroed once per full step.  Each step forms the band's stiff symbols
-Lambda from its parameters and variant, and Eh and Ef from them, so a step
-whose dt differs from the last one's costs the same as any other, and no
-operator formed elsewhere can enter a step.  The symbols are dropped once
-Eh and Ef are formed.
+re-zeroed once per full step.  Each block of propagations between the
+explicit evaluations forms the band's stiff symbols Lambda from the step's
+parameters and variant, and from them the factors it applies (Eh for y2
+and y3, Eh and Ef for y4, none for the new state), so a step whose dt
+differs from the last one's costs the same as any other, and no operator
+formed elsewhere can enter a step.  The symbols and factors live in views
+of two idle pool grid buffers (three at 12^3 and 18^3) for the block's
+duration only (`dynamics.band_propagators`), so the step holds no factor
+while it evaluates N.
 
 The step works on the retained-band coefficients that a `State` holds
 (see `spectral`), and `run` carries band `State`s from step to step, to
@@ -38,11 +42,15 @@ evaluation, the grid values of u and b, one grid buffer per thread for
 omega_i, one product slab per thread in which its products are formed
 slab by slab (see `spectral.BandWorkspace`), and one band buffer for the
 emf, then for 2 chi curl u, the linear terms and the projections' scratch
-(see `dynamics`; the stress is formed in the evaluation's output).  Only
-the triple that becomes the new state is allocated per step, outside the
-pool, so the caller owns it from the start.  The audit takes no product
-slab, and drops the pool's grid buffers and slabs before its pairings,
-which expand into one n^3 buffer of their own.
+(see `dynamics`; the stress is formed in the evaluation's output); the
+blocks between the evaluations take their factors' memory from the grid
+buffers, which are idle there.  Only the triple that becomes the new
+state is allocated per step, outside the pool, so the caller owns it from
+the start.  The audit takes no product slab; it releases the pool
+(`StepEngine.release`: the grid buffers, the slabs and every band buffer
+nobody holds) before its transforms, which take 5 band and 12 grid
+buffers, and again before its pairings, which expand into one n^3 buffer
+of their own; so a step after a record takes 5 band buffers anew.
 Within an evaluation the transforms run on the engine's helper thread as
 well from n = `spectral.SPLIT_MIN_N` up, and from n =
 `spectral.ROW_SPLIT_MIN_N` up so does one k1-row half of the band-level
@@ -64,7 +72,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import explicit_rhs_arrays, grid_tasks, layout_stiff_symbols
+from .dynamics import band_propagators, explicit_rhs_arrays, grid_tasks
 from .fields import PhysParams, State, SystemVariant, check_solver_arguments
 from .norms import DiagnosticsRecord, DiagnosticsSettings, compute_record
 from .spectral import (
@@ -173,8 +181,10 @@ def _step_arrays(arrays, grid: GridSpec, p: PhysParams,
                  variant: SystemVariant, dt: float, linearized: bool,
                  engine: StepEngine):
     """One step on retained-band arrays; e_half and e_full are the Eh and
-    Ef above, formed from the band symbols of ``p`` and ``variant`` (see
-    `dynamics`).
+    Ef above, formed from the band symbols of ``p`` and ``variant`` for
+    each block that applies them, in views of pool grid buffers taken in
+    the block's scope (`dynamics.band_propagators`, on the calling thread
+    before the block's row tasks).
 
     Every stage lives in four band triples, each value written with
     ``out=`` over one whose last use has passed: t1 holds N1, then Ef N1
@@ -195,32 +205,32 @@ def _step_arrays(arrays, grid: GridSpec, p: PhysParams,
                                    linearized=linearized, engine=engine,
                                    out=out)
 
-    def block(task):
+    def block(task, *dts):
         with engine.scope():
             (scratch,) = engine.band_buffers(1)
+            factors = (band_propagators(grid.band, p, variant, dts,
+                                        engine.band_scalars(5 * len(dts)))
+                       if dts else ())
             engine.run_rows(lambda rows: task(
                 rows, rows.part(scratch),
-                lambda triple: tuple(map(rows.part, triple))))
+                lambda triple: tuple(map(rows.part, triple)), *factors))
 
-    symbols = layout_stiff_symbols(grid.band, p, variant)
-    e_half, e_full = symbols.propagator(0.5 * dt), symbols.propagator(dt)
-    del symbols  # only the propagators are read below
     t2 = tuple(np.empty_like(a) for a in arrays)
     with engine.scope():
         buffers = engine.band_buffers(9)
         t1, t3, t4 = (tuple(buffers[3 * i:3 * i + 3]) for i in range(3))
 
-        def to_y2(rows, s, cut):
+        def to_y2(rows, s, cut, e_half):
             y2 = cut(t2)
             e_half._apply_rows(rows, *_axpy(cut(arrays), cut(t1), 0.5 * dt,
                                             y2, y2), y2, s)
 
-        def to_y3(rows, s, cut):
+        def to_y3(rows, s, cut, e_half):
             y3 = cut(t2)
             _axpy(e_half._apply_rows(rows, *cut(arrays), y3, s), cut(t3),
                   0.5 * dt, y3, (s,) * 3)
 
-        def to_y4(rows, s, cut):
+        def to_y4(rows, s, cut, e_half, e_full):
             n1, full_y0, n23, n3 = map(cut, (t1, t2, t3, t4))
             for a, b in zip(n23, n3):
                 np.add(a, b, out=a)
@@ -237,11 +247,11 @@ def _step_arrays(arrays, grid: GridSpec, p: PhysParams,
             project_coeffs(m_new, rows, out=m_new, scratch=s)
 
         explicit(arrays, t1)
-        block(to_y2)
+        block(to_y2, 0.5 * dt)
         explicit(t2, t3)
-        block(to_y3)
+        block(to_y3, 0.5 * dt)
         explicit(t2, t4)
-        block(to_y4)
+        block(to_y4, 0.5 * dt, dt)
         explicit(t4, t3)
         block(to_new)
     u_new, w_new, m_new = t2

@@ -547,9 +547,10 @@ class StepEngine:
     the largest working set any of them asked for, not their sum; for
     that, the audit's extra grid buffers replace the step's idle product
     slabs (`grid_buffers`).  A buffer holds whatever its last user left
-    in it.  `release` drops its
-    grid buffers, product slabs and the workspaces, `close` its band
-    buffers too; the next request allocates afresh.
+    in it.  `band_scalars` hands out real band scalars as views of grid
+    buffers.  `release` drops its grid buffers, product slabs, idle band
+    buffers and the workspaces, `close` every band buffer; the next
+    request allocates afresh.
 
     *Rows.*  `run_rows` runs a band-level stage as a phase of one task per
     layout of `band_rows`: one k1-row range per thread from n =
@@ -612,6 +613,20 @@ class StepEngine:
         enclosing `scope` ends."""
         return self._band.take(count)
 
+    def band_scalars(self, count: int) -> list[np.ndarray]:
+        """``count`` real band scalars (2kc+1, 2kc+1, kc+1), contiguous
+        views of as few grid buffers of the pool as hold them (see
+        `grid_buffers`), in use until the enclosing `scope` ends.  The
+        band holds about 4/27 of the grid's points, and a grid buffer 4 to
+        6 band scalars (4 at 12^3 and 18^3, else 5 or 6)."""
+        shape = self.grid.band_shape
+        size = shape[0] * shape[1] * shape[2]
+        per_buffer = self.grid.n ** 3 // size
+        stacks = [b.reshape(-1)[:per_buffer * size].reshape(
+                      (per_buffer,) + shape)
+                  for b in self.grid_buffers(-(-count // per_buffer))]
+        return [scalar for stack in stacks for scalar in stack][:count]
+
     @contextmanager
     def scope(self):
         """Give back, on exit, every buffer handed out inside."""
@@ -659,11 +674,13 @@ class StepEngine:
                        for rows in self.band_rows]])
 
     def release(self) -> None:
-        """Drop the grid buffers and product slabs of the pool and the
-        workspaces; the band buffers and the threads stay.  Buffers a
-        caller still holds stay alive as its own."""
+        """Drop the grid buffers and product slabs of the pool, the band
+        buffers nobody holds and the workspaces; the band buffers handed
+        out in an open `scope` and the threads stay.  Buffers a caller
+        still holds stay alive as its own."""
         self._grid.arrays = []
         self._slab.arrays = []
+        del self._band.arrays[self._band.top:]
         self._workspaces = []
 
     def run(self, phases, fields: int = 0, product: bool = False) -> None:

@@ -17,6 +17,7 @@ from mmpsim.dynamics import (
     _SYM_PAIRS,
     _SYM_ROWS,
     advect,
+    band_propagators,
     energy_flux_audit,
     explicit_rhs_arrays,
     layout_stiff_symbols,
@@ -566,7 +567,9 @@ class TestBandStep:
         # passes and products in 4 slabs per transform: 25.9 MB with each
         # workspace's full-grid transform scratch, each thread's product
         # grid buffer and a band accumulator per workspace, 22.8 MB (22.9
-        # for the perturbation variant) with one slab of each
+        # for the perturbation variant) with one slab of each and the
+        # step's propagators held for the whole step, 21.4 MB (21.7) with
+        # each block's factors formed in idle pool grid buffers
         g = GridSpec(48)
         state = make_random_state(g, InitSpec(epsilon=1.0, seed=1),
                                   SystemVariant.FULL)
@@ -578,7 +581,7 @@ class TestBandStep:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 24e6
+        assert peak <= 22.2e6
 
     def test_step_reads_only_retained_box(self):
         # a state keeps only the band of the fields it is built from, so
@@ -602,6 +605,38 @@ class TestBandStep:
         want = step(clean, p, SystemVariant.FULL, 0.01)
         for a, b in zip(got.arrays, want.arrays):
             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("n", [12, 16, 48])
+    @pytest.mark.parametrize("dts", [(0.025,), (0.025, 0.05)],
+                             ids=["half", "half-full"])
+    def test_band_propagators_in_pool_memory(self, n, dts):
+        # the step's factors, formed in views of pool grid buffers: the
+        # bytes of the propagators of new symbols, each with its
+        # omega_par - omega_perp, and applied with the bytes of theirs
+        g = GridSpec(n)
+        p = PhysParams(mu=0.2, chi=0.8, kappa=0.6, eta=0.4, nu=0.3)
+        variant = SystemVariant.FULL
+        sym = layout_stiff_symbols(g.band, p, variant)
+        arrays = make_random_state(g, InitSpec(epsilon=1.0, seed=4),
+                                   variant).arrays
+        with spectral.StepEngine(g) as engine, engine.scope():
+            scalars = engine.band_scalars(5 * len(dts))
+            props = band_propagators(g.band, p, variant, dts, scalars)
+            assert len(props) == len(dts)
+            for prop, dt in zip(props, dts):
+                want = sym.propagator(dt)
+                assert prop.layout is g.band
+                for name in ("u", "omega_perp", "omega_par", "magnetic",
+                             "par_minus_perp"):
+                    assert any(np.shares_memory(getattr(prop, name), a)
+                               for a in scalars)
+                for name in ("u", "omega_perp", "omega_par", "magnetic"):
+                    assert (getattr(prop, name).tobytes()
+                            == getattr(want, name).tobytes())
+                assert prop.par_minus_perp.tobytes() == (
+                    want.omega_par - want.omega_perp).tobytes()
+                for a, b in zip(prop.apply(*arrays), want.apply(*arrays)):
+                    assert a.tobytes() == b.tobytes()
 
     def test_propagator_is_exp_of_minus_dt_symbol(self):
         # formed in place, each factor has the bytes of np.exp(-dt * a)

@@ -633,8 +633,8 @@ class TestRunEngine:
                                                           monkeypatch):
         # the pairings expand band products to n^3 on the calling thread;
         # the run's grid buffers and workspaces are dropped first, so the
-        # expansions can take their memory, and the band buffers are kept
-        # for the next step
+        # expansions can take their memory; the pool keeps the five band
+        # buffers the audit advected into, which the next step reuses
         monkeypatch.setattr(spectral, "WORKERS", 2)
         monkeypatch.setattr(spectral, "SPLIT_MIN_N", 8)
         engines = record_engines(monkeypatch)
@@ -659,7 +659,7 @@ class TestRunEngine:
         assert len(at_pairings) == 3 * 6
         assert all(out is outs[6 * (i // 6)] for i, out in enumerate(outs))
         assert len({id(out) for out in outs}) == 3
-        assert all(grid == 0 and workspaces == 0 and band > 0
+        assert all(grid == 0 and workspaces == 0 and band == 5
                    for grid, workspaces, band in at_pairings)
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -709,19 +709,54 @@ class TestRunEngine:
         # thread.  band: the step's 9 stage buffers and one for the emf of
         # an evaluation, then for its linear parts and projection, and
         # between evaluations for the scratch of the row tasks, which each
-        # take their rows of it
+        # take their rows of it.  Between evaluations each block of
+        # propagations forms its factors in 2 of the idle grid buffers (3
+        # at 12^3), so the blocks add none
         monkeypatch.setattr(spectral, "WORKERS", workers)
         monkeypatch.setattr(spectral, "SPLIT_MIN_N", 8)
         monkeypatch.setattr(spectral, "ROW_SPLIT_MIN_N",
                             8 if row_split else 10 ** 9)
+        for n in (12, 16):
+            g = GridSpec(n)
+            state = make_random_state(g, InitSpec(epsilon=1.0, seed=14),
+                                      PERT)
+            with StepEngine(g) as engine:
+                step(state, PERT_PARAMS, PERT, 0.05, engine=engine)
+                assert engine.threads == workers
+                assert len(engine.band_rows) == (2 if row_split else 1)
+                assert len(engine._grid.arrays) == 6 + workers
+                assert len(engine._slab.arrays) == workers
+                assert len(engine._band.arrays) == 10
+
+    def test_record_after_a_step_holds_the_audits_band_buffers(self,
+                                                               monkeypatch):
+        # the audit releases the pool before its transforms: of a step's 10
+        # band buffers only the 5 it advects into are pooled while its 12
+        # grid buffers exist (19.5 MB of band buffers at 64^3 before), and
+        # the next step takes the other 5 anew
+        monkeypatch.setattr(spectral, "WORKERS", 2)
+        monkeypatch.setattr(spectral, "SPLIT_MIN_N", 8)
         g = GridSpec(16)
-        state = make_random_state(g, InitSpec(epsilon=1.0, seed=14), PERT)
+        state = make_random_state(g, InitSpec(epsilon=1.0, seed=16), PERT)
+        in_audit = []
+        original = spectral.BandWorkspace.to_physical
         with StepEngine(g) as engine:
+            def tracked(ws, c, out):
+                in_audit.append((len(engine._band.arrays),
+                                 len(engine._grid.arrays)))
+                original(ws, c, out)
+            state = step(state, PERT_PARAMS, PERT, 0.05, engine=engine)
+            assert len(engine._band.arrays) == 10
+            monkeypatch.setattr(spectral.BandWorkspace, "to_physical",
+                                tracked)
+            compute_record(state, PERT_PARAMS, engine=engine)
+            monkeypatch.setattr(spectral.BandWorkspace, "to_physical",
+                                original)
+            # 33 inverse transforms: u and b, then 3 per component of the
+            # five advected fields
+            assert in_audit == [(5, 12)] * 33
+            assert len(engine._band.arrays) == 5
             step(state, PERT_PARAMS, PERT, 0.05, engine=engine)
-            assert engine.threads == workers
-            assert len(engine.band_rows) == (2 if row_split else 1)
-            assert len(engine._grid.arrays) == 6 + workers
-            assert len(engine._slab.arrays) == workers
             assert len(engine._band.arrays) == 10
 
     def test_audit_takes_the_memory_of_the_idle_slabs(self, monkeypatch):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import mmpsim
-from mmpsim import checkpoint, cli, spectral
+from mmpsim import checkpoint, cli, integrator, spectral
 from mmpsim.checkpoint import (
     CheckpointFormatError,
     load_checkpoint,
@@ -468,6 +468,56 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(self.R_WARNING)
         assert err.count("\n") == 1 + code
+
+    FLOOR_CONFIG = """
+grid.n = 8
+system = zero-kinematic
+params.chi = 1
+params.eta = 1
+params.nu = 1
+init.epsilon = 1e9
+init.seed = 11
+time.dt = 0.05
+time.t_end = 1e-7
+time.record_interval = 0.1
+output.dir = {outdir}
+"""
+    FLOOR_WARNINGS = [
+        "warning: stable_dt floored at 5.000e-08 (computed bound 1.306e-08)",
+        "warning: stable_dt floored at 5.000e-08 (computed bound 1.131e-08)",
+    ]
+
+    def test_run_floor_warnings_are_stderr_lines(self, tmp_path):
+        # in its own process, where Python's default warning display
+        # printed the source path, UserWarning and the source line per step
+        cfg = tmp_path / "floor.cfg"
+        cfg.write_text(self.FLOOR_CONFIG.format(outdir=tmp_path / "out"))
+        src = os.path.dirname(os.path.dirname(mmpsim.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "mmpsim.cli", "run", "--config", str(cfg)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == "".join(w + "\n" for w in self.FLOOR_WARNINGS)
+        assert "steps = 2" in proc.stdout
+
+    def test_run_prints_each_floor_as_it_happens(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # each step's stable_dt floors before the step: its line is on
+        # stderr when the step starts, not collected until run returns
+        cfg = tmp_path / "floor.cfg"
+        cfg.write_text(self.FLOOR_CONFIG.format(outdir=tmp_path / "out"))
+        original_step = integrator.step
+        seen = []
+
+        def step(*args, **kwargs):
+            seen.append(capsys.readouterr().err)
+            return original_step(*args, **kwargs)
+        monkeypatch.setattr(integrator, "step", step)
+        assert cli_main(["run", "--config", str(cfg)]) == 0
+        assert seen == [w + "\n" for w in self.FLOOR_WARNINGS]
+        assert capsys.readouterr().err == ""
 
     def test_run_out_of_memory_is_reported(self, tmp_path, capsys,
                                            monkeypatch):

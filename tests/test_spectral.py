@@ -253,6 +253,47 @@ class TestSlabs:
                 values, axes=axes, norm="forward"), g).tobytes()
 
 
+class TestPool:
+    @pytest.mark.parametrize("n, buffers", [(8, 2), (12, 3), (16, 2),
+                                            (18, 3), (64, 2)])
+    def test_band_scalars_are_views_of_grid_buffers(self, n, buffers):
+        # the step's 10 band scalars per block of propagations: 4 to 6
+        # fit in a grid buffer, so 2 buffers hold them, 3 at 12^3 and 18^3
+        g = GridSpec(n)
+        with spectral.StepEngine(g) as engine:
+            with engine.scope():
+                scalars = engine.band_scalars(10)
+                grid = engine._grid.arrays
+                assert len(grid) == engine._grid.top == buffers
+                for i, a in enumerate(scalars):
+                    assert a.shape == g.band_shape and a.dtype == np.float64
+                    assert a.flags.c_contiguous
+                    assert any(np.shares_memory(a, b) for b in grid)
+                    a.fill(i)
+                assert all((a == i).all() for i, a in enumerate(scalars))
+            assert engine._grid.top == 0
+            with engine.scope():
+                assert engine.band_scalars(0) == []
+                assert engine._grid.top == 0
+
+    def test_release_keeps_the_band_buffers_in_use(self):
+        # the audit releases the pool while it holds its five advected
+        # fields: the idle band buffers go, the held ones stay pooled
+        g = GridSpec(8)
+        with spectral.StepEngine(g) as engine:
+            with engine.scope():
+                engine.band_buffers(10)
+                engine.grid_buffers(2)
+            with engine.scope():
+                held = list(map(id, engine.band_buffers(5)))
+                engine.release()
+                assert list(map(id, engine._band.arrays)) == held
+                assert not engine._grid.arrays and not engine._workspaces
+            with engine.scope():
+                assert list(map(id, engine.band_buffers(5))) == held
+                assert len(engine._band.arrays) == 5
+
+
 def ix_band_part(c, grid):
     """`band_part` as one fancy-indexed gather, the oracle of its blocks."""
     idx = grid.band_index
