@@ -542,12 +542,10 @@ class StepEngine:
     (3, 2kc+1, 2kc+1, kc+1), and `run` one real (planes, n, n) product
     slab per thread if asked (see `BandWorkspace`), each kind from a
     stack: what is handed out inside a `scope` goes back when it ends, and
-    the next request gets the same arrays again.  So the step's phases,
-    its stage arrays and the audit's phases share one pool, which grows to
-    the largest working set any of them asked for, not their sum; for
-    that, the audit's extra grid buffers replace the step's idle product
-    slabs (`grid_buffers`).  A buffer holds whatever its last user left
-    in it.  `band_scalars` hands out real band scalars as views of grid
+    the next request gets the same arrays again.  So the step's phases
+    and its stage arrays share one pool from step to step, and the audit,
+    which releases the pool first, takes the step's memory instead of
+    adding to it.  A buffer holds whatever its last user left in it.  `band_scalars` hands out real band scalars as views of grid
     buffers.  `release` drops its grid buffers, product slabs, idle band
     buffers and the workspaces, `close` every band buffer; the next
     request allocates afresh.
@@ -600,12 +598,7 @@ class StepEngine:
 
     def grid_buffers(self, count: int) -> list[np.ndarray]:
         """``count`` grid buffers of the pool, in use until the enclosing
-        `scope` ends.  If the pool must make more while no product slab is
-        handed out, it drops its slabs first, so that the new buffers can
-        take their memory."""
-        if (self._grid.top + count > len(self._grid.arrays)
-                and not self._slab.top):
-            self._slab.arrays = []
+        `scope` ends."""
         return self._grid.take(count)
 
     def band_buffers(self, count: int) -> list[np.ndarray]:

@@ -761,8 +761,9 @@ class TestRunEngine:
 
     def test_audit_takes_the_memory_of_the_idle_slabs(self, monkeypatch):
         # the audit forms no product and needs more grid buffers than a
-        # step: the pool drops the step's product slabs before it makes
-        # them, and a step after the audit takes its slabs anew
+        # step: it releases the pool, the step's product slabs included,
+        # before it makes them, and a step after the audit takes its slabs
+        # anew
         monkeypatch.setattr(spectral, "WORKERS", 2)
         monkeypatch.setattr(spectral, "SPLIT_MIN_N", 8)
         g = GridSpec(16)
