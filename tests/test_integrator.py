@@ -170,6 +170,71 @@ class TestStep:
             step(state, ZK_PARAMS, ZK, 0.1)
 
 
+ORACLE_CASES = [
+    (SystemVariant.ZERO_KINEMATIC,
+     PhysParams(chi=1.0, kappa=0.4, eta=1.0, nu=1.0)),
+    (SystemVariant.PERTURBATION,
+     PhysParams(chi=1.0, kappa=0.3, eta=1.0, alpha=ALPHA, r=2.5)),
+    (SystemVariant.FULL,
+     PhysParams(mu=0.2, chi=1.0, kappa=0.4, eta=1.0, nu=0.5)),
+]
+
+
+def oracle_step(state, p, variant, dt, linearized):
+    """The integrator's formulas with a new array per operation: the
+    explicit part N by the out-of-place `explicit_rhs_arrays`, Eh and Ef
+    from new band symbols, and each sum, product and projection formed
+    anew."""
+    grid = state.grid
+    symbols = dynamics.layout_stiff_symbols(grid.band, p, variant)
+    e_half, e_full = symbols.propagator(0.5 * dt), symbols.propagator(dt)
+
+    def explicit(y):
+        return dynamics.explicit_rhs_arrays(*y, grid, p, variant,
+                                            linearized=linearized)
+
+    def axpy(y, x, c):
+        return tuple(a + c * b for a, b in zip(y, x))
+
+    y0 = state.arrays
+    n1 = explicit(y0)
+    n2 = explicit(e_half.apply(*axpy(y0, n1, 0.5 * dt)))
+    n3 = explicit(axpy(e_half.apply(*y0), n2, 0.5 * dt))
+    n4 = explicit(axpy(e_full.apply(*y0), e_half.apply(*n3), dt))
+    accum = axpy(e_full.apply(*n1),
+                 e_half.apply(*(a + b for a, b in zip(n2, n3))), 2.0)
+    accum = tuple(a + b for a, b in zip(accum, n4))
+    u, w, m = axpy(e_full.apply(*y0), accum, dt / 6.0)
+    w[:, 0, 0, 0] = 0.0
+    return (spectral.project_coeffs(u, grid.band), w,
+            spectral.project_coeffs(m, grid.band))
+
+
+class TestStepOracle:
+    @pytest.mark.parametrize("split", [False, True], ids=["whole", "split"])
+    @pytest.mark.parametrize("linearized", [False, True],
+                             ids=["nonlinear", "linearized"])
+    @pytest.mark.parametrize("variant,params", ORACLE_CASES,
+                             ids=[v.value for v, _ in ORACLE_CASES])
+    @pytest.mark.parametrize("n", [8, 12, 16, 32, 48])
+    def test_step_equals_the_formulas(self, monkeypatch, n, variant, params,
+                                      linearized, split):
+        # epsilon = 1000 makes the quadratic terms dominate every tendency;
+        # the step writes its stages over each other in pool buffers, the
+        # oracle makes a new array per operation
+        monkeypatch.setattr(spectral, "WORKERS", 2)
+        monkeypatch.setattr(spectral, "SPLIT_MIN_N", 8)
+        monkeypatch.setattr(spectral, "ROW_SPLIT_MIN_N",
+                            8 if split else 10 ** 9)
+        state = make_random_state(GridSpec(n), InitSpec(epsilon=1000.0,
+                                                        seed=n), variant)
+        got = step(state, params, variant, 1e-3, linearized=linearized)
+        want = oracle_step(state, params, variant, 1e-3, linearized)
+        for a, b in zip(got.arrays, want):
+            assert np.array_equal(a, b)
+            assert a.tobytes() == b.tobytes()
+
+
 class TestLinearizedOrder:
     PARAMS = PhysParams(chi=1.0, kappa=0.3, eta=1.0, alpha=ALPHA, r=2.5)
     VARIANT = SystemVariant.PERTURBATION
