@@ -425,30 +425,46 @@ def explicit_rhs_arrays(u_hat: np.ndarray, w_hat: np.ndarray, m_hat: np.ndarray,
     is the calling thread's workspace band buffer, and i(alpha.k) is
     formed after the transforms, so it does not add to their working set.
     Without the quadratic terms the stage forms 2 chi curl u and the
-    linear parts in dw, du and dm themselves."""
-    two_chi = 2.0 * p.coupling_chi(variant)
+    linear parts in dw, du and dm themselves.  The step's third
+    evaluation writes over its own input instead (`_explicit_arrays`)."""
     if out is None:
         out = tuple(np.empty_like(a) for a in (u_hat, w_hat, m_hat))
+    return _explicit_arrays((u_hat, w_hat, m_hat), grid, p, variant,
+                            linearized, engine, out)
+
+
+def _explicit_arrays(y, grid: GridSpec, p: PhysParams, variant: SystemVariant,
+                     linearized: bool, engine: StepEngine | None, out,
+                     again=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`explicit_rhs_arrays` of the triple ``y``, written into the triple
+    ``out``.  With ``again`` given, ``out`` may be ``y`` itself: the
+    transforms read each input component before its slot is written (u
+    and b in phase 1, before the stress; omega_i in flux task i, before
+    its row), and the linear terms read the input formed again.
+    ``again()`` is called on the calling thread once the transforms are
+    done, inside the evaluation's scope, where it may take idle grid
+    buffers (`StepEngine.band_vectors`); it returns ``form(rows, s)``,
+    which writes the input's ``rows`` again with the band vector ``s``
+    (the rows of the emf's buffer, read already) as scratch and returns
+    them as a triple."""
+    two_chi = 2.0 * p.coupling_chi(variant)
     du, dw, dm = out
     with using_engine(engine, grid) as engine, engine.scope():
         (buffer,) = engine.band_buffers(1)
         if not linearized:
-            _quadratic_terms(u_hat, w_hat, m_hat, grid, out, buffer, engine)
+            _quadratic_terms(*y, grid, out, buffer, engine)
         sym = (alpha_symbol(p.alpha_vector, grid.band)
                if variant.uses_background else None)
         band_scratch = engine.workspaces[0].band
+        form = (again() if again is not None
+                else lambda rows, s: tuple(map(rows.part, y)))
 
         def stage(rows):
             part = rows.part
-            u, w, m, d_u, d_w, d_m, lin, scratch = map(
-                part, (u_hat, w_hat, m_hat, du, dw, dm, buffer, band_scratch))
+            d_u, d_w, d_m, lin, scratch = map(
+                part, (du, dw, dm, buffer, band_scratch))
             s = None if sym is None else part(sym)
-            if linearized:
-                np.multiply(two_chi, curl_coeffs(u, rows, out=d_w,
-                                                 scratch=scratch), out=d_w)
-                _velocity_linear(w, m, rows, two_chi, s, d_u, scratch)
-                _magnetic_linear(u, s, d_m)
-            else:
+            if not linearized:
                 stress = [*d_u, *d_m]
                 sums = [k_dot([stress[r] for r in row], rows,
                               out=stress[row[0]], scratch=scratch)
@@ -456,8 +472,15 @@ def explicit_rhs_arrays(u_hat: np.ndarray, w_hat: np.ndarray, m_hat: np.ndarray,
                 for d, row_sum in zip(d_u, sums):
                     np.multiply(-1j, row_sum, out=d)
                 # the stress is read: dm takes curl(emf), then the emf's
-                # buffer takes the linear terms
+                # buffer is scratch and takes the linear terms
                 curl_coeffs(lin, rows, out=d_m, scratch=scratch)
+            u, w, m = form(rows, lin)
+            if linearized:
+                np.multiply(two_chi, curl_coeffs(u, rows, out=d_w,
+                                                 scratch=scratch), out=d_w)
+                _velocity_linear(w, m, rows, two_chi, s, d_u, scratch)
+                _magnetic_linear(u, s, d_m)
+            else:
                 np.multiply(two_chi, curl_coeffs(u, rows, out=lin,
                                                  scratch=scratch), out=lin)
                 np.add(d_w, lin, out=d_w)

@@ -14,12 +14,12 @@ The velocity and magnetic fields are re-projected and the k=0 modes
 re-zeroed once per full step.  Each block of propagations between the
 explicit evaluations forms the band's stiff symbols Lambda from the step's
 parameters and variant, and from them the factors it applies (Eh for y2
-and y3, Eh and Ef for y4, none for the new state), so a step whose dt
+and y3, Eh and Ef for y4, Ef for the new state), so a step whose dt
 differs from the last one's costs the same as any other, and no operator
 formed elsewhere can enter a step.  The symbols and factors live in views
-of two idle pool grid buffers (three at 12^3 and 18^3) for the block's
-duration only (`dynamics.band_propagators`), so the step holds no factor
-while it evaluates N.
+of two idle pool grid buffers for the block's duration only
+(`dynamics.band_propagators`), so the step holds no factor while it
+evaluates N.
 
 The step works on the retained-band coefficients that a `State` holds
 (see `spectral`), and `run` carries band `State`s from step to step, to
@@ -36,21 +36,24 @@ evaluations, |u| on the grid and the audit's buffers all come from the
 engine's one pool, reused from step to step, so a run does not hand its
 working set back to the allocator and fault it in again on every step
 (see `_step_arrays`); the pool is kept across state-sink calls too.  A
-step takes 8 grid and 10 band vector buffers and 2 product slabs from it
-on two threads (7, 10 and 1 on one): the stages' 9 band buffers and, per
+step takes 8 grid and 7 band vector buffers and 2 product slabs from it
+on two threads (7, 7 and 1 on one): the stages' 6 band buffers and, per
 evaluation, the grid values of u and b, one grid buffer per thread for
 omega_i, one product slab per thread in which its products are formed
 slab by slab (see `spectral.BandWorkspace`), and one band buffer for the
 emf, then for 2 chi curl u, the linear terms and the projections' scratch
-(see `dynamics`; the stress is formed in the evaluation's output); the
-blocks between the evaluations take their factors' memory from the grid
-buffers, which are idle there.  Only the triple that becomes the new
-state is allocated per step, outside the pool, so the caller owns it from
-the start.  The audit takes no product slab; it releases the pool
+(see `dynamics`; the stress is formed in the evaluation's output).  The
+stages fill three band triples beside y0: the third evaluation writes N3
+over its own input y3 and forms y3 again for its linear terms.  The
+blocks between the evaluations, and that evaluation once its transforms
+are done, take their factors' and y3's memory from the grid buffers,
+which are idle there.  Only the triple that becomes the new state is
+allocated per step, outside the pool, so the caller owns it from the
+start.  The audit takes no product slab; it releases the pool
 (`StepEngine.release`: the grid buffers, the slabs and every band buffer
 nobody holds) before its transforms, which take 5 band and 12 grid
 buffers, and again before its pairings, which expand into one n^3 buffer
-of their own; so a step after a record takes 5 band buffers anew.
+of their own; so a step after a record takes 2 band buffers anew.
 Within an evaluation the transforms run on the engine's helper thread as
 well from n = `spectral.SPLIT_MIN_N` up, and from n =
 `spectral.ROW_SPLIT_MIN_N` up so does one k1-row half of the band-level
@@ -72,7 +75,12 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import band_propagators, explicit_rhs_arrays, grid_tasks
+from .dynamics import (
+    _explicit_arrays,
+    band_propagators,
+    explicit_rhs_arrays,
+    grid_tasks,
+)
 from .fields import PhysParams, State, SystemVariant, check_solver_arguments
 from .norms import DiagnosticsRecord, DiagnosticsSettings, compute_record
 from .spectral import (
@@ -186,63 +194,88 @@ def _step_arrays(arrays, grid: GridSpec, p: PhysParams,
     the block's scope (`dynamics.band_propagators`, on the calling thread
     before the block's row tasks).
 
-    Every stage lives in four band triples, each value written with
-    ``out=`` over one whose last use has passed: t1 holds N1, then Ef N1
-    and the accumulator; t2 holds y2, y3, Ef y0, then the new state; t3
-    holds N2, N2 + N3 (and Eh of it), then N4; t4 holds N3, Eh N3, then
-    y4.  t1, t3 and t4 are buffers of ``engine``'s pool; t2 is three new
-    arrays, which the caller owns from the start.  Between the explicit
+    Every stage lives in three band triples beside y0, each value written
+    with ``out=`` over one whose last use has passed.  t1 and t3 are
+    buffers of ``engine``'s pool; t2 is three new arrays, which the caller
+    owns from the start:
+
+        block                   t1              t3              t2
+        N1 = N(y0)              N1
+        to_y2, N2 = N(y2)                       N2              y2
+        to_y3, N3 = N(y3)                                       y3, then N3
+        to_y4                   Ef N1           N2 + N3, Eh of  Eh N3, then
+                                + 2 Eh(N2+N3)   it, then Ef y0  y4
+        N4 = N(y4)                              N4
+        to_new                  + N4            (its scratch)   Ef y0, then
+                                                                the new state
+
+    N3 is written over its own input y3 (`dynamics._explicit_arrays`): once
+    the transforms are done, its band stage forms y3 = Eh y0 + dt/2 N2
+    again for the linear terms, by `to_y3`'s operations, in three band
+    vectors of idle pool grid buffers (`StepEngine.band_vectors`), and Ef
+    y0 is formed twice rather than held.  Between the explicit
     evaluations, each block of propagations, sums and the final projection
     runs through `StepEngine.run_rows`, on the k1-rows of every stage
     (``cut``), with one more band buffer as scratch (the parallel part of
     omega in a propagation, dt/2 N2, the projection's parallel part),
     taken above the stages for each block, so the explicit evaluations
-    reuse it.  Each value is formed by the operations of the formulas
-    above, in their order, so the step is bit-identical to evaluating them
-    with a new array per operation, whatever the row split."""
+    reuse it: the pool holds 7 band buffers.  Each value is formed by the
+    operations of the formulas above, in their order, so the step is
+    bit-identical to evaluating them with a new array per operation,
+    whatever the row split."""
     def explicit(y, out):
         return explicit_rhs_arrays(*y, grid, p, variant,
                                    linearized=linearized, engine=engine,
                                    out=out)
 
+    def rows_of(rows):
+        return lambda triple: tuple(map(rows.part, triple))
+
     def block(task, *dts):
         with engine.scope():
             (scratch,) = engine.band_buffers(1)
-            factors = (band_propagators(grid.band, p, variant, dts,
-                                        engine.band_scalars(5 * len(dts)))
-                       if dts else ())
+            factors = band_propagators(grid.band, p, variant, dts,
+                                       engine.band_scalars(5 * len(dts)))
             engine.run_rows(lambda rows: task(
-                rows, rows.part(scratch),
-                lambda triple: tuple(map(rows.part, triple)), *factors))
+                rows, rows.part(scratch), rows_of(rows), *factors))
 
     t2 = tuple(np.empty_like(a) for a in arrays)
     with engine.scope():
-        buffers = engine.band_buffers(9)
-        t1, t3, t4 = (tuple(buffers[3 * i:3 * i + 3]) for i in range(3))
+        buffers = engine.band_buffers(6)
+        t1, t3 = tuple(buffers[:3]), tuple(buffers[3:])
 
         def to_y2(rows, s, cut, e_half):
             y2 = cut(t2)
             e_half._apply_rows(rows, *_axpy(cut(arrays), cut(t1), 0.5 * dt,
                                             y2, y2), y2, s)
 
-        def to_y3(rows, s, cut, e_half):
-            y3 = cut(t2)
-            _axpy(e_half._apply_rows(rows, *cut(arrays), y3, s), cut(t3),
-                  0.5 * dt, y3, (s,) * 3)
+        def to_y3(rows, s, cut, e_half, into=t2):
+            y3 = cut(into)
+            return _axpy(e_half._apply_rows(rows, *cut(arrays), y3, s),
+                         cut(t3), 0.5 * dt, y3, (s,) * 3)
+
+        def y3_again():
+            into = engine.band_vectors(3)
+            (e_half,) = band_propagators(grid.band, p, variant, (0.5 * dt,),
+                                         engine.band_scalars(5))
+            return lambda rows, s: to_y3(rows, s, rows_of(rows), e_half,
+                                         into)
 
         def to_y4(rows, s, cut, e_half, e_full):
-            n1, full_y0, n23, n3 = map(cut, (t1, t2, t3, t4))
+            n1, n23, n3 = map(cut, (t1, t3, t2))
             for a, b in zip(n23, n3):
                 np.add(a, b, out=a)
-            e_full._apply_rows(rows, *cut(arrays), full_y0, s)
-            _axpy(full_y0, e_half._apply_rows(rows, *n3, n3, s), dt, n3, n3)
             _axpy(e_full._apply_rows(rows, *n1, n1, s),
                   e_half._apply_rows(rows, *n23, n23, s), 2.0, n1, n23)
+            _axpy(e_full._apply_rows(rows, *cut(arrays), n23, s),
+                  e_half._apply_rows(rows, *n3, n3, s), dt, n3, n3)
 
-        def to_new(rows, s, cut):
-            accum, full_y0, n4 = map(cut, (t1, t2, t3))
+        def to_new(rows, s, cut, e_full):
+            accum, n4, new = map(cut, (t1, t3, t2))
             _axpy(accum, n4, 1.0, accum, n4)
-            u_new, _, m_new = _axpy(full_y0, accum, dt / 6.0, full_y0, accum)
+            u_new, _, m_new = _axpy(
+                e_full._apply_rows(rows, *cut(arrays), new, s), accum,
+                dt / 6.0, new, accum)
             project_coeffs(u_new, rows, out=u_new, scratch=s)
             project_coeffs(m_new, rows, out=m_new, scratch=s)
 
@@ -250,10 +283,11 @@ def _step_arrays(arrays, grid: GridSpec, p: PhysParams,
         block(to_y2, 0.5 * dt)
         explicit(t2, t3)
         block(to_y3, 0.5 * dt)
-        explicit(t2, t4)
+        _explicit_arrays(t2, grid, p, variant, linearized, engine, t2,
+                         again=y3_again)
         block(to_y4, 0.5 * dt, dt)
-        explicit(t4, t3)
-        block(to_new)
+        explicit(t2, t3)
+        block(to_new, dt)
     u_new, w_new, m_new = t2
     w_new[:, 0, 0, 0] = 0.0
     return u_new, w_new, m_new

@@ -333,11 +333,14 @@ class FitReport:
 def fit_decay(times, values, model: str, t_min: float = 0.0) -> FitReport:
     """Fit a decay law to (t, y) samples with t >= t_min.
 
-    Requires at least 10 retained samples, all positive: log y is regressed
-    on t (exponential) or on log(1 + t) (algebraic).
+    Refuses a NaN t_min.  Requires at least 10 retained samples, all
+    positive: log y is regressed on t (exponential) or on log(1 + t)
+    (algebraic).
     """
     if model not in ("exponential", "algebraic"):
         raise ValueError(f"unknown decay model {model!r}")
+    if math.isnan(t_min):
+        raise ValueError("t_min is NaN, which no sample time reaches")
     t = np.asarray(times, dtype=np.float64)
     y = np.asarray(values, dtype=np.float64)
     if t.shape != y.shape or t.ndim != 1:

@@ -545,10 +545,12 @@ class StepEngine:
     the next request gets the same arrays again.  So the step's phases
     and its stage arrays share one pool from step to step, and the audit,
     which releases the pool first, takes the step's memory instead of
-    adding to it.  A buffer holds whatever its last user left in it.  `band_scalars` hands out real band scalars as views of grid
-    buffers.  `release` drops its grid buffers, product slabs, idle band
-    buffers and the workspaces, `close` every band buffer; the next
-    request allocates afresh.
+    adding to it.  A buffer holds whatever its last user left in it.
+    `band_scalars` and `band_vectors` hand out real band scalars and
+    complex band vectors as views of grid buffers, whose memory is idle
+    between transforms.  `release` drops its grid buffers, product slabs,
+    idle band buffers and the workspaces, `close` every band buffer; the
+    next request allocates afresh.
 
     *Rows.*  `run_rows` runs a band-level stage as a phase of one task per
     layout of `band_rows`: one k1-row range per thread from n =
@@ -577,7 +579,11 @@ class StepEngine:
         band_shape = (3,) + grid.band_shape
         self.grid = grid
         self.threads = WORKERS if n >= SPLIT_MIN_N else 1
-        self._grid = _Stack(lambda: np.empty((n, n, n)))
+        # a grid buffer's memory holds n^3 reals and one complex band
+        # vector (6 real band scalars) for `band_vectors`: 0.4% more than
+        # n^3 at 48^3, 6% at 16^3, 41% at 12^3, none at 32^3 and 64^3
+        self._grid_words = max(n ** 3, 2 * int(np.prod(band_shape)))
+        self._grid = _Stack(lambda: np.empty(self._grid_words))
         self._band = _Stack(lambda: np.empty(band_shape, dtype=np.complex128))
         self._slab = _Stack(lambda: np.empty((slab_planes(n), n, n)))
         self._workspaces: list[BandWorkspace] = []
@@ -599,7 +605,8 @@ class StepEngine:
     def grid_buffers(self, count: int) -> list[np.ndarray]:
         """``count`` grid buffers of the pool, in use until the enclosing
         `scope` ends."""
-        return self._grid.take(count)
+        n = self.grid.n
+        return [a[:n ** 3].reshape(n, n, n) for a in self._grid.take(count)]
 
     def band_buffers(self, count: int) -> list[np.ndarray]:
         """``count`` band vector buffers of the pool, in use until the
@@ -609,16 +616,25 @@ class StepEngine:
     def band_scalars(self, count: int) -> list[np.ndarray]:
         """``count`` real band scalars (2kc+1, 2kc+1, kc+1), contiguous
         views of as few grid buffers of the pool as hold them (see
-        `grid_buffers`), in use until the enclosing `scope` ends.  The
-        band holds about 4/27 of the grid's points, and a grid buffer 4 to
-        6 band scalars (4 at 12^3 and 18^3, else 5 or 6)."""
-        shape = self.grid.band_shape
-        size = shape[0] * shape[1] * shape[2]
-        per_buffer = self.grid.n ** 3 // size
-        stacks = [b.reshape(-1)[:per_buffer * size].reshape(
+        `grid_buffers`), in use until the enclosing `scope` ends.  A grid
+        buffer holds at least 6 of them."""
+        return self._band_views(count, self.grid.band_shape, np.float64)
+
+    def band_vectors(self, count: int) -> list[np.ndarray]:
+        """``count`` complex band vectors (3, 2kc+1, 2kc+1, kc+1), each a
+        view of one grid buffer of the pool, in use until the enclosing
+        `scope` ends: band values held only while no transform runs."""
+        return self._band_views(count, (3,) + self.grid.band_shape,
+                                np.complex128)
+
+    def _band_views(self, count: int, shape: tuple,
+                    dtype) -> list[np.ndarray]:
+        words = int(np.prod(shape)) * np.dtype(dtype).itemsize // 8
+        per_buffer = self._grid_words // words
+        stacks = [a[:per_buffer * words].view(dtype).reshape(
                       (per_buffer,) + shape)
-                  for b in self.grid_buffers(-(-count // per_buffer))]
-        return [scalar for stack in stacks for scalar in stack][:count]
+                  for a in self._grid.take(-(-count // per_buffer))]
+        return [view for stack in stacks for view in stack][:count]
 
     @contextmanager
     def scope(self):

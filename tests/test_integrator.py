@@ -771,12 +771,14 @@ class TestRunEngine:
     def test_pool_after_one_step(self, monkeypatch, workers, row_split):
         # grid: u and b (6), and one per thread (omega_i of a flux task);
         # the products are formed slab by slab, in one product slab per
-        # thread.  band: the step's 9 stage buffers and one for the emf of
-        # an evaluation, then for its linear parts and projection, and
-        # between evaluations for the scratch of the row tasks, which each
-        # take their rows of it.  Between evaluations each block of
-        # propagations forms its factors in 2 of the idle grid buffers (3
-        # at 12^3), so the blocks add none
+        # thread.  band: the step's 6 pooled stage buffers (the third
+        # triple is the new state) and one for the emf of an evaluation,
+        # then for its linear parts and projection, and between
+        # evaluations for the scratch of the row tasks, which each take
+        # their rows of it (10 before the third evaluation wrote over its
+        # input).  Each block of propagations forms its factors in 2 of
+        # the idle grid buffers, and the third evaluation forms y3 again in
+        # 4 of them (3 band vectors and Eh), so neither adds any
         monkeypatch.setattr(spectral, "WORKERS", workers)
         monkeypatch.setattr(spectral, "SPLIT_MIN_N", 8)
         monkeypatch.setattr(spectral, "ROW_SPLIT_MIN_N",
@@ -791,14 +793,14 @@ class TestRunEngine:
                 assert len(engine.band_rows) == (2 if row_split else 1)
                 assert len(engine._grid.arrays) == 6 + workers
                 assert len(engine._slab.arrays) == workers
-                assert len(engine._band.arrays) == 10
+                assert len(engine._band.arrays) == 7
 
     def test_record_after_a_step_holds_the_audits_band_buffers(self,
                                                                monkeypatch):
-        # the audit releases the pool before its transforms: of a step's 10
+        # the audit releases the pool before its transforms: of a step's 7
         # band buffers only the 5 it advects into are pooled while its 12
-        # grid buffers exist (19.5 MB of band buffers at 64^3 before), and
-        # the next step takes the other 5 anew
+        # grid buffers exist, and the next step takes the other 2 anew (5
+        # when a step held 10)
         monkeypatch.setattr(spectral, "WORKERS", 2)
         monkeypatch.setattr(spectral, "SPLIT_MIN_N", 8)
         g = GridSpec(16)
@@ -811,7 +813,7 @@ class TestRunEngine:
                                  len(engine._grid.arrays)))
                 original(ws, c, out)
             state = step(state, PERT_PARAMS, PERT, 0.05, engine=engine)
-            assert len(engine._band.arrays) == 10
+            assert len(engine._band.arrays) == 7
             monkeypatch.setattr(spectral.BandWorkspace, "to_physical",
                                 tracked)
             compute_record(state, PERT_PARAMS, engine=engine)
@@ -822,7 +824,7 @@ class TestRunEngine:
             assert in_audit == [(5, 12)] * 33
             assert len(engine._band.arrays) == 5
             step(state, PERT_PARAMS, PERT, 0.05, engine=engine)
-            assert len(engine._band.arrays) == 10
+            assert len(engine._band.arrays) == 7
 
     def test_audit_takes_the_memory_of_the_idle_slabs(self, monkeypatch):
         # the audit forms no product and needs more grid buffers than a
@@ -860,7 +862,7 @@ class TestRunEngine:
                 state = step(state, PERT_PARAMS, PERT, 0.05, engine=engine)
                 kept = [a.copy() for a in state.arrays]
                 with engine.scope():
-                    # more than the 10 band buffers a step takes
+                    # more than the 7 band buffers a step takes
                     for buffer in engine.band_buffers(24):
                         assert not any(np.shares_memory(buffer, a)
                                        for a in state.arrays)

@@ -558,6 +558,16 @@ output.dir = {outdir}
         assert code == 0
         assert "rate = 0.3" in out.replace("0.29999999999999", "0.3")
 
+    def test_fit_decay_nan_tmin_is_named(self, tmp_path, capsys):
+        t = np.linspace(0.0, 10.0, 50)
+        path = tmp_path / "synthetic.csv"
+        write_diagnostics([DiagnosticsRecord(t=float(ti), l2_energy=1.0)
+                           for ti in t], path)
+        assert cli_main(["fit-decay", "--csv", str(path), "--column",
+                         "l2_energy", "--model", "exp", "--tmin", "nan"]) == 1
+        assert capsys.readouterr().err == (
+            "error: t_min is NaN, which no sample time reaches\n")
+
     def test_fit_decay_unknown_column(self, tmp_path):
         path = tmp_path / "synthetic.csv"
         write_diagnostics([], path)
@@ -597,6 +607,43 @@ output.dir = {outdir}
         cfg.write_text("grid.n = 7\n")
         assert cli_main(["run", "--config", str(cfg)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    # CI's 8^3 zero-kinematic run; t_end = 0.1 is on a record boundary of
+    # 0.05 but not of 1.0, where the last record is the initial one
+    RUN8_CONFIG = """
+grid.n = 8
+system = zero-kinematic
+params.chi = 1
+params.eta = 1
+params.nu = 1
+init.epsilon = 0.01
+init.seed = 11
+time.dt = 0.05
+time.t_end = 0.1
+time.record_interval = {interval}
+output.dir = {outdir}
+"""
+
+    @pytest.mark.parametrize("interval, record_t", [("1.0", "0"),
+                                                    ("0.05", "0.1")])
+    def test_run_summary_names_its_records_time(self, tmp_path, capsys,
+                                                interval, record_t):
+        # the summary printed t = 0.10000000000000001 above the values of
+        # the t = 0 record, as if they were the final state's
+        outdir = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.RUN8_CONFIG.format(interval=interval,
+                                               outdir=outdir))
+        assert cli_main(["run", "--config", str(cfg)]) == 0
+        last = read_diagnostics(outdir / "diagnostics.csv")[-1]
+        assert f"{last.t:.17g}".startswith(record_t)
+        assert capsys.readouterr().out == (
+            "status = completed\n"
+            "steps = 2\n"
+            "t = 0.10000000000000001\n"
+            f"record_t = {last.t:.17g}\n"
+            f"l2_energy = {last.l2_energy:.17g}\n"
+            f"h3 = {last.h3:.17g}\n")
 
     def test_run_and_outputs(self, tmp_path, capsys):
         outdir = tmp_path / "out"

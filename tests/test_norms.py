@@ -318,6 +318,13 @@ class TestFitDecay:
         report = fit_decay(t, y, "exponential", t_min=2.0)
         assert report.rate == pytest.approx(0.3, abs=1e-6)
 
+    def test_nan_t_min_refused_by_name(self):
+        # every comparison with NaN is false: the fit used to report 0
+        # samples with t >= nan
+        t = np.linspace(0.0, 10.0, 50)
+        with pytest.raises(ValueError, match="^t_min is NaN"):
+            fit_decay(t, np.exp(-t), "exponential", t_min=float("nan"))
+
     def test_too_few_samples(self):
         t = np.linspace(0, 1, 5)
         with pytest.raises(ValueError):

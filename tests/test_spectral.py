@@ -254,11 +254,13 @@ class TestSlabs:
 
 
 class TestPool:
-    @pytest.mark.parametrize("n, buffers", [(8, 2), (12, 3), (16, 2),
-                                            (18, 3), (64, 2)])
+    @pytest.mark.parametrize("n, buffers", [(8, 2), (12, 2), (16, 2),
+                                            (18, 2), (64, 2)])
     def test_band_scalars_are_views_of_grid_buffers(self, n, buffers):
-        # the step's 10 band scalars per block of propagations: 4 to 6
-        # fit in a grid buffer, so 2 buffers hold them, 3 at 12^3 and 18^3
+        # the step's 10 band scalars per block of propagations: a grid
+        # buffer's memory holds a complex band vector, so 6 fit in one and
+        # 2 buffers hold them (3 at 12^3 and 18^3 when a buffer held n^3
+        # reals only)
         g = GridSpec(n)
         with spectral.StepEngine(g) as engine:
             with engine.scope():
@@ -275,6 +277,31 @@ class TestPool:
             with engine.scope():
                 assert engine.band_scalars(0) == []
                 assert engine._grid.top == 0
+
+    @pytest.mark.parametrize("n", [8, 12, 16, 32, 48, 64])
+    def test_band_vectors_are_views_of_grid_buffers(self, n):
+        # the step's third evaluation forms y3 again in 3 band vectors of
+        # idle grid buffers: one per buffer, also where a band vector
+        # needs more than n^3 reals (12^3, 16^3, 48^3), and the grid
+        # buffers handed out later are the same memory
+        g = GridSpec(n)
+        with spectral.StepEngine(g) as engine:
+            with engine.scope():
+                vectors = engine.band_vectors(3)
+                assert len(engine._grid.arrays) == engine._grid.top == 3
+                for i, (v, a) in enumerate(zip(vectors,
+                                               engine._grid.arrays)):
+                    assert v.shape == (3,) + g.band_shape
+                    assert v.dtype == np.complex128 and v.flags.c_contiguous
+                    assert np.shares_memory(v, a)
+                    v.fill(i + 1j)
+                assert all((v == i + 1j).all() for i, v in enumerate(vectors))
+            with engine.scope():
+                buffers = engine.grid_buffers(3)
+                assert len(engine._grid.arrays) == 3
+                for v, b in zip(vectors, buffers):
+                    assert b.shape == (n, n, n) and b.flags.c_contiguous
+                    assert np.shares_memory(v, b)
 
     def test_release_keeps_the_band_buffers_in_use(self):
         # the audit releases the pool while it holds its five advected
