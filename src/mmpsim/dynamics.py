@@ -34,7 +34,9 @@ tendency's own arrays (`explicit_rhs_arrays` writes its result into a
 given triple), and the grid values of u and b and of omega_i, the emf and
 then the linear terms live in buffers of the engine's pool, which a run
 keeps from evaluation to evaluation: 8 grid buffers, 2 product slabs and
-1 band vector buffer on two threads, 7, 1 and 1 on one.
+1 band vector buffer on two threads, 7, 1 and 1 on one.  The step's
+third evaluation writes its tendency over its own input, which its band
+stage forms again in idle grid buffers (`_explicit_arrays`).
 All band-level work after the transforms (the rows of k.stress, -1j and
 curl(emf); 2 chi curl u; the linear terms and both projections) is one
 stage of `spectral.StepEngine.run_rows`, one k1-row range per thread from
@@ -59,12 +61,10 @@ rates, and adds only `StiffSymbols.propagator(dt)`, which forms the
 operator exp(-dt * symbol) anew on each call.  Each block of the step's
 propagations forms its band symbols, the one or two propagators it
 applies and each one's omega_par - omega_perp in views of idle pool grid
-buffers (`band_propagators`), on the calling thread: three symbol sets and
-four propagators per step (on a 2-core x86 host 0.14, 0.27 and 1.6 ms
-per step at 16^3, 32^3 and 64^3, against 0.03, 0.08 and 0.9 ms for one
-symbol set, two propagators and a difference per propagation: under 1% of
-a 64^3 step).  `rhs` returns the full tendency, the explicit part minus
-symbol * field, on the full spectrum.
+buffers (`band_propagators`), on the calling thread, and so does the
+third evaluation, which forms y3 again: five symbol sets and six
+propagators per step.  `rhs` returns the full tendency, the explicit part
+minus symbol * field, on the full spectrum.
 """
 
 from __future__ import annotations
