@@ -187,8 +187,8 @@ def _cmd_run(args) -> int:
     print(f"steps = {step_offset + result.steps}")
     print(f"t = {result.state.t:.17g}")
     if result.records:
-        # the last record, which precedes t when t_end is not on a record
-        # boundary: its values follow the time they belong to
+        # the last record is earlier than t when t_end is not on a record
+        # boundary, so its time is printed with its values
         last = result.records[-1]
         print(f"record_t = {last.t:.17g}")
         print(f"l2_energy = {last.l2_energy:.17g}")
