@@ -13,7 +13,6 @@ from mmpsim import (
     divergence,
     divergence_residual,
     forward_transform,
-    forward_transform_scalar,
     gradient,
     inner_product,
     inverse_transform,
@@ -27,7 +26,7 @@ print(f"grid: {grid.n}^3 points on [0, 2pi)^3, "
 
 # --- single-mode sanity: cos(x1) lives at k = (+-1, 0, 0) ------------------
 x1, x2, x3 = grid.physical_coords()
-f = forward_transform_scalar(np.ascontiguousarray(
+f = forward_transform(np.ascontiguousarray(
     np.broadcast_to(np.cos(x1), (grid.n,) * 3)), grid)
 print(f"\ncos(x1): coeff(+1,0,0) = {f.coeff(1, 0, 0):.3f}, "
       f"coeff(-1,0,0) = {f.coeff(-1, 0, 0):.3f}")

@@ -58,7 +58,6 @@ from .spectral import (
     divergence,
     divergence_residual,
     forward_transform,
-    forward_transform_scalar,
     gradient,
     grad_div,
     inner_product,

@@ -22,9 +22,8 @@ from .config import ConfigError, parse_config, parse_vec3
 from .diagio import read_diagnostics, truncate_diagnostics, write_diagnostics
 from .diophantine import check_diophantine, lifting_ratio
 from .fields import make_random_state
-from .integrator import RunStatus, run
+from .integrator import RunStatus, check_run_arguments, run
 from .norms import RECORD_COLUMNS, fit_decay
-from .selftest import run_selftest
 from .spectral import GridSpec
 
 EXIT_OK = 0
@@ -139,6 +138,9 @@ def _cmd_run(args) -> int:
         del data
     else:
         initial = [make_random_state(grid, config.init, config.variant)]
+    # `run`'s own checks, made before any output is touched
+    check_run_arguments(initial[0], config.params, config.variant,
+                        config.stepper, config.checkpoint_interval)
 
     try:
         os.makedirs(config.output_dir, exist_ok=True)
@@ -273,6 +275,8 @@ def cli_main(argv=None) -> int:
         if args.command == "fit-decay":
             return _cmd_fit_decay(args)
         if args.command == "selftest":
+            # imported here, so that other commands do not load the suite
+            from .selftest import run_selftest
             return EXIT_OK if run_selftest() else EXIT_VALIDATION
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

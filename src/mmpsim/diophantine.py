@@ -21,8 +21,10 @@ from .norms import sobolev_norm
 from .spectral import (
     GridSpec,
     alpha_dot_grad,
+    alpha_dot_k,
     dealias,
-    forward_transform_scalar,
+    forward_transform,
+    sobolev_weights,
     zero_mean,
 )
 
@@ -149,9 +151,8 @@ def lifting_ratio(alpha, s: float, r: float, grid: GridSpec, trials: int,
             f"alpha={check.alpha} is resonant on the truncated lattice: "
             f"alpha.k vanishes at k={check.argmin_k}")
 
-    k1, k2, k3 = grid.k_vectors
-    dot = np.abs(a[0] * k1 + a[1] * k2 + a[2] * k3)
-    weight = (1.0 + grid.k_squared) ** (0.5 * r)
+    dot = np.abs(alpha_dot_k(a, grid.full))
+    weight = sobolev_weights(grid.full, 0.5 * r)
     retained = grid.dealias_mask.copy()
     retained[0, 0, 0] = False
     with np.errstate(divide="ignore"):
@@ -166,7 +167,7 @@ def lifting_ratio(alpha, s: float, r: float, grid: GridSpec, trials: int,
     ratios = []
     for _ in range(trials):
         phys = rng.standard_normal((grid.n,) * 3)
-        f = zero_mean(dealias(forward_transform_scalar(phys, grid)))
+        f = zero_mean(dealias(forward_transform(phys, grid)))
         transported = alpha_dot_grad(f, a)
         ratios.append(sobolev_norm(f, s)
                       / sobolev_norm(transported, s + r))

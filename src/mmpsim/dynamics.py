@@ -80,7 +80,6 @@ from .fields import (
     check_solver_arguments,
 )
 from .spectral import (
-    TWO_PI_CUBED,
     GridSpec,
     SpectralLayout,
     SpectralVectorField,
@@ -89,6 +88,7 @@ from .spectral import (
     band_part,
     curl_coeffs,
     expand_band,
+    expanded_parseval_sum,
     grad_div_coeffs,
     k_dot,
     parallel_part,
@@ -547,10 +547,6 @@ class EnergyFluxAudit:
             return 0.0 if worst == 0.0 else np.inf
         return worst / self.l2_energy_sq
 
-    @property
-    def consistent(self) -> bool:
-        return self.max_relative_cancellation <= 1e-10
-
 
 def energy_flux_audit(state: State, p: PhysParams, variant: SystemVariant,
                       engine: StepEngine | None = None) -> EnergyFluxAudit:
@@ -609,8 +605,7 @@ def energy_flux_audit(state: State, p: PhysParams, variant: SystemVariant,
         # place in a, which no later line reads, then summed over n^3
         np.conjugate(a, out=a)
         np.multiply(a, b, out=a)
-        return float(TWO_PI_CUBED * np.sum(
-            expand_band(a, grid, out=full, scratch=mirror)).real)
+        return expanded_parseval_sum(a, grid, out=full, scratch=mirror)
 
     adv_w = pairing(u_grad_w, w_band)
     curl_gd = pairing(*curl_operands)

@@ -8,7 +8,10 @@ only and validation flags them accordingly.
 
 A `State` holds the retained 2/3-rule band of each field (see `spectral`)
 and no full-spectrum array; its full-spectrum fields are built on access.
-The random initial data are built on the retained band.
+The random initial data are built on the retained band.  The Sobolev index
+window that `PhysParams` and `InitSpec` check, and the weights and n^3
+sum of the data's rescale, are `spectral`'s (`in_index_window`,
+`sobolev_weights`, `expanded_parseval_sum`).
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import numpy as np
 
 from .spectral import (
     INDEX_WINDOW,
-    TWO_PI_CUBED,
     GridSpec,
     IntegrityError,
     SpectralLayout,
@@ -29,8 +31,11 @@ from .spectral import (
     band_part,
     divergence_residual_coeffs,
     expand_band,
+    expanded_parseval_sum,
+    in_index_window,
     power_spectrum,
     project_coeffs,
+    sobolev_weights,
 )
 
 
@@ -75,11 +80,6 @@ _WIRE_IDS = {v: i for i, v in enumerate(SystemVariant)}
 WIRE_VARIANTS = {i: v for v, i in _WIRE_IDS.items()}
 
 
-def _in_index_window(s: float) -> bool:
-    """True if s lies in `INDEX_WINDOW` (ends included); False for NaN."""
-    return INDEX_WINDOW[0] <= s <= INDEX_WINDOW[1]
-
-
 @dataclass(frozen=True)
 class PhysParams:
     """Equation coefficients plus the background vector and the Diophantine
@@ -111,7 +111,7 @@ class PhysParams:
         if not math.isfinite(self.r) or self.r <= 2.0:
             raise ValueError(f"Diophantine exponent r must exceed 2, got {self.r}")
         # output.norms may ask for the H^(r+5) norm on any variant
-        if not _in_index_window(self.r + 5.0):
+        if not in_index_window(self.r + 5.0):
             raise ValueError(
                 f"Diophantine exponent r puts the hr5 norm's index r + 5 = "
                 f"{self.r + 5.0} outside the Sobolev index window "
@@ -329,7 +329,7 @@ class InitSpec:
     def __post_init__(self):
         if not math.isfinite(self.epsilon) or self.epsilon < 0.0:
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
-        if not _in_index_window(self.sobolev_index):
+        if not in_index_window(self.sobolev_index):
             raise ValueError(
                 f"sobolev_index must be finite and inside the Sobolev index "
                 f"window {INDEX_WINDOW}, got {self.sobolev_index}")
@@ -356,15 +356,14 @@ def _rescale_factor(current: float, target: float) -> float:
 def _band_sobolev_norm(band: np.ndarray, weights: np.ndarray,
                        grid: GridSpec) -> float:
     """`sobolev_norm` of the real field whose retained band is ``band``,
-    given its Sobolev weights on the band (`norms`), bit for bit: the same
-    check and n^3 sum, taken over the band's weighted power expanded to the
-    full spectrum (a transient n^3 array: a band sum would change the
-    order).  The power at k3 < 0 is that of the mirror -k, bit for bit."""
+    given its Sobolev weights on the band (`sobolev_weights`), bit for
+    bit: the same check and n^3 sum, `expanded_parseval_sum` of the band's
+    weighted power (a transient n^3 array: a band sum would change the
+    order)."""
     if not np.all(np.isfinite(band)):
         raise IntegrityError("non-finite coefficients in sobolev_norm")
-    values = expand_band(weights * power_spectrum(band), grid)
-    # `parseval_sum` with m = 1, without the full layout's n^3 arrays
-    return math.sqrt(max(float(TWO_PI_CUBED * np.sum(values)), 0.0))
+    return math.sqrt(max(expanded_parseval_sum(
+        weights * power_spectrum(band), grid), 0.0))
 
 
 def _spectral_envelope(layout: SpectralLayout, slope: float,
@@ -414,14 +413,12 @@ def make_random_state(grid: GridSpec, init: InitSpec,
             (np.zeros((3,) + grid.band_shape, dtype=np.complex128)
              for _ in range(3)), grid, variant)
 
-    from .norms import _sobolev_weights
-
     n, kc = grid.n, grid.kmax_dealias
     rng = np.random.Generator(np.random.Philox(init.seed))
     layout = grid.band
     envelope = _spectral_envelope(layout, init.spectrum_slope, k_peak)
     mask = np.ones(grid.band_shape, dtype=bool)  # the dealias mask on the band
-    weights = _sobolev_weights(layout, init.sobolev_index)
+    weights = sobolev_weights(layout, init.sobolev_index)
     # Philox yields its draws in blocks of four, and advance(b) skips b
     # blocks; the planes kc < i1 < n - kc of a component lie outside the
     # box and start after (kc + 1) n^2 draws, a multiple of four.  The

@@ -350,6 +350,33 @@ def _zero_mean_copy(c: np.ndarray) -> np.ndarray:
     return c
 
 
+def _end_tolerance(t_end: float) -> float:
+    """How near t_end a run's time counts as t_end: there `run` takes no
+    further step."""
+    return 1e-12 * max(1.0, t_end)
+
+
+def check_run_arguments(state: State, p: PhysParams, variant: SystemVariant,
+                        cfg: StepperConfig,
+                        state_sink_interval: float | None = None) -> None:
+    """The entry contract of `run`: raise ValueError for what
+    `check_solver_arguments` refuses (a state tagged with another variant,
+    coefficients the variant forces to zero), for a ``cfg.record_interval``
+    or ``state_sink_interval`` that `check_interval` refuses at the state's
+    time, and for a state whose time is past ``cfg.t_end`` by more than
+    the run's end tolerance.  `mmpsim run` calls it before it touches its
+    outputs."""
+    check_solver_arguments(state, p, variant, "run")
+    check_interval("record_interval", cfg.record_interval, cfg.t_end,
+                   state.t)
+    if state_sink_interval is not None:
+        check_interval("state_sink_interval", state_sink_interval, cfg.t_end,
+                       state.t)
+    if state.t > cfg.t_end + _end_tolerance(cfg.t_end):
+        raise ValueError(f"the start time t = {state.t} is past t_end = "
+                         f"{cfg.t_end}")
+
+
 def run(state: State, p: PhysParams, variant: SystemVariant,
         cfg: StepperConfig, settings: DiagnosticsSettings | None = None,
         record_sink=None, state_sink=None,
@@ -365,11 +392,8 @@ def run(state: State, p: PhysParams, variant: SystemVariant,
     Sink failures abort the run and raise SinkWriteError carrying the
     partial result.
 
-    Refuses, before the first record, what `check_solver_arguments`
-    refuses (a state tagged with another variant, coefficients the variant
-    forces to zero) and a ``cfg.record_interval`` or
-    ``state_sink_interval`` that `check_interval` refuses at the state's
-    time.
+    Refuses, before the first record, what `check_run_arguments`
+    refuses.
 
     The input's band is copied once, with its k=0 modes zeroed, so the
     caller's state is left as it is, and the reference to the input is
@@ -382,12 +406,7 @@ def run(state: State, p: PhysParams, variant: SystemVariant,
     itself; a step never writes into the arrays of a state it has
     returned.
     """
-    check_solver_arguments(state, p, variant, "run")
-    check_interval("record_interval", cfg.record_interval, cfg.t_end,
-                   state.t)
-    if state_sink_interval is not None:
-        check_interval("state_sink_interval", state_sink_interval, cfg.t_end,
-                       state.t)
+    check_run_arguments(state, p, variant, cfg, state_sink_interval)
     grid = state.grid
     current = State.from_band(map(_zero_mean_copy, state.arrays), grid,
                               variant, t=state.t)
@@ -421,7 +440,7 @@ def run(state: State, p: PhysParams, variant: SystemVariant,
     next_record = _next_boundary(current.t, cfg.record_interval)
     next_state_dump = (None if state_sink_interval is None
                        else _next_boundary(current.t, state_sink_interval))
-    t_tol = 1e-12 * max(1.0, cfg.t_end)
+    t_tol = _end_tolerance(cfg.t_end)
 
     try:
         if initial_record:

@@ -7,6 +7,9 @@ convention f = sum_k fhat(k) exp(i k.x),
     ||f||_{H^s}^2 = (2pi)^3 sum_k (1 + |k|^2)^s |fhat(k)|^2.
 
 Non-integer indices are supported directly through real-exponent weights.
+The weights and their index window live in `spectral` (`sobolev_weights`,
+`INDEX_WINDOW`), as does alpha.k (`alpha_dot_k`), whose square weighs the
+alpha-transport norm.
 
 The norms and functionals are array-level kernels over a `SpectralLayout`,
 each a `parseval_sum` of per-mode values.  On the retained band
@@ -28,19 +31,20 @@ from dataclasses import dataclass, fields as dataclass_fields
 import numpy as np
 
 from .dynamics import energy_flux_audit
-from .fields import PhysParams, State, SystemVariant, _in_index_window
+from .fields import PhysParams, State, SystemVariant
 from .spectral import (
-    INDEX_WINDOW,
     Field,
     IntegrityError,
     SpectralLayout,
     StepEngine,
+    alpha_dot_k,
     alpha_symbol,
     curl_coeffs,
     divergence_residual_coeffs,
     parseval_sum,
     power_spectrum,
     require_finite,
+    sobolev_weights,
 )
 
 # Weights of the monitored Lyapunov functionals: A of the curl-energy
@@ -51,20 +55,9 @@ GAMMA = 4.0
 C0_WEIGHT = 1.0
 
 
-def _check_index(s: float) -> None:
-    if not _in_index_window(s):
-        raise ValueError(f"Sobolev index {s} outside sanity window {INDEX_WINDOW}")
-
-
 # ---------------------------------------------------------------------------
 # array-level kernels (power spectra and coefficients on one layout)
 # ---------------------------------------------------------------------------
-
-def _sobolev_weights(layout: SpectralLayout, s: float) -> np.ndarray:
-    """(1 + |k|^2)^s."""
-    _check_index(s)
-    return (1.0 + layout.k_squared) ** s
-
 
 def _norm(power: np.ndarray, weights: np.ndarray,
           layout: SpectralLayout) -> float:
@@ -109,12 +102,8 @@ def _power_sum_weights(ksq: np.ndarray, top: int) -> np.ndarray:
 
 def _alpha_transport_norm(power_m: np.ndarray, layout: SpectralLayout,
                           p: PhysParams, s: float) -> float:
-    _check_index(s)
-    k1, k2, k3 = layout.k_vectors
-    a = p.alpha_vector
-    sym_sq = (a[0] * k1 + a[1] * k2 + a[2] * k3) ** 2
-    weights = (1.0 + layout.k_squared) ** s * sym_sq
-    return _norm(power_m, weights, layout)
+    transport_sq = alpha_dot_k(p.alpha_vector, layout) ** 2
+    return _norm(power_m, sobolev_weights(layout, s) * transport_sq, layout)
 
 
 def _perturbation_functionals(arrays, powers, layout: SpectralLayout,
@@ -128,7 +117,7 @@ def _perturbation_functionals(arrays, powers, layout: SpectralLayout,
     power_u, power_w, power_m = powers
     ksq = layout.k_squared
     r = p.r
-    weights_r5 = _sobolev_weights(layout, r + 5.0)
+    weights_r5 = sobolev_weights(layout, r + 5.0)
 
     hr5_sq = _triple_norm(powers, weights_r5, layout) ** 2
 
@@ -156,7 +145,7 @@ def _perturbation_functionals(arrays, powers, layout: SpectralLayout,
 def sobolev_norm(f: Field, s: float) -> float:
     """H^s norm of a scalar or vector field."""
     layout = f.grid.full
-    weights = _sobolev_weights(layout, s)
+    weights = sobolev_weights(layout, s)
     require_finite(f, "sobolev_norm")
     return _norm(power_spectrum(f.coeffs), weights, layout)
 
@@ -278,7 +267,7 @@ def compute_record(state: State, p: PhysParams,
     powers = tuple(power_spectrum(c) for c in arrays)
 
     def triple(index: float) -> float:
-        return _triple_norm(powers, _sobolev_weights(band, index), band)
+        return _triple_norm(powers, sobolev_weights(band, index), band)
 
     h3 = triple(3.0) if s.include_h3 else None
     hn = triple(s.hn_index) if s.hn_index is not None else None

@@ -27,7 +27,6 @@ from .spectral import (
     divergence,
     divergence_residual,
     forward_transform,
-    forward_transform_scalar,
     grad_div,
     gradient,
     hermitian_symmetrize,
@@ -229,7 +228,7 @@ def check_div_curl():
 
 def check_curl_grad():
     grid = GridSpec(16)
-    s = zero_mean(dealias(forward_transform_scalar(
+    s = zero_mean(dealias(forward_transform(
         np.random.default_rng(3).standard_normal((grid.n,) * 3), grid)))
     res = np.abs(curl(gradient(s)).coeffs).max()
     return res <= 1e-14 * max(np.abs(s.coeffs).max(), 1e-30), f"residual {res:.2e}"
@@ -257,8 +256,8 @@ def check_translation_equivariance():
     grid = GridSpec(16)
     rng = np.random.default_rng(6)
     phys = rng.standard_normal((grid.n,) * 3)
-    f = forward_transform_scalar(phys, grid)
-    shifted = forward_transform_scalar(np.roll(phys, -1, axis=0), grid)
+    f = forward_transform(phys, grid)
+    shifted = forward_transform(np.roll(phys, -1, axis=0), grid)
     phase = np.exp(1j * grid.k_vectors[0] * grid.spacing)
     err = np.abs(shifted.coeffs - phase * f.coeffs).max()
     scale = np.abs(f.coeffs).max()

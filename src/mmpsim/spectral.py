@@ -10,10 +10,20 @@ Conventions used throughout the package:
   integer wavevectors are directly the Sobolev weights used elsewhere.
   `parseval_sum` evaluates such sums on any layout below: the band
   stores one of each pair k, -k off the k3 = 0 plane, so each of its modes
-  carries the layout's multiplicity m(k) (1 on k3 = 0, 2 for k3 > 0);
+  carries the layout's multiplicity m(k) (1 on k3 = 0, 2 for k3 > 0).
+  `expanded_parseval_sum` sums band values expanded to the full spectrum
+  instead, in the full spectrum's order, for the sums that must keep the
+  bits of the full-spectrum fields' (the initial data's rescale, the
+  audit's pairings).  The Sobolev weights (1 + |k|^2)^s are
+  `sobolev_weights`, for an index in `INDEX_WINDOW` (`in_index_window`),
+  and alpha.k is `alpha_dot_k`, of which the transport symbol
+  `alpha_symbol` is i times it;
 * coefficients are stored full-spectrum in numpy FFT layout, i.e. index
   order 0, 1, ..., n/2-1, -n/2, ..., -1 along each axis.  Python's negative
   indexing makes ``coeffs[k1, k2, k3]`` a signed-wavevector lookup.
+  `SpectralScalarField` and `SpectralVectorField` hold them, on one base
+  with the shape rule and `coeff`; `forward_transform` and
+  `inverse_transform` take either rank.
 
 Two coefficient layouts share one array-level kernel layer (the
 ``*_coeffs`` functions, which take the layout's wavevectors as a
@@ -96,6 +106,11 @@ TWO_PI_CUBED = (2.0 * np.pi) ** 3
 # grid in use.  The initial data's index and the hr5 norm's r + 5 must lie
 # in it.
 INDEX_WINDOW = (-10.0, 40.0)
+
+
+def in_index_window(s: float) -> bool:
+    """True if s lies in `INDEX_WINDOW` (ends included); False for NaN."""
+    return INDEX_WINDOW[0] <= s <= INDEX_WINDOW[1]
 
 
 class IntegrityError(RuntimeError):
@@ -252,48 +267,42 @@ class SpectralLayout:
                               cut(self.k_squared_safe), rows)
 
 
-def _check_signed_index(grid: GridSpec, k: tuple[int, int, int]) -> None:
-    lo, hi = -grid.n // 2, grid.n // 2 - 1
-    for ki in k:
-        if not (lo <= ki <= hi):
-            raise IndexError(f"wavevector component {ki} outside [{lo}, {hi}]")
-
-
 @dataclass(frozen=True, eq=False)
-class SpectralScalarField:
-    """Fourier coefficients of a real scalar field on the torus."""
+class _SpectralField:
+    """Fourier coefficients of a real field on the torus, in FFT layout:
+    ``coeffs`` is complex128 of shape ``components + (n, n, n)``."""
 
-    coeffs: np.ndarray  # (n, n, n) complex128, FFT layout
+    coeffs: np.ndarray
     grid: GridSpec
+    components = ()  # the leading axes; a class attribute, not a field
 
     def __post_init__(self):
-        n = self.grid.n
-        if self.coeffs.shape != (n, n, n):
+        shape = self.components + (self.grid.n,) * 3
+        if self.coeffs.shape != shape:
             raise ValueError(f"coefficient array shape {self.coeffs.shape} "
-                             f"does not match grid n={n}")
+                             f"does not match {shape} for grid n="
+                             f"{self.grid.n}")
 
-    def coeff(self, k1: int, k2: int, k3: int) -> complex:
-        """Coefficient lookup by signed integer wavevector."""
-        _check_signed_index(self.grid, (k1, k2, k3))
-        return complex(self.coeffs[k1, k2, k3])
+    def coeff(self, *index: int) -> complex:
+        """Coefficient lookup by signed integer wavevector (k1, k2, k3),
+        after the component index of a vector field."""
+        lo, hi = -self.grid.n // 2, self.grid.n // 2 - 1
+        for ki in index[-3:]:
+            if not (lo <= ki <= hi):
+                raise IndexError(f"wavevector component {ki} outside "
+                                 f"[{lo}, {hi}]")
+        return complex(self.coeffs[index])
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralVectorField:
-    """Fourier coefficients of a real 3-component vector field."""
+class SpectralScalarField(_SpectralField):
+    """Fourier coefficients of a real scalar field: (n, n, n)."""
 
-    coeffs: np.ndarray  # (3, n, n, n) complex128, FFT layout
-    grid: GridSpec
 
-    def __post_init__(self):
-        n = self.grid.n
-        if self.coeffs.shape != (3, n, n, n):
-            raise ValueError(f"coefficient array shape {self.coeffs.shape} "
-                             f"does not match grid n={n}")
+class SpectralVectorField(_SpectralField):
+    """Fourier coefficients of a real 3-component vector field:
+    (3, n, n, n)."""
 
-    def coeff(self, i: int, k1: int, k2: int, k3: int) -> complex:
-        _check_signed_index(self.grid, (k1, k2, k3))
-        return complex(self.coeffs[i, k1, k2, k3])
+    components = (3,)
 
 
 Field = SpectralScalarField | SpectralVectorField
@@ -773,6 +782,27 @@ def parseval_sum(values: np.ndarray, layout: SpectralLayout) -> float:
     return float(TWO_PI_CUBED * np.sum(layout.multiplicity * values))
 
 
+def expanded_parseval_sum(values: np.ndarray, grid: GridSpec,
+                          out: np.ndarray | None = None,
+                          scratch: np.ndarray | None = None) -> float:
+    """(2pi)^3 times the real part of the n^3 sum of `expand_band` of the
+    band ``values`` (expanded into ``out``, with ``scratch``, if given):
+    the full-spectrum `parseval_sum` in the full spectrum's order, without
+    the full layout's n^3 wavevector arrays.  For a power spectrum, or
+    conj(a) b of real fields, it is the sum over the full-spectrum fields
+    bit for bit."""
+    return float(TWO_PI_CUBED * np.sum(
+        expand_band(values, grid, out=out, scratch=scratch)).real)
+
+
+def sobolev_weights(layout: SpectralLayout, s: float) -> np.ndarray:
+    """(1 + |k|^2)^s, for an index s in `INDEX_WINDOW`."""
+    if not in_index_window(s):
+        raise ValueError(f"Sobolev index {s} outside sanity window "
+                         f"{INDEX_WINDOW}")
+    return (1.0 + layout.k_squared) ** s
+
+
 def k_dot(c, layout: SpectralLayout, out: np.ndarray | None = None,
           scratch: np.ndarray | None = None) -> np.ndarray:
     """k . c over the leading component axis of c (an array or a sequence
@@ -841,35 +871,36 @@ def project_coeffs(c: np.ndarray, layout: SpectralLayout,
     return out
 
 
+def alpha_dot_k(alpha: np.ndarray, layout: SpectralLayout) -> np.ndarray:
+    """alpha.k per mode, real."""
+    k1, k2, k3 = layout.k_vectors
+    return alpha[0] * k1 + alpha[1] * k2 + alpha[2] * k3
+
+
 def alpha_symbol(alpha: np.ndarray, layout: SpectralLayout) -> np.ndarray:
     """i (alpha.k), the symbol of the transport alpha . grad."""
-    k1, k2, k3 = layout.k_vectors
-    return 1j * (alpha[0] * k1 + alpha[1] * k2 + alpha[2] * k3)
+    return 1j * alpha_dot_k(alpha, layout)
 
 
 # ---------------------------------------------------------------------------
 # transforms
 # ---------------------------------------------------------------------------
 
-def forward_transform_scalar(physical: np.ndarray, grid: GridSpec) -> SpectralScalarField:
-    n = grid.n
-    if physical.shape != (n, n, n):
-        raise ValueError(f"physical array shape {physical.shape} does not "
-                         f"match grid (n={n})")
-    coeffs = np.fft.fftn(physical) / grid.npoints
-    return SpectralScalarField(coeffs, grid)
-
-
-def forward_transform(physical, grid: GridSpec) -> SpectralVectorField:
-    """Transform a triple of real arrays (or one (3,n,n,n) array) to spectral
-    space under the convention f(x) = sum_k fhat(k) exp(i k.x)."""
+def forward_transform(physical, grid: GridSpec) -> Field:
+    """Transform real values to spectral space under the convention
+    f(x) = sum_k fhat(k) exp(i k.x): one (n,n,n) array gives a
+    `SpectralScalarField`, a triple of them (or one (3,n,n,n) array) a
+    `SpectralVectorField`.  Complex values are refused, not cast."""
+    if np.iscomplexobj(physical):
+        raise ValueError("forward_transform takes real values, not complex")
     arr = np.asarray(physical, dtype=np.float64)
     n = grid.n
-    if arr.shape != (3, n, n, n):
-        raise ValueError(f"expected three (n,n,n) components with n={n}, "
+    if arr.shape not in ((n, n, n), (3, n, n, n)):
+        raise ValueError(f"expected one (n,n,n) array or three with n={n}, "
                          f"got shape {arr.shape}")
-    coeffs = np.fft.fftn(arr, axes=(1, 2, 3)) / grid.npoints
-    return SpectralVectorField(coeffs, grid)
+    coeffs = np.fft.fftn(arr, axes=(-3, -2, -1)) / grid.npoints
+    field_type = SpectralVectorField if arr.ndim == 4 else SpectralScalarField
+    return field_type(coeffs, grid)
 
 
 def inverse_transform(f: Field) -> np.ndarray:
@@ -987,7 +1018,7 @@ def inner_product(f: Field, g: Field) -> float:
     if f.grid.n != g.grid.n:
         raise ValueError("inner product requires a shared grid")
     s = np.sum(np.conj(f.coeffs) * g.coeffs)
-    return float((2.0 * np.pi) ** 3 * s.real)
+    return float(TWO_PI_CUBED * s.real)
 
 
 def l2_norm(f: Field) -> float:

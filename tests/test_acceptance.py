@@ -39,7 +39,6 @@ from mmpsim.spectral import (
     divergence,
     divergence_residual,
     forward_transform,
-    forward_transform_scalar,
     gradient,
     inner_product,
     inverse_transform,
@@ -101,7 +100,7 @@ def test_criterion_1_spectral_identity_suite():
         scale = np.abs(band.coeffs).max()
         worst = max(worst,
                     np.abs(divergence(curl(band)).coeffs).max() / scale)
-        s = forward_transform_scalar(phys[0], grid)
+        s = forward_transform(phys[0], grid)
         worst = max(worst, np.abs(curl(gradient(s)).coeffs).max()
                     / np.abs(s.coeffs).max())
 

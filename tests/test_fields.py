@@ -17,7 +17,7 @@ from mmpsim.fields import (
     make_random_state,
     validate_params,
 )
-from mmpsim.norms import _sobolev_weights, sobolev_norm
+from mmpsim.norms import sobolev_norm
 from mmpsim.spectral import (
     GridSpec,
     IntegrityError,
@@ -27,6 +27,7 @@ from mmpsim.spectral import (
     expand_band,
     hermitian_symmetrize,
     project_coeffs,
+    sobolev_weights,
     zero_vector_field,
 )
 
@@ -168,7 +169,7 @@ class TestRescale:
         g = GridSpec(n)
         state = make_random_state(g, InitSpec(epsilon=2.0, seed=n),
                                   SystemVariant.PERTURBATION)
-        weights = _sobolev_weights(g.band, s)
+        weights = sobolev_weights(g.band, s)
         for name, band in zip(("u", "omega", "magnetic"), state.arrays):
             assert (_band_sobolev_norm(band, weights, g)
                     == sobolev_norm(getattr(state, name), s))
@@ -178,7 +179,7 @@ class TestRescale:
         band = np.zeros((3,) + g.band_shape, dtype=np.complex128)
         band[0, 1, 0, 0] = np.nan
         with pytest.raises(IntegrityError):
-            _band_sobolev_norm(band, _sobolev_weights(g.band, 3.0), g)
+            _band_sobolev_norm(band, sobolev_weights(g.band, 3.0), g)
 
 
 class TestMakeRandomState:

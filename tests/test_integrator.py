@@ -703,8 +703,10 @@ class TestRunEngine:
         monkeypatch.setattr(spectral, "WORKERS", 2)
         monkeypatch.setattr(spectral, "SPLIT_MIN_N", 8)
         engines = record_engines(monkeypatch)
+        state = make_random_state(GridSpec(16), InitSpec(epsilon=1.0, seed=12),
+                                  ZK)
         at_pairings, outs = [], []
-        original_expand = dynamics.expand_band
+        original_expand = spectral.expand_band
 
         def expand(c, grid, **buffers):
             (engine,) = engines
@@ -713,9 +715,7 @@ class TestRunEngine:
                                 len(engine._band.arrays)))
             outs.append(buffers["out"])
             return original_expand(c, grid, **buffers)
-        monkeypatch.setattr(dynamics, "expand_band", expand)
-        state = make_random_state(GridSpec(16), InitSpec(epsilon=1.0, seed=12),
-                                  ZK)
+        monkeypatch.setattr(spectral, "expand_band", expand)
         result = run(state, ZK_PARAMS, ZK,
                      StepperConfig(dt=0.05, t_end=0.1, record_interval=0.05))
         assert result.steps == 2 and len(result.records) == 3

@@ -910,6 +910,43 @@ output.dir = {outdir}
                 "time t = 10000000000.0: t/record_interval overflows" in err)
         assert not (outdir / "final.mmp").exists()
 
+    @pytest.mark.parametrize("source, t_end, t", [
+        ("checkpoint_00000002.mmp", 0.05, "0.1"),
+        ("checkpoint_00000001.mmp", 0.04, "0.05"),
+        ("final.mmp", 0.1, None),
+    ], ids=["last", "first", "final-at-t-end"])
+    def test_resume_past_t_end_is_refused(self, tmp_path, capsys, source,
+                                          t_end, t):
+        # a checkpoint past time.t_end used to resume to "status =
+        # completed" with no step, rewriting final.mmp (and truncating the
+        # CSV after the checkpoint); now it is refused before any output is
+        # touched.  final.mmp at t_end is within the run's end tolerance
+        # and resumes to a successful no-op
+        outdir = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        text = CONFIG_TEMPLATE.replace("grid.n = 16", "grid.n = 8")
+        cfg.write_text(text.format(
+            t_end=0.1, outdir=outdir,
+            extra="output.checkpoint_interval = 0.05"))
+        assert cli_main(["run", "--config", str(cfg)]) == 0
+        before = {f.name: f.read_bytes() for f in outdir.iterdir()}
+        cfg.write_text(text.format(
+            t_end=t_end, outdir=outdir,
+            extra="output.checkpoint_interval = 0.05"))
+        capsys.readouterr()
+        code = cli_main(["run", "--config", str(cfg), "--resume",
+                         str(outdir / source)])
+        out, err = capsys.readouterr()
+        if t is None:
+            assert (code, err) == (0, "")
+            assert out == ("status = completed\nsteps = 2\n"
+                           "t = 0.10000000000000001\n")
+        else:
+            assert (code, out) == (1, "")
+            assert err == f"error: the start time t = {t} is past t_end = " \
+                          f"{t_end}\n"
+        assert {f.name: f.read_bytes() for f in outdir.iterdir()} == before
+
     def test_resume_from_unreadable_row_names_it(self, tmp_path, capsys):
         outdir = tmp_path / "out"
         cfg = tmp_path / "run.cfg"

@@ -24,7 +24,6 @@ from mmpsim.spectral import (
     divergence_residual,
     expand_band,
     forward_transform,
-    forward_transform_scalar,
     grad_div,
     gradient,
     hermitian_symmetrize,
@@ -54,7 +53,7 @@ def random_bandlimited(grid, seed):
 
 
 def random_bandlimited_scalar(grid, seed):
-    f = forward_transform_scalar(random_physical(grid, seed, ncomp=1)[0], grid)
+    f = forward_transform(random_physical(grid, seed, ncomp=1)[0], grid)
     return zero_mean(dealias(f))
 
 
@@ -79,7 +78,7 @@ class TestTransforms:
         g = GridSpec(16)
         x1, _, _ = g.physical_coords()
         phys = np.broadcast_to(np.cos(x1), (g.n, g.n, g.n))
-        f = forward_transform_scalar(np.ascontiguousarray(phys), g)
+        f = forward_transform(np.ascontiguousarray(phys), g)
         assert f.coeff(1, 0, 0) == pytest.approx(0.5, abs=1e-14)
         assert f.coeff(-1, 0, 0) == pytest.approx(0.5, abs=1e-14)
         other = f.coeffs.copy()
@@ -88,7 +87,7 @@ class TestTransforms:
 
     def test_constant_field(self):
         g = GridSpec(8)
-        f = forward_transform_scalar(np.ones((8, 8, 8)), g)
+        f = forward_transform(np.ones((8, 8, 8)), g)
         assert f.coeff(0, 0, 0) == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -112,13 +111,43 @@ class TestTransforms:
         with pytest.raises(ValueError):
             forward_transform(np.zeros((3, 8, 8, 4)), g)
         with pytest.raises(ValueError):
-            forward_transform_scalar(np.zeros((4, 8, 8)), g)
+            forward_transform(np.zeros((4, 8, 8)), g)
+
+    @pytest.mark.parametrize("shape", [(8, 8, 8), (3, 8, 8, 8)],
+                             ids=["scalar", "vector"])
+    def test_complex_values_refused(self, shape):
+        # a cast to float64 used to drop the imaginary parts with only a
+        # ComplexWarning
+        with pytest.raises(ValueError, match="takes real values, not "
+                                             "complex"):
+            forward_transform(np.full(shape, 1.0 + 2.0j), GridSpec(8))
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_one_array_gives_a_scalar_field(self, n):
+        # the transform dispatches on rank: one (n,n,n) array gives the
+        # scalar field of numpy's n-d FFT, bit for bit
+        g = GridSpec(n)
+        x = random_physical(g, n, ncomp=1)[0]
+        f = forward_transform(x, g)
+        assert type(f) is SpectralScalarField
+        assert f.coeffs.tobytes() == (np.fft.fftn(x) / n ** 3).tobytes()
+
+    @pytest.mark.parametrize("field_type, shape, want", [
+        (SpectralScalarField, (3, 8, 8, 8), (8, 8, 8)),
+        (SpectralVectorField, (8, 8, 8), (3, 8, 8, 8)),
+    ], ids=["scalar", "vector"])
+    def test_field_refuses_the_other_rank(self, field_type, shape, want):
+        # both classes state their shape rule in one message
+        with pytest.raises(ValueError) as info:
+            field_type(np.zeros(shape, dtype=np.complex128), GridSpec(8))
+        assert str(info.value) == (f"coefficient array shape {shape} does "
+                                   f"not match {want} for grid n=8")
 
     def test_translation_equivariance(self):
         g = GridSpec(16)
         phys = random_physical(g, 11, ncomp=1)[0]
-        f = forward_transform_scalar(phys, g)
-        shifted = forward_transform_scalar(np.roll(phys, -1, axis=0), g)
+        f = forward_transform(phys, g)
+        shifted = forward_transform(np.roll(phys, -1, axis=0), g)
         k1 = g.k_vectors[0]
         phase = np.exp(1j * k1 * g.spacing)
         err = np.abs(shifted.coeffs - phase * f.coeffs).max()
@@ -451,7 +480,7 @@ class TestDiffOps:
         g = GridSpec(16)
         x1, _, _ = g.physical_coords()
         phys = np.ascontiguousarray(np.broadcast_to(np.cos(x1), (g.n,) * 3))
-        lap = inverse_transform(laplacian(forward_transform_scalar(phys, g)))
+        lap = inverse_transform(laplacian(forward_transform(phys, g)))
         assert np.max(np.abs(lap + phys)) < 1e-13
 
     @pytest.mark.parametrize("seed", [5, 6])
@@ -578,7 +607,7 @@ class TestDealias:
         h = random_bandlimited_scalar(g, 22)
         fp = inverse_transform(f)
         hp = inverse_transform(h)
-        product = dealias(forward_transform_scalar(fp * hp, g))
+        product = dealias(forward_transform(fp * hp, g))
 
         kc = g.kmax_dealias
         modes = range(-kc, kc + 1)
