@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 from .diophantine import MAX_SEARCH_RADIUS, check_diophantine
 from .fields import (
@@ -34,33 +34,31 @@ class ConfigError(ValueError):
         self.errors = errors
 
 
-_REQUIRED = object()
-
-# key -> (type tag, default); type tags: int, float, str, vec3, floats
-_SCHEMA: dict[str, tuple[str, object]] = {
-    "grid.n": ("int", _REQUIRED),
-    "system": ("str", _REQUIRED),
-    "params.mu": ("float", 0.0),
-    "params.chi": ("float", 0.0),
-    "params.kappa": ("float", 0.0),
-    "params.eta": ("float", 0.0),
-    "params.nu": ("float", 0.0),
-    "alpha": ("vec3", (0.0, 0.0, 0.0)),
-    "diophantine.r": ("float", 2.5),
-    "init.epsilon": ("float", _REQUIRED),
-    "init.sobolev_index": ("float", 3.0),
-    "init.spectrum_slope": ("float", 2.0),
-    "init.k_peak": ("float", None),
-    "init.seed": ("int", 0),
-    "time.dt": ("float", 0.01),
-    "time.cfl": ("float", 0.5),
-    "time.t_end": ("float", _REQUIRED),
-    "time.max_steps": ("int", 1_000_000),
-    "time.record_interval": ("float", 0.25),
-    "output.dir": ("str", "out"),
-    "output.norms": ("floats", None),
-    "output.checkpoint_interval": ("float", None),
-    "validate": ("str", "strict"),
+# key -> type tag: int, float, str, vec3, floats
+_TYPES: dict[str, str] = {
+    "grid.n": "int",
+    "system": "str",
+    "params.mu": "float",
+    "params.chi": "float",
+    "params.kappa": "float",
+    "params.eta": "float",
+    "params.nu": "float",
+    "alpha": "vec3",
+    "diophantine.r": "float",
+    "init.epsilon": "float",
+    "init.sobolev_index": "float",
+    "init.spectrum_slope": "float",
+    "init.k_peak": "float",
+    "init.seed": "int",
+    "time.dt": "float",
+    "time.cfl": "float",
+    "time.t_end": "float",
+    "time.max_steps": "int",
+    "time.record_interval": "float",
+    "output.dir": "str",
+    "output.norms": "floats",
+    "output.checkpoint_interval": "float",
+    "validate": "str",
 }
 
 _VARIANT_NAMES = {v.value: v for v in SystemVariant}
@@ -80,6 +78,19 @@ _FIELD_KEYS: dict[type, dict[str, str]] = {
                     "cfl_advective": "time.cfl",
                     "max_steps": "time.max_steps",
                     "record_interval": "time.record_interval"},
+}
+
+# The value of each key a config leaves unset: a dataclass field's own
+# default for the keys of `_FIELD_KEYS`, else the one given here.  A key
+# with neither is required: grid.n, system, init.epsilon and time.t_end.
+_DEFAULTS: dict[str, object] = {
+    "time.dt": 0.01,
+    "output.dir": "out",
+    "output.norms": None,
+    "output.checkpoint_interval": None,
+    "validate": "strict",
+    **{keys[f.name]: f.default for cls, keys in _FIELD_KEYS.items()
+       for f in fields(cls) if f.default is not MISSING},
 }
 
 
@@ -177,28 +188,27 @@ def parse_config(text: str) -> RunConfig:
             errors.append(f"line {lineno}: expected 'key = value'")
             continue
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in _SCHEMA:
+        if key not in _TYPES:
             errors.append(f"line {lineno}: unknown key {key!r}")
             continue
         if key in values:
             errors.append(f"line {lineno}: duplicate key {key!r} "
                           f"(first set on line {lines_of[key]})")
             continue
-        tag, _ = _SCHEMA[key]
         try:
-            values[key] = _parse_value(tag, raw)
+            values[key] = _parse_value(_TYPES[key], raw)
         except ValueError as exc:
             errors.append(f"line {lineno}: bad value for {key!r}: {exc}")
             continue
         lines_of[key] = lineno
 
-    for key, (_, default) in _SCHEMA.items():
+    for key in _TYPES:
         if key in values:
             continue
-        if default is _REQUIRED:
-            errors.append(f"missing required key {key!r}")
+        if key in _DEFAULTS:
+            values[key] = _DEFAULTS[key]
         else:
-            values[key] = default
+            errors.append(f"missing required key {key!r}")
 
     if errors:
         raise ConfigError(errors)

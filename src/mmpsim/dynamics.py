@@ -36,7 +36,8 @@ then the linear terms live in buffers of the engine's pool, which a run
 keeps from evaluation to evaluation: 8 grid buffers, 2 product slabs and
 1 band vector buffer on two threads, 7, 1 and 1 on one.  The step's
 third evaluation writes its tendency over its own input, which its band
-stage forms again in idle grid buffers (`_explicit_arrays`).
+stage forms again in idle grid buffers (`explicit_rhs_arrays`'s
+``again``).
 All band-level work after the transforms (the rows of k.stress, -1j and
 curl(emf); 2 chi curl u; the linear terms and both projections) is one
 stage of `spectral.StepEngine.run_rows`, one k1-row range per thread from
@@ -53,18 +54,18 @@ The stiff symbol of the micro-rotation field is diagonal only after
 splitting each mode into components parallel and perpendicular to k: the
 parallel part sees (eta + kappa)|k|^2 + 4 chi, the perpendicular part
 eta|k|^2 + 4 chi (`_omega_split`).  `StiffPropagator` is the one per-mode
-diagonal operator of this form: four factor arrays on one layout, applied
-with the split (`StiffPropagator.apply`, or `_apply_rows` on a range of
-rows, which the step's row tasks call on either thread since a span
-recorder may wrap `apply`).  `StiffSymbols` is one whose factors are the
-rates, and adds only `StiffSymbols.propagator(dt)`, which forms the
-operator exp(-dt * symbol) anew on each call.  Each block of the step's
-propagations forms its band symbols, the one or two propagators it
-applies and each one's omega_par - omega_perp in views of idle pool grid
-buffers (`band_propagators`), on the calling thread, and so does the
-third evaluation, which forms y3 again: five symbol sets and six
-propagators per step.  `rhs` returns the full tendency, the explicit part
-minus symbol * field, on the full spectrum.
+diagonal operator of this form: four factor arrays on one layout and
+omega_par - omega_perp, formed with them, applied with the split
+(`StiffPropagator.apply`, or `_apply_rows` on a range of rows, which the
+step's row tasks call on either thread since a span recorder may wrap
+`apply`).  `StiffSymbols` is one whose factors are the rates, and adds
+only `StiffSymbols.propagator(dt)`, which forms the operator
+exp(-dt * symbol) anew on each call.  Each block of the step's
+propagations forms its band symbols and the one or two propagators it
+applies in views of idle pool grid buffers (`band_propagators`), on the
+calling thread, and so does the third evaluation, which forms y3 again:
+five symbol sets and six propagators per step.  `rhs` returns the full
+tendency, the explicit part minus symbol * field, on the full spectrum.
 """
 
 from __future__ import annotations
@@ -114,17 +115,16 @@ class StiffPropagator:
     the parallel/perpendicular split of the micro-rotation field: the
     factor ``u`` on the velocity, ``omega_perp`` and ``omega_par`` on the
     parts of omega perpendicular and parallel to k, ``magnetic`` on the
-    magnetic field.  `StiffSymbols` holds the damping rates in this form,
-    and their ``propagator(dt)`` the factors exp(-dt * rate).
-    ``par_minus_perp`` is omega_par - omega_perp if formed already (see
-    `band_propagators`); if None, each call forms it for its rows."""
+    magnetic field, and ``par_minus_perp``, omega_par - omega_perp, formed
+    with them.  `StiffSymbols` holds the damping rates in this form, and
+    their ``propagator(dt)`` the factors exp(-dt * rate)."""
 
     u: np.ndarray
     omega_perp: np.ndarray
     omega_par: np.ndarray
     magnetic: np.ndarray
     layout: SpectralLayout
-    par_minus_perp: np.ndarray | None = None
+    par_minus_perp: np.ndarray
 
     def apply(self, u: np.ndarray, w: np.ndarray, m: np.ndarray,
               out=None, scratch: np.ndarray | None = None
@@ -142,13 +142,10 @@ class StiffPropagator:
         `row_view` of it: u, w, m, the triple ``out`` and ``scratch`` hold
         those rows.  The step's row tasks call this on either thread, not
         `apply`, which a span recorder may wrap."""
-        perp = rows.part(self.omega_perp)
-        gap = (rows.part(self.omega_par) - perp
-               if self.par_minus_perp is None
-               else rows.part(self.par_minus_perp))
         return (np.multiply(rows.part(self.u)[None], u, out=out[0]),
-                _omega_split(perp, gap, w, rows, out=out[1],
-                             scratch=scratch),
+                _omega_split(rows.part(self.omega_perp),
+                             rows.part(self.par_minus_perp), w, rows,
+                             out=out[1], scratch=scratch),
                 np.multiply(rows.part(self.magnetic)[None], m, out=out[2]))
 
 
@@ -160,17 +157,20 @@ class StiffSymbols(StiffPropagator):
 
     def propagator(self, dt: float, out=None) -> StiffPropagator:
         """exp(-dt * symbol) per mode, each factor formed in place in one
-        new array, or in the matching array of the four of ``out`` (u,
-        omega_perp, omega_par, magnetic; they may be the symbols' own):
-        the bytes of ``np.exp(-dt * a)`` with no temporary.  The step
-        forms its factors this way in pool memory (`band_propagators`)
-        for each block of propagations, so none outlives the block."""
+        new array, or in the matching array of the five of ``out`` (u,
+        omega_perp, omega_par, magnetic, par_minus_perp; they may be the
+        symbols' own): the bytes of ``np.exp(-dt * a)`` with no temporary.
+        The step forms its factors this way in pool memory
+        (`band_propagators`) for each block of propagations, so none
+        outlives the block."""
         def factor(a, into):
             f = np.multiply(-dt, a, out=into)
             return np.exp(f, out=f)
+        *into, gap = out or (None,) * 5
         rates = (self.u, self.omega_perp, self.omega_par, self.magnetic)
-        return StiffPropagator(*map(factor, rates, out or (None,) * 4),
-                               self.layout)
+        u, perp, par, magnetic = map(factor, rates, into)
+        return StiffPropagator(u, perp, par, magnetic, self.layout,
+                               np.subtract(par, perp, out=gap))
 
 
 def _omega_split(perp: np.ndarray, gap: np.ndarray, w: np.ndarray,
@@ -189,45 +189,44 @@ def _omega_split(perp: np.ndarray, gap: np.ndarray, w: np.ndarray,
 def layout_stiff_symbols(layout: SpectralLayout, p: PhysParams,
                          variant: SystemVariant, out=None) -> StiffSymbols:
     """The stiff symbols on ``layout``, formed elementwise from its |k|^2
-    in new arrays, or in the four arrays of ``out`` (u, omega_perp,
-    omega_par, magnetic): on the band, the band part of the full-layout
-    ones bit for bit."""
+    in new arrays, or in the five arrays of ``out`` (u, omega_perp,
+    omega_par, magnetic, par_minus_perp): on the band, the band part of
+    the full-layout ones bit for bit."""
     ksq = layout.k_squared
     chi = p.coupling_chi(variant)
-    u, perp, par, magnetic = out or (None,) * 4
+    u, perp, par, magnetic, gap = out or (None,) * 5
 
     def plus_coupling(rate):
         return np.add(rate, 4.0 * chi, out=rate)
+    perp = plus_coupling(np.multiply(p.eta, ksq, out=perp))
+    par = plus_coupling(np.multiply(p.eta + p.kappa, ksq, out=par))
     return StiffSymbols(
         u=np.multiply(p.u_diffusion(variant), ksq, out=u),
-        omega_perp=plus_coupling(np.multiply(p.eta, ksq, out=perp)),
-        omega_par=plus_coupling(np.multiply(p.eta + p.kappa, ksq, out=par)),
+        omega_perp=perp,
+        omega_par=par,
         magnetic=np.multiply(p.magnetic_diffusion(variant), ksq,
                              out=magnetic),
         layout=layout,
+        par_minus_perp=np.subtract(par, perp, out=gap),
     )
 
 
-def band_propagators(layout: SpectralLayout, p: PhysParams,
-                     variant: SystemVariant, dts, scalars
-                     ) -> list[StiffPropagator]:
-    """exp(-dt * symbol) of the stiff symbols on ``layout`` for each dt of
-    ``dts``, each with its ``par_minus_perp`` formed once, all in the real
-    arrays ``scalars`` (5 per dt; the step's are views of pool grid
-    buffers, `StepEngine.band_scalars`): the symbols in the first four
+def band_propagators(engine: StepEngine, p: PhysParams,
+                     variant: SystemVariant, dts) -> list[StiffPropagator]:
+    """exp(-dt * symbol) of the stiff symbols on ``engine``'s band for each
+    dt of ``dts``, all in real band scalars of its pool
+    (`StepEngine.band_scalars`, views of grid buffers, in use until the
+    enclosing scope ends), five per dt: the symbols in the first five
     (`layout_stiff_symbols`), the propagators (`StiffSymbols.propagator`)
-    in the next fours and the last one over the symbols, then the
-    differences.  Each factor has the bytes of
-    ``layout_stiff_symbols(layout, p, variant).propagator(dt)``'s, and no
-    other array is made."""
-    fours = [scalars[4 * i:4 * i + 4] for i in range(len(dts))]
-    symbols = layout_stiff_symbols(layout, p, variant, out=fours[0])
-    factors = [symbols.propagator(dt, out=four)
-               for dt, four in zip(dts, fours[1:] + fours[:1])]
-    return [StiffPropagator(e.u, e.omega_perp, e.omega_par, e.magnetic,
-                            layout, np.subtract(e.omega_par, e.omega_perp,
-                                                out=gap))
-            for e, gap in zip(factors, scalars[4 * len(dts):])]
+    in the next fives and the last one over the symbols.  Each array has
+    the bytes of ``layout_stiff_symbols(band, p, variant).propagator(dt)``'s,
+    and no other array is made."""
+    scalars = engine.band_scalars(5 * len(dts))
+    fives = [scalars[5 * i:5 * i + 5] for i in range(len(dts))]
+    symbols = layout_stiff_symbols(engine.grid.band, p, variant,
+                                   out=fives[0])
+    return [symbols.propagator(dt, out=five)
+            for dt, five in zip(dts, fives[1:] + fives[:1])]
 
 
 def stiff_symbols(grid: GridSpec, p: PhysParams,
@@ -400,14 +399,14 @@ def _magnetic_linear(u_hat: np.ndarray, sym, out) -> np.ndarray:
 def explicit_rhs_arrays(u_hat: np.ndarray, w_hat: np.ndarray, m_hat: np.ndarray,
                         grid: GridSpec, p: PhysParams, variant: SystemVariant,
                         linearized: bool = False,
-                        engine: StepEngine | None = None, out=None
+                        engine: StepEngine | None = None, out=None,
+                        again=None
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Explicit (non-stiff) tendency of the selected variant on retained-band
     coefficient arrays (3, 2kc+1, 2kc+1, kc+1), written into the triple
-    ``out`` (new arrays if None), which must not be the input.
-    ``linearized=True`` drops the quadratic terms.  The sums are formed in
-    ``out``, with scratch from ``engine``'s pool (a transient engine if
-    None), by the operations of
+    ``out`` (new arrays if None).  ``linearized=True`` drops the quadratic
+    terms.  The sums are formed in ``out``, with scratch from ``engine``'s
+    pool (a transient engine if None), by the operations of
 
         du = P(2 chi curl omega + i(alpha.k) b + q_u)
         dw = 2 chi curl u + q_omega                (k = 0 mode zeroed)
@@ -419,25 +418,15 @@ def explicit_rhs_arrays(u_hat: np.ndarray, w_hat: np.ndarray, m_hat: np.ndarray,
     stage (`StepEngine.run_rows`) then forms -1j k.stress in du, row i over
     the stress component (0, i), which no later row reads; curl(emf) in
     dm; in the emf's buffer 2 chi curl u and the linear parts lin in
-    parentheses, each added in; then both projections.  So each tendency
-    is summed as q + lin, which has the bits of lin + q since IEEE
-    addition commutes, signed zeros included.  The stage's scalar scratch
-    is the calling thread's workspace band buffer, and i(alpha.k) is
-    formed after the transforms, so it does not add to their working set.
-    Without the quadratic terms the stage forms 2 chi curl u and the
-    linear parts in dw, du and dm themselves.  The step's third
-    evaluation writes over its own input instead (`_explicit_arrays`)."""
-    if out is None:
-        out = tuple(np.empty_like(a) for a in (u_hat, w_hat, m_hat))
-    return _explicit_arrays((u_hat, w_hat, m_hat), grid, p, variant,
-                            linearized, engine, out)
+    parentheses, each added in (copied in when linearized); then both
+    projections.  So each tendency is summed as q + lin, which has the
+    bits of lin + q since IEEE addition commutes, signed zeros included.
+    The stage's scalar scratch is the calling thread's workspace band
+    buffer, and i(alpha.k) is formed after the transforms, so it does not
+    add to their working set.
 
-
-def _explicit_arrays(y, grid: GridSpec, p: PhysParams, variant: SystemVariant,
-                     linearized: bool, engine: StepEngine | None, out,
-                     again=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`explicit_rhs_arrays` of the triple ``y``, written into the triple
-    ``out``.  With ``again`` given, ``out`` may be ``y`` itself: the
+    ``out`` must not be the input unless ``again`` is given; then it may
+    be, as in the step's third evaluation, which writes N3 over y3: the
     transforms read each input component before its slot is written (u
     and b in phase 1, before the stress; omega_i in flux task i, before
     its row), and the linear terms read the input formed again.
@@ -447,6 +436,9 @@ def _explicit_arrays(y, grid: GridSpec, p: PhysParams, variant: SystemVariant,
     which writes the input's ``rows`` again with the band vector ``s``
     (the rows of the emf's buffer, read already) as scratch and returns
     them as a triple."""
+    y = (u_hat, w_hat, m_hat)
+    if out is None:
+        out = tuple(np.empty_like(a) for a in y)
     two_chi = 2.0 * p.coupling_chi(variant)
     du, dw, dm = out
     with using_engine(engine, grid) as engine, engine.scope():
@@ -458,6 +450,8 @@ def _explicit_arrays(y, grid: GridSpec, p: PhysParams, variant: SystemVariant,
         band_scratch = engine.workspaces[0].band
         form = (again() if again is not None
                 else lambda rows, s: tuple(map(rows.part, y)))
+        combine = (np.copyto if linearized
+                   else lambda d, lin: np.add(d, lin, out=d))
 
         def stage(rows):
             part = rows.part
@@ -475,18 +469,12 @@ def _explicit_arrays(y, grid: GridSpec, p: PhysParams, variant: SystemVariant,
                 # buffer is scratch and takes the linear terms
                 curl_coeffs(lin, rows, out=d_m, scratch=scratch)
             u, w, m = form(rows, lin)
-            if linearized:
-                np.multiply(two_chi, curl_coeffs(u, rows, out=d_w,
-                                                 scratch=scratch), out=d_w)
-                _velocity_linear(w, m, rows, two_chi, s, d_u, scratch)
-                _magnetic_linear(u, s, d_m)
-            else:
-                np.multiply(two_chi, curl_coeffs(u, rows, out=lin,
-                                                 scratch=scratch), out=lin)
-                np.add(d_w, lin, out=d_w)
-                np.add(d_u, _velocity_linear(w, m, rows, two_chi, s, lin,
-                                             scratch), out=d_u)
-                np.add(d_m, _magnetic_linear(u, s, lin), out=d_m)
+            np.multiply(two_chi, curl_coeffs(u, rows, out=lin,
+                                             scratch=scratch), out=lin)
+            combine(d_w, lin)
+            combine(d_u, _velocity_linear(w, m, rows, two_chi, s, lin,
+                                          scratch))
+            combine(d_m, _magnetic_linear(u, s, lin))
             project_coeffs(d_u, rows, out=d_u, scratch=lin)
             project_coeffs(d_m, rows, out=d_m, scratch=lin)
         engine.run_rows(stage)

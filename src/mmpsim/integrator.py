@@ -75,12 +75,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import (
-    _explicit_arrays,
-    band_propagators,
-    explicit_rhs_arrays,
-    grid_tasks,
-)
+from .dynamics import band_propagators, explicit_rhs_arrays, grid_tasks
 from .fields import PhysParams, State, SystemVariant, check_solver_arguments
 from .norms import DiagnosticsRecord, DiagnosticsSettings, compute_record
 from .spectral import (
@@ -209,11 +204,12 @@ def _step_arrays(arrays, grid: GridSpec, p: PhysParams,
         to_new                  + N4            (its scratch)   Ef y0, then
                                                                 the new state
 
-    N3 is written over its own input y3 (`dynamics._explicit_arrays`): once
-    the transforms are done, its band stage forms y3 = Eh y0 + dt/2 N2
-    again for the linear terms, by `to_y3`'s operations, in three band
-    vectors of idle pool grid buffers (`StepEngine.band_vectors`), and Ef
-    y0 is formed twice rather than held.  Between the explicit
+    N3 is written over its own input y3 (`explicit_rhs_arrays` with
+    ``again``): once the transforms are done, its band stage forms
+    y3 = Eh y0 + dt/2 N2 again for the linear terms, by `to_y3`'s
+    operations, in three band vectors of idle pool grid buffers
+    (`StepEngine.band_vectors`), and Ef y0 is formed twice rather than
+    held.  Between the explicit
     evaluations, each block of propagations, sums and the final projection
     runs through `StepEngine.run_rows`, on the k1-rows of every stage
     (``cut``), with one more band buffer as scratch (the parallel part of
@@ -223,10 +219,10 @@ def _step_arrays(arrays, grid: GridSpec, p: PhysParams,
     operations of the formulas above, in their order, so the step is
     bit-identical to evaluating them with a new array per operation,
     whatever the row split."""
-    def explicit(y, out):
+    def explicit(y, out, again=None):
         return explicit_rhs_arrays(*y, grid, p, variant,
                                    linearized=linearized, engine=engine,
-                                   out=out)
+                                   out=out, again=again)
 
     def rows_of(rows):
         return lambda triple: tuple(map(rows.part, triple))
@@ -234,8 +230,7 @@ def _step_arrays(arrays, grid: GridSpec, p: PhysParams,
     def block(task, *dts):
         with engine.scope():
             (scratch,) = engine.band_buffers(1)
-            factors = band_propagators(grid.band, p, variant, dts,
-                                       engine.band_scalars(5 * len(dts)))
+            factors = band_propagators(engine, p, variant, dts)
             engine.run_rows(lambda rows: task(
                 rows, rows.part(scratch), rows_of(rows), *factors))
 
@@ -256,8 +251,7 @@ def _step_arrays(arrays, grid: GridSpec, p: PhysParams,
 
         def y3_again():
             into = engine.band_vectors(3)
-            (e_half,) = band_propagators(grid.band, p, variant, (0.5 * dt,),
-                                         engine.band_scalars(5))
+            (e_half,) = band_propagators(engine, p, variant, (0.5 * dt,))
             return lambda rows, s: to_y3(rows, s, rows_of(rows), e_half,
                                          into)
 
@@ -283,8 +277,7 @@ def _step_arrays(arrays, grid: GridSpec, p: PhysParams,
         block(to_y2, 0.5 * dt)
         explicit(t2, t3)
         block(to_y3, 0.5 * dt)
-        _explicit_arrays(t2, grid, p, variant, linearized, engine, t2,
-                         again=y3_again)
+        explicit(t2, t2, again=y3_again)
         block(to_y4, 0.5 * dt, dt)
         explicit(t2, t3)
         block(to_new, dt)
@@ -419,23 +412,18 @@ def run(state: State, p: PhysParams, variant: SystemVariant,
     def result(status: RunStatus, failure_step=None) -> RunResult:
         return RunResult(current, records, status, steps, failure_step)
 
+    def deliver(name: str, sink, *args) -> None:
+        if sink is not None:
+            try:
+                sink(*args)
+            except OSError as exc:
+                raise SinkWriteError(f"{name} sink failed: {exc}",
+                                     result(RunStatus.STEP_CAP)) from exc
+
     def emit_record() -> None:
         rec = compute_record(current, p, settings, engine=engine)
         records.append(rec)
-        if record_sink is not None:
-            try:
-                record_sink(rec)
-            except OSError as exc:
-                raise SinkWriteError(f"diagnostics sink failed: {exc}",
-                                     result(RunStatus.STEP_CAP)) from exc
-
-    def emit_state() -> None:
-        if state_sink is not None:
-            try:
-                state_sink(current, steps)
-            except OSError as exc:
-                raise SinkWriteError(f"state sink failed: {exc}",
-                                     result(RunStatus.STEP_CAP)) from exc
+        deliver("diagnostics", record_sink, rec)
 
     next_record = _next_boundary(current.t, cfg.record_interval)
     next_state_dump = (None if state_sink_interval is None
@@ -457,7 +445,7 @@ def run(state: State, p: PhysParams, variant: SystemVariant,
                 next_record = _next_boundary(current.t, cfg.record_interval)
             if next_state_dump is not None and \
                     current.t >= next_state_dump - 1e-9 * state_sink_interval:
-                emit_state()
+                deliver("state", state_sink, current, steps)
                 next_state_dump = _next_boundary(current.t,
                                                  state_sink_interval)
         return result(RunStatus.COMPLETED)

@@ -1,11 +1,14 @@
 """Config grammar, defaults, and strict-mode validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mmpsim.cli import cli_main
 from mmpsim.config import ConfigError, parse_config
-from mmpsim.fields import SystemVariant
+from mmpsim.fields import InitSpec, PhysParams, SystemVariant
+from mmpsim.integrator import StepperConfig
 
 MINIMAL = """
 grid.n = 32
@@ -43,6 +46,30 @@ class TestParseConfig:
         assert config.stepper.record_interval == 0.25
         assert config.output_dir == "out"
         assert config.checkpoint_interval is None
+
+    @pytest.mark.parametrize("text, given", [
+        ("grid.n = 8\nsystem = full\ninit.epsilon = 0.01\ntime.t_end = 1\n",
+         {"epsilon", "t_end"}),
+        (MINIMAL, {"chi", "eta", "nu", "epsilon", "t_end"}),
+    ], ids=["required-keys-only", "minimal"])
+    def test_unset_fields_take_their_dataclass_defaults(self, text, given):
+        # every field a config leaves unset has its dataclass's own
+        # default, of its type; time.dt, which has none, is 0.01
+        config = parse_config(text)
+        checked = 0
+        for cls, obj in ((PhysParams, config.params),
+                         (InitSpec, config.init),
+                         (StepperConfig, config.stepper)):
+            for f in dataclasses.fields(cls):
+                if f.name in given or f.default is dataclasses.MISSING:
+                    continue
+                value = getattr(obj, f.name)
+                assert value == f.default and type(value) is type(f.default), \
+                    (cls.__name__, f.name)
+                checked += 1
+        # the 14 fields with a default, less those the config sets
+        assert checked == 14 - len(given - {"epsilon", "t_end"})
+        assert config.stepper.dt == 0.01
 
     def test_comments_and_blanks_ignored(self):
         config = parse_config(MINIMAL + "\n# a comment\n   \n")

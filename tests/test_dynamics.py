@@ -386,6 +386,20 @@ class TestStiffSymbols:
             assert getattr(band, name).tobytes() == band_part(
                 getattr(full, name), g).tobytes()
 
+    @pytest.mark.parametrize("variant", list(SystemVariant),
+                             ids=[v.value for v in SystemVariant])
+    def test_every_operator_carries_its_gap(self, variant):
+        # omega_par - omega_perp is formed with the factors, for the
+        # symbols and for each propagator, on either layout
+        g = GridSpec(12)
+        p = PhysParams(mu=0.2, chi=0.8, kappa=0.6, eta=0.4, nu=0.3,
+                       alpha=ALPHA)
+        for layout in (g.band, g.full):
+            sym = layout_stiff_symbols(layout, p, variant)
+            for op in (sym, sym.propagator(0.05), sym.propagator(1.0 / 3.0)):
+                assert op.par_minus_perp.tobytes() == (
+                    op.omega_par - op.omega_perp).tobytes()
+
     @pytest.mark.parametrize("layout", ["full", "band"])
     def test_omega_split_matches_written_out_form(self, layout):
         # oracle: perp w + (par - perp) w_par written out, for the
@@ -622,8 +636,8 @@ class TestBandStep:
         arrays = make_random_state(g, InitSpec(epsilon=1.0, seed=4),
                                    variant).arrays
         with spectral.StepEngine(g) as engine, engine.scope():
-            scalars = engine.band_scalars(5 * len(dts))
-            props = band_propagators(g.band, p, variant, dts, scalars)
+            props = band_propagators(engine, p, variant, dts)
+            buffers = engine._grid.arrays
             assert len(props) == len(dts)
             for prop, dt in zip(props, dts):
                 want = sym.propagator(dt)
@@ -631,7 +645,7 @@ class TestBandStep:
                 for name in ("u", "omega_perp", "omega_par", "magnetic",
                              "par_minus_perp"):
                     assert any(np.shares_memory(getattr(prop, name), a)
-                               for a in scalars)
+                               for a in buffers)
                 for name in ("u", "omega_perp", "omega_par", "magnetic"):
                     assert (getattr(prop, name).tobytes()
                             == getattr(want, name).tobytes())

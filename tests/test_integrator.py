@@ -160,6 +160,27 @@ class TestStep:
         assert divergence_residual(state.magnetic) <= 1e-11
         assert np.abs(state.u.coeffs[:, 0, 0, 0]).max() == 0.0
 
+    @pytest.mark.parametrize("linearized", [False, True],
+                             ids=["nonlinear", "linearized"])
+    def test_four_explicit_evaluations_through_one_function(
+            self, monkeypatch, linearized):
+        # every stage's N goes through the public explicit_rhs_arrays; the
+        # third writes N3 over its input y3, which it forms again
+        original = integrator.explicit_rhs_arrays
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("again") is not None)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(integrator, "explicit_rhs_arrays", counted)
+        state = make_random_state(GridSpec(12), InitSpec(epsilon=1.0, seed=5),
+                                  ZK)
+        got = step(state, ZK_PARAMS, ZK, 0.01, linearized=linearized)
+        assert calls == [False, False, True, False]
+        want = oracle_step(state, ZK_PARAMS, ZK, 0.01, linearized)
+        for a, b in zip(got.arrays, want):
+            assert a.tobytes() == b.tobytes()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_detected(self):
         g = GridSpec(8)
