@@ -138,9 +138,18 @@ def _cmd_run(args) -> int:
         del data
     else:
         initial = [make_random_state(grid, config.init, config.variant)]
+
+    def checkpoint_sink(snapshot, steps):
+        name = f"checkpoint_{step_offset + steps:08d}.mmp"
+        save_checkpoint(os.path.join(config.output_dir, name), snapshot,
+                        config.params, step_offset + steps, config.init.seed)
+
+    state_sink = (None if config.checkpoint_interval is None
+                  else checkpoint_sink)
     # `run`'s own checks, made before any output is touched
     check_run_arguments(initial[0], config.params, config.variant,
-                        config.stepper, config.checkpoint_interval)
+                        config.stepper, config.checkpoint_interval,
+                        state_sink)
 
     try:
         os.makedirs(config.output_dir, exist_ok=True)
@@ -161,32 +170,27 @@ def _cmd_run(args) -> int:
     def record_sink(record):
         write_diagnostics([record], csv_path, append=True)
 
-    def checkpoint_sink(snapshot, steps):
-        name = f"checkpoint_{step_offset + steps:08d}.mmp"
-        save_checkpoint(os.path.join(config.output_dir, name), snapshot,
-                        config.params, step_offset + steps, config.init.seed)
-
     # a failing sink raises SinkWriteError, an OSError: exit 3 (cli_main).
     # `run` copies the initial band; popped from `initial`, the state it
     # was given then has no other reference and is freed while it runs
     result = run(initial.pop(), config.params, config.variant, config.stepper,
                  settings=config.diagnostics_settings(),
-                 record_sink=record_sink,
-                 state_sink=checkpoint_sink if
-                 config.checkpoint_interval is not None else None,
+                 record_sink=record_sink, state_sink=state_sink,
                  state_sink_interval=config.checkpoint_interval,
                  initial_record=initial_record)
+    # the trajectory's step count, the checkpoint's steps included: `run`
+    # counts only its own, in ``steps`` and ``failure_step``
+    steps = step_offset + result.steps
 
     try:
         save_checkpoint(os.path.join(config.output_dir, "final.mmp"),
-                        result.state, config.params,
-                        step_offset + result.steps, config.init.seed)
+                        result.state, config.params, steps, config.init.seed)
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO
 
     print(f"status = {result.status.value}")
-    print(f"steps = {step_offset + result.steps}")
+    print(f"steps = {steps}")
     print(f"t = {result.state.t:.17g}")
     if result.records:
         # the last record is earlier than t when t_end is not on a record
@@ -197,8 +201,7 @@ def _cmd_run(args) -> int:
         if last.h3 is not None:
             print(f"h3 = {last.h3:.17g}")
     if result.status is RunStatus.BLOW_UP:
-        print(f"error: blow-up detected at step {result.failure_step}",
-              file=sys.stderr)
+        print(f"error: blow-up detected at step {steps}", file=sys.stderr)
         return EXIT_INTEGRITY
     return EXIT_OK
 

@@ -88,8 +88,6 @@ def check_diophantine(alpha, r: float, k_max: int) -> DiophantineReport:
             half = (k2g > 0) | ((k2g == 0) & (k3g > 0))
         else:
             half = np.ones_like(k2g, dtype=bool)
-        if not half.any():
-            continue
         k2 = k2g[half]
         k3 = k3g[half]
         dot = np.abs(a[0] * k1 + a[1] * k2 + a[2] * k3)

@@ -44,7 +44,7 @@ stage of `spectral.StepEngine.run_rows`, one k1-row range per thread from
 n = `spectral.ROW_SPLIT_MIN_N` up, with the symbol i(alpha.k) formed on
 the calling thread before it.  The energy-flux audit splits
 its 33 inverse and 15 forward transforms the same way, on the same pool;
-it releases the pool (grid buffers, slabs and idle band buffers) before
+it releases the pool (every buffer that no open scope holds) before
 its transforms and again before its cancellation pairings, which run on
 the calling thread and expand into one n^3 buffer made for them.
 Threaded and single-thread results are equal bit for bit, and so are
@@ -250,16 +250,16 @@ def grid_tasks(arrays, outs) -> list:
             for i in range(3)]
 
 
-def _advect_band(velocities, terms, grid: GridSpec,
+def _advect_band(velocities, terms,
                  engine: StepEngine) -> list[list[np.ndarray]]:
-    """(v.grad)f on the retained band, in advective form, for each
-    (f_band, indices) of ``terms`` and each band velocity
+    """(v.grad)f on the retained band of ``engine``'s grid, in advective
+    form, for each (f_band, indices) of ``terms`` and each band velocity
     ``velocities[i]``, i in indices: one list per term, one band buffer of
     ``engine``'s pool per index, in use until the caller's scope ends.  The
     velocities are transformed to the grid once, then one task per
     component of each f transforms that component's gradient once and
     shares it among the velocities."""
-    symbols = [1j * k for k in grid.band.k_vectors]
+    symbols = [1j * k for k in engine.grid.band.k_vectors]
     outs = [engine.band_buffers(len(indices)) for _, indices in terms]
 
     def component(f, term_velocities, term_outs):
@@ -301,8 +301,7 @@ def advect(v: SpectralVectorField, f: SpectralVectorField) -> SpectralVectorFiel
     grid = f.grid
     with StepEngine(grid) as engine:
         ((out,),) = _advect_band([band_part(v.coeffs, grid)],
-                                 [(band_part(f.coeffs, grid), (0,))], grid,
-                                 engine)
+                                 [(band_part(f.coeffs, grid), (0,))], engine)
         return SpectralVectorField(expand_band(out, grid), grid)
 
 
@@ -338,14 +337,14 @@ def _flux_task(w_i: np.ndarray, u, k_vectors, out: np.ndarray):
 
 
 def _quadratic_terms(u_hat: np.ndarray, w_hat: np.ndarray, m_hat: np.ndarray,
-                     grid: GridSpec, out, emf: np.ndarray,
-                     engine: StepEngine) -> None:
-    """The transforms of the quadratic terms, dealiased by the band
-    transforms: -div(u(x)omega) = -1j k.F(u omega) written into ``out[1]``,
-    the 6 stress components u_i u_j - b_i b_j into ``out`` itself (the
-    diagonal in ``out[0]``, the off-diagonal 01, 02, 12 in ``out[2]``) and
-    the 3 emf components of u x b into the band vector ``emf``, from which
-    `explicit_rhs_arrays` forms -div(u(x)u - b(x)b) and curl(u x b).
+                     out, emf: np.ndarray, engine: StepEngine) -> None:
+    """The transforms of the quadratic terms on ``engine``'s grid,
+    dealiased by the band transforms: -div(u(x)omega) = -1j k.F(u omega)
+    written into ``out[1]``, the 6 stress components u_i u_j - b_i b_j
+    into ``out`` itself (the diagonal in ``out[0]``, the off-diagonal 01,
+    02, 12 in ``out[2]``) and the 3 emf components of u x b into the band
+    vector ``emf``, from which `explicit_rhs_arrays` forms
+    -div(u(x)u - b(x)b) and curl(u x b).
 
     One `StepEngine.run` call in two phases.  Phase 1: 6 tasks each
     transform one component of u or b to the grid, into pool buffers.
@@ -357,7 +356,7 @@ def _quadratic_terms(u_hat: np.ndarray, w_hat: np.ndarray, m_hat: np.ndarray,
     slab.  Each 1D line and each product is the one a whole-stack
     evaluation would compute, and each flux row is formed from them by the
     operations of the stacked -1j k.flux."""
-    k_vectors = [k.astype(np.complex128) for k in grid.band.k_vectors]
+    k_vectors = [k.astype(np.complex128) for k in engine.grid.band.k_vectors]
     du, dw, dm = out
     with engine.scope():
         u, b = phys = [engine.grid_buffers(3) for _ in range(2)]
@@ -444,7 +443,7 @@ def explicit_rhs_arrays(u_hat: np.ndarray, w_hat: np.ndarray, m_hat: np.ndarray,
     with using_engine(engine, grid) as engine, engine.scope():
         (buffer,) = engine.band_buffers(1)
         if not linearized:
-            _quadratic_terms(*y, grid, out, buffer, engine)
+            _quadratic_terms(*y, out, buffer, engine)
         sym = (alpha_symbol(p.alpha_vector, grid.band)
                if variant.uses_background else None)
         band_scratch = engine.workspaces[0].band
@@ -575,7 +574,7 @@ def energy_flux_audit(state: State, p: PhysParams, variant: SystemVariant,
         engine.release()
         (u_grad_u, m_grad_u), (u_grad_w,), (u_grad_m, m_grad_m) = \
             _advect_band([u_band, m_band], [(u_band, (0, 1)), (w_band, (0,)),
-                                            (m_band, (0, 1))], grid, engine)
+                                            (m_band, (0, 1))], engine)
         engine.release()
 
     # the curl pairing's operands are formed first, so that their

@@ -50,10 +50,12 @@ are done, take their factors' and y3's memory from the grid buffers,
 which are idle there.  Only the triple that becomes the new state is
 allocated per step, outside the pool, so the caller owns it from the
 start.  The audit takes no product slab; it releases the pool
-(`StepEngine.release`: the grid buffers, the slabs and every band buffer
-nobody holds) before its transforms, which take 5 band and 12 grid
-buffers, and again before its pairings, which expand into one n^3 buffer
-of their own; so a step after a record takes 2 band buffers anew.
+(`StepEngine.release`, which drops every buffer that no open scope
+holds: there every grid buffer and slab, and every band buffer but, the
+second time, the audit's 5) before its transforms, which take 5 band
+and 12 grid buffers, and again before its pairings, which expand into
+one n^3 buffer of their own; so a step after a record takes 2 band
+buffers anew.
 Within an evaluation the transforms run on the engine's helper thread as
 well from n = `spectral.SPLIT_MIN_N` up, and from n =
 `spectral.ROW_SPLIT_MIN_N` up so does one k1-row half of the band-level
@@ -180,10 +182,10 @@ def _axpy(y, x, c, out, scratch):
     return out
 
 
-def _step_arrays(arrays, grid: GridSpec, p: PhysParams,
-                 variant: SystemVariant, dt: float, linearized: bool,
-                 engine: StepEngine):
-    """One step on retained-band arrays; e_half and e_full are the Eh and
+def _step_arrays(arrays, p: PhysParams, variant: SystemVariant, dt: float,
+                 linearized: bool, engine: StepEngine):
+    """One step on retained-band arrays of ``engine``'s grid, whose band
+    and transforms the evaluations use; e_half and e_full are the Eh and
     Ef above, formed from the band symbols of ``p`` and ``variant`` for
     each block that applies them, in views of pool grid buffers taken in
     the block's scope (`dynamics.band_propagators`, on the calling thread
@@ -220,7 +222,7 @@ def _step_arrays(arrays, grid: GridSpec, p: PhysParams,
     bit-identical to evaluating them with a new array per operation,
     whatever the row split."""
     def explicit(y, out, again=None):
-        return explicit_rhs_arrays(*y, grid, p, variant,
+        return explicit_rhs_arrays(*y, engine.grid, p, variant,
                                    linearized=linearized, engine=engine,
                                    out=out, again=again)
 
@@ -296,12 +298,16 @@ def step(state: State, p: PhysParams, variant: SystemVariant, dt: float,
     harness stops passing it.  The step runs on ``engine``, or on a
     transient `StepEngine` closed before the call returns.
 
-    Refuses what `check_solver_arguments` refuses: a state tagged with
-    another variant, and coefficients the variant forces to zero."""
+    Refuses, with a ValueError, a ``dt`` that is not positive and finite,
+    an engine made for a grid of another size (`using_engine`) and what
+    `check_solver_arguments` refuses: a state tagged with another variant,
+    and coefficients the variant forces to zero."""
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ValueError(f"step requires a positive, finite dt, got dt={dt}")
     check_solver_arguments(state, p, variant, "step")
     grid = state.grid
     with using_engine(engine, grid) as engine:
-        arrays = _step_arrays(state.arrays, grid, p, variant, dt, linearized,
+        arrays = _step_arrays(state.arrays, p, variant, dt, linearized,
                               engine)
     for name, arr in zip(("u", "omega", "magnetic"), arrays):
         if not np.all(np.isfinite(arr)):
@@ -351,17 +357,20 @@ def _end_tolerance(t_end: float) -> float:
 
 def check_run_arguments(state: State, p: PhysParams, variant: SystemVariant,
                         cfg: StepperConfig,
-                        state_sink_interval: float | None = None) -> None:
+                        state_sink_interval: float | None = None,
+                        state_sink=None) -> None:
     """The entry contract of `run`: raise ValueError for what
     `check_solver_arguments` refuses (a state tagged with another variant,
     coefficients the variant forces to zero), for a ``cfg.record_interval``
     or ``state_sink_interval`` that `check_interval` refuses at the state's
-    time, and for a state whose time is past ``cfg.t_end`` by more than
-    the run's end tolerance.  `mmpsim run` calls it before it touches its
-    outputs."""
+    time, for a ``state_sink`` without a ``state_sink_interval``, and for
+    a state whose time is past ``cfg.t_end`` by more than the run's end
+    tolerance.  `mmpsim run` calls it before it touches its outputs."""
     check_solver_arguments(state, p, variant, "run")
     check_interval("record_interval", cfg.record_interval, cfg.t_end,
                    state.t)
+    if state_sink is not None and state_sink_interval is None:
+        raise ValueError("a state_sink needs a state_sink_interval")
     if state_sink_interval is not None:
         check_interval("state_sink_interval", state_sink_interval, cfg.t_end,
                        state.t)
@@ -393,13 +402,15 @@ def run(state: State, p: PhysParams, variant: SystemVariant,
     dropped, so a caller that holds none frees it; the copy itself is
     freed once the first step replaces it.  Each step is one call
     of the module-level `step` with its ``dt`` and the run's `StepEngine`,
-    whose pool is kept from step to step and whose helper thread is joined
+    made for the state's grid and entered with ``with``, so its pool is
+    kept from step to step and released, and its helper thread joined,
     when the run returns or raises; each step forms its own stiff
     operator.  ``state_sink`` and the result get the run's current `State`
     itself; a step never writes into the arrays of a state it has
     returned.
     """
-    check_run_arguments(state, p, variant, cfg, state_sink_interval)
+    check_run_arguments(state, p, variant, cfg, state_sink_interval,
+                        state_sink)
     grid = state.grid
     current = State.from_band(map(_zero_mean_copy, state.arrays), grid,
                               variant, t=state.t)
@@ -430,26 +441,26 @@ def run(state: State, p: PhysParams, variant: SystemVariant,
                        else _next_boundary(current.t, state_sink_interval))
     t_tol = _end_tolerance(cfg.t_end)
 
-    try:
-        if initial_record:
-            emit_record()
-        while current.t < cfg.t_end - t_tol:
-            if steps >= cfg.max_steps:
-                return result(RunStatus.STEP_CAP)
-            dt = min(stable_dt(current, p, grid, cfg, engine=engine),
-                     cfg.t_end - current.t)
-            current = step(current, p, variant, dt, engine=engine)
-            steps += 1
-            if current.t >= next_record - 1e-9 * cfg.record_interval:
+    with engine:
+        try:
+            if initial_record:
                 emit_record()
-                next_record = _next_boundary(current.t, cfg.record_interval)
-            if next_state_dump is not None and \
-                    current.t >= next_state_dump - 1e-9 * state_sink_interval:
-                deliver("state", state_sink, current, steps)
-                next_state_dump = _next_boundary(current.t,
-                                                 state_sink_interval)
-        return result(RunStatus.COMPLETED)
-    except IntegrityError:
-        return result(RunStatus.BLOW_UP, failure_step=steps)
-    finally:
-        engine.close()
+            while current.t < cfg.t_end - t_tol:
+                if steps >= cfg.max_steps:
+                    return result(RunStatus.STEP_CAP)
+                dt = min(stable_dt(current, p, grid, cfg, engine=engine),
+                         cfg.t_end - current.t)
+                current = step(current, p, variant, dt, engine=engine)
+                steps += 1
+                if current.t >= next_record - 1e-9 * cfg.record_interval:
+                    emit_record()
+                    next_record = _next_boundary(current.t,
+                                                 cfg.record_interval)
+                if next_state_dump is not None and current.t >= \
+                        next_state_dump - 1e-9 * state_sink_interval:
+                    deliver("state", state_sink, current, steps)
+                    next_state_dump = _next_boundary(current.t,
+                                                     state_sink_interval)
+            return result(RunStatus.COMPLETED)
+        except IntegrityError:
+            return result(RunStatus.BLOW_UP, failure_step=steps)

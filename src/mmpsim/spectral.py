@@ -544,7 +544,9 @@ class _Stack:
 class StepEngine:
     """The resources that the step and the energy-flux audit on ``grid``
     reuse from call to call.  `run` builds one for the whole run; a public
-    call without one builds a transient engine (`using_engine`).
+    call without one builds a transient engine (`using_engine`), and one
+    given an engine of another grid size refuses it.  The private helpers
+    below a public call take only the engine and read the grid from it.
 
     *Pool.*  `grid_buffers` hands out real (n, n, n) grid buffers and
     `band_buffers` complex retained-band vector buffers
@@ -557,9 +559,9 @@ class StepEngine:
     adding to it.  A buffer holds whatever its last user left in it.
     `band_scalars` and `band_vectors` hand out real band scalars and
     complex band vectors as views of grid buffers, whose memory is idle
-    between transforms.  `release` drops its grid buffers, product slabs,
-    idle band buffers and the workspaces, `close` every band buffer; the
-    next request allocates afresh.
+    between transforms.  `release` drops, from each stack, the buffers
+    no open `scope` holds, and the workspaces; the next request
+    allocates afresh.
 
     *Rows.*  `run_rows` runs a band-level stage as a phase of one task per
     layout of `band_rows`: one k1-row range per thread from n =
@@ -692,13 +694,11 @@ class StepEngine:
                        for rows in self.band_rows]])
 
     def release(self) -> None:
-        """Drop the grid buffers and product slabs of the pool, the band
-        buffers nobody holds and the workspaces; the band buffers handed
-        out in an open `scope` and the threads stay.  Buffers a caller
-        still holds stay alive as its own."""
-        self._grid.arrays = []
-        self._slab.arrays = []
-        del self._band.arrays[self._band.top:]
+        """Drop the buffers of each stack above its ``top`` and the
+        workspaces; the buffers handed out in an open `scope` stay pooled,
+        and so do the threads."""
+        for stack in (self._grid, self._band, self._slab):
+            del stack.arrays[stack.top:]
         self._workspaces = []
 
     def run(self, phases, fields: int = 0, product: bool = False) -> None:
@@ -741,10 +741,8 @@ class StepEngine:
                     ws.fields, ws.product = [], None
 
     def close(self) -> None:
-        """Drop the whole pool and the workspaces, and join the helper
-        threads."""
+        """`release`, and join the helper threads."""
         self.release()
-        self._band.arrays = []
         if self._helpers is not None:
             self._helpers.shutdown()
             self._helpers = None
@@ -763,8 +761,14 @@ class StepEngine:
 
 def using_engine(engine: StepEngine | None, grid: GridSpec):
     """A context giving ``engine``, or a transient `StepEngine` of ``grid``
-    that is closed when the context ends."""
-    return nullcontext(engine) if engine is not None else StepEngine(grid)
+    that is closed when the context ends.  Refuses an engine made for a
+    grid of another size."""
+    if engine is None:
+        return StepEngine(grid)
+    if engine.grid.n != grid.n:
+        raise ValueError(f"an engine of n={engine.grid.n} cannot serve a "
+                         f"grid of n={grid.n}")
+    return nullcontext(engine)
 
 
 def power_spectrum(c: np.ndarray) -> np.ndarray:

@@ -90,6 +90,23 @@ class TestValidateParams:
         report = validate_params(p, SystemVariant.ZERO_KINEMATIC, strict=True)
         assert report.ok and not report.errors
 
+    @pytest.mark.parametrize("variant, coefficient, prefix", [
+        (SystemVariant.ZERO_KINEMATIC, "chi", "zero-kinematic decay"),
+        (SystemVariant.ZERO_KINEMATIC, "eta", "zero-kinematic decay"),
+        (SystemVariant.ZERO_KINEMATIC, "nu", "zero-kinematic decay"),
+        (SystemVariant.ZERO_KINEMATIC_ZERO_DIFFUSION, "chi", "variant"),
+        (SystemVariant.ZERO_KINEMATIC_ZERO_DIFFUSION, "eta", "variant"),
+    ])
+    def test_zero_kinematic_hypothesis_rejected(self, variant, coefficient,
+                                                prefix):
+        # each hypothesis alone: the other coefficients satisfy theirs
+        nu = 0.0 if variant.forces_zero_nu else 1.0
+        p = PhysParams(**{"chi": 1.0, "eta": 1.0, "nu": nu, coefficient: 0.0})
+        report = validate_params(p, variant, strict=True)
+        assert not report.ok
+        assert report.errors == [f"{prefix} requires {coefficient} > 0, got "
+                                 f"{coefficient}=0.0"]
+
     def test_structure_condition_rejected(self):
         p = PhysParams(chi=1.0, eta=1.0, alpha=(1.0, 1.0, 1.0))
         report = validate_params(p, SystemVariant.PERTURBATION, strict=True)
@@ -216,6 +233,20 @@ class TestMakeRandomState:
         assert divergence_residual(state.u) <= 1e-12
         assert divergence_residual(state.magnetic) <= 1e-12
         check_state(state)
+
+    @pytest.mark.parametrize("field, index, message", [
+        (0, (0, 0, 0, 0), "u is not mean-zero"),
+        (1, (2, 0, 0, 0), "omega is not mean-zero"),
+        (2, (0, 1, 0, 0), "magnetic divergence residual "),
+    ])
+    def test_check_state_refusals(self, field, index, message):
+        # a mean mode, or a mode of b parallel to k = (1, 0, 0)
+        state = make_random_state(GridSpec(8), InitSpec(epsilon=0.1, seed=3),
+                                  SystemVariant.ZERO_KINEMATIC)
+        arrays = [a.copy() for a in state.arrays]
+        arrays[field][index] += 1.0
+        with pytest.raises(ValueError, match=f"^{message}"):
+            check_state(State.from_band(arrays, state.grid, state.variant))
 
     def test_omega_not_projected(self):
         # the micro-rotation field legitimately carries divergence

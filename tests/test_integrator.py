@@ -181,6 +181,18 @@ class TestStep:
         for a, b in zip(got.arrays, want):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("dt", [0.0, -0.1, float("nan"), float("inf")])
+    def test_dt_not_positive_and_finite_is_refused(self, dt):
+        # a negative dt applied the factors exp(+|dt| rate), which grow
+        # with |k|^2, and 0 returned a copy stamped with the same t; the
+        # refusal comes before the engine's pool holds anything
+        state = make_random_state(GridSpec(8), InitSpec(epsilon=0.1, seed=3),
+                                  ZK)
+        with StepEngine(state.grid) as engine:
+            with pytest.raises(ValueError, match="dt="):
+                step(state, ZK_PARAMS, ZK, dt, engine=engine)
+            assert engine.nbytes == 0
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_detected(self):
         g = GridSpec(8)
@@ -382,8 +394,9 @@ class TestRun:
         result = run(state, ZK_PARAMS, ZK, cfg, record_sink=seen.append)
         assert len(seen) == len(result.records)
 
+    # None: a sink without an interval used to be called never
     @pytest.mark.parametrize("interval", [0.0, float("nan"), -1.0,
-                                          float("inf"), 5e-324])
+                                          float("inf"), 5e-324, None])
     def test_bad_state_sink_interval_refused_before_the_first_record(
             self, interval):
         state = make_random_state(GridSpec(8), InitSpec(epsilon=0.01, seed=9),
@@ -418,6 +431,32 @@ class TestRun:
 
 PERT = SystemVariant.PERTURBATION
 PERT_PARAMS = PhysParams(chi=1.0, eta=1.0, alpha=ALPHA, r=2.5)
+
+
+# each public call that takes an engine, on a state and an engine
+ENGINE_CALLS = {
+    "step": lambda s, e: step(s, PERT_PARAMS, PERT, 0.01, engine=e),
+    "stable_dt": lambda s, e: stable_dt(
+        s, PERT_PARAMS, s.grid, StepperConfig(dt=0.01, t_end=1.0), engine=e),
+    "explicit_rhs_arrays": lambda s, e: dynamics.explicit_rhs_arrays(
+        *s.arrays, s.grid, PERT_PARAMS, PERT, engine=e),
+    "energy_flux_audit": lambda s, e: dynamics.energy_flux_audit(
+        s, PERT_PARAMS, PERT, engine=e),
+    "compute_record": lambda s, e: compute_record(s, PERT_PARAMS, engine=e),
+}
+
+
+@pytest.mark.parametrize("call", ENGINE_CALLS)
+def test_engine_of_another_grid_is_refused(call):
+    # a 12^3 engine given a 16^3 state used to fail deep inside, on
+    # "could not broadcast input array from shape (5,11,6) into shape
+    # (5,9,5)"
+    state = make_random_state(GridSpec(16), InitSpec(epsilon=1.0, seed=14),
+                              PERT)
+    with StepEngine(GridSpec(12)) as engine:
+        with pytest.raises(ValueError, match="^an engine of n=12 cannot "
+                                             "serve a grid of n=16$"):
+            ENGINE_CALLS[call](state, engine)
 
 
 def public_loop(state, p, variant, cfg, settings, sink_interval):

@@ -31,7 +31,13 @@ from mmpsim.diagio import (
     truncate_diagnostics,
     write_diagnostics,
 )
-from mmpsim.fields import InitSpec, PhysParams, SystemVariant, make_random_state
+from mmpsim.fields import (
+    InitSpec,
+    PhysParams,
+    State,
+    SystemVariant,
+    make_random_state,
+)
 from mmpsim.norms import RECORD_COLUMNS, DiagnosticsRecord
 from mmpsim.selftest import CHECKS
 from mmpsim.spectral import GridSpec
@@ -195,6 +201,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
 
+    def test_file_shorter_than_the_header_rejected(self, tmp_path):
+        path = tmp_path / "short.mmp"
+        save_checkpoint(path, sample_state(n=8), ZK_PARAMS, step=0, seed=0)
+        path.write_bytes(path.read_bytes()[:checkpoint._HEADER.size - 1])
+        with pytest.raises(CheckpointFormatError,
+                           match="^file shorter than the header$"):
+            load_checkpoint(path)
+
     def test_truncated_payload_rejected(self, tmp_path):
         state = sample_state(n=8)
         path = tmp_path / "state.mmp"
@@ -330,6 +344,21 @@ class TestDiagnosticsCsv:
         path.write_text("time,count\n0,1\n")
         with pytest.raises(ValueError):
             read_diagnostics(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("0,1", f"expected {len(RECORD_COLUMNS)} fields, got 2"),
+        (",1" + "," * (len(RECORD_COLUMNS) - 2),
+         "t and l2_energy are required"),
+        ("0" + "," * (len(RECORD_COLUMNS) - 1),
+         "t and l2_energy are required"),
+    ], ids=["width", "no-t", "no-l2_energy"])
+    def test_bad_row_refused_on_its_line(self, tmp_path, row, message):
+        path = tmp_path / "diag.csv"
+        good = "0,1" + "," * (len(RECORD_COLUMNS) - 2)
+        path.write_text(f"{CSV_HEADER}\n{good}\n{row}\n")
+        with pytest.raises(ValueError) as info:
+            read_diagnostics(path)
+        assert str(info.value) == f"{path}:3: {message}"
 
     def test_thousand_record_fit_pipeline(self, tmp_path):
         # synthetic decay written, re-read, and fitted end to end
@@ -558,6 +587,28 @@ output.dir = {outdir}
         assert code == 0
         assert "rate = 0.3" in out.replace("0.29999999999999", "0.3")
 
+    def test_fit_decay_algebraic_prints_its_exponent(self, tmp_path, capsys):
+        t = np.linspace(0.0, 40.0, 80)
+        path = tmp_path / "synthetic.csv"
+        write_diagnostics([DiagnosticsRecord(
+            t=float(ti), l2_energy=float(2.0 * (1.0 + ti) ** -1.5))
+            for ti in t], path)
+        assert cli_main(["fit-decay", "--csv", str(path), "--column",
+                         "l2_energy", "--model", "alg"]) == 0
+        lines = dict(line.split(" = ")
+                     for line in capsys.readouterr().out.splitlines())
+        assert list(lines) == ["model", "amplitude", "exponent", "r_squared",
+                               "n_samples"]
+        assert lines["model"] == "algebraic" and lines["n_samples"] == "80"
+        assert float(lines["exponent"]) == pytest.approx(-1.5, abs=1e-6)
+
+    def test_fit_decay_empty_column_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "synthetic.csv"
+        write_diagnostics([DiagnosticsRecord(t=0.0, l2_energy=1.0)], path)
+        assert cli_main(["fit-decay", "--csv", str(path), "--column", "h3",
+                         "--model", "alg"]) == 1
+        assert capsys.readouterr().err == "error: column 'h3' is empty\n"
+
     def test_fit_decay_nan_tmin_is_named(self, tmp_path, capsys):
         t = np.linspace(0.0, 10.0, 50)
         path = tmp_path / "synthetic.csv"
@@ -743,7 +794,10 @@ output.dir = {outdir}
 
     def test_blow_up_exits_with_integrity_code(self, tmp_path, capsys):
         # a checkpoint poisoned with NaN coefficients trips the integrity
-        # check on the first resumed step
+        # check on the first resumed step.  The summary and the error line
+        # both count the checkpoint's steps; the error line used to print
+        # the resumed run's own count ("steps = 7", then "blow-up detected
+        # at step 0")
         outdir = tmp_path / "out"
         cfg = tmp_path / "run.cfg"
         cfg.write_text(CONFIG_TEMPLATE.format(t_end=0.5, outdir=outdir,
@@ -752,16 +806,16 @@ output.dir = {outdir}
         state = sample_state(n=16, seed=11, t=0.1)
         poisoned = state.u.coeffs.copy()
         poisoned[0, 1, 0, 0] = np.nan
-        from mmpsim.fields import State
         from mmpsim.spectral import SpectralVectorField
         bad = State(SpectralVectorField(poisoned, grid), state.omega,
                     state.magnetic, state.variant, t=state.t)
         ckpt = tmp_path / "bad.mmp"
-        save_checkpoint(ckpt, bad, ZK_PARAMS, step=2, seed=11)
+        save_checkpoint(ckpt, bad, ZK_PARAMS, step=7, seed=11)
         code = cli_main(["run", "--config", str(cfg), "--resume", str(ckpt)])
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert code == 2
-        assert "blow-up" in err
+        assert out == "status = blow_up\nsteps = 7\nt = 0.10000000000000001\n"
+        assert err.splitlines()[-1] == "error: blow-up detected at step 7"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_record_exits_with_integrity_code(self, tmp_path,
@@ -1019,6 +1073,34 @@ output.dir = {outdir}
                          "--resume", str(outdir / "final.mmp")])
         capsys.readouterr()
         assert code == 1
+
+    @pytest.mark.parametrize("case, code, message", [
+        ("variant", 1, "error: checkpoint variant 'full' does not match "
+                       "config 'zero-kinematic'\n"),
+        ("params", 1, "error: checkpoint parameters differ from the config\n"),
+        ("unreadable", 3, "error: cannot read checkpoint: "),
+    ])
+    def test_resume_refusal_touches_no_output(self, tmp_path, capsys, case,
+                                              code, message):
+        outdir = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(t_end=0.2, outdir=outdir,
+                                              extra=""))
+        ckpt = tmp_path / "other.mmp"
+        if case == "variant":
+            save_checkpoint(ckpt, sample_state(n=16, seed=11,
+                                               variant=SystemVariant.FULL),
+                            ZK_PARAMS, step=2, seed=11)
+        elif case == "params":
+            save_checkpoint(ckpt, sample_state(n=16, seed=11),
+                            PhysParams(chi=1.0, eta=1.0, nu=2.0), step=2,
+                            seed=11)
+        assert cli_main(["run", "--config", str(cfg), "--resume",
+                         str(ckpt)]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(message)
+        assert (err == message) is (case != "unreadable")
+        assert not outdir.exists()
 
     def test_resume_under_another_seed_keeps_diagnostics(self, tmp_path,
                                                          capsys):

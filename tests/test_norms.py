@@ -197,6 +197,12 @@ class TestPerturbationFunctionals:
         with pytest.raises(ValueError):
             perturbation_energy_functionals(state, self.params())
 
+    @pytest.mark.parametrize("gamma", [1.0, 0.5])
+    def test_gamma_not_above_one_rejected(self, gamma):
+        state = random_state(GridSpec(8), SystemVariant.PERTURBATION, seed=1)
+        with pytest.raises(ValueError, match="^gamma must exceed 1$"):
+            perturbation_energy_functionals(state, self.params(), gamma=gamma)
+
 
 class TestDiagnosticsRecord:
     def test_zero_kinematic_record(self):
@@ -336,6 +342,11 @@ class TestFitDecay:
         y[3] = 0.0
         with pytest.raises(ValueError):
             fit_decay(t, y, "exponential")
+
+    def test_mismatched_arrays_rejected(self):
+        t = np.linspace(0, 1, 20)
+        with pytest.raises(ValueError, match="matching 1-D arrays"):
+            fit_decay(t, np.exp(-t[:-1]), "exponential")
 
     def test_unknown_model(self):
         t = np.linspace(0, 1, 20)

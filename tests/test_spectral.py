@@ -349,6 +349,24 @@ class TestPool:
                 assert list(map(id, engine.band_buffers(5))) == held
                 assert len(engine._band.arrays) == 5
 
+    def test_release_keeps_the_grid_buffers_in_use(self):
+        # one rule for every stack: release drops only the buffers above
+        # its top, so grid buffers held in an open scope stay pooled and
+        # the next request after the scope gets the same memory; the end
+        # of the engine's ``with`` block drops them all
+        g = GridSpec(8)
+        with spectral.StepEngine(g) as engine:
+            with engine.scope():
+                engine.grid_buffers(4)
+            with engine.scope():
+                held = engine.grid_buffers(2)
+                engine.release()
+                assert len(engine._grid.arrays) == 2
+            with engine.scope():
+                again = engine.grid_buffers(2)
+            assert all(np.shares_memory(a, b) for a, b in zip(held, again))
+        assert engine.nbytes == 0
+
 
 def ix_band_part(c, grid):
     """`band_part` as one fancy-indexed gather, the oracle of its blocks."""
