@@ -104,8 +104,7 @@ def _cmd_run(args) -> int:
         print(f"warning: {warning}", file=sys.stderr)
 
     grid = config.grid()
-    step_offset = 0
-    initial_record = True
+    start_step = None
     if args.resume is not None:
         try:
             data = load_checkpoint(args.resume)
@@ -133,16 +132,17 @@ def _cmd_run(args) -> int:
                   f"init.seed {config.init.seed}", file=sys.stderr)
             return EXIT_VALIDATION
         initial = [data.state]
-        step_offset = data.step
-        initial_record = False
+        start_step = data.step
         del data
     else:
         initial = [make_random_state(grid, config.init, config.variant)]
 
-    def checkpoint_sink(snapshot, steps):
-        name = f"checkpoint_{step_offset + steps:08d}.mmp"
+    def save(name, snapshot, steps):
         save_checkpoint(os.path.join(config.output_dir, name), snapshot,
-                        config.params, step_offset + steps, config.init.seed)
+                        config.params, steps, config.init.seed)
+
+    def checkpoint_sink(snapshot, steps):
+        save(f"checkpoint_{steps:08d}.mmp", snapshot, steps)
 
     state_sink = (None if config.checkpoint_interval is None
                   else checkpoint_sink)
@@ -172,36 +172,38 @@ def _cmd_run(args) -> int:
 
     # a failing sink raises SinkWriteError, an OSError: exit 3 (cli_main).
     # `run` copies the initial band; popped from `initial`, the state it
-    # was given then has no other reference and is freed while it runs
+    # was given then has no other reference and is freed while it runs.
+    # On resume `run` counts the trajectory's steps from the checkpoint's
     result = run(initial.pop(), config.params, config.variant, config.stepper,
                  settings=config.diagnostics_settings(),
                  record_sink=record_sink, state_sink=state_sink,
                  state_sink_interval=config.checkpoint_interval,
-                 initial_record=initial_record)
-    # the trajectory's step count, the checkpoint's steps included: `run`
-    # counts only its own, in ``steps`` and ``failure_step``
-    steps = step_offset + result.steps
+                 start_step=start_step)
 
     try:
-        save_checkpoint(os.path.join(config.output_dir, "final.mmp"),
-                        result.state, config.params, steps, config.init.seed)
+        save("final.mmp", result.state, result.steps)
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO
+    # the record lines come from the CSV this run keeps, so a resume in the
+    # run's own directory, a no-op one included, prints the uninterrupted
+    # run's summary
+    kept = read_diagnostics(csv_path)
 
     print(f"status = {result.status.value}")
-    print(f"steps = {steps}")
+    print(f"steps = {result.steps}")
     print(f"t = {result.state.t:.17g}")
-    if result.records:
+    if kept:
         # the last record is earlier than t when t_end is not on a record
         # boundary, so its time is printed with its values
-        last = result.records[-1]
+        last = kept[-1]
         print(f"record_t = {last.t:.17g}")
         print(f"l2_energy = {last.l2_energy:.17g}")
         if last.h3 is not None:
             print(f"h3 = {last.h3:.17g}")
     if result.status is RunStatus.BLOW_UP:
-        print(f"error: blow-up detected at step {steps}", file=sys.stderr)
+        print(f"error: blow-up detected at step {result.steps}",
+              file=sys.stderr)
         return EXIT_INTEGRITY
     return EXIT_OK
 

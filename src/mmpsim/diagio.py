@@ -34,10 +34,11 @@ def write_diagnostics(records, path, append: bool = False) -> None:
 def truncate_diagnostics(path, t_max: float) -> None:
     """Drop the rows with t > t_max from the diagnostics CSV at ``path``,
     and an unterminated last row left by a killed writer; a missing or
-    empty file becomes a header-only one.  A row whose t does not parse is
-    refused with a ValueError naming ``path`` and its line.  The file is
-    rewritten through `checkpoint.write_then_rename`, so a failure leaves
-    the old one."""
+    empty file becomes a header-only one.  A row that `read_diagnostics`
+    would refuse is refused with its ValueError before anything is
+    written, so a resumed run cannot fail on a kept row when it reads its
+    summary back.  The file is rewritten through
+    `checkpoint.write_then_rename`, so a failure leaves the old one."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             lines = fh.readlines()
@@ -51,39 +52,38 @@ def truncate_diagnostics(path, t_max: float) -> None:
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.endswith("\n"):
             continue
-        try:
-            t = float(line.split(",", 1)[0])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-        if t <= t_max:
+        if _parse_row(path, lineno, line[:-1]).t <= t_max:
             kept.append(line)
     with write_then_rename(path, "w", encoding="utf-8", newline="") as fh:
         fh.writelines(kept)
 
 
+def _parse_row(path, lineno: int, line: str) -> DiagnosticsRecord:
+    """The record of one CSV row (without its newline).  A cell that does
+    not parse, a row of the wrong width and a row without t or l2_energy
+    are refused, in that order, with a ValueError naming ``path`` and
+    ``lineno``."""
+    cells = line.split(",")
+    try:
+        kwargs = {name: (None if cell == "" else float(cell))
+                  for name, cell in zip(RECORD_COLUMNS, cells)}
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if len(cells) != len(RECORD_COLUMNS):
+        raise ValueError(f"{path}:{lineno}: expected "
+                         f"{len(RECORD_COLUMNS)} fields, got {len(cells)}")
+    if kwargs["t"] is None or kwargs["l2_energy"] is None:
+        raise ValueError(f"{path}:{lineno}: t and l2_energy are required")
+    return DiagnosticsRecord(**kwargs)
+
+
 def read_diagnostics(path) -> list[DiagnosticsRecord]:
-    """The records of the diagnostics CSV at ``path``.  A row of the wrong
-    width, a cell that does not parse and a row without t or l2_energy
-    are refused with a ValueError naming ``path`` and its line."""
+    """The records of the diagnostics CSV at ``path``, each row parsed by
+    `_parse_row`, which refuses a bad one naming ``path`` and its line."""
     with open(path, encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path}: not a diagnostics CSV "
                          f"(expected header {CSV_HEADER!r})")
-    records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != len(RECORD_COLUMNS):
-            raise ValueError(f"{path}:{lineno}: expected "
-                             f"{len(RECORD_COLUMNS)} fields, got {len(cells)}")
-        try:
-            kwargs = {name: (None if cell == "" else float(cell))
-                      for name, cell in zip(RECORD_COLUMNS, cells)}
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-        if kwargs["t"] is None or kwargs["l2_energy"] is None:
-            raise ValueError(f"{path}:{lineno}: t and l2_energy are required")
-        records.append(DiagnosticsRecord(**kwargs))
-    return records
+    return [_parse_row(path, lineno, line)
+            for lineno, line in enumerate(lines[1:], start=2) if line]

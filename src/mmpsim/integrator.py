@@ -91,9 +91,12 @@ from .spectral import (
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Base step, CFL safety factor, horizon, and diagnostics cadence.
+    """Base step, CFL safety factor, horizon, step cap and diagnostics
+    cadence.
 
     ``t_end=0`` is allowed and means "record the initial state only".
+    ``max_steps`` caps the trajectory's steps, not one call's: `run` counts
+    them from its ``start_step``, a resumed checkpoint's step included.
     """
 
     dt: float
@@ -323,19 +326,20 @@ class RunStatus(Enum):
 
 @dataclass
 class RunResult:
+    """How a `run` ended: its last state, the records this call made, its
+    status and the trajectory's step count (``steps``, counted from the
+    run's ``start_step``; on a blow-up the steps taken before the failing
+    step, stable_dt or record)."""
+
     state: State
     records: list[DiagnosticsRecord]
     status: RunStatus
     steps: int
-    failure_step: int | None = None
 
 
 class SinkWriteError(OSError):
-    """A diagnostics or checkpoint sink failed; partial results attached."""
-
-    def __init__(self, message: str, result: RunResult):
-        super().__init__(message)
-        self.result = result
+    """A diagnostics or state sink raised an OSError; the run stopped there
+    and returns no result.  The message names the sink and the error."""
 
 
 def _next_boundary(t: float, interval: float) -> float:
@@ -383,16 +387,26 @@ def run(state: State, p: PhysParams, variant: SystemVariant,
         cfg: StepperConfig, settings: DiagnosticsSettings | None = None,
         record_sink=None, state_sink=None,
         state_sink_interval: float | None = None,
-        initial_record: bool = True) -> RunResult:
+        start_step: int | None = None) -> RunResult:
     """Advance to t_end recording diagnostics every record_interval.
 
-    Stops at t_end, at max_steps, or on a detected blow-up (the terminal
-    status distinguishes the three): non-finite data in `stable_dt`, a
-    step or a diagnostics record, with ``failure_step`` the number of
-    steps taken before it.  ``state_sink`` is invoked with the
-    current state every ``state_sink_interval`` of simulation time.
-    Sink failures abort the run and raise SinkWriteError carrying the
-    partial result.
+    The run counts the steps of its trajectory.  With ``start_step`` None
+    the state starts a trajectory: it is recorded, and steps count from 0.
+    An int means the state is that step of a trajectory whose records up
+    to the state's time were already delivered, as on a resume from a
+    checkpoint: no initial record is made, and steps count from
+    ``start_step``.  The step count is what the ``cfg.max_steps`` cap
+    checks, what ``state_sink`` gets with each state and what the result
+    carries, so a resumed trajectory stops where the uninterrupted one
+    does.
+
+    Stops at t_end, when the trajectory has taken max_steps steps, or on a
+    detected blow-up (the terminal status distinguishes the three):
+    non-finite data in `stable_dt`, a step or a diagnostics record, with
+    ``steps`` the count before it.  ``state_sink`` is invoked with the
+    current state and the step count every ``state_sink_interval`` of
+    simulation time.  An OSError from either sink stops the run with a
+    `SinkWriteError`; what the sinks took before it stays delivered.
 
     Refuses, before the first record, what `check_run_arguments`
     refuses.
@@ -418,18 +432,17 @@ def run(state: State, p: PhysParams, variant: SystemVariant,
 
     engine = StepEngine(grid)
     records: list[DiagnosticsRecord] = []
-    steps = 0
+    steps = start_step or 0
 
-    def result(status: RunStatus, failure_step=None) -> RunResult:
-        return RunResult(current, records, status, steps, failure_step)
+    def result(status: RunStatus) -> RunResult:
+        return RunResult(current, records, status, steps)
 
     def deliver(name: str, sink, *args) -> None:
         if sink is not None:
             try:
                 sink(*args)
             except OSError as exc:
-                raise SinkWriteError(f"{name} sink failed: {exc}",
-                                     result(RunStatus.STEP_CAP)) from exc
+                raise SinkWriteError(f"{name} sink failed: {exc}") from exc
 
     def emit_record() -> None:
         rec = compute_record(current, p, settings, engine=engine)
@@ -443,7 +456,7 @@ def run(state: State, p: PhysParams, variant: SystemVariant,
 
     with engine:
         try:
-            if initial_record:
+            if start_step is None:
                 emit_record()
             while current.t < cfg.t_end - t_tol:
                 if steps >= cfg.max_steps:
@@ -463,4 +476,4 @@ def run(state: State, p: PhysParams, variant: SystemVariant,
                                                      state_sink_interval)
             return result(RunStatus.COMPLETED)
         except IntegrityError:
-            return result(RunStatus.BLOW_UP, failure_step=steps)
+            return result(RunStatus.BLOW_UP)

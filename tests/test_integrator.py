@@ -341,6 +341,38 @@ class TestRun:
         assert result.status is RunStatus.STEP_CAP
         assert result.steps == 3
 
+    @pytest.mark.parametrize("start_step", [0, 5])
+    def test_start_step_counts_the_trajectory(self, start_step):
+        # a run from step k of a trajectory makes no initial record, and
+        # its cap, its state sink's counts and its result count from k
+        state = make_random_state(GridSpec(8), InitSpec(epsilon=0.01, seed=7),
+                                  ZK)
+        cfg = StepperConfig(dt=0.05, t_end=10.0, max_steps=start_step + 3,
+                            record_interval=0.05)
+        records, sunk = [], []
+        result = run(state, ZK_PARAMS, ZK, cfg, record_sink=records.append,
+                     state_sink=lambda s, n: sunk.append(n),
+                     state_sink_interval=0.05, start_step=start_step)
+        assert result.status is RunStatus.STEP_CAP
+        assert result.steps == start_step + 3
+        assert sunk == [start_step + 1, start_step + 2, start_step + 3]
+        assert [rec.t for rec in records] == pytest.approx([0.05, 0.1, 0.15])
+
+    @pytest.mark.parametrize("start_step", [3, 4])
+    def test_start_step_at_the_cap_takes_no_step(self, monkeypatch,
+                                                 start_step):
+        # a checkpoint at or past the cap, before t_end: the trajectory
+        # has already stopped, so the run returns as it was given (a step
+        # would call None)
+        monkeypatch.setattr(integrator, "step", None)
+        state = make_random_state(GridSpec(8), InitSpec(epsilon=0.01, seed=7),
+                                  ZK).with_time(0.15)
+        cfg = StepperConfig(dt=0.05, t_end=1.0, max_steps=3)
+        result = run(state, ZK_PARAMS, ZK, cfg, start_step=start_step)
+        assert result.status is RunStatus.STEP_CAP
+        assert result.steps == start_step and result.records == []
+        assert state_bytes(result.state) == state_bytes(state)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blow_up_status(self):
         g = GridSpec(8)
@@ -349,9 +381,9 @@ class TestRun:
         bad = SpectralVectorField(np.where(g.dealias_mask[None], bad.coeffs, 0.0), g)
         state = State(bad, zero_vector_field(g), zero_vector_field(g), ZK)
         cfg = StepperConfig(dt=0.05, t_end=1.0)
-        result = run(state, ZK_PARAMS, ZK, cfg, initial_record=False)
+        result = run(state, ZK_PARAMS, ZK, cfg, start_step=0)
         assert result.status is RunStatus.BLOW_UP
-        assert result.failure_step == 0
+        assert result.steps == 0
 
     def test_non_finite_record_is_blow_up(self, monkeypatch):
         # the second record (after the first step) raises as compute_record
@@ -370,7 +402,7 @@ class TestRun:
         seen = []
         result = run(state, ZK_PARAMS, ZK, cfg, record_sink=seen.append)
         assert result.status is RunStatus.BLOW_UP
-        assert result.steps == result.failure_step == 1
+        assert result.steps == 1
         assert len(result.records) == len(seen) == 1
         assert result.state.t == pytest.approx(0.05)
 
@@ -572,7 +604,7 @@ class TestBandResidentRun:
         ref_state, ref_records, _, status, steps = public_loop(
             state, p, variant, cfg, settings, 1.0)
         assert result.status is status is RunStatus.BLOW_UP
-        assert result.failure_step == result.steps == steps >= 2
+        assert result.steps == steps >= 2
         assert result.records == ref_records
         assert state_bytes(result.state) == state_bytes(ref_state)
 
@@ -627,7 +659,7 @@ class TestBandResidentRun:
         try:
             base = tracemalloc.get_traced_memory()[0]
             result = run(make_random_state(g, init, ZK), ZK_PARAMS, ZK, cfg,
-                         record_sink=sink, initial_record=False)
+                         record_sink=sink, start_step=0)
         finally:
             tracemalloc.stop()
         assert result.steps == len(held) == 3
@@ -817,7 +849,7 @@ class TestRunEngine:
                                   ZK)
         result = run(state, ZK_PARAMS, ZK,
                      StepperConfig(dt=0.05, t_end=0.2, record_interval=1.0),
-                     initial_record=False)
+                     start_step=0)
         assert result.steps == len(per_step) == 4 and not result.records
         pointers = [{out.__array_interface__["data"][0] for out in outs}
                     for outs in per_step]

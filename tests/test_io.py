@@ -975,7 +975,9 @@ output.dir = {outdir}
         # completed" with no step, rewriting final.mmp (and truncating the
         # CSV after the checkpoint); now it is refused before any output is
         # touched.  final.mmp at t_end is within the run's end tolerance
-        # and resumes to a successful no-op
+        # and resumes to a successful no-op, which prints the uninterrupted
+        # run's summary, its last record read from the CSV (it used to
+        # print no record_t, l2_energy or h3 line)
         outdir = tmp_path / "out"
         cfg = tmp_path / "run.cfg"
         text = CONFIG_TEMPLATE.replace("grid.n = 16", "grid.n = 8")
@@ -987,19 +989,64 @@ output.dir = {outdir}
         cfg.write_text(text.format(
             t_end=t_end, outdir=outdir,
             extra="output.checkpoint_interval = 0.05"))
-        capsys.readouterr()
+        uninterrupted = capsys.readouterr().out
         code = cli_main(["run", "--config", str(cfg), "--resume",
                          str(outdir / source)])
         out, err = capsys.readouterr()
         if t is None:
             assert (code, err) == (0, "")
-            assert out == ("status = completed\nsteps = 2\n"
-                           "t = 0.10000000000000001\n")
+            last = read_diagnostics(outdir / "diagnostics.csv")[-1]
+            assert out == uninterrupted == (
+                "status = completed\nsteps = 2\nt = 0.10000000000000001\n"
+                f"record_t = {last.t:.17g}\n"
+                f"l2_energy = {last.l2_energy:.17g}\n"
+                f"h3 = {last.h3:.17g}\n")
         else:
             assert (code, out) == (1, "")
             assert err == f"error: the start time t = {t} is past t_end = " \
                           f"{t_end}\n"
         assert {f.name: f.read_bytes() for f in outdir.iterdir()} == before
+
+    def test_step_cap_binds_the_resumed_trajectory(self, tmp_path, capsys):
+        # time.max_steps caps the trajectory, the checkpoint's steps
+        # counted: resumed in place from its step-1 checkpoint, the capped
+        # run stops where the uninterrupted one did.  It used to take two
+        # more steps, print steps = 3 and write checkpoint_00000003.mmp
+        outdir = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.RUN8_CONFIG.format(interval="0.05", outdir=outdir)
+                       .replace("time.t_end = 0.1", "time.t_end = 0.2")
+                       + "time.max_steps = 2\n"
+                         "output.checkpoint_interval = 0.05\n")
+        assert cli_main(["run", "--config", str(cfg)]) == 0
+        uninterrupted = capsys.readouterr().out
+        assert uninterrupted.startswith("status = step_cap\nsteps = 2\n")
+        before = {f.name: f.read_bytes() for f in outdir.iterdir()}
+        (outdir / "checkpoint_00000002.mmp").unlink()
+        (outdir / "final.mmp").unlink()
+        assert cli_main(["run", "--config", str(cfg), "--resume",
+                         str(outdir / "checkpoint_00000001.mmp")]) == 0
+        assert capsys.readouterr().out == uninterrupted
+        assert {f.name: f.read_bytes() for f in outdir.iterdir()} == before
+
+    def test_state_sink_failure_exits_with_io_code(self, tmp_path, capsys):
+        # a directory where the first checkpoint's temporary file goes
+        # makes the state sink fail after the t = 0.05 record: exit 3 with
+        # one error line, no summary and no final.mmp; the rows recorded
+        # before the failure stay in the CSV
+        outdir = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.RUN8_CONFIG.format(interval="0.05", outdir=outdir)
+                       + "output.checkpoint_interval = 0.05\n")
+        (outdir / "checkpoint_00000001.mmp.tmp").mkdir(parents=True)
+        code = cli_main(["run", "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: state sink failed: ")
+        assert [rec.t for rec in read_diagnostics(
+            outdir / "diagnostics.csv")] == pytest.approx([0.0, 0.05])
+        assert not (outdir / "final.mmp").exists()
 
     def test_resume_from_unreadable_row_names_it(self, tmp_path, capsys):
         outdir = tmp_path / "out"
@@ -1019,6 +1066,31 @@ output.dir = {outdir}
         assert (f"error: {csv}:{lineno}: could not convert string to float: "
                 f"'x'" in capsys.readouterr().err)
         assert csv.read_bytes() == before
+
+    def test_resume_with_a_bad_kept_row_touches_no_output(self, tmp_path,
+                                                          capsys):
+        # the summary is read back from the CSV after the run, so a kept
+        # row read_diagnostics refuses is refused before the run: it used
+        # to be kept as it was (exit 0), and once the summary came from the
+        # CSV it failed the run after final.mmp was written
+        outdir = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(
+            t_end=0.2, outdir=outdir, extra="output.checkpoint_interval = 0.1"))
+        assert cli_main(["run", "--config", str(cfg)]) == 0
+        csv = outdir / "diagnostics.csv"
+        lines = csv.read_text().splitlines(keepends=True)
+        lines[1] = lines[1].replace(",", ",x,", 1)
+        csv.write_text("".join(lines))
+        before = {f.name: f.read_bytes() for f in outdir.iterdir()}
+        capsys.readouterr()
+        code = cli_main(["run", "--config", str(cfg), "--resume",
+                         str(outdir / "checkpoint_00000002.mmp")])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == (f"error: {csv}:2: could not convert string to "
+                       f"float: 'x'\n")
+        assert {f.name: f.read_bytes() for f in outdir.iterdir()} == before
 
     @pytest.mark.parametrize("resume", [False, True])
     def test_run_frees_its_initial_band_before_the_first_step(
